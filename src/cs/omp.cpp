@@ -1,5 +1,6 @@
 #include "ulpdream/cs/omp.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -7,6 +8,22 @@
 
 namespace ulpdream::cs {
 
+namespace {
+
+/// Ridge on the Gram diagonal, (A_S^T A_S + kRidge I) x = A_S^T y.
+constexpr double kRidge = 1e-9;
+
+}  // namespace
+
+// The least-squares step grows append-only: each atom adds one Gram row,
+// one right-hand-side entry, one Cholesky row and one forward-substitution
+// entry, then the coefficients are back-substituted. Every entry is
+// computed by the same formula, in the same order, as factoring and
+// solving the whole system from scratch, so the coefficients are
+// bit-identical to it. A leading minor never changes as the support
+// grows, so once a Cholesky pivot is non-positive every later system
+// fails at the same row: from then on each iteration hands the whole
+// Gram to solve_spd's ridge retry, exactly as a from-scratch solve would.
 OmpResult omp_solve(const linalg::Matrix& a, const std::vector<double>& y,
                     const OmpConfig& cfg) {
   const std::size_t m = a.rows();
@@ -17,14 +34,22 @@ OmpResult omp_solve(const linalg::Matrix& a, const std::vector<double>& y,
   result.solution.assign(n, 0.0);
   std::vector<double> residual = y;
   const double y_norm = linalg::norm2(y);
+  result.residual_norm = y_norm;
   if (y_norm == 0.0) return result;
 
+  const std::size_t max_k = std::min(cfg.max_atoms, m);
   std::vector<bool> in_support(n, false);
-  // Columns of the active sub-dictionary, gathered incrementally.
-  linalg::Matrix active(m, 0);
+  // Active columns, stored contiguously: atom c at active[c * m].
+  std::vector<double> active;
+  active.reserve(max_k * m);
+  linalg::Matrix gram(max_k, max_k);  // lower triangle, ridge included
+  linalg::Matrix chol(max_k, max_k);  // lower Cholesky factor of gram
+  std::vector<double> rhs;            // A_S^T y
+  std::vector<double> fwd;            // chol^-1 rhs
+  bool factored = true;               // every pivot so far positive
   std::vector<double> coeffs;
 
-  for (std::size_t it = 0; it < cfg.max_atoms && it < m; ++it) {
+  for (std::size_t k = 0; k < max_k; ++k) {
     // Correlation step: strongest remaining atom.
     const std::vector<double> corr = a.multiply_transposed(residual);
     std::size_t best = n;
@@ -41,36 +66,56 @@ OmpResult omp_solve(const linalg::Matrix& a, const std::vector<double>& y,
     in_support[best] = true;
     result.support.push_back(best);
 
-    // Grow the active dictionary by the chosen column.
-    linalg::Matrix grown(m, result.support.size());
-    for (std::size_t c = 0; c + 1 < result.support.size(); ++c) {
-      for (std::size_t r = 0; r < m; ++r) grown.at(r, c) = active.at(r, c);
-    }
-    {
-      const std::vector<double> col = a.column(best);
-      for (std::size_t r = 0; r < m; ++r) {
-        grown.at(r, result.support.size() - 1) = col[r];
-      }
-    }
-    active = std::move(grown);
+    active.resize((k + 1) * m);
+    double* col = &active[k * m];
+    for (std::size_t r = 0; r < m; ++r) col[r] = a.at(r, best);
 
-    // Least squares on the active set.
-    coeffs = linalg::least_squares(active, y);
+    // New Gram row and right-hand-side entry (zero y entries skipped, as
+    // Matrix::multiply_transposed does).
+    for (std::size_t j = 0; j <= k; ++j) {
+      const double* other = &active[j * m];
+      double acc = 0.0;
+      for (std::size_t r = 0; r < m; ++r) acc += other[r] * col[r];
+      gram.at(k, j) = acc;
+    }
+    gram.at(k, k) += kRidge;
+    double b = 0.0;
+    for (std::size_t r = 0; r < m; ++r) {
+      if (y[r] == 0.0) continue;
+      b += y[r] * col[r];
+    }
+    rhs.push_back(b);
+
+    if (factored) {
+      for (std::size_t j = 0; j <= k; ++j) chol.at(k, j) = gram.at(k, j);
+      factored = linalg::cholesky_append_row(chol, k);
+    }
+    if (factored) {
+      fwd.push_back(linalg::forward_substitute_row(chol, fwd, b));
+      coeffs = linalg::back_substitute(chol, fwd);
+    } else {
+      linalg::Matrix full(k + 1, k + 1);
+      for (std::size_t i = 0; i <= k; ++i) {
+        for (std::size_t j = 0; j <= i; ++j) {
+          full.at(i, j) = full.at(j, i) = gram.at(i, j);
+        }
+      }
+      coeffs = linalg::solve_spd(std::move(full), rhs);
+    }
 
     // Residual update.
     residual = y;
-    for (std::size_t c = 0; c < result.support.size(); ++c) {
-      for (std::size_t r = 0; r < m; ++r) {
-        residual[r] -= coeffs[c] * active.at(r, c);
-      }
+    for (std::size_t c = 0; c <= k; ++c) {
+      const double* atom = &active[c * m];
+      for (std::size_t r = 0; r < m; ++r) residual[r] -= coeffs[c] * atom[r];
     }
-    result.iterations = it + 1;
+    result.iterations = k + 1;
     result.residual_norm = linalg::norm2(residual);
     if (result.residual_norm / y_norm < cfg.residual_tol) break;
   }
 
   for (std::size_t c = 0; c < result.support.size(); ++c) {
-    result.solution[result.support[c]] = coeffs.empty() ? 0.0 : coeffs[c];
+    result.solution[result.support[c]] = coeffs[c];
   }
   return result;
 }

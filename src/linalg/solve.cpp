@@ -5,23 +5,47 @@
 
 namespace ulpdream::linalg {
 
+bool cholesky_append_row(Matrix& l, std::size_t k) {
+  for (std::size_t j = 0; j < k; ++j) {
+    double v = l.at(k, j);
+    for (std::size_t p = 0; p < j; ++p) v -= l.at(k, p) * l.at(j, p);
+    l.at(k, j) = v / l.at(j, j);
+  }
+  double diag = l.at(k, k);
+  for (std::size_t p = 0; p < k; ++p) diag -= l.at(k, p) * l.at(k, p);
+  if (diag <= 0.0) return false;
+  l.at(k, k) = std::sqrt(diag);
+  return true;
+}
+
 bool cholesky(Matrix& a) {
   const std::size_t n = a.rows();
   if (a.cols() != n) return false;
-  for (std::size_t j = 0; j < n; ++j) {
-    double diag = a.at(j, j);
-    for (std::size_t k = 0; k < j; ++k) diag -= a.at(j, k) * a.at(j, k);
-    if (diag <= 0.0) return false;
-    const double ljj = std::sqrt(diag);
-    a.at(j, j) = ljj;
-    for (std::size_t i = j + 1; i < n; ++i) {
-      double v = a.at(i, j);
-      for (std::size_t k = 0; k < j; ++k) v -= a.at(i, k) * a.at(j, k);
-      a.at(i, j) = v / ljj;
-    }
-    for (std::size_t c = j + 1; c < n; ++c) a.at(j, c) = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    if (!cholesky_append_row(a, k)) return false;
+    for (std::size_t c = k + 1; c < n; ++c) a.at(k, c) = 0.0;
   }
   return true;
+}
+
+double forward_substitute_row(const Matrix& l, const std::vector<double>& z,
+                              double b) {
+  const std::size_t i = z.size();
+  double acc = b;
+  for (std::size_t k = 0; k < i; ++k) acc -= l.at(i, k) * z[k];
+  return acc / l.at(i, i);
+}
+
+std::vector<double> back_substitute(const Matrix& l,
+                                    const std::vector<double>& z) {
+  const std::size_t n = z.size();
+  std::vector<double> x(n, 0.0);
+  for (std::size_t ii = n; ii-- > 0;) {
+    double acc = z[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) acc -= l.at(k, ii) * x[k];
+    x[ii] = acc / l.at(ii, ii);
+  }
+  return x;
 }
 
 std::vector<double> cholesky_solve(const Matrix& l,
@@ -30,19 +54,12 @@ std::vector<double> cholesky_solve(const Matrix& l,
   if (b.size() != n) {
     throw std::invalid_argument("cholesky_solve: size mismatch");
   }
-  std::vector<double> y(n, 0.0);
+  std::vector<double> z;
+  z.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t k = 0; k < i; ++k) acc -= l.at(i, k) * y[k];
-    y[i] = acc / l.at(i, i);
+    z.push_back(forward_substitute_row(l, z, b[i]));
   }
-  std::vector<double> x(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) acc -= l.at(k, ii) * x[k];
-    x[ii] = acc / l.at(ii, ii);
-  }
-  return x;
+  return back_substitute(l, z);
 }
 
 std::vector<double> solve_spd(Matrix a, const std::vector<double>& b) {
@@ -60,27 +77,6 @@ std::vector<double> solve_spd(Matrix a, const std::vector<double>& b) {
     }
   }
   return cholesky_solve(attempt, b);
-}
-
-std::vector<double> least_squares(const Matrix& m,
-                                  const std::vector<double>& y,
-                                  double lambda) {
-  // Normal equations: (M^T M + lambda I) x = M^T y.
-  const std::size_t n = m.cols();
-  Matrix gram(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i; j < n; ++j) {
-      double acc = 0.0;
-      for (std::size_t r = 0; r < m.rows(); ++r) {
-        acc += m.at(r, i) * m.at(r, j);
-      }
-      gram.at(i, j) = acc;
-      gram.at(j, i) = acc;
-    }
-    gram.at(i, i) += lambda;
-  }
-  const std::vector<double> rhs = m.multiply_transposed(y);
-  return solve_spd(gram, rhs);
 }
 
 }  // namespace ulpdream::linalg

@@ -1,16 +1,137 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "ulpdream/cs/omp.hpp"
 #include "ulpdream/cs/reconstruct.hpp"
 #include "ulpdream/cs/sensing_matrix.hpp"
 #include "ulpdream/ecg/database.hpp"
+#include "ulpdream/linalg/solve.hpp"
 #include "ulpdream/metrics/quality.hpp"
 #include "ulpdream/util/rng.hpp"
 
 namespace ulpdream::cs {
 namespace {
+
+// Bit-identity oracle for omp_solve: the from-scratch solver it replaced.
+// Every iteration copies the active columns, rebuilds the whole ridge
+// Gram matrix and right-hand side, and factors and solves them anew.
+
+/// A_S^T A_S + 1e-9 I for the active columns `m`.
+linalg::Matrix reference_gram(const linalg::Matrix& m) {
+  const std::size_t n = m.cols();
+  linalg::Matrix gram(n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      double acc = 0.0;
+      for (std::size_t r = 0; r < m.rows(); ++r) {
+        acc += m.at(r, i) * m.at(r, j);
+      }
+      gram.at(i, j) = acc;
+      gram.at(j, i) = acc;
+    }
+    gram.at(i, i) += 1e-9;
+  }
+  return gram;
+}
+
+linalg::Matrix active_columns(const linalg::Matrix& a,
+                              const std::vector<std::size_t>& support) {
+  linalg::Matrix active(a.rows(), support.size());
+  for (std::size_t c = 0; c < support.size(); ++c) {
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+      active.at(r, c) = a.at(r, support[c]);
+    }
+  }
+  return active;
+}
+
+OmpResult reference_omp(const linalg::Matrix& a, const std::vector<double>& y,
+                        const OmpConfig& cfg) {
+  const std::size_t m = a.rows();
+  const std::size_t n = a.cols();
+  OmpResult result;
+  result.solution.assign(n, 0.0);
+  std::vector<double> residual = y;
+  const double y_norm = linalg::norm2(y);
+  result.residual_norm = y_norm;
+  if (y_norm == 0.0) return result;
+
+  std::vector<bool> in_support(n, false);
+  std::vector<double> coeffs;
+  for (std::size_t it = 0; it < cfg.max_atoms && it < m; ++it) {
+    const std::vector<double> corr = a.multiply_transposed(residual);
+    std::size_t best = n;
+    double best_mag = 0.0;
+    for (std::size_t c = 0; c < n; ++c) {
+      if (in_support[c]) continue;
+      const double mag = std::fabs(corr[c]);
+      if (mag > best_mag) {
+        best_mag = mag;
+        best = c;
+      }
+    }
+    if (best == n || best_mag < 1e-14) break;
+    in_support[best] = true;
+    result.support.push_back(best);
+
+    const linalg::Matrix active = active_columns(a, result.support);
+    coeffs = linalg::solve_spd(reference_gram(active),
+                               active.multiply_transposed(y));
+
+    residual = y;
+    for (std::size_t c = 0; c < result.support.size(); ++c) {
+      for (std::size_t r = 0; r < m; ++r) {
+        residual[r] -= coeffs[c] * active.at(r, c);
+      }
+    }
+    result.iterations = it + 1;
+    result.residual_norm = linalg::norm2(residual);
+    if (result.residual_norm / y_norm < cfg.residual_tol) break;
+  }
+  for (std::size_t c = 0; c < result.support.size(); ++c) {
+    result.solution[result.support[c]] = coeffs[c];
+  }
+  return result;
+}
+
+/// Runs both solvers and requires every output bit to match, including a
+/// throw with the same message. Returns the reference result.
+OmpResult expect_matches_reference(const linalg::Matrix& a,
+                                   const std::vector<double>& y,
+                                   const OmpConfig& cfg) {
+  OmpResult want;
+  std::string want_error;
+  try {
+    want = reference_omp(a, y, cfg);
+  } catch (const std::runtime_error& e) {
+    want_error = e.what();
+  }
+  OmpResult got;
+  std::string got_error;
+  try {
+    got = omp_solve(a, y, cfg);
+  } catch (const std::runtime_error& e) {
+    got_error = e.what();
+  }
+  EXPECT_EQ(got_error, want_error);
+  EXPECT_EQ(got.support, want.support);
+  EXPECT_EQ(got.iterations, want.iterations);
+  EXPECT_EQ(std::memcmp(&got.residual_norm, &want.residual_norm,
+                        sizeof(double)),
+            0)
+      << got.residual_norm << " vs " << want.residual_norm;
+  EXPECT_EQ(got.solution.size(), want.solution.size());
+  if (got.solution.size() == want.solution.size()) {
+    EXPECT_EQ(std::memcmp(got.solution.data(), want.solution.data(),
+                          got.solution.size() * sizeof(double)),
+              0);
+  }
+  return want;
+}
 
 TEST(SensingMatrix, SparseBinaryColumnStructure) {
   const linalg::Matrix phi = sparse_binary_matrix(32, 64, 4, 7);
@@ -117,6 +238,103 @@ TEST(Omp, SizeMismatchThrows) {
                std::invalid_argument);
 }
 
+TEST(Omp, OrthogonalMeasurementReportsItsNorm) {
+  // Row 2 of the dictionary is all zeros and y points along it: every
+  // correlation is exactly 0, so no atom is chosen and nothing is fitted.
+  linalg::Matrix a = bernoulli_matrix(8, 16, 1);
+  for (std::size_t c = 0; c < 16; ++c) a.at(2, c) = 0.0;
+  std::vector<double> y(8, 0.0);
+  y[2] = 1.0;
+  const OmpResult res = omp_solve(a, y, OmpConfig{});
+  EXPECT_TRUE(res.support.empty());
+  EXPECT_EQ(res.iterations, 0u);
+  EXPECT_EQ(res.residual_norm, 1.0);
+  for (double v : res.solution) EXPECT_EQ(v, 0.0);
+}
+
+TEST(OmpOracle, ReconstructorDictionaryCleanAndCorruptedEcg) {
+  const CsReconstructor recon(CsConfig{});
+  const linalg::Matrix dense_phi = recon.phi().to_dense();
+  const std::size_t n = recon.config().block_n;
+  for (const std::uint64_t seed : {3u, 4u}) {
+    const ecg::Record rec = ecg::make_default_record(seed);
+    for (std::size_t block = 0; block < 3; ++block) {
+      std::vector<double> x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = static_cast<double>(rec.samples[block * n + i]);
+      }
+      std::vector<double> y = dense_phi.multiply(x);
+      expect_matches_reference(recon.dictionary(), y, recon.config().omp);
+      // Measurement words hit as stuck-at MSBs would.
+      y[3] += 8000.0;
+      y[77] -= 8000.0;
+      y[120] = -32768.0;
+      expect_matches_reference(recon.dictionary(), y, recon.config().omp);
+    }
+  }
+}
+
+TEST(OmpOracle, AtomBudgetAtOrAboveMeasurementCount) {
+  const linalg::Matrix a = bernoulli_matrix(16, 48, 9);
+  util::Xoshiro256 rng(10);
+  std::vector<double> y(16);
+  for (auto& v : y) v = rng.gaussian();
+  for (const std::size_t max_atoms : {16u, 40u}) {
+    OmpConfig cfg;
+    cfg.max_atoms = max_atoms;
+    cfg.residual_tol = 0.0;
+    const OmpResult want = expect_matches_reference(a, y, cfg);
+    EXPECT_EQ(want.iterations, 16u);
+  }
+}
+
+TEST(OmpOracle, ResidualToleranceEarlyExit) {
+  const linalg::Matrix a = bernoulli_matrix(32, 64, 21);
+  util::Xoshiro256 rng(23);
+  std::vector<double> alpha(64, 0.0);
+  for (int i = 0; i < 4; ++i) {
+    alpha[rng.bounded(64)] = rng.gaussian(0.0, 10.0) + 5.0;
+  }
+  const std::vector<double> y = a.multiply(alpha);
+  OmpConfig cfg;
+  cfg.max_atoms = 20;
+  cfg.residual_tol = 1e-6;
+  const OmpResult want = expect_matches_reference(a, y, cfg);
+  EXPECT_LT(want.iterations, cfg.max_atoms);
+  EXPECT_LT(want.residual_norm, cfg.residual_tol * linalg::norm2(y));
+}
+
+TEST(OmpOracle, RankDeficientDictionariesThroughTheRidgeFallback) {
+  // m = 12, n = 24, rank 3-6, scaled 1e3-1e8. With residual_tol = 0 OMP
+  // keeps choosing atoms past the rank, the Gram of its support turns
+  // singular, and solve_spd's ridge retry does the solving.
+  const std::size_t m = 12;
+  const std::size_t n = 24;
+  const int seeds = 48;
+  int fallbacks = 0;
+  for (int seed = 0; seed < seeds; ++seed) {
+    util::Xoshiro256 rng(1000 + static_cast<std::uint64_t>(seed));
+    const auto rank = static_cast<std::size_t>(3 + seed % 4);
+    const double scale = std::pow(10.0, 3 + (seed / 4) % 6);
+    linalg::Matrix u(m, rank);
+    linalg::Matrix v(rank, n);
+    for (auto& x : u.data()) x = rng.gaussian();
+    for (auto& x : v.data()) x = rng.gaussian();
+    linalg::Matrix a = u.multiply(v);
+    for (auto& x : a.data()) x *= scale;
+    std::vector<double> y(m);
+    for (auto& x : y) x = rng.gaussian() * scale;
+    OmpConfig cfg;
+    cfg.residual_tol = 0.0;
+    const OmpResult want = expect_matches_reference(a, y, cfg);
+    linalg::Matrix gram = reference_gram(active_columns(a, want.support));
+    if (!want.support.empty() && !linalg::cholesky(gram)) ++fallbacks;
+  }
+  EXPECT_GE(fallbacks, seeds / 2)
+      << "ridge fallback reached in only " << fallbacks << " of " << seeds
+      << " seeds";
+}
+
 TEST(Reconstructor, RejectsBadGeometry) {
   CsConfig cfg;
   cfg.block_n = 64;
@@ -178,33 +396,43 @@ TEST(Reconstructor, CorruptedMeasurementsDegradeQuality) {
   EXPECT_GT(metrics::snr_db(x, clean), metrics::snr_db(x, dirty));
 }
 
-class OmpSparsitySweep : public ::testing::TestWithParam<int> {};
+class OmpSparsitySweep : public ::testing::TestWithParam<int> {
+ protected:
+  // A k-sparse alpha measured through a 64 x 128 Bernoulli dictionary.
+  void SetUp() override {
+    const auto k = static_cast<std::size_t>(GetParam());
+    util::Xoshiro256 rng(100 + static_cast<std::uint64_t>(GetParam()));
+    for (std::size_t i = 0; i < k; ++i) {
+      std::size_t pos = rng.bounded(n_);
+      while (alpha_[pos] != 0.0) pos = (pos + 1) % n_;
+      alpha_[pos] = rng.gaussian(0.0, 5.0) + 2.0;
+    }
+    y_ = a_.multiply(alpha_);
+    cfg_.max_atoms = 2 * k;
+  }
+
+  static constexpr std::size_t n_ = 128;
+  const linalg::Matrix a_ = bernoulli_matrix(64, n_, 31);
+  std::vector<double> alpha_ = std::vector<double>(n_, 0.0);
+  std::vector<double> y_;
+  OmpConfig cfg_;
+};
 
 TEST_P(OmpSparsitySweep, RecoveryDegradesGracefullyWithK) {
-  const std::size_t n = 128;
-  const std::size_t m = 64;
-  const auto k = static_cast<std::size_t>(GetParam());
-  const linalg::Matrix a = bernoulli_matrix(m, n, 31);
-  util::Xoshiro256 rng(100 + static_cast<std::uint64_t>(GetParam()));
-  std::vector<double> alpha(n, 0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    std::size_t pos = rng.bounded(n);
-    while (alpha[pos] != 0.0) pos = (pos + 1) % n;
-    alpha[pos] = rng.gaussian(0.0, 5.0) + 2.0;
-  }
-  const std::vector<double> y = a.multiply(alpha);
-  OmpConfig cfg;
-  cfg.max_atoms = 2 * k;
-  const OmpResult res = omp_solve(a, y, cfg);
+  const OmpResult res = omp_solve(a_, y_, cfg_);
   // Well below the m/2 phase-transition, recovery is essentially exact.
-  if (k <= 12) {
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(res.solution[i], alpha[i], 1e-5);
+  if (GetParam() <= 12) {
+    for (std::size_t i = 0; i < n_; ++i) {
+      EXPECT_NEAR(res.solution[i], alpha_[i], 1e-5);
     }
   } else {
     // Near/over the limit we only require the residual to shrink.
-    EXPECT_LT(res.residual_norm, linalg::norm2(y));
+    EXPECT_LT(res.residual_norm, linalg::norm2(y_));
   }
+}
+
+TEST_P(OmpSparsitySweep, BitIdenticalToFromScratchSolve) {
+  expect_matches_reference(a_, y_, cfg_);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sparsity, OmpSparsitySweep,

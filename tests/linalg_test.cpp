@@ -101,6 +101,42 @@ TEST(Cholesky, RejectsIndefinite) {
   EXPECT_FALSE(cholesky(a));
 }
 
+TEST(Cholesky, LeadingRowsFactorAndSolveTheLeadingMinor) {
+  // What incremental OMP relies on: the first k rows of an n x n factor
+  // are, bit for bit, the factor of the leading k x k minor, and forward
+  // substitution extends entry by entry, so solving the k x k system
+  // from scratch equals back-substituting over the big factor's rows.
+  const std::size_t n = 8;
+  util::Xoshiro256 rng(5);
+  Matrix m(n, n);
+  for (auto& v : m.data()) v = rng.gaussian();
+  Matrix spd = m.transpose().multiply(m);
+  for (std::size_t i = 0; i < n; ++i) spd.at(i, i) += 0.5;
+  std::vector<double> b(n);
+  for (auto& v : b) v = rng.gaussian();
+
+  Matrix full = spd;
+  ASSERT_TRUE(cholesky(full));
+  std::vector<double> z;
+  for (std::size_t k = 1; k <= n; ++k) {
+    Matrix leading(k, k);
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j < k; ++j) leading.at(i, j) = spd.at(i, j);
+    }
+    const std::vector<double> b_leading(b.begin(), b.begin() + k);
+    const std::vector<double> x_scratch = solve_spd(leading, b_leading);
+    ASSERT_TRUE(cholesky(leading));
+    for (std::size_t i = 0; i < k; ++i) {
+      for (std::size_t j = 0; j <= i; ++j) {
+        EXPECT_EQ(leading.at(i, j), full.at(i, j))
+            << k << ": " << i << "," << j;
+      }
+    }
+    z.push_back(forward_substitute_row(full, z, b[k - 1]));
+    EXPECT_EQ(back_substitute(full, z), x_scratch) << k;
+  }
+}
+
 TEST(Solve, SpdSolveMatchesKnownSolution) {
   Matrix a(3, 3);
   // A = M^T M + I for a random M: guaranteed SPD.
@@ -115,33 +151,6 @@ TEST(Solve, SpdSolveMatchesKnownSolution) {
   const std::vector<double> b = a.multiply(x_true);
   const std::vector<double> x = solve_spd(a, b);
   for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
-}
-
-TEST(Solve, LeastSquaresExactForSquareSystem) {
-  Matrix a(2, 2);
-  a.at(0, 0) = 2; a.at(0, 1) = 1;
-  a.at(1, 0) = 1; a.at(1, 1) = 3;
-  const std::vector<double> x_true = {1.5, -0.5};
-  const std::vector<double> y = a.multiply(x_true);
-  const std::vector<double> x = least_squares(a, y);
-  EXPECT_NEAR(x[0], x_true[0], 1e-6);
-  EXPECT_NEAR(x[1], x_true[1], 1e-6);
-}
-
-TEST(Solve, LeastSquaresOverdetermined) {
-  // Fit y = 2t + 1 from noisy-free overdetermined samples.
-  const std::size_t n = 10;
-  Matrix a(n, 2);
-  std::vector<double> y(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i);
-    a.at(i, 0) = t;
-    a.at(i, 1) = 1.0;
-    y[i] = 2.0 * t + 1.0;
-  }
-  const std::vector<double> x = least_squares(a, y);
-  EXPECT_NEAR(x[0], 2.0, 1e-8);
-  EXPECT_NEAR(x[1], 1.0, 1e-7);
 }
 
 class CholeskySizeSweep : public ::testing::TestWithParam<int> {};
