@@ -7,7 +7,8 @@
 //    paper's 32 kB geometry — full-buffer write+read sweeps through
 //    ProtectedBuffer, word-at-a-time vs the span-based block API, for
 //    every EMT at a chosen supply voltage. Verifies the two paths are
-//    bit-identical (decoded words, CodecCounters, AccessStats) and emits
+//    bit-identical (decoded words, CodecCounters, AccessStats) to each
+//    other and to a shadow-free word-at-a-time oracle, and emits
 //    machine-readable JSON (stdout, or --json FILE with a human summary
 //    on stdout). CI runs this as the perf-trajectory smoke step.
 //
@@ -17,6 +18,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <string>
@@ -90,18 +92,33 @@ bool stats_equal(const mem::AccessStats& a, const mem::AccessStats& b) {
          a.bank_reads == b.bank_reads && a.bank_writes == b.bank_writes;
 }
 
+bool counters_equal(const core::CodecCounters& a,
+                    const core::CodecCounters& b) {
+  return a.decodes == b.decodes && a.corrected_words == b.corrected_words &&
+         a.detected_uncorrectable == b.detected_uncorrectable;
+}
+
 /// Bit-identity check: scalar and block sweeps over identical systems must
-/// produce the same decoded words, codec counters and access stats.
+/// produce the same decoded words, codec counters and access stats — and
+/// so must a third witness with no decoded shadow anywhere: the same
+/// writes into a bare data/side memory pair, read back word by word with
+/// FaultyMemory::read + SafeMemory::read + Emt::decode. Both MemorySystem
+/// sweeps read the shadow, so without the third they would only compare
+/// the shadow with itself.
 bool paths_identical(const core::Emt& emt, const mem::FaultMap& map,
                      const fixed::SampleVec& src) {
   fixed::SampleVec scalar_out(src.size());
   fixed::SampleVec block_out(src.size());
+  fixed::SampleVec oracle_out(src.size());
   core::CodecCounters scalar_counters;
   core::CodecCounters block_counters;
+  core::CodecCounters oracle_counters;
   mem::AccessStats scalar_data;
   mem::AccessStats block_data;
+  mem::AccessStats oracle_data;
   mem::AccessStats scalar_side;
   mem::AccessStats block_side;
+  mem::AccessStats oracle_side;
 
   {
     core::MemorySystem system(emt, src.size());
@@ -125,13 +142,30 @@ bool paths_identical(const core::Emt& emt, const mem::FaultMap& map,
     block_data = system.data().stats();
     if (const auto* side = system.safe()) block_side = side->stats();
   }
-  return scalar_out == block_out &&
-         scalar_counters.decodes == block_counters.decodes &&
-         scalar_counters.corrected_words == block_counters.corrected_words &&
-         scalar_counters.detected_uncorrectable ==
-             block_counters.detected_uncorrectable &&
+  {
+    mem::FaultyMemory data(src.size(), emt.payload_bits());
+    std::optional<mem::SafeMemory> side;
+    if (emt.safe_bits() > 0) side.emplace(src.size(), emt.safe_bits());
+    data.attach_faults(&map);
+    data.set_scrambler(kScramblerSeed);
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      data.write(i, emt.encode_payload(src[i]));
+      if (side) side->write(i, emt.encode_safe(src[i]));
+    }
+    for (std::size_t i = 0; i < src.size(); ++i) {
+      oracle_out[i] = emt.decode(data.read(i), side ? side->read(i) : 0,
+                                 &oracle_counters);
+    }
+    oracle_data = data.stats();
+    if (side) oracle_side = side->stats();
+  }
+  return scalar_out == block_out && block_out == oracle_out &&
+         counters_equal(scalar_counters, block_counters) &&
+         counters_equal(block_counters, oracle_counters) &&
          stats_equal(scalar_data, block_data) &&
-         stats_equal(scalar_side, block_side);
+         stats_equal(block_data, oracle_data) &&
+         stats_equal(scalar_side, block_side) &&
+         stats_equal(block_side, oracle_side);
 }
 
 /// Median-free simple timing: repeats passes until `min_seconds` of work

@@ -427,25 +427,11 @@ void Dream::encode_block(std::span<const fixed::Sample> in,
 void Dream::decode_block(std::span<const std::uint32_t> payload,
                          std::span<const std::uint16_t> safe,
                          std::span<fixed::Sample> out,
-                         CodecCounters* counters) const {
-  check_block_spans(out.size(), payload.size(), safe.size());
-  constexpr std::size_t kChunk = 1024;
-  std::uint8_t corrected[kChunk];
-  std::uint64_t corrected_words = 0;
-  const std::size_t n = out.size();
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t len = std::min(kChunk, n - base);
-    force_block(payload.data() + base,
-                safe.empty() ? nullptr : safe.data() + base,
-                out.data() + base, corrected, len);
-    if (counters != nullptr) {
-      for (std::size_t j = 0; j < len; ++j) corrected_words += corrected[j];
-    }
-  }
-  if (counters != nullptr) {
-    counters->decodes += n;
-    counters->corrected_words += corrected_words;
-  }
+                         std::span<std::uint8_t> outcome) const {
+  check_decode_spans(out.size(), payload.size(), safe.size(), outcome.size());
+  static_assert(kDecodeCorrected == 1, "force_block flags are 0/1");
+  force_block(payload.data(), safe.empty() ? nullptr : safe.data(),
+              out.data(), outcome.data(), out.size());
 }
 
 }  // namespace ulpdream::core

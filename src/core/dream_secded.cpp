@@ -48,41 +48,31 @@ void DreamSecDed::encode_block(std::span<const fixed::Sample> in,
 void DreamSecDed::decode_block(std::span<const std::uint32_t> payload,
                                std::span<const std::uint16_t> safe,
                                std::span<fixed::Sample> out,
-                               CodecCounters* counters) const {
-  check_block_spans(out.size(), payload.size(), safe.size());
+                               std::span<std::uint8_t> outcome) const {
+  check_decode_spans(out.size(), payload.size(), safe.size(), outcome.size());
   // Chunked two-stage pipeline: the ECC kernel emits per-word outcomes and
   // the extracted data, the DREAM force kernel then runs over that data
   // in-place-adjacent, and the per-word flags are combined afterwards with
   // the same rules as the scalar decode() above.
   constexpr std::size_t kChunk = 1024;
   fixed::Sample after_ecc[kChunk];
-  std::uint8_t ecc_outcome[kChunk];
   std::uint8_t dream_corrected[kChunk];
-  constexpr auto kCorr =
-      static_cast<std::uint8_t>(EccSecDed::Outcome::kCorrected);
-  constexpr auto kDet =
-      static_cast<std::uint8_t>(EccSecDed::Outcome::kDetectedUncorrectable);
-  std::uint64_t corrected = 0;
-  std::uint64_t detected = 0;
   const std::size_t n = out.size();
   for (std::size_t base = 0; base < n; base += kChunk) {
     const std::size_t len = std::min(kChunk, n - base);
-    ecc_.decode_block_raw(payload.data() + base, after_ecc, ecc_outcome, len);
+    std::uint8_t* const oc = outcome.data() + base;
+    ecc_.decode_block_raw(payload.data() + base, after_ecc, oc, len);
     dream_.force_block16(
         reinterpret_cast<const std::uint16_t*>(after_ecc),
         safe.empty() ? nullptr : safe.data() + base, out.data() + base,
         dream_corrected, len);
-    if (counters != nullptr) {
-      for (std::size_t j = 0; j < len; ++j) {
-        corrected += (ecc_outcome[j] == kCorr || dream_corrected[j] != 0);
-        detected += (ecc_outcome[j] == kDet && dream_corrected[j] == 0);
-      }
+    for (std::size_t j = 0; j < len; ++j) {
+      const bool ecc_corrected = oc[j] == kDecodeCorrected;
+      const bool ecc_detected = oc[j] == kDecodeDetected;
+      oc[j] = dream_corrected[j] != 0 || ecc_corrected ? kDecodeCorrected
+              : ecc_detected                            ? kDecodeDetected
+                                                        : 0;
     }
-  }
-  if (counters != nullptr) {
-    counters->decodes += n;
-    counters->corrected_words += corrected;
-    counters->detected_uncorrectable += detected;
   }
 }
 

@@ -308,29 +308,14 @@ void EccSecDed::encode_block(std::span<const fixed::Sample> in,
 void EccSecDed::decode_block(std::span<const std::uint32_t> payload,
                              std::span<const std::uint16_t> safe,
                              std::span<fixed::Sample> out,
-                             CodecCounters* counters) const {
-  check_block_spans(out.size(), payload.size(), safe.size());
-  constexpr std::size_t kChunk = 1024;
-  std::uint8_t outcome[kChunk];
-  std::uint64_t corrected = 0;
-  std::uint64_t detected = 0;
-  const std::size_t n = out.size();
-  for (std::size_t base = 0; base < n; base += kChunk) {
-    const std::size_t len = std::min(kChunk, n - base);
-    decode_block_raw(payload.data() + base, out.data() + base, outcome, len);
-    constexpr auto kCorr = static_cast<std::uint8_t>(Outcome::kCorrected);
-    constexpr auto kDet =
-        static_cast<std::uint8_t>(Outcome::kDetectedUncorrectable);
-    for (std::size_t j = 0; j < len; ++j) {
-      corrected += outcome[j] == kCorr ? 1 : 0;
-      detected += outcome[j] == kDet ? 1 : 0;
-    }
-  }
-  if (counters != nullptr) {
-    counters->decodes += n;
-    counters->corrected_words += corrected;
-    counters->detected_uncorrectable += detected;
-  }
+                             std::span<std::uint8_t> outcome) const {
+  check_decode_spans(out.size(), payload.size(), safe.size(), outcome.size());
+  static_assert(static_cast<std::uint8_t>(Outcome::kClean) == 0 &&
+                static_cast<std::uint8_t>(Outcome::kCorrected) ==
+                    kDecodeCorrected &&
+                static_cast<std::uint8_t>(Outcome::kDetectedUncorrectable) ==
+                    kDecodeDetected);
+  decode_block_raw(payload.data(), out.data(), outcome.data(), out.size());
 }
 
 }  // namespace ulpdream::core

@@ -53,7 +53,7 @@ class Dream final : public Emt {
   void decode_block(std::span<const std::uint32_t> payload,
                     std::span<const std::uint16_t> safe,
                     std::span<fixed::Sample> out,
-                    CodecCounters* counters = nullptr) const override;
+                    std::span<std::uint8_t> outcome) const override;
 
   // Calibrated against the paper's relative numbers: with these values and
   // the applications' (read-heavy) access mixes, the average protection

@@ -60,7 +60,7 @@ class DreamSecDed final : public Emt {
   void decode_block(std::span<const std::uint32_t> payload,
                     std::span<const std::uint16_t> safe,
                     std::span<fixed::Sample> out,
-                    CodecCounters* counters = nullptr) const override;
+                    std::span<std::uint8_t> outcome) const override;
 
  private:
   Dream dream_;

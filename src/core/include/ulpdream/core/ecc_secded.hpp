@@ -39,7 +39,7 @@ class EccSecDed final : public Emt {
   void decode_block(std::span<const std::uint32_t> payload,
                     std::span<const std::uint16_t> safe,
                     std::span<fixed::Sample> out,
-                    CodecCounters* counters = nullptr) const override;
+                    std::span<std::uint8_t> outcome) const override;
 
   // The ECC/DREAM decoder energy ratio (2.2x) mirrors the synthesized
   // area ratio; the encoder ratio (1.7x vs 1.28x area) reflects the wider

@@ -49,6 +49,11 @@ struct CodecCounters {
   void reset() { *this = CodecCounters{}; }
 };
 
+/// Per-word outcome bits of Emt::decode_block(): 0 for a plain decode,
+/// else an OR of these — the per-word form of the CodecCounters fields.
+inline constexpr std::uint8_t kDecodeCorrected = 1;  ///< corrected_words
+inline constexpr std::uint8_t kDecodeDetected = 2;   ///< detected_uncorrectable
+
 class Emt {
  public:
   virtual ~Emt() = default;
@@ -68,7 +73,11 @@ class Emt {
       fixed::Sample s) const = 0;
   [[nodiscard]] virtual std::uint16_t encode_safe(fixed::Sample s) const = 0;
 
-  /// Reconstructs the sample; updates `counters` when provided.
+  /// Reconstructs the sample; updates `counters` when provided. Must be a
+  /// pure function of (payload, safe) that adds exactly one to `decodes`
+  /// and at most one to each other field per call: core::MemorySystem
+  /// decodes each stored word once, when it is written, and replays the
+  /// result and its counter effect on every read.
   [[nodiscard]] virtual fixed::Sample decode(
       std::uint32_t payload, std::uint16_t safe,
       CodecCounters* counters = nullptr) const = 0;
@@ -77,10 +86,11 @@ class Emt {
   /// 16-bit sample: payload_bits() == 16 with encode_payload() a plain
   /// zero-extension, safe_bits() == 0, and decode() returning the payload
   /// unchanged with the decode count as its only counter effect. The
-  /// block data path (core::MemorySystem) then moves samples directly
-  /// between the caller's span and the data memory, skipping the 32-bit
-  /// staging copies; stored bits, stats and counters stay bit-identical
-  /// to the staged path. Only the baseline "none" technique qualifies.
+  /// block write path (core::MemorySystem::store_block) then moves
+  /// samples directly from the caller's span into the data memory,
+  /// skipping the encoder and the 32-bit staging copy; stored bits and
+  /// stats stay bit-identical to the staged path. Only the baseline
+  /// "none" technique qualifies.
   [[nodiscard]] virtual bool raw_data_path() const { return false; }
 
   /// Per-operation codec energy in pJ (logic domain, voltage-invariant:
@@ -93,24 +103,30 @@ class Emt {
   /// Block codec entry points — one virtual dispatch per *window* instead
   /// of per word. The base implementations loop over the scalar virtuals;
   /// the concrete EMTs override them with devirtualized inner loops.
-  /// Results, including every CodecCounters update, are bit-identical to
-  /// the equivalent scalar loop.
+  /// Results are bit-identical to the equivalent scalar loop: decode_block
+  /// writes each word's sample to `out` and its outcome bits
+  /// (kDecodeCorrected / kDecodeDetected, the counters decode() would
+  /// have bumped) to `outcome`.
   ///
   /// `safe` may be empty when the technique stores no side bits
-  /// (safe_bits() == 0); otherwise it must match `in`/`out` in length.
-  /// Throws std::invalid_argument on a span-length mismatch.
+  /// (safe_bits() == 0); otherwise it must match `in`/`out` in length, as
+  /// `outcome` always must. Throws std::invalid_argument on a span-length
+  /// mismatch.
   virtual void encode_block(std::span<const fixed::Sample> in,
                             std::span<std::uint32_t> payload,
                             std::span<std::uint16_t> safe) const;
   virtual void decode_block(std::span<const std::uint32_t> payload,
                             std::span<const std::uint16_t> safe,
                             std::span<fixed::Sample> out,
-                            CodecCounters* counters = nullptr) const;
+                            std::span<std::uint8_t> outcome) const;
 
  protected:
   /// Shared argument validation for encode_block/decode_block overrides.
   void check_block_spans(std::size_t in_size, std::size_t payload_size,
                          std::size_t safe_size) const;
+  void check_decode_spans(std::size_t out_size, std::size_t payload_size,
+                          std::size_t safe_size,
+                          std::size_t outcome_size) const;
 };
 
 }  // namespace ulpdream::core

@@ -40,12 +40,13 @@ class NoProtection final : public Emt {
   void decode_block(std::span<const std::uint32_t> payload,
                     std::span<const std::uint16_t> safe,
                     std::span<fixed::Sample> out,
-                    CodecCounters* counters = nullptr) const override {
-    check_block_spans(out.size(), payload.size(), safe.size());
+                    std::span<std::uint8_t> outcome) const override {
+    check_decode_spans(out.size(), payload.size(), safe.size(),
+                       outcome.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
       out[i] = static_cast<fixed::Sample>(static_cast<std::uint16_t>(payload[i]));
     }
-    if (counters != nullptr) counters->decodes += out.size();
+    for (std::uint8_t& o : outcome) o = 0;
   }
 };
 

@@ -3,14 +3,26 @@
 // faulty memory. A MemorySystem owns the voltage-scaled data array (sized
 // for the EMT's payload width) and, when the EMT needs one, the error-free
 // side array. ProtectedBuffer exposes a SampleBuffer-conforming window of
-// that memory: every set() runs the EMT encoder, every get() runs the
-// fault-injection path plus the EMT decoder — exactly the data path the
-// paper instruments in its extended VirtualSOC model.
+// that memory — the data path the paper instruments in its extended
+// VirtualSOC model: every set() runs the EMT encoder, and every get()
+// returns what the fault-injection path plus the EMT decoder yield for
+// the stored word, with the same codec counters and access stats.
+//
+// Decode-on-write: faults are permanent stuck-at cells and an attached
+// map never changes, so a read's result depends only on the last write
+// to that word. The MemorySystem therefore decodes each word once, when
+// it is written, into a shadow of the data array (the sample plus one
+// outcome byte), and a read copies from the shadow and replays the
+// outcome into CodecCounters, the per-bank AccessStats and
+// mem.fault_patch_words. attach_faults() and set_scrambler() mark the
+// whole shadow stale; a stale word is decoded again on its next read.
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "ulpdream/core/emt.hpp"
 #include "ulpdream/mem/memory.hpp"
@@ -30,37 +42,45 @@ class MemorySystem {
   explicit MemorySystem(const Emt& emt,
                         std::size_t words = mem::MemoryGeometry::kWords16,
                         int banks = mem::MemoryGeometry::kBanks);
+  /// Adds this system's codec.<emt>.* and mem.fault_patch_words tallies
+  /// to telemetry. Not copyable, so nothing is counted twice.
+  ~MemorySystem();
+  MemorySystem(const MemorySystem&) = delete;
+  MemorySystem& operator=(const MemorySystem&) = delete;
 
   [[nodiscard]] const Emt& emt() const noexcept { return *emt_; }
-  [[nodiscard]] mem::FaultyMemory& data() noexcept { return data_; }
+  /// Read-only views: every write goes through the shadow's write path.
   [[nodiscard]] const mem::FaultyMemory& data() const noexcept {
     return data_;
-  }
-  [[nodiscard]] mem::SafeMemory* safe() noexcept {
-    return safe_ ? &*safe_ : nullptr;
   }
   [[nodiscard]] const mem::SafeMemory* safe() const noexcept {
     return safe_ ? &*safe_ : nullptr;
   }
 
-  void attach_faults(const mem::FaultMap* map) { data_.attach_faults(map); }
-  void set_scrambler(std::uint64_t seed) { data_.set_scrambler(seed); }
+  /// Forward to the data array (same validation and errors); words
+  /// written before are decoded again on their next read.
+  void attach_faults(const mem::FaultMap* map);
+  void set_scrambler(std::uint64_t seed);
 
-  [[nodiscard]] CodecCounters& counters() noexcept { return counters_; }
   [[nodiscard]] const CodecCounters& counters() const noexcept {
     return counters_;
+  }
+  /// Words read so far whose stored bits a FaultMap entry covered — this
+  /// system's mem.fault_patch_words, added to telemetry on destruction.
+  [[nodiscard]] std::uint64_t fault_patch_words() const noexcept {
+    return tally_.patched_words;
   }
 
   void reset_stats();
 
   /// Batched data path: encodes and writes `src.size()` samples starting
   /// at data-array address `addr` (and the matching side words when the
-  /// EMT keeps any). Bit-identical — decoded values, CodecCounters and
-  /// AccessStats — to the equivalent loop of word accesses, but pays one
-  /// virtual codec dispatch and one bounds check per window chunk instead
-  /// of per word.
+  /// EMT keeps any), then decodes the written words into the shadow.
+  /// Bit-identical — decoded values, CodecCounters and AccessStats — to
+  /// the equivalent loop of word accesses, but pays one virtual codec
+  /// dispatch and one bounds check per window chunk instead of per word.
   void store_block(std::size_t addr, std::span<const fixed::Sample> src);
-  /// Reads and decodes `dst.size()` words starting at `addr`.
+  /// Reads `dst.size()` decoded words starting at `addr` from the shadow.
   void load_block(std::size_t addr, std::span<fixed::Sample> dst);
 
   /// Bump allocator over the data array (word granularity). Throws
@@ -73,24 +93,45 @@ class MemorySystem {
   }
 
  private:
+  friend class ProtectedBuffer;
+
   /// Per-EMT telemetry handles (names "codec.<emt>.*"), resolved once at
-  /// construction so the block path pays only relaxed fetch_adds. The
-  /// *_block_ns latency histograms additionally gate on
-  /// telemetry::hot_timing_enabled() — clock reads are not free at
-  /// ~1270 Macc/s.
+  /// construction. The call and word counts are tallied in tally_ and
+  /// added once, by the destructor; the *_block_ns latency histograms
+  /// record per call but gate on telemetry::hot_timing_enabled() — clock
+  /// reads are not free on the block path.
   struct CodecTelemetry {
     util::telemetry::Counter encode_calls, encode_words;
     util::telemetry::Counter decode_calls, decode_words;
     util::telemetry::Histogram encode_block_ns, decode_block_ns;
   };
+  struct Tally {
+    std::uint64_t encode_calls = 0, encode_words = 0;
+    std::uint64_t decode_calls = 0, decode_words = 0;
+    std::uint64_t patched_words = 0;
+  };
   static CodecTelemetry make_codec_telemetry(const std::string& emt_name);
-  void store_block_impl(std::size_t addr, std::span<const fixed::Sample> src);
-  void load_block_impl(std::size_t addr, std::span<fixed::Sample> dst);
+
+  /// store_block() / load_block() without the codec call tallies;
+  /// read_words() also serves ProtectedBuffer::get().
+  void write_words(std::size_t addr, std::span<const fixed::Sample> src);
+  void read_words(std::size_t addr, std::span<fixed::Sample> dst);
+  /// ProtectedBuffer::set(): the scalar encoders, then the refresh.
+  void write_word(std::size_t addr, fixed::Sample s);
+  /// Decodes [addr, addr + n) from the stored bits into the shadow.
+  void refresh(std::size_t addr, std::size_t n);
+  void mark_all_stale();
 
   const Emt* emt_;
   mem::FaultyMemory data_;
   std::optional<mem::SafeMemory> safe_;
+  /// The decoded shadow, one entry per data-array word: the sample a read
+  /// returns and its outcome byte (the decoder's kDecodeCorrected /
+  /// kDecodeDetected bits plus kPatched and kStale, protected_buffer.cpp).
+  std::vector<fixed::Sample> shadow_;
+  std::vector<std::uint8_t> outcome_;
   CodecCounters counters_;
+  Tally tally_;
   CodecTelemetry telemetry_;
   std::size_t next_free_ = 0;
 };

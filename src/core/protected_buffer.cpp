@@ -6,6 +6,26 @@
 
 namespace ulpdream::core {
 
+namespace {
+/// Window chunk for the block data path: big enough to amortize the
+/// per-chunk virtual dispatch and the block accessors' O(banks) stat
+/// bookkeeping, small enough to stay in L1 and on the stack.
+constexpr std::size_t kBlockChunk = 1024;
+
+/// Shadow outcome bits beside the decoder's kDecodeCorrected (1) and
+/// kDecodeDetected (2). kPatched: a FaultMap entry covers the stored word,
+/// so each read counts it in mem.fault_patch_words. kStale: the entry must
+/// be decoded again before it is read. A byte of 0 is the common case:
+/// fresh, clean, nothing to replay.
+constexpr std::uint8_t kPatched = 4;
+constexpr std::uint8_t kStale = 8;
+
+const util::telemetry::Counter& fault_patch_counter() {
+  static const util::telemetry::Counter counter("mem.fault_patch_words");
+  return counter;
+}
+}  // namespace
+
 MemorySystem::CodecTelemetry MemorySystem::make_codec_telemetry(
     const std::string& emt_name) {
   namespace tel = util::telemetry;
@@ -21,10 +41,40 @@ MemorySystem::CodecTelemetry MemorySystem::make_codec_telemetry(
 MemorySystem::MemorySystem(const Emt& emt, std::size_t words, int banks)
     : emt_(&emt),
       data_(words, emt.payload_bits(), banks),
+      shadow_(words),
+      outcome_(words, kStale),
       telemetry_(make_codec_telemetry(emt.name())) {
   if (emt.safe_bits() > 0) {
     safe_.emplace(words, emt.safe_bits());
   }
+}
+
+MemorySystem::~MemorySystem() {
+  if (tally_.encode_calls != 0) {
+    telemetry_.encode_calls.add(tally_.encode_calls);
+    telemetry_.encode_words.add(tally_.encode_words);
+  }
+  if (tally_.decode_calls != 0) {
+    telemetry_.decode_calls.add(tally_.decode_calls);
+    telemetry_.decode_words.add(tally_.decode_words);
+  }
+  if (tally_.patched_words != 0) {
+    fault_patch_counter().add(tally_.patched_words);
+  }
+}
+
+void MemorySystem::attach_faults(const mem::FaultMap* map) {
+  data_.attach_faults(map);  // throws, shadow untouched, on a bad map
+  mark_all_stale();
+}
+
+void MemorySystem::set_scrambler(std::uint64_t seed) {
+  data_.set_scrambler(seed);
+  mark_all_stale();
+}
+
+void MemorySystem::mark_all_stale() {
+  std::fill(outcome_.begin(), outcome_.end(), kStale);
 }
 
 void MemorySystem::reset_stats() {
@@ -42,112 +92,147 @@ std::size_t MemorySystem::allocate(std::size_t words) {
   return base;
 }
 
-namespace {
-/// Window chunk for the block data path: big enough to amortize the
-/// per-chunk virtual dispatch and the block accessors' O(banks) stat
-/// bookkeeping, small enough to stay in L1 and on the stack.
-constexpr std::size_t kBlockChunk = 1024;
-}  // namespace
-
 void MemorySystem::store_block(std::size_t addr,
                                std::span<const fixed::Sample> src) {
-  telemetry_.encode_calls.add();
-  telemetry_.encode_words.add(src.size());
+  ++tally_.encode_calls;
+  tally_.encode_words += src.size();
   const bool timed = util::telemetry::hot_timing_enabled();
   const std::uint64_t t0 = timed ? util::telemetry::now_ns() : 0;
-  store_block_impl(addr, src);
+  write_words(addr, src);
   if (timed) {
     telemetry_.encode_block_ns.record(util::telemetry::now_ns() - t0);
   }
 }
 
-void MemorySystem::store_block_impl(std::size_t addr,
-                                    std::span<const fixed::Sample> src) {
+void MemorySystem::load_block(std::size_t addr,
+                              std::span<fixed::Sample> dst) {
+  ++tally_.decode_calls;
+  tally_.decode_words += dst.size();
+  const bool timed = util::telemetry::hot_timing_enabled();
+  const std::uint64_t t0 = timed ? util::telemetry::now_ns() : 0;
+  read_words(addr, dst);
+  if (timed) {
+    telemetry_.decode_block_ns.record(util::telemetry::now_ns() - t0);
+  }
+}
+
+void MemorySystem::refresh(std::size_t addr, std::size_t n) {
+  std::uint32_t payload[kBlockChunk];
+  std::uint16_t safe_words[kBlockChunk];
+  std::uint8_t patched[kBlockChunk];
+  while (n != 0) {
+    const std::size_t len = std::min(kBlockChunk, n);
+    const std::size_t hits =
+        data_.peek_block(addr, std::span<std::uint32_t>(payload, len),
+                         std::span<std::uint8_t>(patched, len));
+    std::span<const std::uint16_t> side;
+    if (safe_) {
+      safe_->peek_block(addr, std::span<std::uint16_t>(safe_words, len));
+      side = std::span<const std::uint16_t>(safe_words, len);
+    }
+    std::uint8_t* const oc = outcome_.data() + addr;
+    emt_->decode_block(std::span<const std::uint32_t>(payload, len), side,
+                       std::span<fixed::Sample>(shadow_.data() + addr, len),
+                       std::span<std::uint8_t>(oc, len));
+    if (hits != 0) {
+      for (std::size_t i = 0; i < len; ++i) {
+        oc[i] = static_cast<std::uint8_t>(oc[i] | patched[i] * kPatched);
+      }
+    }
+    addr += len;
+    n -= len;
+  }
+}
+
+void MemorySystem::write_words(std::size_t addr,
+                               std::span<const fixed::Sample> src) {
+  const std::size_t n = src.size();
   if (emt_->raw_data_path()) {
     // Samples are the payload verbatim: scatter straight from the source
     // span (int16_t reinterpreted as its unsigned twin — the same
     // zero-extension encode_payload performs).
     data_.write_block(
         addr, std::span<const std::uint16_t>(
-                  reinterpret_cast<const std::uint16_t*>(src.data()),
-                  src.size()));
+                  reinterpret_cast<const std::uint16_t*>(src.data()), n));
+    refresh(addr, n);
     return;
   }
   std::uint32_t payload[kBlockChunk];
   std::uint16_t safe_words[kBlockChunk];
   mem::SafeMemory* const safe = safe_ ? &*safe_ : nullptr;
   while (!src.empty()) {
-    const std::size_t n = std::min<std::size_t>(kBlockChunk, src.size());
+    const std::size_t len = std::min<std::size_t>(kBlockChunk, src.size());
     emt_->encode_block(
-        src.first(n), std::span<std::uint32_t>(payload, n),
-        safe != nullptr ? std::span<std::uint16_t>(safe_words, n)
+        src.first(len), std::span<std::uint32_t>(payload, len),
+        safe != nullptr ? std::span<std::uint16_t>(safe_words, len)
                         : std::span<std::uint16_t>());
-    data_.write_block(addr, std::span<const std::uint32_t>(payload, n));
+    data_.write_block(addr, std::span<const std::uint32_t>(payload, len));
     if (safe != nullptr) {
-      safe->write_block(addr, std::span<const std::uint16_t>(safe_words, n));
+      safe->write_block(addr,
+                        std::span<const std::uint16_t>(safe_words, len));
     }
-    addr += n;
-    src = src.subspan(n);
+    refresh(addr, len);
+    addr += len;
+    src = src.subspan(len);
   }
 }
 
-void MemorySystem::load_block(std::size_t addr,
-                              std::span<fixed::Sample> dst) {
-  telemetry_.decode_calls.add();
-  telemetry_.decode_words.add(dst.size());
-  const bool timed = util::telemetry::hot_timing_enabled();
-  const std::uint64_t t0 = timed ? util::telemetry::now_ns() : 0;
-  load_block_impl(addr, dst);
-  if (timed) {
-    telemetry_.decode_block_ns.record(util::telemetry::now_ns() - t0);
-  }
+void MemorySystem::write_word(std::size_t addr, fixed::Sample s) {
+  data_.write(addr, emt_->encode_payload(s));
+  if (safe_) safe_->write(addr, emt_->encode_safe(s));
+  refresh(addr, 1);
 }
 
-void MemorySystem::load_block_impl(std::size_t addr,
-                                   std::span<fixed::Sample> dst) {
-  if (emt_->raw_data_path()) {
-    data_.read_block(addr,
-                     std::span<std::uint16_t>(
-                         reinterpret_cast<std::uint16_t*>(dst.data()),
-                         dst.size()));
-    counters_.decodes += dst.size();
-    return;
+void MemorySystem::read_words(std::size_t addr, std::span<fixed::Sample> dst) {
+  const std::size_t n = dst.size();
+  if (n > shadow_.size() || addr > shadow_.size() - n) {
+    throw std::out_of_range("MemorySystem: read range");
   }
-  std::uint32_t payload[kBlockChunk];
-  std::uint16_t safe_words[kBlockChunk];
-  const mem::SafeMemory* const safe = safe_ ? &*safe_ : nullptr;
-  while (!dst.empty()) {
-    const std::size_t n = std::min<std::size_t>(kBlockChunk, dst.size());
-    data_.read_block(addr, std::span<std::uint32_t>(payload, n));
-    if (safe != nullptr) {
-      safe->read_block(addr, std::span<std::uint16_t>(safe_words, n));
+  const std::uint8_t* const oc = outcome_.data() + addr;
+  const fixed::Sample* const sh = shadow_.data() + addr;
+  // One pass copies and ORs the outcome bytes; only a stale word (rare:
+  // never written, or before the last attach/scramble) takes a second.
+  std::uint8_t any = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = sh[i];
+    any |= oc[i];
+  }
+  if ((any & kStale) != 0) {
+    refresh(addr, n);
+    any = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      dst[i] = sh[i];
+      any |= oc[i];
     }
-    emt_->decode_block(
-        std::span<const std::uint32_t>(payload, n),
-        safe != nullptr ? std::span<const std::uint16_t>(safe_words, n)
-                        : std::span<const std::uint16_t>(),
-        dst.first(n), &counters_);
-    addr += n;
-    dst = dst.subspan(n);
   }
+  counters_.decodes += n;
+  if (any != 0) {
+    std::uint64_t corrected = 0;
+    std::uint64_t detected = 0;
+    std::uint64_t patched = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      corrected += (oc[i] & kDecodeCorrected) != 0;
+      detected += (oc[i] & kDecodeDetected) != 0;
+      patched += (oc[i] & kPatched) != 0;
+    }
+    counters_.corrected_words += corrected;
+    counters_.detected_uncorrectable += detected;
+    tally_.patched_words += patched;
+  }
+  data_.count_reads(addr, n);
+  if (safe_) safe_->count_reads(addr, n);
 }
 
 fixed::Sample ProtectedBuffer::get(std::size_t i) const {
   if (i >= length_) throw std::out_of_range("ProtectedBuffer::get");
-  const std::size_t addr = base_ + i;
-  const std::uint32_t payload = system_->data().read(addr);
-  std::uint16_t safe_word = 0;
-  if (auto* safe = system_->safe()) safe_word = safe->read(addr);
-  return system_->emt().decode(payload, safe_word, &system_->counters());
+  fixed::Sample s = 0;
+  system_->read_words(base_ + i, std::span<fixed::Sample>(&s, 1));
+  return s;
 }
 
 void ProtectedBuffer::set(std::size_t i, fixed::Sample s) {
   if (i >= length_) throw std::out_of_range("ProtectedBuffer::set");
-  const std::size_t addr = base_ + i;
-  system_->data().write(addr, system_->emt().encode_payload(s));
-  if (auto* safe = system_->safe()) {
-    safe->write(addr, system_->emt().encode_safe(s));
-  }
+  system_->write_word(base_ + i, s);
 }
 
 void ProtectedBuffer::load(std::size_t i, std::span<const fixed::Sample> src) {

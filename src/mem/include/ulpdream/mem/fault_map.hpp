@@ -1,7 +1,7 @@
 #pragma once
 // Permanent (stuck-at) fault maps. A fault map assigns each word a set of
 // stuck bit positions and the value each is stuck at; the memory model
-// applies them on every read (equivalent to cells ignoring writes).
+// applies them to the stored bits (equivalent to cells ignoring writes).
 //
 // Two generators mirror the paper's two experiments:
 //  - random(): i.i.d. cell faults at a given BER — one fresh map per
@@ -103,13 +103,6 @@ class FaultMap {
   /// lookups.
   [[nodiscard]] bool chunk_clean(std::size_t chunk) const noexcept {
     return (coarse_[chunk >> 6] & (std::uint64_t{1} << (chunk & 63))) == 0;
-  }
-
-  /// Raw presence bitmap (bit c = chunk c has entries; one padding word is
-  /// always appended). Exposed for the gathered SIMD read kernel, which
-  /// tests eight chunks' bits per iteration.
-  [[nodiscard]] const std::uint64_t* presence_data() const noexcept {
-    return coarse_.data();
   }
 
   /// Total number of stuck cells in the map.

@@ -50,14 +50,20 @@ class FaultyMemory {
   /// Attaches (non-owning) a fault map; pass nullptr to clear. The map's
   /// geometry is validated: it must cover this memory (word count >= words()
   /// and bits_per_word >= width_bits()), otherwise std::invalid_argument is
-  /// thrown and the previously attached map stays in effect.
+  /// thrown and the previously attached map stays in effect. The map must
+  /// not change while it is attached: faults are permanent stuck-at cells,
+  /// and core::MemorySystem decodes each word once per write on that basis.
   void attach_faults(const FaultMap* map);
 
   /// Enables logical->physical address scrambling with the given seed
   /// (0 disables). Scrambling randomizes which logical word lands on which
   /// physical (possibly faulty) row — the paper's Sec. V randomization.
+  /// The mapping is the affine permutation logical*mul + add (mod words())
+  /// with mul coprime to words(), so every logical word owns one row on
+  /// any geometry.
   void set_scrambler(std::uint64_t seed);
 
+  /// Word accessors; throw std::out_of_range for addr >= words().
   void write(std::size_t addr, std::uint32_t bits);
   [[nodiscard]] std::uint32_t read(std::size_t addr) const;
 
@@ -65,18 +71,26 @@ class FaultyMemory {
   /// over [addr, addr + span size) — same scrambling, fault application,
   /// masking and per-bank stats — but with the address math, fault lookup
   /// and bookkeeping hoisted into one tight loop and a single bounds
-  /// check. The batched data path (ProtectedBuffer::load/store) is built
-  /// on these. Throws std::out_of_range when the range does not fit.
+  /// check. Throws std::out_of_range when the range does not fit.
   void write_block(std::size_t addr, std::span<const std::uint32_t> src);
   void read_block(std::size_t addr, std::span<std::uint32_t> dst) const;
 
-  /// 16-bit block transfers for EMTs whose payload is the raw sample word
-  /// (width_bits() <= 16): same semantics as the 32-bit overloads — writes
-  /// zero-extend, reads truncate after the width mask, which loses nothing
-  /// when the word fits in 16 bits — without a 32-bit staging buffer in
-  /// the caller. The 16-bit read throws std::logic_error on a wider word.
+  /// 16-bit block write for EMTs whose payload is the raw sample word:
+  /// same semantics as the 32-bit overload (words zero-extend) without a
+  /// 32-bit staging buffer in the caller.
   void write_block(std::size_t addr, std::span<const std::uint16_t> src);
-  void read_block(std::size_t addr, std::span<std::uint16_t> dst) const;
+
+  /// The two halves of read_block(), for core::MemorySystem's decoded
+  /// shadow. peek_block() returns the bits read_block() would and counts
+  /// nothing (neither stats() nor mem.fault_patch_words); `patched` is
+  /// empty or one flag per word, set to 1 where a FaultMap entry covers
+  /// the word and 0 elsewhere. Returns the number of such words.
+  /// count_reads() adds a read of [addr, addr + n) to stats() without
+  /// reading — exactly what read_block() adds. Both throw
+  /// std::out_of_range when the range does not fit.
+  std::size_t peek_block(std::size_t addr, std::span<std::uint32_t> dst,
+                         std::span<std::uint8_t> patched) const;
+  void count_reads(std::size_t addr, std::size_t n) const;
 
   /// Bits as physically stored (after stuck-at application), for tests.
   [[nodiscard]] std::uint32_t peek_physical(std::size_t addr) const;
@@ -87,12 +101,16 @@ class FaultyMemory {
   void reset_stats();
 
  private:
-  /// Shared bodies of the 32/16-bit block overloads (memory.cpp).
+  /// Shared body of the 32/16-bit block writes (memory.cpp).
   template <typename Word>
   void write_block_impl(std::size_t addr, const Word* src, std::size_t n);
-  template <typename Word>
-  void read_block_impl(std::size_t addr, Word* dst, std::size_t n) const;
+  /// Adds the per-bank counts of a block access of [addr, addr + n).
+  void add_bank_counts(std::uint64_t* counts, std::size_t addr,
+                       std::size_t n) const;
 
+  [[nodiscard]] bool scrambled() const noexcept {
+    return scramble_mul_ != 1 || scramble_add_ != 0;
+  }
   [[nodiscard]] std::size_t physical(std::size_t logical) const;
   [[nodiscard]] int bank_of(std::size_t phys) const noexcept {
     return static_cast<int>(phys % static_cast<std::size_t>(banks_));
@@ -103,7 +121,9 @@ class FaultyMemory {
   std::uint32_t width_mask_ = 0xFFFFu;
   std::vector<std::uint32_t> store_;
   const FaultMap* faults_ = nullptr;
-  std::uint64_t scramble_mul_ = 1;  ///< odd multiplier (identity when 1, add 0)
+  /// Affine scrambler, both < words(): mul coprime to words() (identity
+  /// when mul is 1 and add 0).
+  std::uint64_t scramble_mul_ = 1;
   std::uint64_t scramble_add_ = 0;
   mutable AccessStats stats_;
 };
@@ -124,6 +144,10 @@ class SafeMemory {
   /// FaultyMemory::write_block).
   void write_block(std::size_t addr, std::span<const std::uint16_t> src);
   void read_block(std::size_t addr, std::span<std::uint16_t> dst) const;
+
+  /// The stats-free read and the stats-only read, as on FaultyMemory.
+  void peek_block(std::size_t addr, std::span<std::uint16_t> dst) const;
+  void count_reads(std::size_t addr, std::size_t n) const;
 
   [[nodiscard]] const AccessStats& stats() const noexcept { return stats_; }
   void reset_stats();

@@ -1,15 +1,13 @@
 #include "ulpdream/mem/memory.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "ulpdream/util/rng.hpp"
-#include "ulpdream/util/simd.hpp"
 #include "ulpdream/util/telemetry.hpp"
-
-#if ULPDREAM_SIMD_X86
-#include <immintrin.h>
-#endif
 
 namespace ulpdream::mem {
 
@@ -60,37 +58,117 @@ void FaultyMemory::attach_faults(const FaultMap* map) {
 }
 
 void FaultyMemory::set_scrambler(std::uint64_t seed) {
-  if (seed == 0) {
+  const std::uint64_t words = store_.size();
+  if (seed == 0 || words == 0) {
     scramble_mul_ = 1;
     scramble_add_ = 0;
     return;
   }
-  // Affine permutation over the word index space. For power-of-two sizes
-  // any odd multiplier is a bijection mod 2^k; we also fold in an additive
-  // offset so the identity row 0 moves too.
+  // Affine permutation over the word index space, with an additive offset
+  // so the identity row 0 moves too. Reducing both terms mod words() and
+  // stepping the multiplier to the next value coprime to it makes the map
+  // a bijection on every geometry; on power-of-two sizes the odd draw is
+  // already coprime and the reduction changes no address.
   util::SplitMix64 sm(seed);
-  scramble_mul_ = sm.next() | 1u;
-  scramble_add_ = sm.next();
+  std::uint64_t mul = (sm.next() | 1u) % words;
+  while (std::gcd(mul, words) != 1) mul = (mul + 1) % words;
+  scramble_mul_ = mul;
+  scramble_add_ = sm.next() % words;
 }
 
+namespace {
+
+constexpr bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+/// (x * mul + add) mod n without overflow, for x, mul, add < n.
+std::uint64_t affine_mod(std::uint64_t x, std::uint64_t mul, std::uint64_t add,
+                         std::uint64_t n) {
+  if (n <= (std::uint64_t{1} << 32)) {  // the product fits 64 bits
+    const std::uint64_t v = x * mul + add;
+    return is_pow2(n) ? v & (n - 1) : v % n;
+  }
+  return static_cast<std::uint64_t>(
+      (static_cast<unsigned __int128>(x) * mul + add) % n);
+}
+
+/// Next physical row of a scrambled run: logical + 1 maps to
+/// (phys + mul) mod n, with phys, mul < n.
+inline std::uint64_t next_row(std::uint64_t phys, std::uint64_t mul,
+                              std::uint64_t n) {
+  phys += mul;
+  return phys >= n ? phys - n : phys;
+}
+
+void check_range(std::size_t addr, std::size_t n, std::size_t words,
+                 const char* what) {
+  if (n > words || addr > words - n) {
+    throw std::out_of_range(std::string(what) + ": range");
+  }
+}
+
+// --- bank accounting, hoisted out of the word loops ----------------------
+//
+// Bank counts depend only on the physical address sequence, never on the
+// data or the fault map, so the block paths compute them arithmetically in
+// O(banks) instead of one memory-indirect increment per word.
+
+// Contiguous run [phys, phys + n): every bank gets floor(n / banks), and
+// the n % banks remainder lands on consecutive banks starting at
+// phys % banks. Power-of-two bank counts (the paper's 16) take shifts and
+// masks instead of three divisions: this runs once per block call.
+void add_contiguous_bank_counts(std::uint64_t* counts, std::size_t banks,
+                                std::uint64_t phys, std::uint64_t n) {
+  const bool pow2 = is_pow2(banks);
+  const std::uint64_t whole =
+      pow2 ? n >> std::countr_zero(banks) : n / banks;
+  std::uint64_t rem = pow2 ? n & (banks - 1) : n % banks;
+  if (whole != 0) {
+    for (std::size_t b = 0; b < banks; ++b) counts[b] += whole;
+  }
+  auto b = static_cast<std::size_t>(pow2 ? phys & (banks - 1) : phys % banks);
+  while (rem-- > 0) {
+    ++counts[b];
+    if (++b == banks) b = 0;
+  }
+}
+
+// Scrambled run phys_i = (phys0 + i*step) mod words with a power-of-two
+// bank count dividing words: the bank residue collapses to
+// (phys0 + i*step) mod banks, which depends only on i mod banks. Index
+// class j therefore contributes ceil((n - j) / banks) accesses to bank
+// (phys0 + j*step) mod banks.
+void add_strided_bank_counts(std::uint64_t* counts, std::size_t banks,
+                             std::uint64_t phys0, std::uint64_t step,
+                             std::uint64_t n) {
+  const std::uint64_t bmask = banks - 1;
+  for (std::uint64_t j = 0; j < banks && j < n; ++j) {
+    counts[(phys0 + j * step) & bmask] += (n - j + banks - 1) / banks;
+  }
+}
+
+}  // namespace
+
 std::size_t FaultyMemory::physical(std::size_t logical) const {
-  if (scramble_mul_ == 1 && scramble_add_ == 0) return logical;
-  const std::uint64_t n = store_.size();
+  if (logical >= store_.size()) {
+    throw std::out_of_range("FaultyMemory: address " +
+                            std::to_string(logical) + " of " +
+                            std::to_string(store_.size()));
+  }
+  if (!scrambled()) return logical;
   return static_cast<std::size_t>(
-      (static_cast<std::uint64_t>(logical) * scramble_mul_ + scramble_add_) %
-      n);
+      affine_mod(logical, scramble_mul_, scramble_add_, store_.size()));
 }
 
 void FaultyMemory::write(std::size_t addr, std::uint32_t bits) {
   const std::size_t phys = physical(addr);
-  store_.at(phys) = bits & width_mask_;
+  store_[phys] = bits & width_mask_;
   ++stats_.writes;
   ++stats_.bank_writes[static_cast<std::size_t>(bank_of(phys))];
 }
 
 std::uint32_t FaultyMemory::read(std::size_t addr) const {
   const std::size_t phys = physical(addr);
-  std::uint32_t bits = store_.at(phys);
+  std::uint32_t bits = store_[phys];
   if (faults_ != nullptr) {
     if (const WordFaults* f = faults_->lookup(phys)) {
       bits = f->apply(bits);
@@ -102,207 +180,52 @@ std::uint32_t FaultyMemory::read(std::size_t addr) const {
   return bits & width_mask_;
 }
 
-namespace {
-
-constexpr bool is_pow2(std::uint64_t v) { return v != 0 && (v & (v - 1)) == 0; }
-
-// --- bank accounting, hoisted out of the word loops ----------------------
-//
-// Bank counts depend only on the physical address sequence, never on the
-// data or the fault map, so the block loops compute them arithmetically in
-// O(banks) instead of one memory-indirect increment per word.
-
-// Contiguous run [phys, phys + n): every bank gets floor(n / banks), and
-// the n % banks remainder lands on consecutive banks starting at
-// phys % banks.
-void add_contiguous_bank_counts(std::uint64_t* counts, std::size_t banks,
-                                std::uint64_t phys, std::uint64_t n) {
-  const std::uint64_t whole = n / banks;
-  std::uint64_t rem = n % banks;
-  if (whole != 0) {
-    for (std::size_t b = 0; b < banks; ++b) counts[b] += whole;
+void FaultyMemory::add_bank_counts(std::uint64_t* counts, std::size_t addr,
+                                   std::size_t n) const {
+  const auto banks = static_cast<std::size_t>(banks_);
+  if (!scrambled()) {
+    add_contiguous_bank_counts(counts, banks, addr, n);
+    return;
   }
-  auto b = static_cast<std::size_t>(phys % banks);
-  while (rem-- > 0) {
-    ++counts[b];
-    if (++b == banks) b = 0;
+  const std::uint64_t words = store_.size();
+  std::uint64_t phys = affine_mod(addr, scramble_mul_, scramble_add_, words);
+  if (is_pow2(banks) && words % banks == 0) {
+    add_strided_bank_counts(counts, banks, phys, scramble_mul_, n);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    ++counts[static_cast<std::size_t>(phys % banks)];
+    phys = next_row(phys, scramble_mul_, words);
   }
 }
-
-// Strided run phys_i = ((phys0 + i*step) mod 2^64) mod words, with words
-// and banks powers of two and banks <= words: banks then divides both
-// words and 2^64, so the bank residue collapses to (phys0 + i*step) mod
-// banks, which depends only on i mod banks. Index class j therefore
-// contributes ceil((n - j) / banks) accesses to bank (phys0 + j*step) mod
-// banks.
-void add_strided_bank_counts(std::uint64_t* counts, std::size_t banks,
-                             std::uint64_t phys0, std::uint64_t step,
-                             std::uint64_t n) {
-  const std::uint64_t bmask = banks - 1;
-  for (std::uint64_t j = 0; j < banks && j < n; ++j) {
-    counts[(phys0 + j * step) & bmask] += (n - j + banks - 1) / banks;
-  }
-}
-
-#if ULPDREAM_SIMD_X86
-
-// Gathered read for the scrambled power-of-two geometry. Eight physical
-// addresses per iteration via 32-bit lane arithmetic — (addr + i)*mul +
-// add wraps mod 2^32, which agrees with the scalar mod-2^64 wrap on every
-// bit the (<= 32-bit) word mask keeps — then a gathered word load, a
-// gathered presence-bitmap test, and scalar patch-up only for lanes whose
-// chunk actually holds faults. Returns how many words were handled; the
-// caller finishes the tail with the scalar walk. The 16-bit instantiation
-// packs the masked lanes down (exact: the caller guarantees the width
-// mask fits 16 bits) for the staging-free raw-sample path.
-template <typename Word>
-__attribute__((target("avx2"))) std::size_t scrambled_gather_read_avx2(
-    const std::uint32_t* store, std::uint64_t addr, std::uint64_t mul,
-    std::uint64_t add, std::uint64_t wmask, std::uint32_t width_mask,
-    const FaultMap* faults, Word* dst, std::size_t n,
-    std::size_t* patched) {
-  static_assert(FaultMap::kChunkWords == 64);
-  const __m256i vmul =
-      _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(mul)));
-  const __m256i vadd =
-      _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(add)));
-  const __m256i vwmask =
-      _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(wmask)));
-  const __m256i vwidth =
-      _mm256_set1_epi32(static_cast<int>(width_mask));
-  __m256i vi = _mm256_add_epi32(
-      _mm256_set1_epi32(static_cast<int>(static_cast<std::uint32_t>(addr))),
-      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
-  const __m256i v8 = _mm256_set1_epi32(8);
-  const bool check_faults = faults != nullptr && faults->entry_count() != 0;
-  // The u64 presence bitmap reinterpreted as u32 lanes (little-endian x86:
-  // chunk bit c lives in u32 word c >> 5, bit c & 31).
-  const auto* coarse32 =
-      check_faults ? reinterpret_cast<const int*>(faults->presence_data())
-                   : nullptr;
-  alignas(32) std::uint32_t phys_buf[8];
-  alignas(32) std::uint32_t bits_buf[8];
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8, vi = _mm256_add_epi32(vi, v8)) {
-    const __m256i phys = _mm256_and_si256(
-        _mm256_add_epi32(_mm256_mullo_epi32(vi, vmul), vadd), vwmask);
-    __m256i bits = _mm256_i32gather_epi32(
-        reinterpret_cast<const int*>(store), phys, 4);
-    if (check_faults) {
-      const __m256i chunk = _mm256_srli_epi32(phys, 6);
-      const __m256i cword = _mm256_i32gather_epi32(
-          coarse32, _mm256_srli_epi32(chunk, 5), 4);
-      const __m256i hit = _mm256_and_si256(
-          _mm256_srlv_epi32(cword,
-                            _mm256_and_si256(chunk, _mm256_set1_epi32(31))),
-          _mm256_set1_epi32(1));
-      if (!_mm256_testz_si256(hit, hit)) {
-        _mm256_store_si256(reinterpret_cast<__m256i*>(phys_buf), phys);
-        _mm256_store_si256(reinterpret_cast<__m256i*>(bits_buf), bits);
-        for (int lane = 0; lane < 8; ++lane) {
-          if (const WordFaults* f = faults->lookup(phys_buf[lane])) {
-            bits_buf[lane] = f->apply(bits_buf[lane]);
-            ++*patched;
-          }
-        }
-        bits = _mm256_load_si256(reinterpret_cast<const __m256i*>(bits_buf));
-      }
-    }
-    const __m256i masked = _mm256_and_si256(bits, vwidth);
-    if constexpr (sizeof(Word) == 4) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), masked);
-    } else {
-      static_assert(sizeof(Word) == 2);
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                       _mm_packus_epi32(_mm256_castsi256_si128(masked),
-                                        _mm256_extracti128_si256(masked, 1)));
-    }
-  }
-  return i;
-}
-
-#endif  // ULPDREAM_SIMD_X86
-
-}  // namespace
 
 // The block loops hoist the per-word costs of the scalar accessors — the
-// cross-TU call, the at() bounds check and, for the power-of-two word and
-// bank counts of the paper geometry, the 64-bit divisions behind the
-// affine scrambler and the bank decode (x mod 2^k == x & (2^k - 1), and
-// the affine map wraps mod 2^64 first, whose residue mod any 2^k divisor
-// is unchanged). On top of that, bank stats are computed arithmetically,
-// unscrambled runs move data with wide copies (skipping per-word fault
-// lookups for chunks the presence bitmap marks clean), and the scrambled
-// power-of-two read dispatches to a gathered AVX2 kernel when available.
-// Addresses, stored bits and stats match the scalar loop exactly on every
-// path.
+// cross-TU call, the bounds check and the 64-bit division behind the
+// affine scrambler (consecutive logical words step their row by the
+// multiplier, so one compare-and-subtract replaces the modulo). On top of
+// that, bank stats are computed arithmetically, and unscrambled runs move
+// data with wide copies (skipping per-word fault lookups for chunks the
+// presence bitmap marks clean). Addresses, stored bits and stats match
+// the scalar loop exactly on every path.
 
 template <typename Word>
 void FaultyMemory::write_block_impl(std::size_t addr, const Word* src,
                                     std::size_t n) {
-  if (n > store_.size() || addr > store_.size() - n) {
-    throw std::out_of_range("FaultyMemory::write_block: range");
-  }
-  const auto banks = static_cast<std::size_t>(banks_);
-  const bool pow2_banks = is_pow2(banks);
-  std::uint64_t* const bank_writes = stats_.bank_writes.data();
-  const bool scrambled = scramble_mul_ != 1 || scramble_add_ != 0;
-  const std::uint64_t words = store_.size();
+  check_range(addr, n, store_.size(), "FaultyMemory::write_block");
   const std::uint32_t wm = width_mask_;
   stats_.writes += n;
-  if (!scrambled) {
+  add_bank_counts(stats_.bank_writes.data(), addr, n);
+  if (!scrambled()) {
     std::uint32_t* const out = store_.data() + addr;
     for (std::size_t i = 0; i < n; ++i) out[i] = src[i] & wm;
-    add_contiguous_bank_counts(bank_writes, banks, addr, n);
     return;
   }
-  if (is_pow2(words)) {
-    const std::uint64_t wmask = words - 1;
-    const std::uint64_t step = scramble_mul_ & wmask;
-    const std::uint64_t phys0 =
-        (static_cast<std::uint64_t>(addr) * scramble_mul_ + scramble_add_) &
-        wmask;
-    // Four independent address chains: the scatter itself is inherently
-    // scalar (no scatter op below AVX-512), but one chain's add+mask
-    // recurrence would cap the loop at 2 cycles/word.
-    const std::uint64_t step4 = (step * 4) & wmask;
-    std::uint64_t p0 = phys0;
-    std::uint64_t p1 = (p0 + step) & wmask;
-    std::uint64_t p2 = (p1 + step) & wmask;
-    std::uint64_t p3 = (p2 + step) & wmask;
-    std::uint32_t* const mem = store_.data();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-      mem[static_cast<std::size_t>(p0)] = src[i] & wm;
-      mem[static_cast<std::size_t>(p1)] = src[i + 1] & wm;
-      mem[static_cast<std::size_t>(p2)] = src[i + 2] & wm;
-      mem[static_cast<std::size_t>(p3)] = src[i + 3] & wm;
-      p0 = (p0 + step4) & wmask;
-      p1 = (p1 + step4) & wmask;
-      p2 = (p2 + step4) & wmask;
-      p3 = (p3 + step4) & wmask;
-    }
-    for (; i < n; ++i) {
-      mem[static_cast<std::size_t>(p0)] = src[i] & wm;
-      p0 = (p0 + step) & wmask;
-    }
-    if (pow2_banks && banks <= words) {
-      add_strided_bank_counts(bank_writes, banks, phys0, step, n);
-    } else {
-      std::uint64_t phys = phys0;
-      for (std::size_t j = 0; j < n; ++j) {
-        ++bank_writes[static_cast<std::size_t>(phys % banks)];
-        phys = (phys + step) & wmask;
-      }
-    }
-    return;
-  }
+  const std::uint64_t words = store_.size();
+  std::uint64_t phys = affine_mod(addr, scramble_mul_, scramble_add_, words);
+  std::uint32_t* const mem = store_.data();
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t mapped =
-        static_cast<std::uint64_t>(addr + i) * scramble_mul_ + scramble_add_;
-    const auto phys = static_cast<std::size_t>(mapped % words);
-    store_[phys] = src[i] & wm;
-    ++bank_writes[pow2_banks ? phys & (banks - 1) : phys % banks];
+    mem[static_cast<std::size_t>(phys)] = src[i] & wm;
+    phys = next_row(phys, scramble_mul_, words);
   }
 }
 
@@ -316,126 +239,75 @@ void FaultyMemory::write_block(std::size_t addr,
   write_block_impl(addr, src.data(), src.size());
 }
 
-template <typename Word>
-void FaultyMemory::read_block_impl(std::size_t addr, Word* dst,
-                                   std::size_t n) const {
-  if (n > store_.size() || addr > store_.size() - n) {
-    throw std::out_of_range("FaultyMemory::read_block: range");
+std::size_t FaultyMemory::peek_block(std::size_t addr,
+                                     std::span<std::uint32_t> dst,
+                                     std::span<std::uint8_t> patched) const {
+  const std::size_t n = dst.size();
+  check_range(addr, n, store_.size(), "FaultyMemory::peek_block");
+  if (!patched.empty() && patched.size() != n) {
+    throw std::invalid_argument("FaultyMemory::peek_block: patched span");
   }
-  const auto banks = static_cast<std::size_t>(banks_);
-  const bool pow2_banks = is_pow2(banks);
-  std::uint64_t* const bank_reads = stats_.bank_reads.data();
-  const FaultMap* const faults = faults_;
-  const bool scrambled = scramble_mul_ != 1 || scramble_add_ != 0;
-  const std::uint64_t words = store_.size();
+  std::fill(patched.begin(), patched.end(), std::uint8_t{0});
+  std::uint8_t* const flags = patched.empty() ? nullptr : patched.data();
+  const FaultMap* const faults =
+      faults_ != nullptr && faults_->entry_count() != 0 ? faults_ : nullptr;
   const std::uint32_t wm = width_mask_;
-  // Tallied locally in the loops, flushed to telemetry once per call.
-  std::size_t patched = 0;
-  stats_.reads += n;
-  if (!scrambled) {
-    const std::uint32_t* const src = store_.data() + addr;
-    Word* const out = dst;
-    if (faults == nullptr || faults->entry_count() == 0) {
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i] = static_cast<Word>(src[i] & wm);
-      }
-    } else {
-      // Walk chunk by chunk: one presence bit decides between a wide copy
-      // and the per-word lookup loop.
-      std::size_t i = 0;
-      while (i < n) {
-        const std::size_t phys = addr + i;
-        const std::size_t chunk = phys / FaultMap::kChunkWords;
-        const std::size_t run_end = std::min<std::size_t>(
-            n, (chunk + 1) * FaultMap::kChunkWords - addr);
-        if (faults->chunk_clean(chunk)) {
-          for (; i < run_end; ++i) out[i] = static_cast<Word>(src[i] & wm);
-        } else {
-          for (; i < run_end; ++i) {
-            std::uint32_t bits = src[i];
-            if (const WordFaults* f = faults->lookup(addr + i)) {
-              bits = f->apply(bits);
-              ++patched;
-            }
-            out[i] = static_cast<Word>(bits & wm);
-          }
-        }
-      }
-    }
-    add_contiguous_bank_counts(bank_reads, banks, addr, n);
-    if (patched != 0) fault_patch_counter().add(patched);
-    return;
-  }
-  if (is_pow2(words)) {
-    const std::uint64_t wmask = words - 1;
-    const std::uint64_t step = scramble_mul_ & wmask;
-    const std::uint64_t phys0 =
-        (static_cast<std::uint64_t>(addr) * scramble_mul_ + scramble_add_) &
-        wmask;
-    std::size_t i = 0;
-#if ULPDREAM_SIMD_X86
-    if (util::simd::active_tier() >= util::simd::Tier::kAvx2 &&
-        wmask <= 0xFFFFFFFFu) {
-      i = scrambled_gather_read_avx2(store_.data(), addr, scramble_mul_,
-                                     scramble_add_, wmask, wm, faults, dst,
-                                     n, &patched);
-    }
-#endif
-    std::uint64_t phys = (phys0 + i * step) & wmask;
-    for (; i < n; ++i) {
-      std::uint32_t bits = store_[static_cast<std::size_t>(phys)];
-      if (faults != nullptr) {
-        if (const WordFaults* f =
-                faults->lookup(static_cast<std::size_t>(phys))) {
-          bits = f->apply(bits);
-          ++patched;
-        }
-      }
-      dst[i] = static_cast<Word>(bits & wm);
-      phys = (phys + step) & wmask;
-    }
-    if (pow2_banks && banks <= words) {
-      add_strided_bank_counts(bank_reads, banks, phys0, step, n);
-    } else {
-      phys = phys0;
-      for (std::size_t j = 0; j < n; ++j) {
-        ++bank_reads[static_cast<std::size_t>(phys % banks)];
-        phys = (phys + step) & wmask;
-      }
-    }
-    if (patched != 0) fault_patch_counter().add(patched);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t mapped =
-        static_cast<std::uint64_t>(addr + i) * scramble_mul_ + scramble_add_;
-    const auto phys = static_cast<std::size_t>(mapped % words);
+  std::size_t hits = 0;
+  // Word i of the run, stored in physical row `phys`.
+  const auto load = [&](std::size_t i, std::size_t phys) {
     std::uint32_t bits = store_[phys];
-    if (faults != nullptr) {
-      if (const WordFaults* f = faults->lookup(phys)) {
-        bits = f->apply(bits);
-        ++patched;
+    if (const WordFaults* f = faults->lookup(phys)) {
+      bits = f->apply(bits);
+      ++hits;
+      if (flags != nullptr) flags[i] = 1;
+    }
+    dst[i] = bits & wm;
+  };
+  if (!scrambled()) {
+    const std::uint32_t* const src = store_.data() + addr;
+    if (faults == nullptr) {
+      for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] & wm;
+      return 0;
+    }
+    // Walk chunk by chunk: one presence bit decides between a wide copy
+    // and the per-word lookup loop.
+    std::size_t i = 0;
+    while (i < n) {
+      const std::size_t chunk = (addr + i) / FaultMap::kChunkWords;
+      const std::size_t run_end = std::min<std::size_t>(
+          n, (chunk + 1) * FaultMap::kChunkWords - addr);
+      if (faults->chunk_clean(chunk)) {
+        for (; i < run_end; ++i) dst[i] = src[i] & wm;
+      } else {
+        for (; i < run_end; ++i) load(i, addr + i);
       }
     }
-    dst[i] = static_cast<Word>(bits & wm);
-    ++bank_reads[pow2_banks ? phys & (banks - 1) : phys % banks];
+    return hits;
   }
-  if (patched != 0) fault_patch_counter().add(patched);
+  const std::uint64_t words = store_.size();
+  std::uint64_t phys = affine_mod(addr, scramble_mul_, scramble_add_, words);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (faults == nullptr) {
+      dst[i] = store_[static_cast<std::size_t>(phys)] & wm;
+    } else {
+      load(i, static_cast<std::size_t>(phys));
+    }
+    phys = next_row(phys, scramble_mul_, words);
+  }
+  return hits;
+}
+
+void FaultyMemory::count_reads(std::size_t addr, std::size_t n) const {
+  check_range(addr, n, store_.size(), "FaultyMemory::count_reads");
+  stats_.reads += n;
+  add_bank_counts(stats_.bank_reads.data(), addr, n);
 }
 
 void FaultyMemory::read_block(std::size_t addr,
                               std::span<std::uint32_t> dst) const {
-  read_block_impl(addr, dst.data(), dst.size());
-}
-
-void FaultyMemory::read_block(std::size_t addr,
-                              std::span<std::uint16_t> dst) const {
-  if (width_ > 16) {
-    throw std::logic_error(
-        "FaultyMemory::read_block: 16-bit destination for a " +
-        std::to_string(width_) + "-bit word");
-  }
-  read_block_impl(addr, dst.data(), dst.size());
+  const std::size_t patched = peek_block(addr, dst, {});
+  count_reads(addr, dst.size());
+  if (patched != 0) fault_patch_counter().add(patched);
 }
 
 std::uint32_t FaultyMemory::peek_physical(std::size_t addr) const {
@@ -479,9 +351,7 @@ std::uint16_t SafeMemory::read(std::size_t addr) const {
 void SafeMemory::write_block(std::size_t addr,
                              std::span<const std::uint16_t> src) {
   const std::size_t n = src.size();
-  if (n > store_.size() || addr > store_.size() - n) {
-    throw std::out_of_range("SafeMemory::write_block: range");
-  }
+  check_range(addr, n, store_.size(), "SafeMemory::write_block");
   for (std::size_t i = 0; i < n; ++i) store_[addr + i] = src[i] & width_mask_;
   stats_.writes += n;
   stats_.bank_writes[0] += n;
@@ -489,11 +359,18 @@ void SafeMemory::write_block(std::size_t addr,
 
 void SafeMemory::read_block(std::size_t addr,
                             std::span<std::uint16_t> dst) const {
-  const std::size_t n = dst.size();
-  if (n > store_.size() || addr > store_.size() - n) {
-    throw std::out_of_range("SafeMemory::read_block: range");
-  }
-  for (std::size_t i = 0; i < n; ++i) dst[i] = store_[addr + i];
+  peek_block(addr, dst);
+  count_reads(addr, dst.size());
+}
+
+void SafeMemory::peek_block(std::size_t addr,
+                            std::span<std::uint16_t> dst) const {
+  check_range(addr, dst.size(), store_.size(), "SafeMemory::peek_block");
+  std::copy_n(store_.data() + addr, dst.size(), dst.data());
+}
+
+void SafeMemory::count_reads(std::size_t addr, std::size_t n) const {
+  check_range(addr, n, store_.size(), "SafeMemory::count_reads");
   stats_.reads += n;
   stats_.bank_reads[0] += n;
 }

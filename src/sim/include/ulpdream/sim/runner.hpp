@@ -75,12 +75,19 @@ class ExperimentRunner {
   }
 
  private:
+  struct Reference {
+    std::vector<double> values;
+    bool clean_run = false;  ///< values are the error-free fixed-point run
+  };
+  const Reference& cached_reference(const apps::BioApp& app,
+                                    const ecg::Record& record);
+
   energy::SystemEnergyModel energy_model_;
   // Keyed on (app identity, record identity); node-based map so returned
   // references stay valid across inserts. Campaigns look the reference up
   // once per run over grids of thousands of cells — a linear scan here
   // made large campaigns quadratic in distinct (app, record) pairs.
-  std::unordered_map<std::string, std::vector<double>> cache_;
+  std::unordered_map<std::string, Reference> cache_;
 };
 
 }  // namespace ulpdream::sim

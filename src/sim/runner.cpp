@@ -10,6 +10,11 @@ ExperimentRunner::ExperimentRunner(energy::SystemEnergyModel energy_model)
 
 const std::vector<double>& ExperimentRunner::reference(
     const apps::BioApp& app, const ecg::Record& record) {
+  return cached_reference(app, record).values;
+}
+
+const ExperimentRunner::Reference& ExperimentRunner::cached_reference(
+    const apps::BioApp& app, const ecg::Record& record) {
   // Key by value-identity, not object address: apps are routinely created
   // and destroyed per experiment, and a recycled heap address must not hit
   // a stale cache entry.
@@ -21,14 +26,15 @@ const std::vector<double>& ExperimentRunner::reference(
   if (const auto it = cache_.find(key); it != cache_.end()) {
     return it->second;
   }
-  std::vector<double> reference;
+  Reference reference;
   if (auto ideal = app.ideal_output(record)) {
-    reference = std::move(*ideal);
+    reference.values = std::move(*ideal);
   } else {
     // Error-free fixed-point run as the reference.
     core::NoProtection none;
     core::MemorySystem system(none);
-    reference = app.run(system, record);
+    reference.values = app.run(system, record);
+    reference.clean_run = true;
   }
   return cache_.emplace(key, std::move(reference)).first->second;
 }
@@ -75,6 +81,10 @@ RunResult ExperimentRunner::run_once(const apps::BioApp& app,
 
 double ExperimentRunner::max_snr_db(const apps::BioApp& app,
                                     const ecg::Record& record) {
+  // Without a golden model the reference already is the error-free run
+  // (deterministic), so the ceiling compares it with itself.
+  const Reference& ref = cached_reference(app, record);
+  if (ref.clean_run) return metrics::snr_db(ref.values, ref.values);
   const core::NoProtection none;
   const RunResult clean = run_once(app, record, none, /*faults=*/nullptr,
                                    mem::VoltageWindow::kNominal);

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstddef>
 #include <map>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -22,6 +23,9 @@
 #include <vector>
 
 #include "ulpdream/campaign/session.hpp"
+#include "ulpdream/core/dream.hpp"
+#include "ulpdream/core/protected_buffer.hpp"
+#include "ulpdream/mem/fault_map.hpp"
 #include "ulpdream/ecg/database.hpp"
 
 namespace ulpdream::util::telemetry {
@@ -142,6 +146,50 @@ TEST(Metrics, ReadJsonRejectsMalformedInput) {
 
 TEST(Metrics, SnapshotInjectsSimdTierGauge) {
   EXPECT_TRUE(snapshot().gauges.contains("simd.active_tier"));
+}
+
+TEST(Metrics, CodecCountersFoldOncePerMemorySystem) {
+  // A MemorySystem tallies its block calls and patched words in plain
+  // members and adds them to codec.<emt>.* / mem.fault_patch_words once,
+  // on destruction. Word accessors (get/set) are not block calls.
+  const core::Dream dream;
+  mem::FaultMap map(256, 16);
+  map.edit(3) = {0x1, 0x1};
+  map.edit(130) = {0x8000, 0x0};
+  const auto delta = [](const MetricsSnapshot& now, const MetricsSnapshot& base,
+                        const std::string& name) {
+    const MetricsSnapshot d = now.since(base);
+    const auto it = d.counters.find(name);
+    return it == d.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const MetricsSnapshot before = snapshot();
+  {
+    core::MemorySystem system(dream, 256);
+    system.attach_faults(&map);
+    auto buf = core::ProtectedBuffer::allocate(system, 256);
+    fixed::SampleVec window(256, 7);
+    for (const std::size_t n : {1u, 7u, 64u, 184u}) {
+      buf.load(0, std::span<const fixed::Sample>(window.data(), n));
+    }
+    for (const std::size_t n : {4u, 200u, 256u}) {  // 1 + 2 + 2 patched
+      buf.store(0, std::span<fixed::Sample>(window.data(), n));
+    }
+    buf.set(3, 1);
+    (void)buf.get(3);  // one more patched word, no block call
+    EXPECT_EQ(system.fault_patch_words(), 6u);
+    const MetricsSnapshot live = snapshot();
+    for (const char* name : {"codec.dream.encode_calls",
+                             "codec.dream.decode_words",
+                             "mem.fault_patch_words"}) {
+      EXPECT_EQ(delta(live, before, name), 0u) << name;
+    }
+  }
+  const MetricsSnapshot after = snapshot();
+  EXPECT_EQ(delta(after, before, "codec.dream.encode_calls"), 4u);
+  EXPECT_EQ(delta(after, before, "codec.dream.encode_words"), 256u);
+  EXPECT_EQ(delta(after, before, "codec.dream.decode_calls"), 3u);
+  EXPECT_EQ(delta(after, before, "codec.dream.decode_words"), 460u);
+  EXPECT_EQ(delta(after, before, "mem.fault_patch_words"), 6u);
 }
 
 // ---------------------------------------------------------------------------
