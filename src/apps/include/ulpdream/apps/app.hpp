@@ -52,6 +52,11 @@ class BioApp {
   /// repeated runs reuse the same addresses (and hence the same fault
   /// cells — required for the paper's same-map EMT comparisons).
   /// Returns the numeric output vector the SNR metric is computed on.
+  ///
+  /// Every campaign worker runs the same app object concurrently, each on
+  /// its own MemorySystem. Any state an app keeps across runs (CsApp's
+  /// reconstruction memo) must be synchronized and must not change any
+  /// result.
   [[nodiscard]] virtual std::vector<double> run(
       core::MemorySystem& system, const ecg::Record& record) const = 0;
 

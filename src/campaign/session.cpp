@@ -300,8 +300,9 @@ CampaignHandle Session::submit(const CampaignSpec& base_spec,
   // generator's <pathology>_s<seed> name collides for axes differing
   // only in noise level, and record names key the runner's reference
   // cache) and the component objects, resolved by registry name so user
-  // registrations run exactly like built-ins. All stateless or
-  // read-only, hence shared across the pool.
+  // registrations run exactly like built-ins. Every worker runs the same
+  // objects concurrently: any state an app keeps across runs (CsApp's
+  // reconstruction memo) is synchronized and never changes a result.
   job->records.reserve(job->spec.records.size());
   for (const RecordAxis& axis : job->spec.records) {
     ecg::GeneratorConfig gen;

@@ -30,6 +30,9 @@ struct CsConfig {
 
 class CsReconstructor {
  public:
+  /// Throws std::invalid_argument, naming block_n, block_m and
+  /// dwt_levels, unless 0 < block_m <= block_n and the inverse DWT maps
+  /// block_n coefficients back to block_n samples.
   explicit CsReconstructor(const CsConfig& cfg);
 
   [[nodiscard]] const CsConfig& config() const noexcept { return cfg_; }

@@ -40,6 +40,9 @@ struct SparsePhi {
 
   /// Dense equivalent with entries 1/d (reconstruction-side view).
   [[nodiscard]] linalg::Matrix to_dense() const;
+  /// Row-major view: for each measurement row, the input columns it sums,
+  /// in ascending order.
+  [[nodiscard]] std::vector<std::vector<std::uint32_t>> row_columns() const;
 };
 
 [[nodiscard]] SparsePhi make_sparse_phi(std::size_t m, std::size_t n, int d,

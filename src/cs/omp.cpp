@@ -70,9 +70,31 @@ OmpResult omp_solve(const linalg::Matrix& a, const std::vector<double>& y,
     double* col = &active[k * m];
     for (std::size_t r = 0; r < m; ++r) col[r] = a.at(r, best);
 
-    // New Gram row and right-hand-side entry (zero y entries skipped, as
+    // New Gram row, four dot products per pass as independent add
+    // chains, and right-hand-side entry (zero y entries skipped, as
     // Matrix::multiply_transposed does).
-    for (std::size_t j = 0; j <= k; ++j) {
+    std::size_t j = 0;
+    for (; j + 4 <= k + 1; j += 4) {
+      const double* o0 = &active[j * m];
+      const double* o1 = o0 + m;
+      const double* o2 = o1 + m;
+      const double* o3 = o2 + m;
+      double a0 = 0.0;
+      double a1 = 0.0;
+      double a2 = 0.0;
+      double a3 = 0.0;
+      for (std::size_t r = 0; r < m; ++r) {
+        a0 += o0[r] * col[r];
+        a1 += o1[r] * col[r];
+        a2 += o2[r] * col[r];
+        a3 += o3[r] * col[r];
+      }
+      gram.at(k, j) = a0;
+      gram.at(k, j + 1) = a1;
+      gram.at(k, j + 2) = a2;
+      gram.at(k, j + 3) = a3;
+    }
+    for (; j <= k; ++j) {
       const double* other = &active[j * m];
       double acc = 0.0;
       for (std::size_t r = 0; r < m; ++r) acc += other[r] * col[r];
@@ -103,9 +125,25 @@ OmpResult omp_solve(const linalg::Matrix& a, const std::vector<double>& y,
       coeffs = linalg::solve_spd(std::move(full), rhs);
     }
 
-    // Residual update.
+    // Residual update, four atoms per pass; each residual[r] still
+    // subtracts them in support order.
     residual = y;
-    for (std::size_t c = 0; c <= k; ++c) {
+    std::size_t c = 0;
+    for (; c + 4 <= k + 1; c += 4) {
+      const double* a0 = &active[c * m];
+      const double* a1 = a0 + m;
+      const double* a2 = a1 + m;
+      const double* a3 = a2 + m;
+      for (std::size_t r = 0; r < m; ++r) {
+        double acc = residual[r];
+        acc -= coeffs[c] * a0[r];
+        acc -= coeffs[c + 1] * a1[r];
+        acc -= coeffs[c + 2] * a2[r];
+        acc -= coeffs[c + 3] * a3[r];
+        residual[r] = acc;
+      }
+    }
+    for (; c <= k; ++c) {
       const double* atom = &active[c * m];
       for (std::size_t r = 0; r < m; ++r) residual[r] -= coeffs[c] * atom[r];
     }

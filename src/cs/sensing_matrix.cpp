@@ -43,6 +43,17 @@ linalg::Matrix SparsePhi::to_dense() const {
   return phi;
 }
 
+std::vector<std::vector<std::uint32_t>> SparsePhi::row_columns() const {
+  std::vector<std::vector<std::uint32_t>> out(m);
+  for (std::size_t c = 0; c < n; ++c) {
+    for (int k = 0; k < d; ++k) {
+      out[rows[c * static_cast<std::size_t>(d) + static_cast<std::size_t>(k)]]
+          .push_back(static_cast<std::uint32_t>(c));
+    }
+  }
+  return out;
+}
+
 SparsePhi make_sparse_phi(std::size_t m, std::size_t n, int d,
                           std::uint64_t seed) {
   if (d <= 0 || (d & (d - 1)) != 0 || static_cast<std::size_t>(d) > m) {

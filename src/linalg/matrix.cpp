@@ -58,12 +58,31 @@ std::vector<double> Matrix::multiply_transposed(
     throw std::invalid_argument(
         "Matrix::multiply_transposed: dimension mismatch");
   }
+  // Zero entries of v are skipped. The nonzero rows fold into out four
+  // per pass, so each out[c] is loaded and stored once per four rows but
+  // still sums its terms in row order; leftover rows go one at a time.
   std::vector<double> out(cols_, 0.0);
+  double* const o = out.data();
+  const double* rows[4];
+  double s[4];
+  std::size_t pending = 0;
   for (std::size_t r = 0; r < rows_; ++r) {
-    const double s = v[r];
-    if (s == 0.0) continue;
-    const double* row = &data_[r * cols_];
-    for (std::size_t c = 0; c < cols_; ++c) out[c] += s * row[c];
+    if (v[r] == 0.0) continue;
+    rows[pending] = &data_[r * cols_];
+    s[pending] = v[r];
+    if (++pending < 4) continue;
+    pending = 0;
+    for (std::size_t c = 0; c < cols_; ++c) {
+      double acc = o[c];
+      acc += s[0] * rows[0][c];
+      acc += s[1] * rows[1][c];
+      acc += s[2] * rows[2][c];
+      acc += s[3] * rows[3][c];
+      o[c] = acc;
+    }
+  }
+  for (std::size_t i = 0; i < pending; ++i) {
+    for (std::size_t c = 0; c < cols_; ++c) o[c] += s[i] * rows[i][c];
   }
   return out;
 }

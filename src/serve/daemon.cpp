@@ -167,7 +167,13 @@ void Daemon::handle_client(const std::shared_ptr<ClientConn>& conn) {
   } catch (const std::exception& e) {
     util::log_warn("serve: client ", conn->socket.peer(), ": ", e.what());
   }
-  conn->socket.close();
+  {
+    // The drain in run() shuts idle sockets down under mutex_; closing
+    // under it too keeps that shutdown off a descriptor number already
+    // closed here and reused.
+    std::lock_guard lock(mutex_);
+    conn->socket.close();
+  }
   connected.set(static_cast<double>(--connected_count_));
 }
 

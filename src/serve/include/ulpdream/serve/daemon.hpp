@@ -122,7 +122,8 @@ class Daemon {
   std::atomic<bool> stopping_{false};
   std::atomic<int> connected_count_{0};
 
-  std::mutex mutex_;  ///< guards cache_, report_, conns_
+  /// Guards cache_, report_, conns_, and closing a connection's socket.
+  std::mutex mutex_;
   Report report_;
   std::vector<std::shared_ptr<ClientConn>> conns_;
   std::vector<std::thread> handlers_;

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <thread>
 
 #include "ulpdream/apps/app.hpp"
 #include "ulpdream/apps/cs_app.hpp"
@@ -11,7 +13,9 @@
 #include "ulpdream/core/factory.hpp"
 #include "ulpdream/core/no_protection.hpp"
 #include "ulpdream/ecg/database.hpp"
+#include "ulpdream/mem/ber_model.hpp"
 #include "ulpdream/metrics/quality.hpp"
+#include "ulpdream/util/telemetry.hpp"
 
 namespace ulpdream::apps {
 namespace {
@@ -198,6 +202,180 @@ TEST(CsApp, ReconstructionBeatsRequirementOnCleanRun) {
   }
   // Lossy ceiling vs original: must be clinically meaningful (>15 dB).
   EXPECT_GT(metrics::snr_db(original, out), 15.0);
+}
+
+// --- CsApp reconstruction memo ----------------------------------------------
+
+void expect_same_bytes(const std::vector<double>& got,
+                       const std::vector<double>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)),
+            0);
+}
+
+struct MemoCounts {
+  std::uint64_t solves = 0;
+  std::uint64_t hits = 0;
+};
+
+MemoCounts memo_counts() {
+  const auto snap = util::telemetry::snapshot();
+  const auto get = [&](const char* name) {
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  return {get("cs.reconstructions"), get("cs.memo_hits")};
+}
+
+/// One EMT and one fault map to run a CsApp under.
+struct FaultCase {
+  std::unique_ptr<core::Emt> emt;
+  mem::FaultMap map;
+};
+
+std::vector<double> run_case(const CsApp& app, const FaultCase& c) {
+  core::MemorySystem sys(*c.emt);
+  sys.attach_faults(&c.map);
+  return app.run(sys, test_record());
+}
+
+/// Fault maps for `emts` x `volts`, drawn as a campaign draws them.
+std::vector<FaultCase> fault_cases(const std::vector<std::string>& emts,
+                                   const std::vector<double>& volts) {
+  const auto ber = mem::make_ber_model("log-linear");
+  util::Xoshiro256 rng(2016);
+  std::vector<FaultCase> cases;
+  for (const std::string& name : emts) {
+    for (const double v : volts) {
+      auto emt = core::make_emt(name);
+      const int bits = emt->payload_bits();
+      cases.push_back(FaultCase{
+          std::move(emt), mem::FaultMap::random(mem::MemoryGeometry::kWords16,
+                                                bits, ber->ber(v), rng)});
+    }
+  }
+  return cases;
+}
+
+TEST(CsMemo, SolvesEachBlockOnceThenHits) {
+  const CsApp app;
+  const std::size_t blocks = CsAppConfig{}.blocks;
+  const MemoCounts before = memo_counts();
+  auto sys1 = make_clean_system();
+  const auto first = app.run(sys1, test_record());
+  const MemoCounts mid = memo_counts();
+  EXPECT_EQ(mid.solves - before.solves, blocks);
+  EXPECT_EQ(mid.hits - before.hits, 0u);
+
+  auto sys2 = make_clean_system();
+  const auto second = app.run(sys2, test_record());
+  const MemoCounts after = memo_counts();
+  EXPECT_EQ(after.solves - mid.solves, 0u);
+  EXPECT_EQ(after.hits - mid.hits, blocks);
+  expect_same_bytes(second, first);
+}
+
+TEST(CsMemo, KeepsThePastThirtyTwoMeasurements) {
+  // One block per run, so each record is one measurement. After the test
+  // record, 31 other records fill the memo to 32 and the test record
+  // still hits; a 32nd pushes it out, so it is solved again.
+  CsAppConfig one_block;
+  one_block.blocks = 1;
+  std::vector<ecg::Record> others;
+  for (std::uint64_t seed = 100; seed < 132; ++seed) {
+    others.push_back(ecg::make_default_record(seed));
+  }
+  for (const std::size_t fillers : {31u, 32u}) {
+    SCOPED_TRACE(testing::Message() << "fillers=" << fillers);
+    const CsApp app(one_block);
+    const auto run = [&](const ecg::Record& rec) {
+      auto sys = make_clean_system();
+      (void)app.run(sys, rec);
+    };
+    run(test_record());
+    for (std::size_t i = 0; i < fillers; ++i) run(others[i]);
+    const MemoCounts before = memo_counts();
+    run(test_record());
+    const MemoCounts after = memo_counts();
+    EXPECT_EQ(after.solves - before.solves, fillers == 31 ? 0u : 1u);
+    EXPECT_EQ(after.hits - before.hits, fillers == 31 ? 1u : 0u);
+  }
+}
+
+TEST(CsMemo, HitsReturnTheBytesOfAFreshSolve) {
+  // One app runs every EMT x 0.50-0.90 V map twice, so most of its blocks
+  // are hits; each output must equal that of an app with no memo history.
+  std::vector<double> volts;
+  for (int step = 0; step <= 8; ++step) volts.push_back(0.50 + 0.05 * step);
+  const std::vector<FaultCase> cases = fault_cases(core::emt_names(), volts);
+  const CsApp shared;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      SCOPED_TRACE(testing::Message() << "pass=" << pass << " case=" << i);
+      const CsApp fresh;
+      expect_same_bytes(run_case(shared, cases[i]), run_case(fresh, cases[i]));
+    }
+  }
+}
+
+TEST(CsMemo, KeyCoversEveryMeasurementWord) {
+  // A stuck-at fault in one word of block 0's measurement (allocated
+  // right after the input window) must miss the memoized clean block,
+  // wherever in the measurement the word lies.
+  static const core::NoProtection none;
+  const CsApp shared;
+  auto clean_sys = make_clean_system();
+  const auto clean = shared.run(clean_sys, test_record());
+  const std::size_t m = CsAppConfig{}.cs.block_m;
+  for (const std::size_t w : {std::size_t{0}, std::size_t{1}, m / 2 - 1,
+                              m / 2, m - 2, m - 1}) {
+    SCOPED_TRACE(testing::Message() << "measurement word " << w);
+    mem::FaultMap map(mem::MemoryGeometry::kWords16, none.payload_bits());
+    map.edit(shared.input_length() + w) = mem::WordFaults{0xC000u, 0x4000u};
+    core::MemorySystem sys(none);
+    sys.attach_faults(&map);
+    const auto got = shared.run(sys, test_record());
+    const CsApp fresh;
+    core::MemorySystem fresh_sys(none);
+    fresh_sys.attach_faults(&map);
+    const auto want = fresh.run(fresh_sys, test_record());
+    EXPECT_NE(want, clean);  // the fault reaches the output
+    expect_same_bytes(got, want);
+  }
+}
+
+TEST(CsMemo, SharedAcrossThreadsMatchesSerialRuns) {
+  // Clean and faulty maps mixed; every thread walks all of them from a
+  // different starting point, twice, on one shared app, so threads race
+  // on the same keys while other keys are being inserted and evicted.
+  const std::vector<FaultCase> cases =
+      fault_cases({"none", "dream", "ecc_secded"}, {0.5, 0.55, 0.6, 0.9});
+  std::vector<std::vector<double>> serial;
+  {
+    const CsApp app;
+    for (const FaultCase& c : cases) serial.push_back(run_case(app, c));
+  }
+  const CsApp shared;
+  constexpr std::size_t kThreads = 6;
+  const std::size_t runs = 2 * cases.size();
+  (void)test_record();  // built before the threads start
+  std::vector<std::vector<std::vector<double>>> outputs(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = 0; i < runs; ++i) {
+        outputs[t].push_back(
+            run_case(shared, cases[(t * 5 + i) % cases.size()]));
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < runs; ++i) {
+      SCOPED_TRACE(testing::Message() << "thread=" << t << " run=" << i);
+      expect_same_bytes(outputs[t][i], serial[(t * 5 + i) % cases.size()]);
+    }
+  }
 }
 
 TEST(MorphFilterApp, RemovesBaselineWander) {

@@ -38,6 +38,19 @@ linalg::Matrix reference_gram(const linalg::Matrix& m) {
   return gram;
 }
 
+/// A^T v one row at a time, zero entries of v skipped: the loop
+/// Matrix::multiply_transposed folds, kept here so the oracle does not
+/// call the code it checks.
+std::vector<double> reference_transposed(const linalg::Matrix& a,
+                                         const std::vector<double>& v) {
+  std::vector<double> out(a.cols(), 0.0);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    if (v[r] == 0.0) continue;
+    for (std::size_t c = 0; c < a.cols(); ++c) out[c] += v[r] * a.at(r, c);
+  }
+  return out;
+}
+
 linalg::Matrix active_columns(const linalg::Matrix& a,
                               const std::vector<std::size_t>& support) {
   linalg::Matrix active(a.rows(), support.size());
@@ -63,7 +76,7 @@ OmpResult reference_omp(const linalg::Matrix& a, const std::vector<double>& y,
   std::vector<bool> in_support(n, false);
   std::vector<double> coeffs;
   for (std::size_t it = 0; it < cfg.max_atoms && it < m; ++it) {
-    const std::vector<double> corr = a.multiply_transposed(residual);
+    const std::vector<double> corr = reference_transposed(a, residual);
     std::size_t best = n;
     double best_mag = 0.0;
     for (std::size_t c = 0; c < n; ++c) {
@@ -80,7 +93,7 @@ OmpResult reference_omp(const linalg::Matrix& a, const std::vector<double>& y,
 
     const linalg::Matrix active = active_columns(a, result.support);
     coeffs = linalg::solve_spd(reference_gram(active),
-                               active.multiply_transposed(y));
+                               reference_transposed(active, y));
 
     residual = y;
     for (std::size_t c = 0; c < result.support.size(); ++c) {
@@ -335,11 +348,80 @@ TEST(OmpOracle, RankDeficientDictionariesThroughTheRidgeFallback) {
       << " seeds";
 }
 
+/// The dictionary as the dense product Phi * Psi, one atom at a time:
+/// the construction CsReconstructor's sparse row sums replace.
+linalg::Matrix dense_dictionary(const CsConfig& cfg) {
+  const linalg::Matrix phi =
+      make_sparse_phi(cfg.block_m, cfg.block_n, cfg.ones_per_column,
+                      cfg.phi_seed)
+          .to_dense();
+  linalg::Matrix a(cfg.block_m, cfg.block_n);
+  std::vector<double> unit(cfg.block_n, 0.0);
+  for (std::size_t j = 0; j < cfg.block_n; ++j) {
+    unit[j] = 1.0;
+    const std::vector<double> projected = phi.multiply(
+        signal::idwt_multi_f64(unit, cfg.family, cfg.dwt_levels));
+    for (std::size_t r = 0; r < cfg.block_m; ++r) a.at(r, j) = projected[r];
+    unit[j] = 0.0;
+  }
+  return a;
+}
+
+TEST(Reconstructor, SparseDictionaryMatchesDenseProduct) {
+  std::vector<CsConfig> configs(5);
+  configs[1].block_n = 96;
+  configs[1].block_m = 48;
+  configs[1].dwt_levels = 5;
+  configs[2].block_n = 100;
+  configs[2].block_m = 50;
+  configs[2].dwt_levels = 2;
+  configs[3].ones_per_column = 2;
+  configs[4].ones_per_column = 8;
+  configs[4].family = signal::WaveletFamily::kDb2;
+  for (const CsConfig& cfg : configs) {
+    SCOPED_TRACE(testing::Message()
+                 << "n=" << cfg.block_n << " m=" << cfg.block_m
+                 << " levels=" << cfg.dwt_levels
+                 << " d=" << cfg.ones_per_column);
+    const linalg::Matrix want = dense_dictionary(cfg);
+    const CsReconstructor recon(cfg);
+    const linalg::Matrix& got = recon.dictionary();
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                          want.data().size() * sizeof(double)),
+              0);
+  }
+}
+
 TEST(Reconstructor, RejectsBadGeometry) {
-  CsConfig cfg;
-  cfg.block_n = 64;
-  cfg.block_m = 128;  // m > n
-  EXPECT_THROW(CsReconstructor{cfg}, std::invalid_argument);
+  struct Bad {
+    std::size_t n, m, levels;
+  };
+  // m > n, m = 0, and two block lengths the inverse DWT does not keep.
+  for (const Bad bad : {Bad{64, 128, 5}, Bad{256, 0, 5}, Bad{250, 125, 5},
+                        Bad{257, 128, 1}}) {
+    CsConfig cfg;
+    cfg.block_n = bad.n;
+    cfg.block_m = bad.m;
+    cfg.dwt_levels = bad.levels;
+    try {
+      const CsReconstructor recon(cfg);
+      ADD_FAILURE() << "accepted n=" << bad.n << " m=" << bad.m
+                    << " levels=" << bad.levels;
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("block_n=" + std::to_string(bad.n)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("block_m=" + std::to_string(bad.m)),
+                std::string::npos)
+          << what;
+      EXPECT_NE(what.find("dwt_levels=" + std::to_string(bad.levels)),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(Reconstructor, RecoversEcgBlockAboveRequirement) {

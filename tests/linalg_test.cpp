@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "ulpdream/linalg/matrix.hpp"
 #include "ulpdream/linalg/solve.hpp"
@@ -64,6 +65,34 @@ TEST(Matrix, MultiplyTransposedMatchesExplicit) {
   ASSERT_EQ(fast.size(), slow.size());
   for (std::size_t i = 0; i < fast.size(); ++i) {
     EXPECT_NEAR(fast[i], slow[i], 1e-12);
+  }
+}
+
+TEST(Matrix, MultiplyTransposedBitIdenticalToRowAtATimeLoop) {
+  // 1-9 nonzero multipliers (0-3 rows left over after the four-row
+  // passes), each followed by a +0 or -0 one, over 13 columns; entries
+  // span eight decades so any change of summation order shows.
+  util::Xoshiro256 rng(77);
+  const std::size_t cols = 13;
+  for (std::size_t nonzero = 1; nonzero <= 9; ++nonzero) {
+    SCOPED_TRACE(testing::Message() << "nonzero rows=" << nonzero);
+    Matrix a(2 * nonzero, cols);
+    for (double& x : a.data()) {
+      x = rng.gaussian() * std::pow(10.0, static_cast<double>(rng.bounded(8)));
+    }
+    std::vector<double> v(2 * nonzero);
+    for (std::size_t i = 0; i < nonzero; ++i) {
+      v[2 * i] = rng.gaussian() * 1e3;
+      v[2 * i + 1] = (i % 2 == 0) ? 0.0 : -0.0;
+    }
+    std::vector<double> want(cols, 0.0);
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+      if (v[r] == 0.0) continue;
+      for (std::size_t c = 0; c < cols; ++c) want[c] += v[r] * a.at(r, c);
+    }
+    const std::vector<double> got = a.multiply_transposed(v);
+    ASSERT_EQ(got.size(), cols);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), cols * sizeof(double)), 0);
   }
 }
 

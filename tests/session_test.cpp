@@ -79,12 +79,20 @@ TEST(Session, ConcurrentSubmitsMatchSerialRunsBitIdentically) {
 }
 
 TEST(Session, ThreadCountNeverChangesTheStore) {
-  const CampaignSpec spec = small_spec(2016);
-  const std::string reference = reference_bytes(spec);
-  for (const unsigned threads : {1u, 4u, 8u}) {
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    Session session(energy::SystemEnergyModel(), threads);
-    EXPECT_EQ(save_bytes(session.submit(spec).wait()), reference);
+  // The second grid runs CS from 0.5 V (faulty measurements) to 0.9 V
+  // (fault-free ones), so the workers share CsApp's reconstruction memo
+  // while it fills, hits and misses in a thread-dependent order.
+  CampaignSpec cs_spec = small_spec(2016);
+  cs_spec.apps = {"cs"};
+  cs_spec.voltages = {0.5, 0.6, 0.9};
+  for (const CampaignSpec& spec : {small_spec(2016), cs_spec.normalized()}) {
+    SCOPED_TRACE(testing::Message() << "app=" << spec.apps.front());
+    const std::string reference = reference_bytes(spec);
+    for (const unsigned threads : {1u, 4u, 8u}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads);
+      Session session(energy::SystemEnergyModel(), threads);
+      EXPECT_EQ(save_bytes(session.submit(spec).wait()), reference);
+    }
   }
 }
 
