@@ -45,13 +45,21 @@ class BioApp {
   [[nodiscard]] virtual std::size_t input_length() const = 0;
 
   /// Words of data memory the app allocates (input + intermediates +
-  /// output); must fit the 32 kB device memory.
+  /// output); must fit the 32 kB device memory. A contract, not an
+  /// estimate: an upper bound on the words any run() allocates, checked
+  /// on every run sim::ExperimentRunner executes. The runner answers a
+  /// run whose fault map has no entry below this bound with the cached
+  /// fault-free run, so an under-report would hide faults.
   [[nodiscard]] virtual std::size_t footprint_words() const = 0;
 
   /// Executes the application. The system's allocator is reset first so
   /// repeated runs reuse the same addresses (and hence the same fault
   /// cells — required for the paper's same-map EMT comparisons).
   /// Returns the numeric output vector the SNR metric is computed on.
+  ///
+  /// A run must be a deterministic function of the record and the values
+  /// its memory returns: two runs that read the same values produce the
+  /// same output and make the same accesses.
   ///
   /// Every campaign worker runs the same app object concurrently, each on
   /// its own MemorySystem. Any state an app keeps across runs (CsApp's

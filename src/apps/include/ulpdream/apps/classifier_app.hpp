@@ -53,7 +53,7 @@ class ClassifierApp final : public BioApp {
     return cfg_.delineation.n;
   }
   [[nodiscard]] std::size_t footprint_words() const override {
-    return 2 * cfg_.delineation.n + 4 * cfg_.output_slots;
+    return 3 * cfg_.delineation.n;  // the delineation stage's buffers
   }
 
   [[nodiscard]] std::vector<double> run(

@@ -341,14 +341,14 @@ CampaignHandle Session::submit(const CampaignSpec& base_spec,
 
   // Clean-run SNR ceilings (Fig. 4 dashed lines): serial, cheap and
   // deterministic, so any shard's / any resumed run's store carries the
-  // same values.
-  {
-    sim::ExperimentRunner runner(energy_model_);
-    for (std::size_t ri = 0; ri < job->records.size(); ++ri) {
-      for (std::size_t ai = 0; ai < job->app_objs.size(); ++ai) {
-        job->store.set_max_snr(
-            ri, ai, runner.max_snr_db(*job->app_objs[ai], job->records[ri]));
-      }
+  // same values. The runner keeps every reference and the fault-free
+  // "none" runs the ceilings executed; each pool worker starts from a
+  // copy of it.
+  sim::ExperimentRunner warmed(energy_model_);
+  for (std::size_t ri = 0; ri < job->records.size(); ++ri) {
+    for (std::size_t ai = 0; ai < job->app_objs.size(); ++ai) {
+      job->store.set_max_snr(
+          ri, ai, warmed.max_snr_db(*job->app_objs[ai], job->records[ri]));
     }
   }
 
@@ -361,9 +361,10 @@ CampaignHandle Session::submit(const CampaignSpec& base_spec,
   // breaks the handle -> pool-job -> closure -> job cycle. The job is
   // submitted deferred and started only after pool_job is published, so
   // no worker (and no on_item handle) can observe it half-constructed.
+  // Workers copy the warmed runner concurrently; nothing mutates it.
   job->pool_job = pool_.submit_deferred(
-      job->todo.size(), [job, model = energy_model_]() {
-        return [job, runner = sim::ExperimentRunner(model),
+      job->todo.size(), [job, warmed = std::move(warmed)]() {
+        return [job, runner = warmed,
                 samples = std::vector<Sample>()](std::size_t i) mutable {
           const std::uint64_t t0 = util::telemetry::now_ns();
           const WorkItem& item = job->todo[i];

@@ -65,11 +65,6 @@ class MemorySystem {
   [[nodiscard]] const CodecCounters& counters() const noexcept {
     return counters_;
   }
-  /// Words read so far whose stored bits a FaultMap entry covered — this
-  /// system's mem.fault_patch_words, added to telemetry on destruction.
-  [[nodiscard]] std::uint64_t fault_patch_words() const noexcept {
-    return tally_.patched_words;
-  }
 
   void reset_stats();
 
@@ -88,29 +83,40 @@ class MemorySystem {
   /// fit the device memory, as on the real node.
   [[nodiscard]] std::size_t allocate(std::size_t words);
   void reset_allocator() noexcept { next_free_ = 0; }
-  [[nodiscard]] std::size_t words_allocated() const noexcept {
-    return next_free_;
+  /// Allocation high-water mark: the most words allocated at once since
+  /// construction, across reset_allocator() calls.
+  [[nodiscard]] std::size_t peak_words_allocated() const noexcept {
+    return peak_allocated_;
   }
 
- private:
-  friend class ProtectedBuffer;
-
-  /// Per-EMT telemetry handles (names "codec.<emt>.*"), resolved once at
-  /// construction. The call and word counts are tallied in tally_ and
-  /// added once, by the destructor; the *_block_ns latency histograms
-  /// record per call but gate on telemetry::hot_timing_enabled() — clock
-  /// reads are not free on the block path.
-  struct CodecTelemetry {
-    util::telemetry::Counter encode_calls, encode_words;
-    util::telemetry::Counter decode_calls, decode_words;
-    util::telemetry::Histogram encode_block_ns, decode_block_ns;
-  };
+  /// The block-call and word counts this system adds to codec.<emt>.*
+  /// when destroyed, and the words read so far whose stored bits a
+  /// FaultMap entry covered (its mem.fault_patch_words).
   struct Tally {
     std::uint64_t encode_calls = 0, encode_words = 0;
     std::uint64_t decode_calls = 0, decode_words = 0;
     std::uint64_t patched_words = 0;
   };
+  [[nodiscard]] const Tally& tally() const noexcept { return tally_; }
+
+  /// Per-EMT telemetry handles (names "codec.<emt>.*"), resolved once at
+  /// construction. The call and word counts are tallied in tally_ and
+  /// folded in once, by the destructor's add(); the *_block_ns latency
+  /// histograms record per call but gate on
+  /// telemetry::hot_timing_enabled() — clock reads are not free on the
+  /// block path.
+  struct CodecTelemetry {
+    /// Adds `tally` to these counters and to mem.fault_patch_words.
+    void add(const Tally& tally) const;
+
+    util::telemetry::Counter encode_calls, encode_words;
+    util::telemetry::Counter decode_calls, decode_words;
+    util::telemetry::Histogram encode_block_ns, decode_block_ns;
+  };
   static CodecTelemetry make_codec_telemetry(const std::string& emt_name);
+
+ private:
+  friend class ProtectedBuffer;
 
   /// store_block() / load_block() without the codec call tallies;
   /// read_words() also serves ProtectedBuffer::get().
@@ -134,6 +140,7 @@ class MemorySystem {
   Tally tally_;
   CodecTelemetry telemetry_;
   std::size_t next_free_ = 0;
+  std::size_t peak_allocated_ = 0;
 };
 
 /// SampleBuffer view over a MemorySystem allocation.

@@ -38,6 +38,20 @@ MemorySystem::CodecTelemetry MemorySystem::make_codec_telemetry(
           tel::Histogram(prefix + "decode_block_ns")};
 }
 
+void MemorySystem::CodecTelemetry::add(const Tally& tally) const {
+  if (tally.encode_calls != 0) {
+    encode_calls.add(tally.encode_calls);
+    encode_words.add(tally.encode_words);
+  }
+  if (tally.decode_calls != 0) {
+    decode_calls.add(tally.decode_calls);
+    decode_words.add(tally.decode_words);
+  }
+  if (tally.patched_words != 0) {
+    fault_patch_counter().add(tally.patched_words);
+  }
+}
+
 MemorySystem::MemorySystem(const Emt& emt, std::size_t words, int banks)
     : emt_(&emt),
       data_(words, emt.payload_bits(), banks),
@@ -49,19 +63,7 @@ MemorySystem::MemorySystem(const Emt& emt, std::size_t words, int banks)
   }
 }
 
-MemorySystem::~MemorySystem() {
-  if (tally_.encode_calls != 0) {
-    telemetry_.encode_calls.add(tally_.encode_calls);
-    telemetry_.encode_words.add(tally_.encode_words);
-  }
-  if (tally_.decode_calls != 0) {
-    telemetry_.decode_calls.add(tally_.decode_calls);
-    telemetry_.decode_words.add(tally_.decode_words);
-  }
-  if (tally_.patched_words != 0) {
-    fault_patch_counter().add(tally_.patched_words);
-  }
-}
+MemorySystem::~MemorySystem() { telemetry_.add(tally_); }
 
 void MemorySystem::attach_faults(const mem::FaultMap* map) {
   data_.attach_faults(map);  // throws, shadow untouched, on a bad map
@@ -89,6 +91,7 @@ std::size_t MemorySystem::allocate(std::size_t words) {
   }
   const std::size_t base = next_free_;
   next_free_ += words;
+  peak_allocated_ = std::max(peak_allocated_, next_free_);
   return base;
 }
 

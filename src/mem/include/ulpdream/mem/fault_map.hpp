@@ -98,6 +98,15 @@ class FaultMap {
     return index_.size();
   }
 
+  /// True when no word below `words` holds an entry: a memory that only
+  /// touches words [0, words) reads exactly what it would without this
+  /// map. O(1) on the sorted index. Entries edit() inserted without
+  /// stuck cells count as faulty, so the answer is conservative, never
+  /// wrong.
+  [[nodiscard]] bool clean_below(std::size_t words) const noexcept {
+    return index_.empty() || index_.front() >= words;
+  }
+
   /// True when the kChunkWords-word chunk holding `word`..`word+63` has no
   /// entries — the block read path wide-copies such runs without per-word
   /// lookups.

@@ -55,6 +55,12 @@ class FaultyMemory {
   /// and core::MemorySystem decodes each word once per write on that basis.
   void attach_faults(const FaultMap* map);
 
+  /// The geometry check attach_faults() applies: throws
+  /// std::invalid_argument unless `map` covers a memory of `words` words
+  /// of `width_bits` bits.
+  static void check_covers(const FaultMap& map, std::size_t words,
+                           int width_bits);
+
   /// Enables logical->physical address scrambling with the given seed
   /// (0 disables). Scrambling randomizes which logical word lands on which
   /// physical (possibly faulty) row — the paper's Sec. V randomization.

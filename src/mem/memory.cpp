@@ -40,20 +40,22 @@ FaultyMemory::FaultyMemory(std::size_t words, int width_bits, int banks)
   stats_.reset(static_cast<std::size_t>(banks));
 }
 
-void FaultyMemory::attach_faults(const FaultMap* map) {
-  if (map != nullptr) {
-    if (map->words() < store_.size()) {
-      throw std::invalid_argument(
-          "FaultyMemory: fault map covers " + std::to_string(map->words()) +
-          " words, memory has " + std::to_string(store_.size()));
-    }
-    if (map->bits_per_word() < width_) {
-      throw std::invalid_argument(
-          "FaultyMemory: fault map is " +
-          std::to_string(map->bits_per_word()) + " bits/word, memory needs " +
-          std::to_string(width_));
-    }
+void FaultyMemory::check_covers(const FaultMap& map, std::size_t words,
+                                int width_bits) {
+  if (map.words() < words) {
+    throw std::invalid_argument(
+        "FaultyMemory: fault map covers " + std::to_string(map.words()) +
+        " words, memory has " + std::to_string(words));
   }
+  if (map.bits_per_word() < width_bits) {
+    throw std::invalid_argument(
+        "FaultyMemory: fault map is " + std::to_string(map.bits_per_word()) +
+        " bits/word, memory needs " + std::to_string(width_bits));
+  }
+}
+
+void FaultyMemory::attach_faults(const FaultMap* map) {
+  if (map != nullptr) check_covers(*map, store_.size(), width_);
   faults_ = map;
 }
 

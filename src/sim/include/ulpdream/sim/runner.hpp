@@ -11,6 +11,7 @@
 // cycles. Leakage is integrated over this run time at 200 MHz.
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -47,6 +48,18 @@ class ExperimentRunner {
   /// One run of `app` under `emt` with `faults` attached (may be null for
   /// an error-free run). `v` is the data-array supply for the energy
   /// model; fault content must already be consistent with it.
+  ///
+  /// A map with no entry below app.footprint_words() changes no bit the
+  /// run reads. Such a call, and a null-map call, is answered from this
+  /// runner's cached fault-free run of (app, record, EMT) when there is
+  /// one: energy is recomputed at `v`, the map is validated as
+  /// attach_faults() would, and the cached run's codec.<emt>.* tally is
+  /// added to telemetry again, so every total equals that of a real run.
+  /// Otherwise the run executes, and a clean one fills the cache. An
+  /// executed run that allocates past app.footprint_words() throws
+  /// std::logic_error naming the app. Counters: sim.clean_runs (non-null
+  /// maps clean below the footprint) and sim.clean_runs_reused (calls
+  /// answered from the cache).
   [[nodiscard]] RunResult run_once(const apps::BioApp& app,
                                    const ecg::Record& record,
                                    const core::Emt& emt,
@@ -75,18 +88,41 @@ class ExperimentRunner {
   }
 
  private:
+  /// What an executed run leaves for its RunResult, apart from the
+  /// energy, which is computed from it at the call's voltage.
+  struct RunRecord {
+    double snr_db = 0.0;
+    core::CodecCounters counters{};
+    mem::AccessStats data_stats;
+    std::optional<mem::AccessStats> side_stats;
+    std::size_t data_words = 0;
+  };
+  /// A cached fault-free run, with the tally it added to codec.<emt>.*
+  /// and the handles a hit adds that tally through.
+  struct CleanRun {
+    RunRecord run;
+    core::MemorySystem::Tally tally;
+    core::MemorySystem::CodecTelemetry telemetry;
+  };
   struct Reference {
     std::vector<double> values;
     bool clean_run = false;  ///< values are the error-free fixed-point run
+    /// Fault-free runs of this (app, record), keyed by EMT name.
+    std::unordered_map<std::string, CleanRun> clean_runs;
   };
-  const Reference& cached_reference(const apps::BioApp& app,
-                                    const ecg::Record& record);
+  Reference& cached_reference(const apps::BioApp& app,
+                              const ecg::Record& record);
+  [[nodiscard]] RunResult result_at(const RunRecord& run,
+                                    const core::Emt& emt, double v) const;
 
   energy::SystemEnergyModel energy_model_;
   // Keyed on (app identity, record identity); node-based map so returned
   // references stay valid across inserts. Campaigns look the reference up
   // once per run over grids of thousands of cells — a linear scan here
-  // made large campaigns quadratic in distinct (app, record) pairs.
+  // made large campaigns quadratic in distinct (app, record) pairs. Each
+  // entry also holds the (app, record)'s fault-free runs per EMT, which
+  // run_once() reuses. A runner is not thread-safe; each worker owns one
+  // (a copy starts with every cached entry of the original).
   std::unordered_map<std::string, Reference> cache_;
 };
 

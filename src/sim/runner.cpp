@@ -1,7 +1,10 @@
 #include "ulpdream/sim/runner.hpp"
 
+#include <stdexcept>
+
 #include "ulpdream/core/no_protection.hpp"
 #include "ulpdream/metrics/quality.hpp"
+#include "ulpdream/util/telemetry.hpp"
 
 namespace ulpdream::sim {
 
@@ -13,7 +16,7 @@ const std::vector<double>& ExperimentRunner::reference(
   return cached_reference(app, record).values;
 }
 
-const ExperimentRunner::Reference& ExperimentRunner::cached_reference(
+ExperimentRunner::Reference& ExperimentRunner::cached_reference(
     const apps::BioApp& app, const ecg::Record& record) {
   // Key by value-identity, not object address: apps are routinely created
   // and destroyed per experiment, and a recycled heap address must not hit
@@ -39,29 +42,73 @@ const ExperimentRunner::Reference& ExperimentRunner::cached_reference(
   return cache_.emplace(key, std::move(reference)).first->second;
 }
 
+RunResult ExperimentRunner::result_at(const RunRecord& run,
+                                      const core::Emt& emt, double v) const {
+  RunResult result;
+  result.snr_db = run.snr_db;
+  result.counters = run.counters;
+  result.data_accesses = run.data_stats.total();
+  if (run.side_stats) result.side_accesses = run.side_stats->total();
+  result.cycles = 2 * result.data_accesses;
+  result.energy = energy_model_.compute(
+      emt, v, run.data_stats, run.side_stats ? &*run.side_stats : nullptr,
+      run.data_words, result.cycles);
+  return result;
+}
+
 RunResult ExperimentRunner::run_once(const apps::BioApp& app,
                                      const ecg::Record& record,
                                      const core::Emt& emt,
                                      const mem::FaultMap* faults, double v) {
+  static const util::telemetry::Counter clean_runs("sim.clean_runs");
+  static const util::telemetry::Counter clean_runs_reused(
+      "sim.clean_runs_reused");
+  // Apps bump-allocate from word 0, every access is bounds-checked, this
+  // memory is never scrambled and the side memory is error-free, so a map
+  // with no entry below the footprint changes no bit the run reads.
+  const std::size_t footprint = app.footprint_words();
+  const bool clean = faults == nullptr || faults->clean_below(footprint);
+  if (clean && faults != nullptr) clean_runs.add();
+  Reference& ref = cached_reference(app, record);
+  std::string emt_name;
+  if (clean) {
+    emt_name = emt.name();
+    if (const auto it = ref.clean_runs.find(emt_name);
+        it != ref.clean_runs.end()) {
+      const CleanRun& hit = it->second;
+      if (faults != nullptr) {
+        mem::FaultyMemory::check_covers(*faults, hit.run.data_words,
+                                        emt.payload_bits());
+      }
+      hit.telemetry.add(hit.tally);
+      clean_runs_reused.add();
+      return result_at(hit.run, emt, v);
+    }
+  }
+
   core::MemorySystem system(emt);
   system.attach_faults(faults);
-
   const std::vector<double> output = app.run(system, record);
-  const std::vector<double>& ref = reference(app, record);
-
-  RunResult result;
-  result.snr_db = metrics::snr_db(ref, output);
-  result.counters = system.counters();
-  result.data_accesses = system.data().stats().total();
-  if (const auto* safe = system.safe()) {
-    result.side_accesses = safe->stats().total();
+  if (system.peak_words_allocated() > footprint) {
+    throw std::logic_error(
+        app.name() + ": allocated " +
+        std::to_string(system.peak_words_allocated()) +
+        " words, past footprint_words() = " + std::to_string(footprint));
   }
-  result.cycles = 2 * result.data_accesses;
-  result.energy = energy_model_.compute(
-      emt, v, system.data().stats(),
-      system.safe() ? &system.safe()->stats() : nullptr,
-      system.data().words(), result.cycles);
-  return result;
+
+  RunRecord run;
+  run.snr_db = metrics::snr_db(ref.values, output);
+  run.counters = system.counters();
+  run.data_stats = system.data().stats();
+  if (const auto* safe = system.safe()) run.side_stats = safe->stats();
+  run.data_words = system.data().words();
+  if (clean) {
+    ref.clean_runs.emplace(
+        emt_name,
+        CleanRun{run, system.tally(),
+                 core::MemorySystem::make_codec_telemetry(emt_name)});
+  }
+  return result_at(run, emt, v);
 }
 
 RunResult ExperimentRunner::run_once(const apps::BioApp& app,

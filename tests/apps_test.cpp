@@ -53,6 +53,18 @@ TEST(AppFactory, FootprintsFitDeviceMemory) {
   }
 }
 
+TEST(AppFactory, EveryAppAllocatesWithinItsFootprint) {
+  // footprint_words() is a checked upper bound: the runner reuses the
+  // fault-free run whenever a map is clean below it.
+  for (const std::string& name : app_names()) {
+    const auto app = make_app(name);
+    auto system = make_clean_system();
+    (void)app->run(system, test_record());
+    EXPECT_GT(system.peak_words_allocated(), 0u) << name;
+    EXPECT_LE(system.peak_words_allocated(), app->footprint_words()) << name;
+  }
+}
+
 TEST(AppRuns, DeterministicWithoutFaults) {
   for (const AppKind kind : all_app_kinds()) {
     const auto app = make_app(kind);

@@ -382,9 +382,9 @@ bool stats_eq(const mem::AccessStats& a, const mem::AccessStats& b) {
     return ::testing::AssertionFailure() << "side-array AccessStats differ";
   }
   const std::uint64_t oracle_patched = fault_patch_total() - patch_base;
-  if (sys.fault_patch_words() != oracle_patched) {
+  if (sys.tally().patched_words != oracle_patched) {
     return ::testing::AssertionFailure()
-           << "mem.fault_patch_words " << sys.fault_patch_words()
+           << "mem.fault_patch_words " << sys.tally().patched_words
            << " vs oracle " << oracle_patched;
   }
   return ::testing::AssertionSuccess();
@@ -529,7 +529,7 @@ TEST(DecodedShadow, RandomOperationsMatchThePerWordPath) {
                   << "after op " << op << " (" << what << ")";
             }
             oracle_patched = fault_patch_total() - patch_base;
-            EXPECT_EQ(sys.fault_patch_words(), oracle_patched);
+            EXPECT_EQ(sys.tally().patched_words, oracle_patched);
           }
           // The destroyed system has added its own tally once.
           EXPECT_EQ(fault_patch_total() - patch_base, 2 * oracle_patched);

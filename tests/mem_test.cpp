@@ -99,6 +99,18 @@ TEST(FaultMap, StuckBitCoversEveryWord) {
   }
 }
 
+TEST(FaultMap, CleanBelowLooksAtTheLowestEntry) {
+  FaultMap map(256, 16);
+  EXPECT_TRUE(map.clean_below(256));
+  map.edit(200).mask = 1u << 3;
+  map.edit(40) = {};  // an entry with no stuck cell still counts
+  EXPECT_TRUE(map.clean_below(40));
+  EXPECT_FALSE(map.clean_below(41));
+  EXPECT_FALSE(map.clean_below(256));
+  EXPECT_FALSE(FaultMap::stuck_bit(64, 16, 0, false).clean_below(1));
+  EXPECT_TRUE(FaultMap::stuck_bit(64, 16, 0, false).clean_below(0));
+}
+
 TEST(FaultMap, StuckBitRejectsOutOfRange) {
   EXPECT_THROW(FaultMap::stuck_bit(8, 16, 16, false), std::invalid_argument);
   EXPECT_THROW(FaultMap::stuck_bit(8, 16, -1, false), std::invalid_argument);

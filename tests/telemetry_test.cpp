@@ -22,11 +22,13 @@
 #include <thread>
 #include <vector>
 
+#include "ulpdream/apps/dwt_app.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/core/dream.hpp"
 #include "ulpdream/core/protected_buffer.hpp"
 #include "ulpdream/mem/fault_map.hpp"
 #include "ulpdream/ecg/database.hpp"
+#include "ulpdream/sim/runner.hpp"
 
 namespace ulpdream::util::telemetry {
 namespace {
@@ -176,7 +178,7 @@ TEST(Metrics, CodecCountersFoldOncePerMemorySystem) {
     }
     buf.set(3, 1);
     (void)buf.get(3);  // one more patched word, no block call
-    EXPECT_EQ(system.fault_patch_words(), 6u);
+    EXPECT_EQ(system.tally().patched_words, 6u);
     const MetricsSnapshot live = snapshot();
     for (const char* name : {"codec.dream.encode_calls",
                              "codec.dream.decode_words",
@@ -190,6 +192,43 @@ TEST(Metrics, CodecCountersFoldOncePerMemorySystem) {
   EXPECT_EQ(delta(after, before, "codec.dream.decode_calls"), 3u);
   EXPECT_EQ(delta(after, before, "codec.dream.decode_words"), 460u);
   EXPECT_EQ(delta(after, before, "mem.fault_patch_words"), 6u);
+}
+
+TEST(Metrics, ReusedCleanRunAddsTheExecutedRunsCodecTally) {
+  // The runner answers a run whose map is clean below the app's
+  // footprint from its cached fault-free run, and adds that run's
+  // codec.<emt>.* tally again, so the totals equal those of real runs.
+  const apps::DwtApp app;
+  const core::Dream dream;
+  const ecg::Record record = ecg::make_default_record(5);
+  const mem::FaultMap clean(mem::MemoryGeometry::kWords16, 22);
+  sim::ExperimentRunner runner;
+  (void)runner.reference(app, record);
+  const auto work_since = [](const MetricsSnapshot& base) {
+    std::map<std::string, std::uint64_t> out;
+    for (const auto& [name, v] : snapshot().since(base).counters) {
+      if (v != 0 && (name.rfind("codec.", 0) == 0 ||
+                     name.rfind("mem.", 0) == 0 ||
+                     name.rfind("sim.", 0) == 0)) {
+        out[name] = v;
+      }
+    }
+    return out;
+  };
+  MetricsSnapshot base = snapshot();
+  (void)runner.run_once(app, record, dream, &clean, 0.7);  // executes
+  auto executed = work_since(base);
+  base = snapshot();
+  (void)runner.run_once(app, record, dream, &clean, 0.6);  // reused
+  auto reused = work_since(base);
+
+  EXPECT_EQ(executed.count("sim.clean_runs_reused"), 0u);
+  EXPECT_EQ(reused["sim.clean_runs_reused"], 1u);
+  reused.erase("sim.clean_runs_reused");
+  EXPECT_GT(executed["codec.dream.encode_words"], 0u);
+  EXPECT_GT(executed["codec.dream.decode_words"], 0u);
+  EXPECT_EQ(executed["sim.clean_runs"], 1u);
+  EXPECT_EQ(reused, executed);
 }
 
 // ---------------------------------------------------------------------------
@@ -333,11 +372,12 @@ TEST(NonInterference, TracedAndMeteredRunStoreIsByteIdenticalToDarkRun) {
 /// duplicated across shards by design. Wall-clock histograms merge
 /// bucket-wise but land in timing-dependent buckets, so the cross-shard
 /// contract for them is count preservation, not bucket equality (README
-/// "Observability" documents both caveats).
+/// "Observability" documents both caveats). sim.clean_runs counts the
+/// items' maps, not the ceilings, so it splits exactly.
 bool deterministic_counter(const std::string& name) {
   if (name.rfind("codec.none.", 0) == 0) return false;
   return name.rfind("codec.", 0) == 0 || name.rfind("mem.", 0) == 0 ||
-         name == "session.items_executed";
+         name == "session.items_executed" || name == "sim.clean_runs";
 }
 
 std::map<std::string, std::uint64_t> deterministic_counters(
@@ -383,6 +423,7 @@ TEST(NonInterference, HalfRunSnapshotsMergeToTheFullRunSnapshot) {
   EXPECT_GT(deterministic_counters(full).size(), 0u);
   EXPECT_EQ(merged.counters.at("session.items_executed"),
             full.counters.at("session.items_executed"));
+  EXPECT_GT(full.counters.at("sim.clean_runs"), 0u);
   // Latency histograms: the merged halves measured every item exactly
   // once, same as the full run — counts match even though buckets may
   // differ.
