@@ -9,11 +9,11 @@
 #include <iostream>
 
 #include "ulpdream/apps/dwt_app.hpp"
+#include "ulpdream/campaign/session.hpp"
 #include "ulpdream/core/dream.hpp"
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/metrics/quality.hpp"
 #include "ulpdream/sim/runner.hpp"
-#include "ulpdream/sim/parallel_sweep.hpp"
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/stats.hpp"
 #include "ulpdream/util/table.hpp"
@@ -51,24 +51,26 @@ void ablation_d1_mask_width(sim::ExperimentRunner& runner,
   std::cout << '\n';
 }
 
-void ablation_d2_ber_model(const sim::ParallelSweepRunner& sweeper,
-                           const ecg::Record& record, std::size_t runs) {
+void ablation_d2_ber_model(campaign::Session& session, std::size_t runs) {
   std::cerr << "[ablations] D2 BER model family...\n";
-  const apps::DwtApp app;
   util::Table table("D2 - BER model family: DWT SNR under DREAM");
   table.set_header({"V", "log-linear_dB", "probit_dB"});
 
-  sim::SweepConfig cfg;
-  cfg.voltages = {0.5, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9};
-  cfg.runs = runs;
-  cfg.emts = {"dream"};
+  // DWT under DREAM on the default trace, once per BER-model family.
+  campaign::CampaignSpec spec;
+  spec.apps = {"dwt"};
+  spec.emts = {"dream"};
+  spec.voltages = {0.5, 0.55, 0.6, 0.65, 0.7, 0.8, 0.9};
+  spec.repetitions = runs;
 
-  cfg.ber_model = "log-linear";
-  const sim::SweepResult log_res = sweeper.run(app, record, cfg);
-  cfg.ber_model = "probit";
-  const sim::SweepResult probit_res = sweeper.run(app, record, cfg);
+  spec.ber_model = "log-linear";
+  const sim::SweepResult log_res =
+      session.submit(spec).take().to_sweep_result(0, 0);
+  spec.ber_model = "probit";
+  const sim::SweepResult probit_res =
+      session.submit(spec).take().to_sweep_result(0, 0);
 
-  for (auto it = cfg.voltages.rbegin(); it != cfg.voltages.rend(); ++it) {
+  for (auto it = spec.voltages.rbegin(); it != spec.voltages.rend(); ++it) {
     table.add_row(
         {util::fmt(*it, 2),
          util::fmt(log_res.find("dream", *it)->snr_mean_db, 1),
@@ -131,9 +133,9 @@ int main(int argc, char** argv) {
   const auto runs = static_cast<std::size_t>(cli.get_int("runs", 20));
   const ecg::Record record = ecg::make_default_record(7);
   sim::ExperimentRunner runner;
-  const sim::ParallelSweepRunner sweeper = sim::ParallelSweepRunner::from_cli(cli);
+  campaign::Session session = campaign::Session::from_cli(cli);
   ablation_d1_mask_width(runner, record, runs);
-  ablation_d2_ber_model(sweeper, record, runs);
+  ablation_d2_ber_model(session, runs);
   ablation_d3_scrambling(runner, record, runs);
   return 0;
 }

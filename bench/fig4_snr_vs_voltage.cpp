@@ -7,9 +7,9 @@
 #include <iostream>
 
 #include "ulpdream/apps/app.hpp"
+#include "ulpdream/campaign/session.hpp"
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/metrics/quality.hpp"
-#include "ulpdream/sim/parallel_sweep.hpp"
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/table.hpp"
 
@@ -17,33 +17,32 @@ using namespace ulpdream;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  sim::SweepConfig cfg = sim::SweepConfig::defaults();
-  cfg.runs = static_cast<std::size_t>(cli.get_int("runs", 200));
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2016));
-  cfg.ber_model = cli.get("ber-model", "log-linear");
+  const auto record_seed =
+      static_cast<std::uint64_t>(cli.get_int("record-seed", 7));
+  campaign::CampaignSpec spec;
+  spec.apps = apps::paper_app_names();
+  spec.emts = core::paper_emt_names();
+  spec.records = {campaign::RecordAxis{ecg::Pathology::kNormalSinus, 1.0,
+                                       record_seed}};
+  spec.repetitions = static_cast<std::size_t>(cli.get_int("runs", 200));
+  spec.seed = static_cast<std::uint64_t>(cli.get_int("seed", 2016));
+  spec.ber_model = cli.get("ber-model", "log-linear");
+  spec = spec.normalized();
 
-  const ecg::Record record = ecg::make_default_record(
-      static_cast<std::uint64_t>(cli.get_int("record-seed", 7)));
-
-  std::vector<std::unique_ptr<apps::BioApp>> owned;
-  std::vector<const apps::BioApp*> app_list;
-  for (const std::string& name : apps::paper_app_names()) {
-    owned.push_back(apps::make_app(name));
-    app_list.push_back(owned.back().get());
+  campaign::Session session = campaign::Session::from_cli(cli);
+  std::cerr << "[fig4] sweeping " << spec.voltages.size() << " voltages x "
+            << spec.repetitions << " runs x " << spec.apps.size()
+            << " apps x " << spec.emts.size() << " EMTs on up to "
+            << session.threads() << " threads...\n";
+  const campaign::ResultStore store = session.submit(spec).take();
+  std::vector<sim::SweepResult> results;
+  for (std::size_t ai = 0; ai < spec.apps.size(); ++ai) {
+    results.push_back(store.to_sweep_result(0, ai));
   }
-
-  const sim::ParallelSweepRunner runner =
-      sim::ParallelSweepRunner::from_cli(cli);
-  std::cerr << "[fig4] sweeping " << cfg.voltages.size() << " voltages x "
-            << cfg.runs << " runs x " << app_list.size() << " apps x "
-            << cfg.emts.size() << " EMTs on up to " << runner.threads()
-            << " threads...\n";
-  const std::vector<sim::SweepResult> results =
-      runner.run_multi(app_list, record, cfg);
 
   const char* panel_names[] = {"(a) No protection", "(b) DREAM",
                                "(c) ECC SEC/DED"};
-  for (std::size_t ei = 0; ei < cfg.emts.size(); ++ei) {
+  for (std::size_t ei = 0; ei < spec.emts.size(); ++ei) {
     util::Table table(std::string("Fig. 4 ") + panel_names[ei] +
                       " - mean SNR [dB] vs supply voltage");
     std::vector<std::string> header = {"V"};
@@ -51,18 +50,18 @@ int main(int argc, char** argv) {
       header.push_back(r.points.front().app);
     }
     table.set_header(header);
-    for (auto v_it = cfg.voltages.rbegin(); v_it != cfg.voltages.rend();
+    for (auto v_it = spec.voltages.rbegin(); v_it != spec.voltages.rend();
          ++v_it) {
       std::vector<std::string> row = {util::fmt(*v_it, 2)};
       for (const auto& r : results) {
-        const sim::SweepPoint* p = r.find(cfg.emts[ei], *v_it);
+        const sim::SweepPoint* p = r.find(spec.emts[ei], *v_it);
         row.push_back(p ? util::fmt(p->snr_mean_db, 1) : "-");
       }
       table.add_row(row);
     }
     table.print(std::cout);
     std::cout << '\n';
-    (void)table.write_csv(std::string("fig4_") + cfg.emts[ei] + ".csv");
+    (void)table.write_csv(std::string("fig4_") + spec.emts[ei] + ".csv");
   }
 
   util::Table dashed("Fig. 4 dashed lines - max SNR (error-free) [dB]");
@@ -79,9 +78,10 @@ int main(int argc, char** argv) {
   // reconstruct a single lead with plain OMP instead of multi-lead joint
   // reconstruction (see EXPERIMENTS.md).
   {
-    const auto& cs_app = *app_list[2];
-    const auto ideal = cs_app.ideal_output(record);
-    std::vector<double> original(cs_app.input_length());
+    const auto cs_app = apps::make_app("cs");
+    const ecg::Record record = ecg::make_default_record(record_seed);
+    const auto ideal = cs_app->ideal_output(record);
+    std::vector<double> original(cs_app->input_length());
     for (std::size_t i = 0; i < original.size(); ++i) {
       original[i] = static_cast<double>(record.samples[i]);
     }

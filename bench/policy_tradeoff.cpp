@@ -6,7 +6,7 @@
 
 #include <iostream>
 
-#include "ulpdream/campaign/engine.hpp"
+#include "ulpdream/campaign/session.hpp"
 #include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/table.hpp"
@@ -28,10 +28,11 @@ int main(int argc, char** argv) {
 
   const double min_snr = cli.get_double("min-snr-db", 40.0);
 
-  const campaign::CampaignEngine engine = campaign::CampaignEngine::from_cli(cli);
+  campaign::Session session = campaign::Session::from_cli(cli);
   std::cerr << "[policy] sweeping DWT, " << spec.repetitions
-            << " runs/point on up to " << engine.threads() << " threads...\n";
-  const sim::SweepResult sweep = engine.run(spec).to_sweep_result(0, 0);
+            << " runs/point on up to " << session.threads() << " threads...\n";
+  const sim::SweepResult sweep =
+      session.submit(spec).take().to_sweep_result(0, 0);
 
   const auto print_policy = [&](const sim::PolicyResult& policy,
                                 const std::string& title,

@@ -1,7 +1,7 @@
 // Interactive trade-off exploration: sweep the data-memory supply for one
 // application and print SNR + energy per EMT — the tool a system designer
 // would use to pick the operating point (paper Sec. VI-C methodology).
-// Runs through the campaign engine: the voltage axis, execution and
+// Runs on a campaign::Session: the voltage axis, execution and
 // aggregation all come from ulpdream::campaign instead of a hand-rolled
 // sweep loop.
 //
@@ -17,7 +17,7 @@
 #include <iostream>
 #include <string>
 
-#include "ulpdream/campaign/engine.hpp"
+#include "ulpdream/campaign/session.hpp"
 #include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/table.hpp"
@@ -39,12 +39,12 @@ int main(int argc, char** argv) {
   spec.repetitions = static_cast<std::size_t>(cli.get_int("runs", 30));
   spec.ber_model = cli.get("ber-model", "log-linear");
 
-  const campaign::CampaignEngine engine = campaign::CampaignEngine::from_cli(cli);
+  campaign::Session session = campaign::Session::from_cli(cli);
   std::cerr << "sweeping " << spec.apps.size() << " app(s) over ["
             << spec.voltages.front() << ", " << spec.voltages.back()
             << "] V, " << spec.repetitions << " runs/point on up to "
-            << engine.threads() << " threads...\n";
-  const campaign::ResultStore store = engine.run(spec);
+            << session.threads() << " threads...\n";
+  const campaign::ResultStore store = session.submit(spec).take();
 
   const auto rows = store.aggregate();
   campaign::rows_to_table(rows, "SNR / energy per EMT and voltage")

@@ -8,9 +8,9 @@
 // the string-keyed registries (ulpdream::core::emt_registry(),
 // ulpdream::apps::app_registry(), ulpdream::mem::ber_model_registry()):
 // register a component under a name and every layer — campaign specs,
-// sweep configs, the campaign CLI and the Scenario builder — can select
-// it exactly like a built-in. See examples/custom_emt.cpp for an EMT
-// defined and registered entirely outside src/.
+// the campaign CLI and the Scenario builder — can select it exactly like
+// a built-in. See examples/custom_emt.cpp for an EMT defined and
+// registered entirely outside src/.
 
 // Core: EMT interface, registry-backed factory, adaptive policy, memory.
 #include "ulpdream/core/adaptive.hpp"
@@ -28,9 +28,8 @@
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/ecg/generator.hpp"
 
-// Experiment machinery: runner, sweeps, policy search, campaigns, and
-// the asynchronous execution runtime (Session / CampaignHandle).
-#include "ulpdream/campaign/engine.hpp"
+// Experiment machinery: runner, policy search, campaigns, and the
+// asynchronous execution runtime (Session / CampaignHandle).
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/scenario.hpp"
 #include "ulpdream/campaign/session.hpp"

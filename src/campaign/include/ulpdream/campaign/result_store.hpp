@@ -29,7 +29,7 @@
 
 #include "ulpdream/campaign/spec.hpp"
 #include "ulpdream/energy/energy_model.hpp"
-#include "ulpdream/sim/voltage_sweep.hpp"
+#include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/util/table.hpp"
 
 namespace ulpdream::campaign {
@@ -125,8 +125,9 @@ class ResultStore {
   [[nodiscard]] std::vector<AggregateRow> aggregate(
       const GroupBy& group = GroupBy{}) const;
 
-  /// Bridge to the policy explorer: the (record, app) slice of a complete
-  /// store as a sim::SweepResult (same statistics the serial sweep fills).
+  /// Bridge to the policy explorer and the figure benches: the (record,
+  /// app) slice of a complete store as a sim::SweepResult, one point per
+  /// (voltage, EMT) over the store's repetitions.
   [[nodiscard]] sim::SweepResult to_sweep_result(std::size_t record_index,
                                                  std::size_t app_index) const;
 

@@ -2,11 +2,11 @@
 // Scenario — the single-entry-point facade of the library. Pick
 // applications, EMTs and a BER model by registry name, set the voltage
 // grid, the record corpus and its generation geometry, and run(): the
-// scenario expands into a CampaignSpec, executes on the sharded
-// CampaignEngine (bit-identical for any thread count) and returns the
-// aggregated grid. Names are validated eagerly against the registries, so
-// a typo fails at build_spec() time with the valid names listed —
-// including any component the caller registered from outside src/.
+// scenario expands into a CampaignSpec, executes on a campaign::Session
+// (bit-identical for any thread count) and returns the aggregated grid.
+// Names are validated eagerly against the registries, so a typo fails at
+// build_spec() time with the valid names listed — including any
+// component the caller registered from outside src/.
 //
 //   auto rows = ulpdream::campaign::Scenario()
 //                   .app("dwt")
@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "ulpdream/campaign/engine.hpp"
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"

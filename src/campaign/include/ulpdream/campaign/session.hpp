@@ -1,22 +1,25 @@
 #pragma once
-// Asynchronous execution runtime. A Session is a long-lived object that
-// owns one shared util::WorkPool; any number of campaigns (and, through
-// Session::pool(), sim sweeps) are submitted onto it concurrently and
-// interleave at work-item granularity. submit() returns a CampaignHandle
-// — a future-like job handle with wait()/try_result(), live progress
-// (items done, per-worker throughput), cooperative item-granular
-// cancellation, an observer that streams each completed WorkItem's
-// samples as it lands, and periodic ResultStore checkpoint snapshots
-// that a later submit(spec, resume_from=...) completes by running only
-// the missing items.
+// Asynchronous execution runtime — the one engine that runs every
+// Monte-Carlo grid (the campaign CLI, daemon and workers, the Scenario
+// facade and the figure benches). A Session is a long-lived object that
+// owns one shared util::WorkPool; any number of campaigns are submitted
+// onto it concurrently and interleave at work-item granularity. Each
+// item draws one fault map at BER(V) from its own RNG stream and shares
+// it across every (app, EMT) pair — the paper's Sec. V fairness
+// protocol. submit() returns a CampaignHandle — a future-like job handle
+// with wait()/try_result(), live progress (items done, per-worker
+// throughput), cooperative item-granular cancellation, an observer that
+// streams each completed WorkItem's samples as it lands, and periodic
+// ResultStore checkpoint snapshots that a later submit(spec,
+// resume_from=...) completes by running only the missing items.
 //
-// The determinism contract is unchanged from the blocking engine and is
-// the whole point: every item's RNG stream is keyed on (spec.seed,
-// item.index) and every item writes a disjoint store slice, so N
-// campaigns interleaved on one session, a cancellation at any point, and
-// any checkpoint/resume split all reproduce the uninterrupted
-// single-campaign store bit-identically (tests/session_test.cpp pins
-// this, including byte-compares of the saved raw stores).
+// The determinism contract is the whole point: every item's RNG stream
+// is keyed on (spec.seed, item.index) and every item writes a disjoint
+// store slice, so any thread count, N campaigns interleaved on one
+// session, a cancellation at any point, and any checkpoint/resume split
+// all reproduce the uninterrupted single-campaign store bit-identically
+// (tests/session_test.cpp pins this, including byte-compares of the
+// saved raw stores).
 //
 //   campaign::Session session;                   // one pool, many jobs
 //   auto a = session.submit(spec_a);
@@ -31,7 +34,6 @@
 #include <span>
 #include <vector>
 
-#include "ulpdream/campaign/engine.hpp"
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/spec.hpp"
 #include "ulpdream/energy/energy_model.hpp"
@@ -46,6 +48,14 @@ struct CampaignJob;
 }  // namespace detail
 
 class CampaignHandle;
+
+/// Which slice of the campaign a submission executes. The default (0 of
+/// 1) is the whole grid; running the shards of any split and merging
+/// their stores reproduces the unsharded store exactly.
+struct Shard {
+  std::size_t index = 0;
+  std::size_t count = 1;
+};
 
 /// Point-in-time view of a submitted campaign.
 struct Progress {
@@ -125,9 +135,9 @@ class CampaignHandle {
   /// exception.
   [[nodiscard]] ResultStore wait() const;
   /// wait(), then moves the store out of the runtime — the zero-copy
-  /// path for run-to-completion callers (the blocking engine/Scenario
-  /// shims and the CLI). One-shot: afterwards the handle's store is
-  /// empty (progress counters remain).
+  /// path for run-to-completion callers (Scenario::run, the benches and
+  /// the CLI). One-shot: afterwards the handle's store is empty
+  /// (progress counters remain).
   [[nodiscard]] ResultStore take() const;
   /// Non-blocking wait(): empty until the job has finished.
   [[nodiscard]] std::optional<ResultStore> try_result() const;
@@ -171,9 +181,6 @@ class Session {
   [[nodiscard]] CampaignHandle submit(const CampaignSpec& spec,
                                       SubmitOptions options = {});
 
-  /// The shared pool, for co-scheduling non-campaign index jobs (e.g.
-  /// sim::ParallelSweepRunner::run_multi(pool, ...)) with campaigns.
-  [[nodiscard]] util::WorkPool& pool() noexcept { return pool_; }
   [[nodiscard]] unsigned threads() const noexcept { return pool_.threads(); }
   [[nodiscard]] const energy::SystemEnergyModel& energy_model() const {
     return energy_model_;

@@ -50,7 +50,9 @@ struct CampaignSpec {
   double duration_s = 8.2;
 
   /// Copy with empty axes replaced by the defaults above and
-  /// repetitions clamped to >= 1.
+  /// repetitions clamped to >= 1. Throws std::invalid_argument when
+  /// records x voltages x repetitions overflows std::size_t or exceeds
+  /// the largest item list expand() can allocate.
   [[nodiscard]] CampaignSpec normalized() const;
 
   /// Inclusive voltage range helper, e.g. voltage_range(0.5, 0.9, 0.05).

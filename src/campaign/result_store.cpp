@@ -209,11 +209,8 @@ sim::SweepResult ResultStore::to_sweep_result(std::size_t record_index,
   const auto ber_model = mem::make_ber_model(spec_.ber_model);
 
   sim::SweepResult result;
-  result.config.voltages = spec_.voltages;
-  result.config.runs = reps;
-  result.config.seed = spec_.seed;
-  result.config.ber_model = spec_.ber_model;
-  result.config.emts = spec_.emts;
+  result.voltages = spec_.voltages;
+  result.emts = spec_.emts;
   result.max_snr_db = max_snr_db(record_index, app_index);
 
   for (std::size_t vi = 0; vi < nv; ++vi) {

@@ -85,8 +85,8 @@ CampaignSpec Scenario::build_spec() const {
 
 ResultStore Scenario::run() const {
   if (session_ != nullptr) return session_->submit(build_spec()).take();
-  const CampaignEngine engine(energy::SystemEnergyModel(), threads_);
-  return engine.run(build_spec());
+  Session session(energy::SystemEnergyModel(), threads_);
+  return session.submit(build_spec()).take();
 }
 
 CampaignHandle Scenario::submit(SubmitOptions options) const {

@@ -81,8 +81,7 @@ namespace {
 
 /// Executes one work item: one fault map drawn from the item's private
 /// RNG stream at BER(V), reused across every (app, EMT) pair — the
-/// paper's Sec. V fairness protocol, now per grid item. (Moved here from
-/// CampaignEngine, which is a synchronous shim over the session.)
+/// paper's Sec. V fairness protocol, per grid item.
 void run_item(sim::ExperimentRunner& runner, const CampaignJob& job,
               const WorkItem& item, std::vector<Sample>& samples) {
   const double v = job.spec.voltages[item.voltage_index];

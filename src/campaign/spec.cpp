@@ -88,6 +88,21 @@ CampaignSpec CampaignSpec::normalized() const {
   }
   if (out.records.empty()) out.records.push_back(RecordAxis{});
   if (out.repetitions == 0) out.repetitions = 1;
+  // A grid expand() cannot hold would surface only as bad_alloc or an
+  // endless loop deep inside a run, so reject it here: the benches, the
+  // CLI, the daemon and the workers all normalize first. A negative
+  // --reps arrives as 2^64 - 1.
+  const std::size_t max_items = std::vector<WorkItem>().max_size();
+  const std::size_t n_r = out.records.size();
+  const std::size_t n_v = out.voltages.size();
+  if (n_v > max_items / n_r || out.repetitions > max_items / (n_r * n_v)) {
+    throw std::invalid_argument(
+        "CampaignSpec: records x voltages x repetitions = " +
+        std::to_string(n_r) + " x " + std::to_string(n_v) + " x " +
+        std::to_string(out.repetitions) +
+        " is more work items than a grid can hold (at most " +
+        std::to_string(max_items) + ")");
+  }
   return out;
 }
 

@@ -7,12 +7,43 @@
 // unprotected operation.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ulpdream/core/adaptive.hpp"
-#include "ulpdream/sim/voltage_sweep.hpp"
+#include "ulpdream/energy/energy_model.hpp"
 
 namespace ulpdream::sim {
+
+/// Monte-Carlo statistics of one (app, EMT, voltage) cell.
+struct SweepPoint {
+  std::string app;  ///< registry names
+  std::string emt;
+  double voltage = 0.0;
+  double ber = 0.0;
+  double snr_mean_db = 0.0;
+  double snr_stddev_db = 0.0;
+  double snr_min_db = 0.0;
+  /// 10th-percentile SNR across the Monte-Carlo runs: the "reliable
+  /// medical output" statistic (90% of runs do at least this well).
+  double snr_p10_db = 0.0;
+  double energy_mean_j = 0.0;
+  energy::EnergyBreakdown energy_mean{};
+  double corrected_words_mean = 0.0;
+  double detected_uncorrectable_mean = 0.0;
+};
+
+/// One application's voltage sweep — the explorer's input, usually a
+/// (record, app) slice of a campaign store
+/// (campaign::ResultStore::to_sweep_result).
+struct SweepResult {
+  std::vector<double> voltages;
+  std::vector<std::string> emts;  ///< registry names
+  double max_snr_db = 0.0;  ///< per-app dashed line (clean fixed vs golden)
+  std::vector<SweepPoint> points;
+
+  [[nodiscard]] const SweepPoint* find(std::string_view emt, double v) const;
+};
 
 struct EmtOperatingPoint {
   std::string emt;  ///< registry name

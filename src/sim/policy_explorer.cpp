@@ -4,7 +4,16 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "ulpdream/mem/ber_model.hpp"
+
 namespace ulpdream::sim {
+
+const SweepPoint* SweepResult::find(std::string_view emt, double v) const {
+  for (const auto& p : points) {
+    if (p.emt == emt && std::fabs(p.voltage - v) < 1e-6) return &p;
+  }
+  return nullptr;
+}
 
 PolicyResult explore_policy(const SweepResult& sweep, double threshold_db,
                             QualityCriterion criterion,
@@ -28,10 +37,10 @@ PolicyResult explore_policy(const SweepResult& sweep, double threshold_db,
   result.nominal_energy_j = nominal->energy_mean_j;
 
   // Sorted voltage grid (ascending).
-  std::vector<double> voltages = sweep.config.voltages;
+  std::vector<double> voltages = sweep.voltages;
   std::sort(voltages.begin(), voltages.end());
 
-  for (const std::string& emt : sweep.config.emts) {
+  for (const std::string& emt : sweep.emts) {
     EmtOperatingPoint op;
     op.emt = emt;
     // Deepest voltage such that SNR stays within tolerance at that point
@@ -61,7 +70,7 @@ PolicyResult explore_policy(const SweepResult& sweep, double threshold_db,
   // Derive the triggering ranges: each EMT covers from its floor up to
   // the floor of the next-weaker technique. "Weaker" is defined by the
   // data — shallower voltage floor (none → dream → ecc on the paper's
-  // grids) — so the ladder is independent of the order the sweep config
+  // grids) — so the ladder is independent of the order the sweep
   // happened to list the EMTs. When two techniques reach the same floor,
   // the cheaper one at that floor owns the band (the policy minimizes
   // protection overhead); the name is the last-resort determinism tie.

@@ -3,14 +3,13 @@
 // runtime. A WorkPool owns a fixed set of long-lived worker threads onto
 // which any number of index jobs are submitted concurrently; each job is
 // a range [0, count) of independent indices plus a per-worker state
-// factory (the parallel_for_index shape, promoted to a first-class
-// resumable job). Workers claim one (job, index) pair at a time in
-// submission order, so concurrent jobs interleave at item granularity
-// and a cancel() takes effect at the next claim. Determinism is the
-// caller's contract: a job's result must be keyed on its indices alone
-// (the campaign/sweep pattern), never on which worker ran an index or in
-// what order — then any interleaving of any number of jobs reproduces
-// the isolated runs exactly.
+// factory, observed and controlled through its own handle. Workers claim
+// one (job, index) pair at a time in submission order, so concurrent
+// jobs interleave at item granularity and a cancel() takes effect at the
+// next claim. Determinism is the caller's contract: a job's result must
+// be keyed on its indices alone (the campaign pattern), never on which
+// worker ran an index or in what order — then any interleaving of any
+// number of jobs reproduces the isolated runs exactly.
 //
 // Claim accounting is mutex-based (one lock per claim and one per
 // completion): pool items are simulation runs measured in milliseconds,
@@ -57,12 +56,6 @@ class WorkPool {
   /// callback-visible state) before the first index can possibly run.
   [[nodiscard]] std::shared_ptr<Job> submit_deferred(std::size_t count,
                                                      WorkerFactory factory);
-
-  /// submit() + wait(): the blocking parallel_for_index shape. Throws
-  /// std::runtime_error if the job was cancelled before completing (the
-  /// pool being destroyed mid-run) — a blocking caller must never
-  /// mistake truncated execution for a finished result.
-  void run(std::size_t count, WorkerFactory factory);
 
   [[nodiscard]] unsigned threads() const noexcept;
 

@@ -4,7 +4,6 @@
 #include <condition_variable>
 #include <deque>
 #include <mutex>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -179,16 +178,6 @@ std::shared_ptr<WorkPool::Job> WorkPool::submit_deferred(
   state_->jobs.push_back(job);
   State::queue_depth().set(static_cast<double>(state_->jobs.size()));
   return job;
-}
-
-void WorkPool::run(std::size_t count, WorkerFactory factory) {
-  const std::shared_ptr<Job> job = submit(count, std::move(factory));
-  job->wait();
-  if (job->cancelled()) {
-    throw std::runtime_error(
-        "WorkPool::run: job cancelled before completion (pool destroyed "
-        "mid-run?) — refusing to return truncated work as success");
-  }
 }
 
 unsigned WorkPool::threads() const noexcept { return state_->threads; }

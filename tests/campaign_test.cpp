@@ -3,10 +3,12 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
-#include "ulpdream/campaign/engine.hpp"
 #include "ulpdream/campaign/result_store.hpp"
+#include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"
 #include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/util/rng.hpp"
@@ -26,6 +28,15 @@ CampaignSpec tiny_spec() {
   spec.repetitions = 2;
   spec.seed = 2016;
   return spec.normalized();
+}
+
+/// Runs the shard's slice of `spec` to completion on a fresh Session.
+ResultStore run(const CampaignSpec& spec, unsigned threads,
+                Shard shard = Shard{}) {
+  Session session(energy::SystemEnergyModel(), threads);
+  SubmitOptions options;
+  options.shard = shard;
+  return session.submit(spec, std::move(options)).take();
 }
 
 // Bit-identical row comparison: EXPECT_EQ on every double, no tolerance.
@@ -96,6 +107,32 @@ TEST(CampaignSpec, NormalizeFillsDefaults) {
   EXPECT_GE(spec.repetitions, 1u);
 }
 
+TEST(CampaignSpec, RejectsGridsWhoseItemCountOverflows) {
+  // 4 x 2^62 wraps std::size_t to 0; 1 x 1 x (2^64 - 1) — what a
+  // negative --reps becomes — fits std::size_t but no item list can hold
+  // it. Either would otherwise run out of memory or loop inside expand().
+  CampaignSpec wraps;
+  wraps.voltages = {0.6, 0.7, 0.8, 0.9};
+  wraps.repetitions = std::size_t{1} << 62;
+  CampaignSpec huge;
+  huge.voltages = {0.9};
+  huge.repetitions = std::numeric_limits<std::size_t>::max();
+  for (const CampaignSpec& spec : {wraps, huge}) {
+    SCOPED_TRACE(testing::Message() << "repetitions=" << spec.repetitions);
+    try {
+      (void)spec.normalized();
+      ADD_FAILURE() << "no std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("repetitions"), std::string::npos) << what;
+      const std::string factors = "1 x " +
+                                  std::to_string(spec.voltages.size()) +
+                                  " x " + std::to_string(spec.repetitions);
+      EXPECT_NE(what.find(factors), std::string::npos) << what;
+    }
+  }
+}
+
 TEST(CampaignSpec, VoltageRangeSnapsGridPoints) {
   const auto v = CampaignSpec::voltage_range(0.5, 0.9, 0.05);
   ASSERT_EQ(v.size(), 9u);
@@ -119,17 +156,15 @@ TEST(CampaignSpec, ParsesAxisLists) {
 
 TEST(CampaignEngine, BitIdenticalAcrossThreadCounts) {
   const CampaignSpec spec = tiny_spec();
-  const CampaignEngine serial(energy::SystemEnergyModel(), 1);
-  const auto baseline = serial.run(spec).aggregate();
+  const auto baseline = run(spec, 1).aggregate();
   for (const unsigned threads : {4u, 8u}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    const CampaignEngine engine(energy::SystemEnergyModel(), threads);
-    expect_rows_identical(baseline, engine.run(spec).aggregate());
+    expect_rows_identical(baseline, run(spec, threads).aggregate());
   }
 }
 
 // Regression: generate_record names records <pathology>_s<seed>, which
-// collides for axes differing only in noise level; the engine must rename
+// collides for axes differing only in noise level; the session must rename
 // records to their (unique) axis label, or the runner's name-keyed
 // reference cache scores one record against the other's golden reference.
 TEST(CampaignEngine, RecordsDifferingOnlyInNoiseKeepTheirOwnReferences) {
@@ -142,8 +177,7 @@ TEST(CampaignEngine, RecordsDifferingOnlyInNoiseKeepTheirOwnReferences) {
   spec.repetitions = 1;
   spec = spec.normalized();
 
-  const CampaignEngine engine(energy::SystemEnergyModel(), 1);
-  const ResultStore store = engine.run(spec);
+  const ResultStore store = run(spec, 1);
   const auto rows = store.aggregate();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_NE(rows[0].record, rows[1].record);
@@ -158,14 +192,13 @@ TEST(CampaignEngine, RecordsDifferingOnlyInNoiseKeepTheirOwnReferences) {
 
 TEST(CampaignEngine, ShardSplitsMergeToTheFullStore) {
   const CampaignSpec spec = tiny_spec();
-  const CampaignEngine engine(energy::SystemEnergyModel(), 4);
-  const auto full = engine.run(spec).aggregate();
+  const auto full = run(spec, 4).aggregate();
 
   for (const std::size_t splits : {2u, 3u}) {
     SCOPED_TRACE(testing::Message() << "splits=" << splits);
     std::vector<ResultStore> shards;
     for (std::size_t i = 0; i < splits; ++i) {
-      shards.push_back(engine.run(spec, Shard{i, splits}));
+      shards.push_back(run(spec, 4, Shard{i, splits}));
       EXPECT_FALSE(shards.back().complete());
     }
     // Merge in reverse order to show order-independence.
@@ -178,13 +211,12 @@ TEST(CampaignEngine, ShardSplitsMergeToTheFullStore) {
 
 TEST(CampaignEngine, RawStoreSaveLoadRoundTripsAcrossProcessesShape) {
   const CampaignSpec spec = tiny_spec();
-  const CampaignEngine engine(energy::SystemEnergyModel(), 4);
   // Simulate the CLI's cross-process shard workflow: each shard saves its
   // raw store to a stream; a fresh merge "process" reloads and merges.
   std::vector<std::string> blobs;
   for (std::size_t i = 0; i < 2; ++i) {
     std::ostringstream os;
-    engine.run(spec, Shard{i, 2}).save(os);
+    run(spec, 4, Shard{i, 2}).save(os);
     blobs.push_back(os.str());
   }
   ResultStore merged(spec);
@@ -193,15 +225,14 @@ TEST(CampaignEngine, RawStoreSaveLoadRoundTripsAcrossProcessesShape) {
     merged.merge(ResultStore::load(is, spec));
   }
   ASSERT_TRUE(merged.complete());
-  expect_rows_identical(engine.run(spec).aggregate(), merged.aggregate());
+  expect_rows_identical(run(spec, 4).aggregate(), merged.aggregate());
 }
 
 TEST(ResultStore, ShardStoresAreSparseAndScaleWithTheirSlice) {
   const CampaignSpec spec = tiny_spec();
-  const CampaignEngine engine(energy::SystemEnergyModel(), 2);
   const std::size_t total = spec.item_count();
 
-  const ResultStore shard = engine.run(spec, Shard{0, 3});
+  const ResultStore shard = run(spec, 2, Shard{0, 3});
   // Memory is keyed by the shard's items, not the whole grid.
   EXPECT_LT(shard.stored_items(), total);
   EXPECT_EQ(shard.stored_items(), shard.items_done());
@@ -252,16 +283,14 @@ TEST(ResultStore, MergeAndLoadRejectSpecMismatch) {
 
 TEST(ResultStore, AggregateRequiresCompleteStore) {
   const CampaignSpec spec = tiny_spec();
-  const CampaignEngine engine(energy::SystemEnergyModel(), 2);
-  const ResultStore partial = engine.run(spec, Shard{0, 2});
+  const ResultStore partial = run(spec, 2, Shard{0, 2});
   EXPECT_THROW((void)partial.aggregate(), std::logic_error);
   EXPECT_THROW((void)partial.to_sweep_result(0, 0), std::logic_error);
 }
 
 TEST(ResultStore, GroupByMarginalizesUngroupedAxes) {
   const CampaignSpec spec = tiny_spec();
-  const CampaignEngine engine(energy::SystemEnergyModel(), 4);
-  const ResultStore store = engine.run(spec);
+  const ResultStore store = run(spec, 4);
 
   GroupBy by_app;
   by_app.record = by_app.emt = by_app.voltage = false;
@@ -280,8 +309,7 @@ TEST(ResultStore, GroupByMarginalizesUngroupedAxes) {
 
 TEST(ResultStore, CsvRoundTripIsLossless) {
   const CampaignSpec spec = tiny_spec();
-  const CampaignEngine engine(energy::SystemEnergyModel(), 4);
-  const auto rows = engine.run(spec).aggregate();
+  const auto rows = run(spec, 4).aggregate();
 
   std::stringstream ss;
   write_rows_csv(ss, rows);
@@ -290,8 +318,7 @@ TEST(ResultStore, CsvRoundTripIsLossless) {
 
 TEST(ResultStore, JsonRoundTripIsLossless) {
   const CampaignSpec spec = tiny_spec();
-  const CampaignEngine engine(energy::SystemEnergyModel(), 4);
-  const auto rows = engine.run(spec).aggregate();
+  const auto rows = run(spec, 4).aggregate();
 
   std::stringstream ss;
   write_rows_json(ss, rows);
@@ -364,8 +391,7 @@ TEST(ResultStore, BridgesToThePolicyExplorer) {
   spec.apps = {"dwt"};
   spec.voltages = {0.6, 0.7, 0.8, 0.9};  // policy needs the nominal point
   spec = spec.normalized();
-  const CampaignEngine engine(energy::SystemEnergyModel(), 4);
-  const ResultStore store = engine.run(spec);
+  const ResultStore store = run(spec, 4);
 
   const sim::SweepResult sweep = store.to_sweep_result(0, 0);
   EXPECT_EQ(sweep.points.size(), spec.voltages.size() * spec.emts.size());

@@ -43,6 +43,7 @@ expect 2 '--shard' work --connect=unix:/tmp/nowhere.sock --shard=0/2
 expect 2 '--progress' serve --progress=1 --listen=unix:/tmp/nowhere.sock \
     --spool-dir=/tmp --store-out=/tmp/x.ulpdcol
 expect 2 'step' --step=0 --max-items=1
+expect 2 'repetitions' --reps=-1 --max-items=1
 expect 2 '--checkpoint-every' --checkpoint-every=4 --max-items=1
 expect 2 '--listen' daemon
 expect 2 '--cache-dir' daemon --listen=unix:/tmp/nowhere.sock

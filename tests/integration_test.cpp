@@ -6,10 +6,10 @@
 
 #include "ulpdream/apps/app.hpp"
 #include "ulpdream/apps/dwt_app.hpp"
+#include "ulpdream/campaign/session.hpp"
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/sim/runner.hpp"
-#include "ulpdream/sim/voltage_sweep.hpp"
 
 namespace ulpdream {
 namespace {
@@ -19,21 +19,25 @@ const ecg::Record& record() {
   return rec;
 }
 
-sim::SweepConfig fast_cfg() {
-  sim::SweepConfig cfg;
-  cfg.voltages = {0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9};
-  cfg.runs = 8;
-  cfg.seed = 7;
-  return cfg;
+/// DWT x the paper EMTs over the full voltage window on record(), with
+/// `runs` fault maps per point, run on a campaign Session.
+sim::SweepResult dwt_sweep(std::size_t runs) {
+  campaign::CampaignSpec spec;
+  spec.apps = {"dwt"};
+  spec.emts = core::paper_emt_names();
+  spec.voltages = {0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9};
+  spec.records = {
+      campaign::RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 2016}};
+  spec.repetitions = runs;
+  spec.seed = 7;
+  campaign::Session session(energy::SystemEnergyModel(), 2);
+  return session.submit(spec).take().to_sweep_result(0, 0);
 }
 
 TEST(Integration, ProtectionHelpsAtMidVoltages) {
   // Fig. 4 headline: in the 0.6-0.7 V band both EMTs massively outperform
   // no protection.
-  sim::ExperimentRunner runner;
-  const apps::DwtApp app;
-  const sim::SweepResult res =
-      sim::run_voltage_sweep(runner, app, record(), fast_cfg());
+  const sim::SweepResult res = dwt_sweep(8);
   for (const double v : {0.6, 0.65, 0.7}) {
     const double none = res.find("none", v)->snr_mean_db;
     const double dream = res.find("dream", v)->snr_mean_db;
@@ -47,12 +51,7 @@ TEST(Integration, EccWinsMidRangeDreamWinsDeep) {
   // Paper Sec. VI-A: ECC slightly better in 0.55-0.65 V; below 0.55 V it
   // detects-but-not-corrects multi-bit words while DREAM keeps fixing
   // MSB runs. At the deepest point DREAM must not lose to ECC.
-  sim::ExperimentRunner runner;
-  const apps::DwtApp app;
-  sim::SweepConfig cfg = fast_cfg();
-  cfg.runs = 16;
-  const sim::SweepResult res =
-      sim::run_voltage_sweep(runner, app, record(), cfg);
+  const sim::SweepResult res = dwt_sweep(16);
   const double dream_050 = res.find("dream", 0.5)->snr_mean_db;
   const double ecc_050 =
       res.find("ecc_secded", 0.5)->snr_mean_db;
@@ -69,16 +68,11 @@ TEST(Integration, EccWinsMidRangeDreamWinsDeep) {
 TEST(Integration, EnergyOverheadHeadline) {
   // Sec. VI-B: ~55% (ECC) vs ~34% (DREAM) average energy overhead — the
   // 21% headline saving. Reproduced on a real application access trace.
-  sim::ExperimentRunner runner;
-  const apps::DwtApp app;
-  sim::SweepConfig cfg = fast_cfg();
-  cfg.runs = 2;
-  const sim::SweepResult res =
-      sim::run_voltage_sweep(runner, app, record(), cfg);
+  const sim::SweepResult res = dwt_sweep(2);
   double sum_none = 0.0;
   double sum_dream = 0.0;
   double sum_ecc = 0.0;
-  for (const double v : cfg.voltages) {
+  for (const double v : res.voltages) {
     sum_none += res.find("none", v)->energy_mean_j;
     sum_dream += res.find("dream", v)->energy_mean_j;
     sum_ecc += res.find("ecc_secded", v)->energy_mean_j;
@@ -94,12 +88,7 @@ TEST(Integration, PolicySavingsOrdering) {
   // Sec. VI-C: under the clinical quality requirement, protection unlocks
   // deeper voltages whose net savings beat unprotected operation even
   // after paying the EMT overhead.
-  sim::ExperimentRunner runner;
-  const apps::DwtApp app;
-  sim::SweepConfig cfg = fast_cfg();
-  cfg.runs = 12;
-  const sim::SweepResult sweep =
-      sim::run_voltage_sweep(runner, app, record(), cfg);
+  const sim::SweepResult sweep = dwt_sweep(12);
   const sim::PolicyResult policy =
       sim::explore_policy(sweep, 40.0, sim::QualityCriterion::kAbsoluteSnr,
                           sim::QualityStatistic::kP10);

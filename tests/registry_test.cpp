@@ -239,14 +239,15 @@ TEST(CustomEmt, RunsThroughCampaignEngineDeterministically) {
   spec.repetitions = 2;
   spec = spec.normalized();
 
-  const campaign::CampaignEngine serial(energy::SystemEnergyModel(), 1);
-  const auto baseline = serial.run(spec).aggregate();
+  const auto run_rows = [&spec](unsigned threads) {
+    Session session(energy::SystemEnergyModel(), threads);
+    return session.submit(spec).take().aggregate();
+  };
+  const auto baseline = run_rows(1);
   ASSERT_EQ(baseline.size(), 2u * 2u);
   for (const unsigned threads : {3u, 8u}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    const campaign::CampaignEngine engine(energy::SystemEnergyModel(),
-                                          threads);
-    const auto rows = engine.run(spec).aggregate();
+    const auto rows = run_rows(threads);
     ASSERT_EQ(rows.size(), baseline.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
       EXPECT_EQ(rows[i].emt, baseline[i].emt);
@@ -372,8 +373,8 @@ TEST(Scenario, PolicyRangesAreIndependentOfEmtListOrder) {
     spec.records = {
         campaign::RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 7}};
     spec.repetitions = 4;
-    const campaign::CampaignEngine engine(energy::SystemEnergyModel(), 2);
-    return engine.run(spec.normalized()).to_sweep_result(0, 0);
+    Session session(energy::SystemEnergyModel(), 2);
+    return session.submit(spec).take().to_sweep_result(0, 0);
   };
   const sim::PolicyResult forward =
       sim::explore_policy(sweep_for({"none", "dream", "ecc_secded"}), 1.0);
@@ -394,8 +395,8 @@ TEST(Scenario, PolicyTopBandBelongsToNoneEvenAgainstHigherFloors) {
   // A technique feasible only near nominal voltage must not own the top
   // band when unprotected operation suffices there.
   sim::SweepResult sweep;
-  sweep.config.voltages = {0.85, 0.9};
-  sweep.config.emts = {"none", "lossy"};
+  sweep.voltages = {0.85, 0.9};
+  sweep.emts = {"none", "lossy"};
   sweep.max_snr_db = 60.0;
   const auto point = [](const char* emt, double v, double snr, double e) {
     sim::SweepPoint p;

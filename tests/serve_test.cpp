@@ -461,13 +461,26 @@ TEST(ServeDaemon, BadSpecAnswersErrorAndTheConnectionSurvives) {
         << e.what();
   }
 
+  // 4 voltages x 2^62 repetitions wraps the item count: rejected up
+  // front, not allocated until bad_alloc.
+  CampaignSpec overflowing = small_spec(34);
+  overflowing.voltages = {0.6, 0.7, 0.8, 0.9};
+  overflowing.repetitions = std::size_t{1} << 62;
+  try {
+    (void)client.query(overflowing);
+    FAIL() << "an overflowing grid must be answered with an Error frame";
+  } catch (const QueryError& e) {
+    EXPECT_NE(std::string(e.what()).find("repetitions"), std::string::npos)
+        << e.what();
+  }
+
   // Same connection, valid spec: still served.
   const Result ok = client.query(small_spec(34));
   EXPECT_EQ(ok.status, CacheStatus::kCold);
 
   const Daemon::Report& report = fixture.stop();
-  EXPECT_EQ(report.errors, 1u);
-  EXPECT_EQ(report.queries, 2u);
+  EXPECT_EQ(report.errors, 2u);
+  EXPECT_EQ(report.queries, 3u);
 }
 
 TEST(ServeDaemon, VersionMismatchIsRejectedQuotingBothNumbers) {

@@ -16,14 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "ulpdream/campaign/engine.hpp"
 #include "ulpdream/campaign/scenario.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/store_reader.hpp"
-#include "ulpdream/ecg/database.hpp"
-#include "ulpdream/sim/parallel_sweep.hpp"
-#include "ulpdream/sim/runner.hpp"
-#include "ulpdream/sim/voltage_sweep.hpp"
 
 namespace ulpdream::campaign {
 namespace {
@@ -51,11 +46,12 @@ ResultStore load_bytes(const std::string& bytes, const CampaignSpec& spec) {
   return ResultStore::load(is, spec);
 }
 
-/// The uninterrupted single-campaign reference: blocking engine, one
-/// thread — the baseline every interleaving must reproduce.
+/// The uninterrupted single-campaign reference: a one-thread session
+/// running only this campaign — the baseline every interleaving must
+/// reproduce.
 std::string reference_bytes(const CampaignSpec& spec) {
-  const CampaignEngine engine(energy::SystemEnergyModel(), 1);
-  return save_bytes(engine.run(spec));
+  Session session(energy::SystemEnergyModel(), 1);
+  return save_bytes(session.submit(spec).take());
 }
 
 TEST(Session, ConcurrentSubmitsMatchSerialRunsBitIdentically) {
@@ -88,12 +84,19 @@ TEST(Session, ThreadCountNeverChangesTheStore) {
   for (const CampaignSpec& spec : {small_spec(2016), cs_spec.normalized()}) {
     SCOPED_TRACE(testing::Message() << "app=" << spec.apps.front());
     const std::string reference = reference_bytes(spec);
-    for (const unsigned threads : {1u, 4u, 8u}) {
+    // 16 threads outnumber the grids' 8 and 12 items.
+    for (const unsigned threads : {1u, 4u, 8u, 16u}) {
       SCOPED_TRACE(testing::Message() << "threads=" << threads);
       Session session(energy::SystemEnergyModel(), threads);
       EXPECT_EQ(save_bytes(session.submit(spec).wait()), reference);
     }
   }
+}
+
+TEST(Session, DefaultThreadCountIsPositive) {
+  // 0 (the default, and what every bench's --threads 0 passes) picks the
+  // hardware concurrency, never an empty pool.
+  EXPECT_GE(Session{}.threads(), 1u);
 }
 
 TEST(Session, ShardsSubmittedConcurrentlyMergeToTheFullStore) {
@@ -235,8 +238,8 @@ TEST(Session, ColumnarCheckpointResumesToTheIdenticalStore) {
 
 TEST(Session, SaveAtomicPublishesTheExactByteStreamAndCleansItsStaging) {
   const CampaignSpec spec = small_spec(2016);
-  const CampaignEngine engine(energy::SystemEnergyModel(), 1);
-  const ResultStore store = engine.run(spec);
+  Session session(energy::SystemEnergyModel(), 1);
+  const ResultStore store = session.submit(spec).take();
   const std::string reference = save_bytes(store);
 
   const std::filesystem::path dir =
@@ -408,44 +411,6 @@ TEST(Session, ScenarioRunToPersistsInEitherFormatAndReopensIdentically) {
   EXPECT_EQ(save_bytes(text.materialize()), save_bytes(text_store));
   EXPECT_EQ(save_bytes(col.materialize()), save_bytes(text_store));
   std::filesystem::remove_all(dir);
-}
-
-TEST(Session, SweepsShareTheSessionPoolWithRunningCampaigns) {
-  // A voltage sweep scheduled onto the session's pool while a campaign
-  // is in flight: both must match their isolated serial baselines.
-  const ecg::Record record = ecg::make_default_record(29);
-  sim::SweepConfig cfg;
-  cfg.voltages = {0.6, 0.7, 0.8};
-  cfg.runs = 4;
-  cfg.emts = {"none", "dream"};
-  const auto app = apps::make_app("dwt");
-
-  sim::ExperimentRunner serial_runner;
-  const sim::SweepResult serial =
-      sim::run_voltage_sweep(serial_runner, *app, record, cfg);
-  const CampaignSpec spec = small_spec(2016);
-  const std::string reference = reference_bytes(spec);
-
-  Session session(energy::SystemEnergyModel(), 4);
-  const CampaignHandle in_flight = session.submit(spec);
-  const sim::ParallelSweepRunner runner(energy::SystemEnergyModel(), 4);
-  const sim::SweepResult shared = runner.run(session.pool(), *app, record, cfg);
-  const ResultStore store = in_flight.wait();
-
-  EXPECT_EQ(save_bytes(store), reference);
-  EXPECT_EQ(shared.max_snr_db, serial.max_snr_db);
-  ASSERT_EQ(shared.points.size(), serial.points.size());
-  for (std::size_t i = 0; i < serial.points.size(); ++i) {
-    SCOPED_TRACE(testing::Message() << "point " << i);
-    EXPECT_EQ(shared.points[i].emt, serial.points[i].emt);
-    EXPECT_EQ(shared.points[i].voltage, serial.points[i].voltage);
-    EXPECT_EQ(shared.points[i].snr_mean_db, serial.points[i].snr_mean_db);
-    EXPECT_EQ(shared.points[i].snr_stddev_db, serial.points[i].snr_stddev_db);
-    EXPECT_EQ(shared.points[i].snr_p10_db, serial.points[i].snr_p10_db);
-    EXPECT_EQ(shared.points[i].energy_mean_j, serial.points[i].energy_mean_j);
-    EXPECT_EQ(shared.points[i].corrected_words_mean,
-              serial.points[i].corrected_words_mean);
-  }
 }
 
 }  // namespace

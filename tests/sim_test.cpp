@@ -4,15 +4,17 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "ulpdream/apps/dwt_app.hpp"
+#include "ulpdream/campaign/session.hpp"
 #include "ulpdream/core/ecc_secded.hpp"
 #include "ulpdream/metrics/quality.hpp"
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/sim/bit_significance.hpp"
 #include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/sim/runner.hpp"
-#include "ulpdream/sim/voltage_sweep.hpp"
 #include "ulpdream/util/rng.hpp"
 #include "ulpdream/util/telemetry.hpp"
 
@@ -312,29 +314,40 @@ TEST(CleanRunReuse, RunPastTheFootprintBreaksTheContract) {
   }
 }
 
-SweepConfig tiny_sweep() {
-  SweepConfig cfg;
-  cfg.voltages = {0.5, 0.7, 0.9};
-  cfg.runs = 4;
-  cfg.emts = core::paper_emt_names();
-  return cfg;
+/// Voltage sweep of `app_names` x the paper EMTs on test_record(), run
+/// on a campaign Session: one SweepResult per app, in order.
+std::vector<SweepResult> sweep(const std::vector<std::string>& app_names,
+                               std::vector<double> voltages,
+                               std::size_t runs) {
+  campaign::CampaignSpec spec;
+  spec.apps = app_names;
+  spec.emts = core::paper_emt_names();
+  spec.voltages = std::move(voltages);
+  spec.records = {
+      campaign::RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 29}};
+  spec.repetitions = runs;
+  campaign::Session session(energy::SystemEnergyModel(), 2);
+  const campaign::ResultStore store = session.submit(spec).take();
+  std::vector<SweepResult> out;
+  for (std::size_t ai = 0; ai < app_names.size(); ++ai) {
+    out.push_back(store.to_sweep_result(0, ai));
+  }
+  return out;
+}
+
+SweepResult tiny_sweep() {
+  return sweep({"dwt"}, {0.5, 0.7, 0.9}, 4).front();
 }
 
 TEST(VoltageSweep, ProducesAllPoints) {
-  ExperimentRunner runner;
-  const apps::DwtApp app;
-  const SweepResult res =
-      run_voltage_sweep(runner, app, test_record(), tiny_sweep());
+  const SweepResult res = tiny_sweep();
   EXPECT_EQ(res.points.size(), 3u * 3u);
   EXPECT_NE(res.find("dream", 0.7), nullptr);
   EXPECT_EQ(res.find("dream", 0.62), nullptr);
 }
 
 TEST(VoltageSweep, SnrDegradesAsVoltageDrops) {
-  ExperimentRunner runner;
-  const apps::DwtApp app;
-  const SweepResult res =
-      run_voltage_sweep(runner, app, test_record(), tiny_sweep());
+  const SweepResult res = tiny_sweep();
   for (const std::string& emt : core::paper_emt_names()) {
     const SweepPoint* hi = res.find(emt, 0.9);
     const SweepPoint* lo = res.find(emt, 0.5);
@@ -345,10 +358,7 @@ TEST(VoltageSweep, SnrDegradesAsVoltageDrops) {
 }
 
 TEST(VoltageSweep, NominalVoltageIsErrorFree) {
-  ExperimentRunner runner;
-  const apps::DwtApp app;
-  const SweepResult res =
-      run_voltage_sweep(runner, app, test_record(), tiny_sweep());
+  const SweepResult res = tiny_sweep();
   const SweepPoint* p = res.find("none", 0.9);
   ASSERT_NE(p, nullptr);
   // BER(0.9) = 1e-9 on ~360k cells: fault-free with overwhelming
@@ -357,10 +367,7 @@ TEST(VoltageSweep, NominalVoltageIsErrorFree) {
 }
 
 TEST(VoltageSweep, EnergyOrderingNoneDreamEcc) {
-  ExperimentRunner runner;
-  const apps::DwtApp app;
-  const SweepResult res =
-      run_voltage_sweep(runner, app, test_record(), tiny_sweep());
+  const SweepResult res = tiny_sweep();
   for (const double v : {0.5, 0.7, 0.9}) {
     const double e_none = res.find("none", v)->energy_mean_j;
     const double e_dream = res.find("dream", v)->energy_mean_j;
@@ -371,28 +378,19 @@ TEST(VoltageSweep, EnergyOrderingNoneDreamEcc) {
 }
 
 TEST(VoltageSweep, MultiAppSharesConfig) {
-  ExperimentRunner runner;
-  const apps::DwtApp dwt;
-  const auto morph = apps::make_app("morph_filter");
-  const std::vector<const apps::BioApp*> list = {&dwt, morph.get()};
-  const auto results =
-      run_voltage_sweep_multi(runner, list, test_record(), tiny_sweep());
+  const auto results = sweep({"dwt", "morph_filter"}, {0.5, 0.7, 0.9}, 4);
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0].points.front().app, "dwt");
   EXPECT_EQ(results[1].points.front().app, "morph_filter");
 }
 
 TEST(PolicyExplorer, DerivesFeasiblePolicy) {
-  ExperimentRunner runner;
-  const apps::DwtApp app;
-  SweepConfig cfg;
-  cfg.voltages = {0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9};
-  cfg.runs = 12;
-  const SweepResult sweep =
-      run_voltage_sweep(runner, app, test_record(), cfg);
+  const SweepResult dwt =
+      sweep({"dwt"}, {0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9}, 12)
+          .front();
 
   // Relative criterion (the paper's -1 dB form): sanity of the structure.
-  const PolicyResult relative = explore_policy(sweep, 1.0);
+  const PolicyResult relative = explore_policy(dwt, 1.0);
   EXPECT_GT(relative.nominal_energy_j, 0.0);
   ASSERT_EQ(relative.points.size(), 3u);
   for (const auto& p : relative.points) {
@@ -413,7 +411,7 @@ TEST(PolicyExplorer, DerivesFeasiblePolicy) {
   // protection must unlock deeper floors AND larger net savings despite
   // its energy overhead.
   const PolicyResult absolute =
-      explore_policy(sweep, 40.0, QualityCriterion::kAbsoluteSnr,
+      explore_policy(dwt, 40.0, QualityCriterion::kAbsoluteSnr,
                      QualityStatistic::kP10);
   EXPECT_DOUBLE_EQ(absolute.required_snr_db, 40.0);
   // Protection unlocks deeper voltage floors than unprotected operation
@@ -428,8 +426,8 @@ TEST(PolicyExplorer, DerivesFeasiblePolicy) {
 
 TEST(PolicyExplorer, RequiresNominalPoint) {
   SweepResult empty;
-  empty.config.voltages = {0.5};
-  empty.config.emts = core::paper_emt_names();
+  empty.voltages = {0.5};
+  empty.emts = core::paper_emt_names();
   EXPECT_THROW(explore_policy(empty, 1.0), std::invalid_argument);
 }
 

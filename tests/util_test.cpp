@@ -18,7 +18,6 @@
 
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/socket.hpp"
-#include "ulpdream/util/parallel.hpp"
 #include "ulpdream/util/rng.hpp"
 #include "ulpdream/util/stats.hpp"
 #include "ulpdream/util/table.hpp"
@@ -404,7 +403,7 @@ TEST(WorkPool, IdleWorkersParkWithoutBurningCpu) {
   WorkPool pool(kThreads);
   // Exercise the pool once so every worker has claimed work and settled
   // back into the idle path before we start measuring.
-  pool.run(2 * kThreads, [] { return [](std::size_t) {}; });
+  pool.submit(2 * kThreads, [] { return [](std::size_t) {}; })->wait();
 
   const auto parked = [] {
     const auto gauges = telemetry::snapshot().gauges;
@@ -447,31 +446,10 @@ TEST(WorkPool, IdleWorkersParkWithoutBurningCpu) {
 
   // Parked workers must still wake for fresh work.
   std::atomic<int> ran{0};
-  pool.run(kThreads, [&] {
-    return [&](std::size_t) { ++ran; };
-  });
+  pool.submit(kThreads, [&] {
+        return [&](std::size_t) { ++ran; };
+      })->wait();
   EXPECT_EQ(ran.load(), static_cast<int>(kThreads));
-}
-
-TEST(WorkPool, ParallelForIndexWrapperMatchesInlineExecution) {
-  constexpr std::size_t kCount = 40;
-  for (const unsigned threads : {1u, 4u}) {
-    std::vector<std::atomic<int>> hits(kCount);
-    parallel_for_index(kCount, threads, [&] {
-      return [&](std::size_t i) { ++hits[i]; };
-    });
-    for (std::size_t i = 0; i < kCount; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads;
-    }
-  }
-  EXPECT_THROW(
-      parallel_for_index(4, 4,
-                         [] {
-                           return [](std::size_t) {
-                             throw std::runtime_error("fail");
-                           };
-                         }),
-      std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
