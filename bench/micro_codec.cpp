@@ -88,8 +88,7 @@ std::uint64_t block_pass(core::ProtectedBuffer& buf,
 }
 
 bool stats_equal(const mem::AccessStats& a, const mem::AccessStats& b) {
-  return a.reads == b.reads && a.writes == b.writes &&
-         a.bank_reads == b.bank_reads && a.bank_writes == b.bank_writes;
+  return a.reads == b.reads && a.writes == b.writes;
 }
 
 bool counters_equal(const core::CodecCounters& a,
@@ -228,7 +227,6 @@ void write_json(std::ostream& os, double volt, double ber, std::size_t words,
   os << "{\n";
   os << "  \"benchmark\": \"datapath\",\n";
   os << "  \"geometry\": {\"words\": " << words
-     << ", \"banks\": " << mem::MemoryGeometry::kBanks
      << ", \"bytes\": " << mem::MemoryGeometry::kBytes << "},\n";
   os << "  \"voltage_v\": " << volt << ",\n";
   os << "  \"ber\": " << ber << ",\n";

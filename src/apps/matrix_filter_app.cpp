@@ -56,9 +56,13 @@ std::vector<double> MatrixFilterApp::run(core::MemorySystem& system,
   // product reads one operator row and one source column — both
   // contiguous, both fetched per (c, r) as in the scalar kernel (A rows
   // and B columns are deliberately re-read from the faulty memory every
-  // time, as on the device), just through one block call each.
+  // time, as on the device), just through one block call each. Each
+  // output column is written with one block call once its k dot products
+  // are done; no read in the column loop touches `dst`, so the reads,
+  // writes and decoded values are those of k word writes.
   std::vector<fixed::Sample> a_row(k);
   std::vector<fixed::Sample> src_col(k);
+  std::vector<fixed::Sample> dst_col(k);
   core::ProtectedBuffer* src = &b_buf;
   core::ProtectedBuffer* dst = &c_buf;
   for (std::size_t it = 0; it < cfg_.iterations; ++it) {
@@ -71,9 +75,10 @@ std::vector<double> MatrixFilterApp::run(core::MemorySystem& system,
           acc += fixed::mul_q15(src_col[m], fixed::Q15::from_raw(a_row[m]));
         }
         // A is stored halved (Q2.14): shift by 14 restores full scale.
-        dst->set(c * k + r,
-                 fixed::saturate_sample(fixed::rounded_shift_right(acc, 14)));
+        dst_col[r] =
+            fixed::saturate_sample(fixed::rounded_shift_right(acc, 14));
       }
+      dst->load(c * k, std::span<const fixed::Sample>(dst_col.data(), k));
     }
     std::swap(src, dst);
   }

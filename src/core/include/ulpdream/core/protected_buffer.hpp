@@ -13,14 +13,17 @@
 // to that word. The MemorySystem therefore decodes each word once, when
 // it is written, into a shadow of the data array (the sample plus one
 // outcome byte), and a read copies from the shadow and replays the
-// outcome into CodecCounters, the per-bank AccessStats and
+// outcome into CodecCounters, the data and side AccessStats and
 // mem.fault_patch_words. attach_faults() and set_scrambler() mark the
 // whole shadow stale; a stale word is decoded again on its next read.
+// get() and set() are inline: a word with nothing to replay reads
+// straight from the shadow, and set() decodes its one word in place.
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -40,8 +43,7 @@ class MemorySystem {
   /// temporary (`MemorySystem sys(*make_emt(k))` dangles) — keep the
   /// unique_ptr alive alongside the system.
   explicit MemorySystem(const Emt& emt,
-                        std::size_t words = mem::MemoryGeometry::kWords16,
-                        int banks = mem::MemoryGeometry::kBanks);
+                        std::size_t words = mem::MemoryGeometry::kWords16);
   /// Adds this system's codec.<emt>.* and mem.fault_patch_words tallies
   /// to telemetry. Not copyable, so nothing is counted twice.
   ~MemorySystem();
@@ -118,11 +120,25 @@ class MemorySystem {
  private:
   friend class ProtectedBuffer;
 
-  /// store_block() / load_block() without the codec call tallies;
-  /// read_words() also serves ProtectedBuffer::get().
+  /// store_block() / load_block() without the codec call tallies.
   void write_words(std::size_t addr, std::span<const fixed::Sample> src);
   void read_words(std::size_t addr, std::span<fixed::Sample> dst);
-  /// ProtectedBuffer::set(): the scalar encoders, then the refresh.
+  /// ProtectedBuffer::get(): a word whose outcome byte is 0 (fresh,
+  /// unpatched, nothing corrected or detected) replays only its decode
+  /// and its reads; every other word takes read_words().
+  fixed::Sample read_word(std::size_t addr) {
+    if (addr < shadow_.size() && outcome_[addr] == 0) {
+      ++counters_.decodes;
+      data_.count_reads(addr, 1);
+      if (safe_) safe_->count_reads(addr, 1);
+      return shadow_[addr];
+    }
+    fixed::Sample s = 0;
+    read_words(addr, std::span<fixed::Sample>(&s, 1));
+    return s;
+  }
+  /// ProtectedBuffer::set(): the scalar encoders, then Emt::decode of the
+  /// stored word into the shadow.
   void write_word(std::size_t addr, fixed::Sample s);
   /// Decodes [addr, addr + n) from the stored bits into the shadow.
   void refresh(std::size_t addr, std::size_t n);
@@ -146,16 +162,24 @@ class MemorySystem {
 /// SampleBuffer view over a MemorySystem allocation.
 class ProtectedBuffer {
  public:
-  ProtectedBuffer(MemorySystem& system, std::size_t base, std::size_t length)
-      : system_(&system), base_(base), length_(length) {}
+  /// Throws std::out_of_range unless the window [base, base + length)
+  /// lies inside the system's data array.
+  ProtectedBuffer(MemorySystem& system, std::size_t base, std::size_t length);
 
   /// Allocates a fresh buffer of `length` words from the system.
   static ProtectedBuffer allocate(MemorySystem& system, std::size_t length) {
     return {system, system.allocate(length), length};
   }
 
-  [[nodiscard]] fixed::Sample get(std::size_t i) const;
-  void set(std::size_t i, fixed::Sample s);
+  /// Word accessors; throw std::out_of_range for i >= size().
+  [[nodiscard]] fixed::Sample get(std::size_t i) const {
+    if (i >= length_) throw std::out_of_range("ProtectedBuffer::get");
+    return system_->read_word(base_ + i);
+  }
+  void set(std::size_t i, fixed::Sample s) {
+    if (i >= length_) throw std::out_of_range("ProtectedBuffer::set");
+    system_->write_word(base_ + i, s);
+  }
   [[nodiscard]] std::size_t size() const noexcept { return length_; }
 
   /// Block window transfers (the batched data path). Naming follows the

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <new>
 #include <stdexcept>
+#include <string>
 
 namespace ulpdream::core {
 
 namespace {
 /// Window chunk for the block data path: big enough to amortize the
-/// per-chunk virtual dispatch and the block accessors' O(banks) stat
-/// bookkeeping, small enough to stay in L1 and on the stack.
+/// per-chunk virtual dispatch and range checks, small enough to stay in
+/// L1 and on the stack.
 constexpr std::size_t kBlockChunk = 1024;
 
 /// Shadow outcome bits beside the decoder's kDecodeCorrected (1) and
@@ -52,9 +53,9 @@ void MemorySystem::CodecTelemetry::add(const Tally& tally) const {
   }
 }
 
-MemorySystem::MemorySystem(const Emt& emt, std::size_t words, int banks)
+MemorySystem::MemorySystem(const Emt& emt, std::size_t words)
     : emt_(&emt),
-      data_(words, emt.payload_bits(), banks),
+      data_(words, emt.payload_bits()),
       shadow_(words),
       outcome_(words, kStale),
       telemetry_(make_codec_telemetry(emt.name())) {
@@ -86,7 +87,7 @@ void MemorySystem::reset_stats() {
 }
 
 std::size_t MemorySystem::allocate(std::size_t words) {
-  if (next_free_ + words > data_.words()) {
+  if (words > data_.words() - next_free_) {
     throw std::bad_alloc();  // exceeds the device's 32 kB data memory
   }
   const std::size_t base = next_free_;
@@ -182,8 +183,19 @@ void MemorySystem::write_words(std::size_t addr,
 
 void MemorySystem::write_word(std::size_t addr, fixed::Sample s) {
   data_.write(addr, emt_->encode_payload(s));
-  if (safe_) safe_->write(addr, emt_->encode_safe(s));
-  refresh(addr, 1);
+  std::uint16_t side = 0;
+  if (safe_) {
+    safe_->write(addr, emt_->encode_safe(s));
+    safe_->peek_block(addr, std::span<std::uint16_t>(&side, 1));
+  }
+  bool patched = false;
+  const std::uint32_t payload = data_.peek_word(addr, patched);
+  CodecCounters c;
+  shadow_[addr] = emt_->decode(payload, side, &c);
+  outcome_[addr] = static_cast<std::uint8_t>(
+      (c.corrected_words != 0 ? kDecodeCorrected : 0) |
+      (c.detected_uncorrectable != 0 ? kDecodeDetected : 0) |
+      (patched ? kPatched : 0));
 }
 
 void MemorySystem::read_words(std::size_t addr, std::span<fixed::Sample> dst) {
@@ -226,16 +238,16 @@ void MemorySystem::read_words(std::size_t addr, std::span<fixed::Sample> dst) {
   if (safe_) safe_->count_reads(addr, n);
 }
 
-fixed::Sample ProtectedBuffer::get(std::size_t i) const {
-  if (i >= length_) throw std::out_of_range("ProtectedBuffer::get");
-  fixed::Sample s = 0;
-  system_->read_words(base_ + i, std::span<fixed::Sample>(&s, 1));
-  return s;
-}
-
-void ProtectedBuffer::set(std::size_t i, fixed::Sample s) {
-  if (i >= length_) throw std::out_of_range("ProtectedBuffer::set");
-  system_->write_word(base_ + i, s);
+ProtectedBuffer::ProtectedBuffer(MemorySystem& system, std::size_t base,
+                                 std::size_t length)
+    : system_(&system), base_(base), length_(length) {
+  const std::size_t words = system.data().words();
+  if (base > words || length > words - base) {
+    throw std::out_of_range("ProtectedBuffer: window of " +
+                            std::to_string(length) + " words at base " +
+                            std::to_string(base) + " exceeds the " +
+                            std::to_string(words) + "-word memory");
+  }
 }
 
 void ProtectedBuffer::load(std::size_t i, std::span<const fixed::Sample> src) {

@@ -4,7 +4,9 @@
 // crossbar, accessed word-at-a-time at 200 MHz. The data array can be
 // voltage-scaled and therefore carries a stuck-at fault map; the small
 // side array used by DREAM for mask IDs always runs at nominal voltage and
-// is error-free by construction.
+// is error-free by construction. The model counts accesses per array, not
+// per bank, because that is all the energy model prices; a per-bank
+// voltage-domain model would bring bank counts back with it.
 
 #include <cstddef>
 #include <cstdint>
@@ -19,33 +21,39 @@ namespace ulpdream::mem {
 struct MemoryGeometry {
   static constexpr std::size_t kBytes = 32 * 1024;
   static constexpr std::size_t kWords16 = kBytes / 2;  ///< 16384 words
-  static constexpr int kBanks = 16;
   static constexpr double kClockHz = 200e6;
 };
 
-/// Read/write counters, total and per bank — the access traces the energy
-/// model integrates over.
+/// Read/write counters of one array — the access traces the energy model
+/// integrates over.
 struct AccessStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
-  std::vector<std::uint64_t> bank_reads;
-  std::vector<std::uint64_t> bank_writes;
 
-  void reset(std::size_t banks);
   [[nodiscard]] std::uint64_t total() const noexcept { return reads + writes; }
 };
 
+namespace detail {
+/// Throws std::out_of_range("<what>: range"); out of line so the inline
+/// range checks stay small.
+[[noreturn]] void throw_range_error(const char* what);
+
+/// Throws unless [addr, addr + n) fits in a memory of `words` words.
+inline void check_range(std::size_t addr, std::size_t n, std::size_t words,
+                        const char* what) {
+  if (n > words || addr > words - n) throw_range_error(what);
+}
+}  // namespace detail
+
 /// Word-addressable memory with configurable word width (16 data bits plus
-/// any EMT check bits stored in the scaled array), banking, an optional
-/// stuck-at fault map and an optional logical->physical address scrambler.
+/// any EMT check bits stored in the scaled array), an optional stuck-at
+/// fault map and an optional logical->physical address scrambler.
 class FaultyMemory {
  public:
-  FaultyMemory(std::size_t words, int width_bits,
-               int banks = MemoryGeometry::kBanks);
+  FaultyMemory(std::size_t words, int width_bits);
 
   [[nodiscard]] std::size_t words() const noexcept { return store_.size(); }
   [[nodiscard]] int width_bits() const noexcept { return width_; }
-  [[nodiscard]] int banks() const noexcept { return banks_; }
 
   /// Attaches (non-owning) a fault map; pass nullptr to clear. The map's
   /// geometry is validated: it must cover this memory (word count >= words()
@@ -75,9 +83,9 @@ class FaultyMemory {
 
   /// Block transfers: semantically identical to a loop of word accesses
   /// over [addr, addr + span size) — same scrambling, fault application,
-  /// masking and per-bank stats — but with the address math, fault lookup
-  /// and bookkeeping hoisted into one tight loop and a single bounds
-  /// check. Throws std::out_of_range when the range does not fit.
+  /// masking and stats — but with the address math and fault lookup
+  /// hoisted into one tight loop and a single bounds check. Throws
+  /// std::out_of_range when the range does not fit.
   void write_block(std::size_t addr, std::span<const std::uint32_t> src);
   void read_block(std::size_t addr, std::span<std::uint32_t> dst) const;
 
@@ -91,39 +99,36 @@ class FaultyMemory {
   /// nothing (neither stats() nor mem.fault_patch_words); `patched` is
   /// empty or one flag per word, set to 1 where a FaultMap entry covers
   /// the word and 0 elsewhere. Returns the number of such words.
-  /// count_reads() adds a read of [addr, addr + n) to stats() without
-  /// reading — exactly what read_block() adds. Both throw
-  /// std::out_of_range when the range does not fit.
+  /// peek_word() is its one-word form: the bits read() would return,
+  /// with `patched` set when a FaultMap entry covers the word; it throws
+  /// std::out_of_range for addr >= words(). count_reads() adds a read of
+  /// [addr, addr + n) to stats() without reading — exactly what
+  /// read_block() adds. The block forms throw std::out_of_range when the
+  /// range does not fit.
   std::size_t peek_block(std::size_t addr, std::span<std::uint32_t> dst,
                          std::span<std::uint8_t> patched) const;
-  void count_reads(std::size_t addr, std::size_t n) const;
-
-  /// Bits as physically stored (after stuck-at application), for tests.
-  [[nodiscard]] std::uint32_t peek_physical(std::size_t addr) const;
+  [[nodiscard]] std::uint32_t peek_word(std::size_t addr, bool& patched) const;
+  void count_reads(std::size_t addr, std::size_t n) const {
+    detail::check_range(addr, n, store_.size(), "FaultyMemory::count_reads");
+    stats_.reads += n;
+  }
 
   void fill(std::uint32_t bits);
 
   [[nodiscard]] const AccessStats& stats() const noexcept { return stats_; }
-  void reset_stats();
+  void reset_stats() noexcept { stats_ = {}; }
 
  private:
   /// Shared body of the 32/16-bit block writes (memory.cpp).
   template <typename Word>
   void write_block_impl(std::size_t addr, const Word* src, std::size_t n);
-  /// Adds the per-bank counts of a block access of [addr, addr + n).
-  void add_bank_counts(std::uint64_t* counts, std::size_t addr,
-                       std::size_t n) const;
 
   [[nodiscard]] bool scrambled() const noexcept {
     return scramble_mul_ != 1 || scramble_add_ != 0;
   }
   [[nodiscard]] std::size_t physical(std::size_t logical) const;
-  [[nodiscard]] int bank_of(std::size_t phys) const noexcept {
-    return static_cast<int>(phys % static_cast<std::size_t>(banks_));
-  }
 
   int width_ = 16;
-  int banks_ = MemoryGeometry::kBanks;
   std::uint32_t width_mask_ = 0xFFFFu;
   std::vector<std::uint32_t> store_;
   const FaultMap* faults_ = nullptr;
@@ -153,10 +158,13 @@ class SafeMemory {
 
   /// The stats-free read and the stats-only read, as on FaultyMemory.
   void peek_block(std::size_t addr, std::span<std::uint16_t> dst) const;
-  void count_reads(std::size_t addr, std::size_t n) const;
+  void count_reads(std::size_t addr, std::size_t n) const {
+    detail::check_range(addr, n, store_.size(), "SafeMemory::count_reads");
+    stats_.reads += n;
+  }
 
   [[nodiscard]] const AccessStats& stats() const noexcept { return stats_; }
-  void reset_stats();
+  void reset_stats() noexcept { stats_ = {}; }
 
  private:
   int width_;

@@ -1,7 +1,6 @@
 #include "ulpdream/mem/memory.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -21,23 +20,16 @@ const util::telemetry::Counter& fault_patch_counter() {
 }
 }  // namespace
 
-void AccessStats::reset(std::size_t banks) {
-  reads = 0;
-  writes = 0;
-  bank_reads.assign(banks, 0);
-  bank_writes.assign(banks, 0);
+void detail::throw_range_error(const char* what) {
+  throw std::out_of_range(std::string(what) + ": range");
 }
 
-FaultyMemory::FaultyMemory(std::size_t words, int width_bits, int banks)
-    : width_(width_bits), banks_(banks), store_(words, 0) {
+FaultyMemory::FaultyMemory(std::size_t words, int width_bits)
+    : width_(width_bits), store_(words, 0) {
   if (width_bits <= 0 || width_bits > 32) {
     throw std::invalid_argument("FaultyMemory: width must be in [1, 32]");
   }
-  if (banks <= 0) {
-    throw std::invalid_argument("FaultyMemory: banks must be positive");
-  }
   width_mask_ = width_bits == 32 ? 0xFFFFFFFFu : ((1u << width_bits) - 1u);
-  stats_.reset(static_cast<std::size_t>(banks));
 }
 
 void FaultyMemory::check_covers(const FaultMap& map, std::size_t words,
@@ -101,53 +93,6 @@ inline std::uint64_t next_row(std::uint64_t phys, std::uint64_t mul,
   return phys >= n ? phys - n : phys;
 }
 
-void check_range(std::size_t addr, std::size_t n, std::size_t words,
-                 const char* what) {
-  if (n > words || addr > words - n) {
-    throw std::out_of_range(std::string(what) + ": range");
-  }
-}
-
-// --- bank accounting, hoisted out of the word loops ----------------------
-//
-// Bank counts depend only on the physical address sequence, never on the
-// data or the fault map, so the block paths compute them arithmetically in
-// O(banks) instead of one memory-indirect increment per word.
-
-// Contiguous run [phys, phys + n): every bank gets floor(n / banks), and
-// the n % banks remainder lands on consecutive banks starting at
-// phys % banks. Power-of-two bank counts (the paper's 16) take shifts and
-// masks instead of three divisions: this runs once per block call.
-void add_contiguous_bank_counts(std::uint64_t* counts, std::size_t banks,
-                                std::uint64_t phys, std::uint64_t n) {
-  const bool pow2 = is_pow2(banks);
-  const std::uint64_t whole =
-      pow2 ? n >> std::countr_zero(banks) : n / banks;
-  std::uint64_t rem = pow2 ? n & (banks - 1) : n % banks;
-  if (whole != 0) {
-    for (std::size_t b = 0; b < banks; ++b) counts[b] += whole;
-  }
-  auto b = static_cast<std::size_t>(pow2 ? phys & (banks - 1) : phys % banks);
-  while (rem-- > 0) {
-    ++counts[b];
-    if (++b == banks) b = 0;
-  }
-}
-
-// Scrambled run phys_i = (phys0 + i*step) mod words with a power-of-two
-// bank count dividing words: the bank residue collapses to
-// (phys0 + i*step) mod banks, which depends only on i mod banks. Index
-// class j therefore contributes ceil((n - j) / banks) accesses to bank
-// (phys0 + j*step) mod banks.
-void add_strided_bank_counts(std::uint64_t* counts, std::size_t banks,
-                             std::uint64_t phys0, std::uint64_t step,
-                             std::uint64_t n) {
-  const std::uint64_t bmask = banks - 1;
-  for (std::uint64_t j = 0; j < banks && j < n; ++j) {
-    counts[(phys0 + j * step) & bmask] += (n - j + banks - 1) / banks;
-  }
-}
-
 }  // namespace
 
 std::size_t FaultyMemory::physical(std::size_t logical) const {
@@ -162,61 +107,45 @@ std::size_t FaultyMemory::physical(std::size_t logical) const {
 }
 
 void FaultyMemory::write(std::size_t addr, std::uint32_t bits) {
-  const std::size_t phys = physical(addr);
-  store_[phys] = bits & width_mask_;
+  store_[physical(addr)] = bits & width_mask_;
   ++stats_.writes;
-  ++stats_.bank_writes[static_cast<std::size_t>(bank_of(phys))];
 }
 
-std::uint32_t FaultyMemory::read(std::size_t addr) const {
+std::uint32_t FaultyMemory::peek_word(std::size_t addr, bool& patched) const {
   const std::size_t phys = physical(addr);
   std::uint32_t bits = store_[phys];
+  patched = false;
   if (faults_ != nullptr) {
     if (const WordFaults* f = faults_->lookup(phys)) {
       bits = f->apply(bits);
-      fault_patch_counter().add();
+      patched = true;
     }
   }
-  ++stats_.reads;
-  ++stats_.bank_reads[static_cast<std::size_t>(bank_of(phys))];
   return bits & width_mask_;
 }
 
-void FaultyMemory::add_bank_counts(std::uint64_t* counts, std::size_t addr,
-                                   std::size_t n) const {
-  const auto banks = static_cast<std::size_t>(banks_);
-  if (!scrambled()) {
-    add_contiguous_bank_counts(counts, banks, addr, n);
-    return;
-  }
-  const std::uint64_t words = store_.size();
-  std::uint64_t phys = affine_mod(addr, scramble_mul_, scramble_add_, words);
-  if (is_pow2(banks) && words % banks == 0) {
-    add_strided_bank_counts(counts, banks, phys, scramble_mul_, n);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    ++counts[static_cast<std::size_t>(phys % banks)];
-    phys = next_row(phys, scramble_mul_, words);
-  }
+std::uint32_t FaultyMemory::read(std::size_t addr) const {
+  bool patched = false;
+  const std::uint32_t bits = peek_word(addr, patched);
+  if (patched) fault_patch_counter().add();
+  ++stats_.reads;
+  return bits;
 }
 
 // The block loops hoist the per-word costs of the scalar accessors — the
 // cross-TU call, the bounds check and the 64-bit division behind the
 // affine scrambler (consecutive logical words step their row by the
 // multiplier, so one compare-and-subtract replaces the modulo). On top of
-// that, bank stats are computed arithmetically, and unscrambled runs move
-// data with wide copies (skipping per-word fault lookups for chunks the
-// presence bitmap marks clean). Addresses, stored bits and stats match
-// the scalar loop exactly on every path.
+// that, unscrambled runs move data with wide copies (skipping per-word
+// fault lookups for chunks the presence bitmap marks clean). Addresses,
+// stored bits and stats match the scalar loop exactly on every path.
 
 template <typename Word>
 void FaultyMemory::write_block_impl(std::size_t addr, const Word* src,
                                     std::size_t n) {
-  check_range(addr, n, store_.size(), "FaultyMemory::write_block");
+  detail::check_range(addr, n, store_.size(), "FaultyMemory::write_block");
   const std::uint32_t wm = width_mask_;
   stats_.writes += n;
-  add_bank_counts(stats_.bank_writes.data(), addr, n);
   if (!scrambled()) {
     std::uint32_t* const out = store_.data() + addr;
     for (std::size_t i = 0; i < n; ++i) out[i] = src[i] & wm;
@@ -245,7 +174,7 @@ std::size_t FaultyMemory::peek_block(std::size_t addr,
                                      std::span<std::uint32_t> dst,
                                      std::span<std::uint8_t> patched) const {
   const std::size_t n = dst.size();
-  check_range(addr, n, store_.size(), "FaultyMemory::peek_block");
+  detail::check_range(addr, n, store_.size(), "FaultyMemory::peek_block");
   if (!patched.empty() && patched.size() != n) {
     throw std::invalid_argument("FaultyMemory::peek_block: patched span");
   }
@@ -299,12 +228,6 @@ std::size_t FaultyMemory::peek_block(std::size_t addr,
   return hits;
 }
 
-void FaultyMemory::count_reads(std::size_t addr, std::size_t n) const {
-  check_range(addr, n, store_.size(), "FaultyMemory::count_reads");
-  stats_.reads += n;
-  add_bank_counts(stats_.bank_reads.data(), addr, n);
-}
-
 void FaultyMemory::read_block(std::size_t addr,
                               std::span<std::uint32_t> dst) const {
   const std::size_t patched = peek_block(addr, dst, {});
@@ -312,21 +235,8 @@ void FaultyMemory::read_block(std::size_t addr,
   if (patched != 0) fault_patch_counter().add(patched);
 }
 
-std::uint32_t FaultyMemory::peek_physical(std::size_t addr) const {
-  const std::size_t phys = physical(addr);
-  std::uint32_t bits = store_.at(phys);
-  if (faults_ != nullptr) {
-    if (const WordFaults* f = faults_->lookup(phys)) bits = f->apply(bits);
-  }
-  return bits & width_mask_;
-}
-
 void FaultyMemory::fill(std::uint32_t bits) {
   for (auto& w : store_) w = bits & width_mask_;
-}
-
-void FaultyMemory::reset_stats() {
-  stats_.reset(static_cast<std::size_t>(banks_));
 }
 
 SafeMemory::SafeMemory(std::size_t words, int width_bits)
@@ -335,28 +245,24 @@ SafeMemory::SafeMemory(std::size_t words, int width_bits)
     throw std::invalid_argument("SafeMemory: width must be in [1, 16]");
   }
   width_mask_ = static_cast<std::uint16_t>((1u << width_bits) - 1u);
-  stats_.reset(1);
 }
 
 void SafeMemory::write(std::size_t addr, std::uint16_t bits) {
   store_.at(addr) = bits & width_mask_;
   ++stats_.writes;
-  ++stats_.bank_writes[0];
 }
 
 std::uint16_t SafeMemory::read(std::size_t addr) const {
   ++stats_.reads;
-  ++stats_.bank_reads[0];
   return store_.at(addr);
 }
 
 void SafeMemory::write_block(std::size_t addr,
                              std::span<const std::uint16_t> src) {
   const std::size_t n = src.size();
-  check_range(addr, n, store_.size(), "SafeMemory::write_block");
+  detail::check_range(addr, n, store_.size(), "SafeMemory::write_block");
   for (std::size_t i = 0; i < n; ++i) store_[addr + i] = src[i] & width_mask_;
   stats_.writes += n;
-  stats_.bank_writes[0] += n;
 }
 
 void SafeMemory::read_block(std::size_t addr,
@@ -367,16 +273,9 @@ void SafeMemory::read_block(std::size_t addr,
 
 void SafeMemory::peek_block(std::size_t addr,
                             std::span<std::uint16_t> dst) const {
-  check_range(addr, dst.size(), store_.size(), "SafeMemory::peek_block");
+  detail::check_range(addr, dst.size(), store_.size(),
+                      "SafeMemory::peek_block");
   std::copy_n(store_.data() + addr, dst.size(), dst.data());
 }
-
-void SafeMemory::count_reads(std::size_t addr, std::size_t n) const {
-  check_range(addr, n, store_.size(), "SafeMemory::count_reads");
-  stats_.reads += n;
-  stats_.bank_reads[0] += n;
-}
-
-void SafeMemory::reset_stats() { stats_.reset(1); }
 
 }  // namespace ulpdream::mem

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "ulpdream/core/adaptive.hpp"
 #include "ulpdream/core/factory.hpp"
 #include "ulpdream/core/no_protection.hpp"
@@ -88,6 +93,19 @@ TEST(MemorySystem, AllocatorBumpsAndOverflows) {
   EXPECT_EQ(system.allocate(100), 0u);
 }
 
+TEST(MemorySystem, AllocatorRejectsRequestsWhoseEndWraps) {
+  // next_free + words must not wrap past SIZE_MAX: such a request would
+  // hand out a window overlapping earlier buffers.
+  const NoProtection none;
+  MemorySystem system(none, 64);
+  EXPECT_EQ(system.allocate(10), 0u);
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW((void)system.allocate(kMax - 5), std::bad_alloc);
+  EXPECT_THROW((void)system.allocate(kMax), std::bad_alloc);
+  EXPECT_EQ(system.peak_words_allocated(), 10u);
+  EXPECT_EQ(system.allocate(8), 10u);
+}
+
 TEST(ProtectedBuffer, RoundTripThroughEachEmt) {
   for (const EmtKind kind : all_emt_kinds()) {
     const auto emt = make_emt(kind);
@@ -111,6 +129,30 @@ TEST(ProtectedBuffer, BoundsChecked) {
   auto buf = ProtectedBuffer::allocate(system, 16);
   EXPECT_THROW((void)buf.get(16), std::out_of_range);
   EXPECT_THROW(buf.set(16, 0), std::out_of_range);
+}
+
+TEST(ProtectedBuffer, RejectsWindowsOutsideTheMemory) {
+  const NoProtection none;
+  MemorySystem system(none, 64);
+  auto real = ProtectedBuffer::allocate(system, 64);
+  real.set(0, 1234);
+  // base + 1 would wrap to word 0 and read the real buffer's sample.
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  EXPECT_THROW(ProtectedBuffer(system, kMax, 4), std::out_of_range);
+  EXPECT_THROW(ProtectedBuffer(system, 65, 0), std::out_of_range);
+  try {
+    (void)ProtectedBuffer(system, 60, 10);
+    ADD_FAILURE() << "a window past the end was accepted";
+  } catch (const std::out_of_range& e) {
+    const std::string what = e.what();
+    for (const char* part : {"10 words", "base 60", "64-word"}) {
+      EXPECT_NE(what.find(part), std::string::npos) << what;
+    }
+  }
+  // Windows that end exactly at the last word are fine.
+  EXPECT_EQ(ProtectedBuffer(system, 0, 64).get(0), 1234);
+  EXPECT_EQ(ProtectedBuffer(system, 60, 4).size(), 4u);
+  EXPECT_EQ(ProtectedBuffer(system, 64, 0).size(), 0u);
 }
 
 TEST(ProtectedBuffer, DreamSurvivesMsbFaultsEccDoesNot) {

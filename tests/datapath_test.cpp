@@ -2,7 +2,7 @@
 // (Emt::encode_block/decode_block, FaultyMemory::read_block/write_block,
 // ProtectedBuffer::load/store) must be bit-identical to the scalar
 // word-at-a-time path — same decoded samples, same CodecCounters, same
-// per-bank AccessStats — for every EMT kind x voltage x scrambler
+// data and side AccessStats — for every EMT kind x voltage x scrambler
 // setting, and MemorySystem's decoded shadow must be bit-identical to a
 // shadow-free per-word oracle under random operation sequences. Also pins
 // the sparse FaultMap representation against an independently-built
@@ -48,8 +48,6 @@ fixed::SampleVec test_samples(std::size_t n) {
 void expect_stats_eq(const mem::AccessStats& a, const mem::AccessStats& b) {
   EXPECT_EQ(a.reads, b.reads);
   EXPECT_EQ(a.writes, b.writes);
-  EXPECT_EQ(a.bank_reads, b.bank_reads);
-  EXPECT_EQ(a.bank_writes, b.bank_writes);
 }
 
 void expect_counters_eq(const core::CodecCounters& a,
@@ -319,8 +317,8 @@ class ScalarOnlyEmt final : public core::Emt {
 /// same writes, read with FaultyMemory::read + SafeMemory::read +
 /// Emt::decode — no shadow anywhere.
 struct PerWordOracle {
-  PerWordOracle(const core::Emt& emt, std::size_t words, int banks)
-      : emt(emt), data(words, emt.payload_bits(), banks) {
+  PerWordOracle(const core::Emt& emt, std::size_t words)
+      : emt(emt), data(words, emt.payload_bits()) {
     if (emt.safe_bits() > 0) safe.emplace(words, emt.safe_bits());
   }
   void write(std::size_t addr, std::span<const fixed::Sample> src) {
@@ -352,8 +350,7 @@ std::uint64_t fault_patch_total() {
 }
 
 bool stats_eq(const mem::AccessStats& a, const mem::AccessStats& b) {
-  return a.reads == b.reads && a.writes == b.writes &&
-         a.bank_reads == b.bank_reads && a.bank_writes == b.bank_writes;
+  return a.reads == b.reads && a.writes == b.writes;
 }
 
 /// Everything a read replays must match the oracle's: codec counters,
@@ -399,13 +396,10 @@ TEST(DecodedShadow, RandomOperationsMatchThePerWordPath) {
   // overwrites, never-written words and mid-sequence attach_faults /
   // set_scrambler calls (one of them rejected), for every EMT (plus the
   // base-class outcome path), SIMD tier, a few voltages and two
-  // geometries: 2048 words over 16 banks, and 1300 words over 6 banks,
-  // which takes the scrambler's general path and the per-word bank walk.
-  // Whole-memory transfers cross the 1024-word staging chunk.
-  struct Geometry {
-    std::size_t words;
-    int banks;
-  };
+  // geometries: 2048 words, and 1300 words, which takes the scrambler's
+  // non-power-of-two path. Word sets decode with Emt::decode and block
+  // writes with Emt::decode_block, so the oracle also pins that the two
+  // agree. Whole-memory transfers cross the 1024-word staging chunk.
   const ScalarOnlyEmt scalar_only;
   std::vector<std::unique_ptr<core::Emt>> owned;
   std::vector<const core::Emt*> emts;
@@ -416,46 +410,46 @@ TEST(DecodedShadow, RandomOperationsMatchThePerWordPath) {
   emts.push_back(&scalar_only);
   const ClearForcedTier clear_tier;
 
-  for (const Geometry geo : {Geometry{2048, 16}, Geometry{1300, 6}}) {
-    const fixed::SampleVec samples = test_samples(geo.words);
+  for (const std::size_t words : {std::size_t{2048}, std::size_t{1300}}) {
+    const fixed::SampleVec samples = test_samples(words);
     for (const double v : {0.5, 0.65, 0.9}) {
       const double ber = mem::LogLinearBerModel().ber(v);
       util::Xoshiro256 map_rng(static_cast<std::uint64_t>(v * 1000));
       const mem::FaultMap map_a =
-          mem::FaultMap::random(geo.words, 22, ber, map_rng);
+          mem::FaultMap::random(words, 22, ber, map_rng);
       const mem::FaultMap map_b =
-          mem::FaultMap::random(geo.words, 22, ber, map_rng);
-      const mem::FaultMap short_map(geo.words - 1, 22);
+          mem::FaultMap::random(words, 22, ber, map_rng);
+      const mem::FaultMap short_map(words - 1, 22);
       for (const core::Emt* emt : emts) {
         for (const util::simd::Tier tier : runnable_tiers()) {
           SCOPED_TRACE(testing::Message()
-                       << emt->name() << " words=" << geo.words << " v=" << v
+                       << emt->name() << " words=" << words << " v=" << v
                        << " tier=" << util::simd::tier_name(tier));
           util::simd::force_tier(tier);
           const std::uint64_t patch_base = fault_patch_total();
-          PerWordOracle oracle(*emt, geo.words, geo.banks);
+          PerWordOracle oracle(*emt, words);
           std::uint64_t oracle_patched = 0;
           {
-            core::MemorySystem sys(*emt, geo.words, geo.banks);
-            auto buf = core::ProtectedBuffer::allocate(sys, geo.words);
+            core::MemorySystem sys(*emt, words);
+            auto buf = core::ProtectedBuffer::allocate(sys, words);
             sys.attach_faults(&map_a);
             oracle.data.attach_faults(&map_a);
 
-            util::Xoshiro256 rng(geo.words * 31 + emt->payload_bits());
+            util::Xoshiro256 rng(words * 31 + emt->payload_bits());
             // The upper quarter stays unwritten for the first half.
-            const std::size_t early_limit = geo.words * 3 / 4;
+            const std::size_t early_limit = words * 3 / 4;
             constexpr int kOps = 160;
             for (int op = 0; op < kOps; ++op) {
-              const std::size_t limit = op < kOps / 2 ? early_limit : geo.words;
+              const std::size_t limit = op < kOps / 2 ? early_limit : words;
               const std::size_t len = 1 + rng.bounded(300);
-              const std::size_t addr = rng.bounded(geo.words - len + 1);
+              const std::size_t addr = rng.bounded(words - len + 1);
               const std::size_t wlen = std::min(len, limit);
               const std::size_t waddr = rng.bounded(limit - wlen + 1);
               // Fresh values each write: the sample stream, shifted.
-              const std::size_t shift = rng.bounded(geo.words);
-              fixed::SampleVec src(geo.words);
-              for (std::size_t i = 0; i < geo.words; ++i) {
-                src[i] = samples[(i + shift) % geo.words];
+              const std::size_t shift = rng.bounded(words);
+              fixed::SampleVec src(words);
+              for (std::size_t i = 0; i < words; ++i) {
+                src[i] = samples[(i + shift) % words];
               }
               const auto read_both = [&](std::size_t a, std::size_t n) {
                 fixed::SampleVec got(n);
@@ -478,14 +472,14 @@ TEST(DecodedShadow, RandomOperationsMatchThePerWordPath) {
                   const std::size_t i = rng.bounded(limit);
                   buf.set(i, src[k]);
                   oracle.write(i, std::span<const fixed::Sample>(&src[k], 1));
-                  const std::size_t j = rng.bounded(geo.words);
+                  const std::size_t j = rng.bounded(words);
                   same = same && buf.get(j) == oracle.read(j, 1)[0] &&
                          buf.get(i) == oracle.read(i, 1)[0];
                 }
               } else if (kind == 7) {
                 what = "sliding windows";
                 const std::size_t w = std::min<std::size_t>(len, 40);
-                const std::size_t a0 = rng.bounded(geo.words - w - 8 + 1);
+                const std::size_t a0 = rng.bounded(words - w - 8 + 1);
                 for (std::size_t k = 0; k < 8; ++k) {
                   same = same && read_both(a0 + k, w);
                 }
@@ -502,7 +496,7 @@ TEST(DecodedShadow, RandomOperationsMatchThePerWordPath) {
                 what = "whole-memory write + read";
                 buf.load(0, std::span<const fixed::Sample>(src.data(), limit));
                 oracle.write(0, std::span<const fixed::Sample>(src.data(), limit));
-                same = read_both(0, geo.words);
+                same = read_both(0, words);
               } else if (kind == 10) {
                 const std::uint64_t pick = rng.bounded(3);
                 const mem::FaultMap* map =
@@ -566,8 +560,8 @@ TEST(SparseFaultMap, PresenceBitmapChunkBoundaries) {
   // The unscrambled block read crosses every boundary: wide-copy runs for
   // clean chunks, per-word lookups for dirty ones, same answer as the
   // scalar accessor either way.
-  mem::FaultyMemory block_mem(kMapWords, 16, 2);
-  mem::FaultyMemory scalar_mem(kMapWords, 16, 2);
+  mem::FaultyMemory block_mem(kMapWords, 16);
+  mem::FaultyMemory scalar_mem(kMapWords, 16);
   for (auto* m : {&block_mem, &scalar_mem}) m->attach_faults(&middle);
   std::vector<std::uint32_t> pattern(kMapWords);
   for (std::size_t i = 0; i < kMapWords; ++i) {
@@ -634,8 +628,8 @@ TEST(BlockMemory, ScramblerIsAPermutationOnEveryGeometry) {
       {97, 3},     {2, 9},    {1, 11},           {1536, 0xC0FFEE}};
   for (const auto& [words, seed] : cases) {
     SCOPED_TRACE(testing::Message() << "words=" << words << " seed=" << seed);
-    mem::FaultyMemory scalar_mem(words, 16, 6);
-    mem::FaultyMemory block_mem(words, 16, 6);
+    mem::FaultyMemory scalar_mem(words, 16);
+    mem::FaultyMemory block_mem(words, 16);
     scalar_mem.set_scrambler(seed);
     block_mem.set_scrambler(seed);
     std::vector<std::uint32_t> src(words);
@@ -655,8 +649,8 @@ TEST(BlockMemory, ScramblerIsAPermutationOnEveryGeometry) {
 }
 
 TEST(BlockMemory, ReadWriteBlockMatchScalarAccessors) {
-  mem::FaultyMemory scalar_mem(300, 22, 6);  // non-power-of-two geometry
-  mem::FaultyMemory block_mem(300, 22, 6);
+  mem::FaultyMemory scalar_mem(300, 22);  // non-power-of-two geometry
+  mem::FaultyMemory block_mem(300, 22);
   mem::FaultMap map(300, 22);
   map.edit(7) = {0x3, 0x1};
   map.edit(131) = {1u << 21, 1u << 21};

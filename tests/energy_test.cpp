@@ -9,7 +9,6 @@ namespace {
 
 mem::AccessStats make_stats(std::uint64_t reads, std::uint64_t writes) {
   mem::AccessStats s;
-  s.reset(1);
   s.reads = reads;
   s.writes = writes;
   return s;

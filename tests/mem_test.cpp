@@ -209,7 +209,7 @@ TEST(FaultyMemory, FaultMapMustCoverMemory) {
 }
 
 TEST(FaultyMemory, AccessCountersTrackReadsWrites) {
-  FaultyMemory mem(64, 16, 4);
+  FaultyMemory mem(64, 16);
   mem.write(0, 1);
   mem.write(1, 2);
   (void)mem.read(0);
@@ -218,17 +218,6 @@ TEST(FaultyMemory, AccessCountersTrackReadsWrites) {
   EXPECT_EQ(mem.stats().total(), 3u);
   mem.reset_stats();
   EXPECT_EQ(mem.stats().total(), 0u);
-}
-
-TEST(FaultyMemory, BankCountersPartitionAccesses) {
-  FaultyMemory mem(64, 16, 4);
-  for (std::size_t i = 0; i < 16; ++i) mem.write(i, 0);
-  std::uint64_t total = 0;
-  for (int b = 0; b < 4; ++b) {
-    total += mem.stats().bank_writes[static_cast<std::size_t>(b)];
-    EXPECT_EQ(mem.stats().bank_writes[static_cast<std::size_t>(b)], 4u);
-  }
-  EXPECT_EQ(total, 16u);
 }
 
 TEST(FaultyMemory, ScramblerPreservesReadWriteConsistency) {
@@ -271,7 +260,6 @@ TEST(FaultyMemory, ScramblerMovesFaultExposure) {
 TEST(FaultyMemory, RejectsBadGeometry) {
   EXPECT_THROW(FaultyMemory(16, 0), std::invalid_argument);
   EXPECT_THROW(FaultyMemory(16, 33), std::invalid_argument);
-  EXPECT_THROW(FaultyMemory(16, 16, 0), std::invalid_argument);
 }
 
 TEST(SafeMemory, RoundTripAndMask) {
@@ -289,7 +277,6 @@ TEST(SafeMemory, RejectsWideWords) {
 TEST(Geometry, PaperConstants) {
   EXPECT_EQ(MemoryGeometry::kBytes, 32u * 1024u);
   EXPECT_EQ(MemoryGeometry::kWords16, 16384u);
-  EXPECT_EQ(MemoryGeometry::kBanks, 16);
   EXPECT_DOUBLE_EQ(MemoryGeometry::kClockHz, 200e6);
 }
 

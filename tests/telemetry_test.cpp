@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "ulpdream/apps/dwt_app.hpp"
+#include "ulpdream/apps/matrix_filter_app.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/core/dream.hpp"
 #include "ulpdream/core/protected_buffer.hpp"
@@ -192,6 +193,26 @@ TEST(Metrics, CodecCountersFoldOncePerMemorySystem) {
   EXPECT_EQ(delta(after, before, "codec.dream.decode_calls"), 3u);
   EXPECT_EQ(delta(after, before, "codec.dream.decode_words"), 460u);
   EXPECT_EQ(delta(after, before, "mem.fault_patch_words"), 6u);
+}
+
+TEST(Metrics, MatrixFilterMovesEveryWordThroughBlockCalls) {
+  // matrix_filter loads A and B, writes each output column and reads
+  // every operand with block calls, so its codec words equal its
+  // data-array accesses.
+  const apps::MatrixFilterApp app;
+  const core::Dream dream;
+  const ecg::Record record = ecg::make_default_record(5);
+  const MetricsSnapshot before = snapshot();
+  mem::AccessStats stats;
+  {
+    core::MemorySystem system(dream);
+    (void)app.run(system, record);
+    stats = system.data().stats();
+  }
+  const MetricsSnapshot d = snapshot().since(before);
+  EXPECT_GT(stats.writes, 0u);
+  EXPECT_EQ(d.counters.at("codec.dream.encode_words"), stats.writes);
+  EXPECT_EQ(d.counters.at("codec.dream.decode_words"), stats.reads);
 }
 
 TEST(Metrics, ReusedCleanRunAddsTheExecutedRunsCodecTally) {
