@@ -1,10 +1,13 @@
 // Raw-store persistence benchmark and out-of-core smoke driver.
 //
-// Default mode times save / load / merge / aggregate throughput of the
-// two raw-store formats (text vs columnar) on synthetic stores and emits
-// machine-readable JSON (stdout, or --json FILE with a human summary on
-// stderr) — the CI artifact BENCH_store.json. Self-timed, no external
-// benchmark dependency, same shape as micro_codec --datapath.
+// Default mode times the columnar store's out-of-core path against its
+// in-memory path on synthetic stores: save, open (reads the index only),
+// materialize (copies every sample onto the heap), streaming aggregate,
+// and merging shards by append vs in memory (materialize + merge +
+// save). It emits machine-readable JSON (stdout, or --json FILE with a
+// human summary on stderr) — the CI artifact BENCH_store.json.
+// Self-timed, no external benchmark dependency, same shape as
+// micro_codec --datapath.
 //
 //   store_bench --json BENCH_store.json            # 10^4 and 10^6 items
 //   store_bench --items 200000 --per-item 4        # one custom size
@@ -13,11 +16,11 @@
 // the synthetic spec of --items/--per-item/--seed):
 //
 //   # write N strided shard stores of a spec (items i with i%N == s):
-//   store_bench --make-shards DIR --shards 4 --format columnar
-//   # fold columnar shards by append (out-of-core, bounded memory):
+//   store_bench --make-shards DIR --shards 4
+//   # fold shards by append (out-of-core, bounded memory):
 //   store_bench --append-merge OUT --inputs a.col,b.col,...
-//   # fold any shards in memory (text/columnar mix), save in --format:
-//   store_bench --merge OUT --inputs a.store,b.col,...
+//   # fold shards in memory (materialize + ResultStore::merge + save):
+//   store_bench --merge OUT --inputs a.col,b.col,...
 //   # aggregate a store to CSV; --mode streaming never materializes and
 //   # holds only an LRU chunk cache — it runs under an RSS cap the
 //   # materializing mode cannot meet (peak RSS reported on stderr):
@@ -36,9 +39,9 @@
 #include <sys/resource.h>
 #endif
 
+#include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/spec.hpp"
-#include "ulpdream/campaign/store_reader.hpp"
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/table.hpp"
 
@@ -138,75 +141,84 @@ std::uint64_t file_bytes(const std::string& path) {
 // ---------------------------------------------------------------------------
 // Benchmark mode.
 
-struct FormatTimings {
-  double save_s = 0;
-  double load_s = 0;
-  double aggregate_s = 0;
-  double merge_s = 0;
+struct StoreTimings {
   std::uint64_t bytes = 0;
+  double save_s = 0;
+  double open_s = 0;
+  double materialize_s = 0;
+  double aggregate_s = 0;
+  double append_merge_s = 0;
+  double memory_merge_s = 0;
 };
 
-/// Times one format at one size. Files land in --dir (default /tmp).
-FormatTimings time_format(const campaign::CampaignSpec& spec,
-                          const campaign::ResultStore& full,
-                          const std::vector<campaign::ResultStore>& shards,
-                          campaign::StoreFormat format,
-                          const std::string& dir) {
+/// Folds `inputs` in memory: materialize each one, ResultStore::merge
+/// them, save the result — the path --merge-stores takes without
+/// --store-out.
+void merge_in_memory(const std::vector<std::string>& inputs,
+                     const std::string& out,
+                     const campaign::CampaignSpec& spec) {
+  campaign::ResultStore merged(spec);
+  for (const std::string& p : inputs) {
+    merged.merge(campaign::ColumnarStore::open(p, spec).materialize());
+  }
+  merged.save_columnar(out);
+}
+
+/// Times one size. Files land in --dir (default /tmp).
+StoreTimings time_store(const campaign::CampaignSpec& spec,
+                        const campaign::ResultStore& full,
+                        const std::vector<campaign::ResultStore>& shards,
+                        const std::string& dir) {
   namespace c = campaign;
-  FormatTimings t;
-  const std::string ext = format == c::StoreFormat::kText ? ".store" : ".col";
-  const std::string path = dir + "/store_bench" + ext;
+  StoreTimings t;
+  const std::string path = dir + "/store_bench.col";
 
   Clock::time_point start = Clock::now();
-  c::save_store(full, path, format);
+  full.save_columnar(path);
   t.save_s = seconds_since(start);
   t.bytes = file_bytes(path);
 
   start = Clock::now();
-  const auto reader = c::StoreReader::open(path, spec);
-  t.load_s = seconds_since(start);
+  const c::ColumnarStore store = c::ColumnarStore::open(path, spec);
+  t.open_s = seconds_since(start);
+
+  {
+    start = Clock::now();
+    const c::ResultStore heap = store.materialize();
+    t.materialize_s = seconds_since(start);
+    if (heap.items_done() != store.items_done()) {
+      std::fprintf(stderr, "store_bench: materialize lost items?\n");
+    }
+  }
 
   start = Clock::now();
-  const auto rows = reader.aggregate();
+  const auto rows = store.aggregate();
   t.aggregate_s = seconds_since(start);
   if (rows.empty()) std::fprintf(stderr, "store_bench: empty aggregate?\n");
 
-  // Merge: shards saved up front (not timed), then folded — by append
-  // for columnar, by load+merge for text.
+  // Merge: shards saved up front (not timed), then folded by append and
+  // in memory.
   std::vector<std::string> shard_paths;
   for (std::size_t s = 0; s < shards.size(); ++s) {
     shard_paths.push_back(dir + "/store_bench_shard" + std::to_string(s) +
-                          ext);
-    c::save_store(shards[s], shard_paths.back(), format);
+                          ".col");
+    shards[s].save_columnar(shard_paths.back());
   }
-  const std::string merged_path = dir + "/store_bench_merged" + ext;
+  const std::string appended = dir + "/store_bench_appended.col";
   start = Clock::now();
-  if (format == c::StoreFormat::kColumnar) {
-    c::ColumnarStore::append_merge(shard_paths, merged_path, spec);
-  } else {
-    c::ResultStore merged(spec);
-    for (const std::string& p : shard_paths) {
-      merged.merge(c::StoreReader::open(p, spec).materialize());
-    }
-    merged.save_atomic(merged_path);
-  }
-  t.merge_s = seconds_since(start);
+  c::ColumnarStore::append_merge(shard_paths, appended, spec);
+  t.append_merge_s = seconds_since(start);
+
+  const std::string merged = dir + "/store_bench_merged.col";
+  start = Clock::now();
+  merge_in_memory(shard_paths, merged, spec);
+  t.memory_merge_s = seconds_since(start);
 
   std::remove(path.c_str());
-  std::remove(merged_path.c_str());
+  std::remove(appended.c_str());
+  std::remove(merged.c_str());
   for (const std::string& p : shard_paths) std::remove(p.c_str());
   return t;
-}
-
-void json_format(std::ostream& os, const char* name, const FormatTimings& t,
-                 bool last) {
-  os << "    \"" << name << "\": {\n"
-     << "      \"file_bytes\": " << t.bytes << ",\n"
-     << "      \"save_s\": " << util::fmt_exact(t.save_s) << ",\n"
-     << "      \"load_s\": " << util::fmt_exact(t.load_s) << ",\n"
-     << "      \"aggregate_s\": " << util::fmt_exact(t.aggregate_s) << ",\n"
-     << "      \"merge_s\": " << util::fmt_exact(t.merge_s) << "\n"
-     << "    }" << (last ? "\n" : ",\n");
 }
 
 int run_bench(const util::Cli& cli) {
@@ -237,30 +249,28 @@ int run_bench(const util::Cli& cli) {
       fill_store(shards.back(), items, shard_count, s);
     }
 
-    const FormatTimings text =
-        time_format(spec, full, shards, campaign::StoreFormat::kText, dir);
-    const FormatTimings col = time_format(
-        spec, full, shards, campaign::StoreFormat::kColumnar, dir);
+    const StoreTimings t = time_store(spec, full, shards, dir);
 
     json << "  {\n    \"items\": " << items
-         << ",\n    \"per_item\": " << per_item << ",\n";
-    json_format(json, "text", text, false);
-    json_format(json, "columnar", col, false);
-    json << "    \"load_speedup\": "
-         << util::fmt_exact(col.load_s > 0 ? text.load_s / col.load_s : 0)
-         << ",\n    \"merge_speedup\": "
-         << util::fmt_exact(col.merge_s > 0 ? text.merge_s / col.merge_s : 0)
-         << "\n  }" << (si + 1 == sizes.size() ? "\n" : ",\n");
+         << ",\n    \"per_item\": " << per_item
+         << ",\n    \"file_bytes\": " << t.bytes
+         << ",\n    \"save_s\": " << util::fmt_exact(t.save_s)
+         << ",\n    \"open_s\": " << util::fmt_exact(t.open_s)
+         << ",\n    \"materialize_s\": " << util::fmt_exact(t.materialize_s)
+         << ",\n    \"aggregate_s\": " << util::fmt_exact(t.aggregate_s)
+         << ",\n    \"append_merge_s\": "
+         << util::fmt_exact(t.append_merge_s)
+         << ",\n    \"memory_merge_s\": "
+         << util::fmt_exact(t.memory_merge_s) << "\n  }"
+         << (si + 1 == sizes.size() ? "\n" : ",\n");
 
     std::fprintf(stderr,
-                 "store %8zu items x %zu: text save %.3fs load %.3fs "
-                 "merge %.3fs agg %.3fs (%.1f MB) | columnar save %.3fs "
-                 "load %.3fs merge %.3fs agg %.3fs (%.1f MB) | load x%.1f\n",
-                 items, per_item, text.save_s, text.load_s, text.merge_s,
-                 text.aggregate_s, static_cast<double>(text.bytes) / 1e6,
-                 col.save_s, col.load_s, col.merge_s, col.aggregate_s,
-                 static_cast<double>(col.bytes) / 1e6,
-                 col.load_s > 0 ? text.load_s / col.load_s : 0.0);
+                 "store %8zu items x %zu (%.1f MB): save %.3fs open %.4fs "
+                 "materialize %.3fs agg %.3fs | merge append %.3fs "
+                 "memory %.3fs\n",
+                 items, per_item, static_cast<double>(t.bytes) / 1e6,
+                 t.save_s, t.open_s, t.materialize_s, t.aggregate_s,
+                 t.append_merge_s, t.memory_merge_s);
   }
   json << "  ],\n  \"peak_rss_bytes\": " << peak_rss_bytes() << "\n}\n";
 
@@ -287,15 +297,11 @@ int run_make_shards(const util::Cli& cli, const campaign::CampaignSpec& spec,
   const std::string dir = cli.get("make-shards", "");
   const auto shards =
       static_cast<std::size_t>(std::max<std::int64_t>(1, cli.get_int("shards", 4)));
-  const campaign::StoreFormat format =
-      campaign::parse_store_format(cli.get("format", "columnar"));
-  const std::string ext =
-      format == campaign::StoreFormat::kText ? ".store" : ".col";
   for (std::size_t s = 0; s < shards; ++s) {
     campaign::ResultStore store(spec);
     fill_store(store, items, shards, s);
-    const std::string path = dir + "/shard" + std::to_string(s) + ext;
-    campaign::save_store(store, path, format);
+    const std::string path = dir + "/shard" + std::to_string(s) + ".col";
+    store.save_columnar(path);
     std::fprintf(stderr, "wrote %s (%zu items, %llu bytes)\n", path.c_str(),
                  store.items_done(),
                  static_cast<unsigned long long>(file_bytes(path)));
@@ -330,15 +336,9 @@ int run_merge(const util::Cli& cli, const campaign::CampaignSpec& spec) {
     std::fprintf(stderr, "--merge requires --inputs a,b,...\n");
     return 1;
   }
-  const campaign::StoreFormat format =
-      campaign::parse_store_format(cli.get("format", "text"));
-  campaign::ResultStore merged(spec);
-  for (const std::string& p : inputs) {
-    merged.merge(campaign::StoreReader::open(p, spec).materialize());
-  }
-  campaign::save_store(merged, out, format);
-  std::fprintf(stderr, "merged %zu shards into %s (%s)\n", inputs.size(),
-               out.c_str(), campaign::to_string(format));
+  merge_in_memory(inputs, out, spec);
+  std::fprintf(stderr, "merged %zu shards into %s in memory\n",
+               inputs.size(), out.c_str());
   return 0;
 }
 
@@ -358,10 +358,9 @@ int run_aggregate(const util::Cli& cli, const campaign::CampaignSpec& spec) {
     const auto store = campaign::ColumnarStore::open(path, spec, options);
     rows = store.aggregate();
   } else if (mode == "materialize") {
-    // In-memory leg: parse/copy the whole store onto the heap first —
-    // the path whose footprint scales with the store and busts RSS caps.
-    const auto store =
-        campaign::StoreReader::open(path, spec).materialize();
+    // In-memory leg: copy the whole store onto the heap first — the path
+    // whose footprint scales with the store and busts RSS caps.
+    const auto store = campaign::ColumnarStore::open(path, spec).materialize();
     rows = store.aggregate();
   } else {
     std::fprintf(stderr, "--mode streaming|materialize (got %s)\n",

@@ -12,14 +12,16 @@
 //
 //   # long grid with crash insurance: checkpoint the raw store every 10
 //   # items, and complete the missing items after an interruption:
-//   campaign <axes...> --checkpoint-every 10 --store-out run.store
-//   campaign <axes...> --resume run.store --store-out run.store --csv out.csv
+//   campaign <axes...> --checkpoint-every 10 --store-out run.ulpdcol
+//   campaign <axes...> --resume run.ulpdcol --store-out run.ulpdcol
+//            --csv out.csv
 //
 //   # sharded execution across processes, then merge:
-//   campaign <axes...> --shard 0/3 --store-out shard0.store
-//   campaign <axes...> --shard 1/3 --store-out shard1.store
-//   campaign <axes...> --shard 2/3 --store-out shard2.store
-//   campaign <axes...> --merge-stores shard0.store,shard1.store,shard2.store
+//   campaign <axes...> --shard 0/3 --store-out shard0.ulpdcol
+//   campaign <axes...> --shard 1/3 --store-out shard1.ulpdcol
+//   campaign <axes...> --shard 2/3 --store-out shard2.ulpdcol
+//   campaign <axes...>
+//            --merge-stores shard0.ulpdcol,shard1.ulpdcol,shard2.ulpdcol
 //            --csv merged.csv
 
 #include <algorithm>
@@ -34,8 +36,8 @@
 #include <string>
 #include <thread>
 
+#include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/session.hpp"
-#include "ulpdream/campaign/store_reader.hpp"
 #include "ulpdream/dist/coordinator.hpp"
 #include "ulpdream/dist/worker.hpp"
 #include "ulpdream/serve/client.hpp"
@@ -134,8 +136,7 @@ Execution (campaign::Session):
   --checkpoint-every N write the raw store to --store-out after every N
                        items (atomic tmp+rename), resumable with --resume
   --resume PATH        adopt a previous run's raw store and execute only
-                       the missing items (grid fingerprint must match;
-                       text or columnar, auto-detected by magic)
+                       the missing items (grid fingerprint must match)
 
 Observability (util::telemetry; see README "Observability"):
   --trace PATH         record spans on all workers and write Chrome
@@ -149,21 +150,17 @@ Observability (util::telemetry; see README "Observability"):
                        add bucket-wise) into --metrics-out, no execution
 
 Output:
-  --store-out PATH     save the raw store (resume/merge input)
-  --store-format F     raw-store format: text | columnar         [text]
-                       (text: human-greppable line format, parsed on
-                       load; columnar: binary out-of-core format,
-                       zero-copy mmap load + streaming aggregation —
-                       pick it for >=10^5-item grids)
+  --store-out PATH     save the raw store (resume/merge input) in the
+                       columnar format: zero-copy mmap load + streaming
+                       aggregation
   --group LIST         aggregation axes: record,app,emt,voltage [all four]
   --csv PATH           aggregates as CSV (exact doubles)
   --json PATH          aggregates as JSON
   --merge-stores LIST  merge saved raw stores instead of executing
-                       (formats auto-detected and mixable; when every
-                       input is columnar and --store-format columnar
-                       --store-out PATH are given, shards fold by
-                       append + streaming aggregation — memory stays
-                       bounded no matter how large the stores are)
+                       (with --store-out PATH, shards fold by append +
+                       streaming aggregation — memory stays bounded no
+                       matter how large the stores are; without it,
+                       every input is read into memory and merged)
   --list               enumerate registered components and exit
   --help               this text
 
@@ -306,11 +303,6 @@ campaign::GroupBy group_from_cli(const util::Cli& cli) {
   return group;
 }
 
-/// The --store-format choice (write side only; reads auto-detect).
-campaign::StoreFormat store_format_from_cli(const util::Cli& cli) {
-  return campaign::parse_store_format(cli.get("store-format", "text"));
-}
-
 void print_progress(const campaign::Progress& p) {
   std::ostringstream line;
   line << "[campaign] " << p.items_done << "/" << p.items_total << " items";
@@ -399,36 +391,23 @@ void export_aggregates(const util::Cli& cli,
 
 /// --merge-stores: reassemble shard/checkpoint stores instead of
 /// executing. Two regimes behind one flag:
-///  - out-of-core (every input columnar, --store-format columnar and a
-///    --store-out target): shards fold by append — sample bytes are
-///    concatenated verbatim, only the index is re-sorted — and the
-///    merged store aggregates streaming off its mapping. Memory never
+///  - out-of-core (a --store-out target): shards fold by append — sample
+///    bytes are concatenated verbatim, only the index is re-sorted — and
+///    the merged store aggregates streaming off its mapping. Memory never
 ///    scales with the sample data, so this handles stores larger than
 ///    RAM.
-///  - in-memory (anything else, including mixed formats): each input is
-///    materialized and folded with ResultStore::merge, preserving the
-///    small-store fast path and text/columnar interop.
+///  - in-memory (no --store-out): each input is materialized and folded
+///    with ResultStore::merge.
 /// Both produce bit-identical aggregate rows (shared fold).
 void run_merge_stores(const util::Cli& cli, const campaign::CampaignSpec& spec,
-                      const std::string& list) {
-  const std::vector<std::string> paths = util::split_list(list);
-  const std::string store_out = cli.get("store-out", "");
-  const campaign::StoreFormat out_format = store_format_from_cli(cli);
-
-  bool all_columnar = true;
-  for (const std::string& path : paths) {
-    all_columnar = all_columnar && campaign::detect_store_format(path) ==
-                                       campaign::StoreFormat::kColumnar;
-  }
-
-  if (all_columnar && out_format == campaign::StoreFormat::kColumnar &&
+                      const std::vector<std::string>& paths) {
+  if (const std::string store_out = cli.get("store-out", "");
       !store_out.empty()) {
     campaign::ColumnarStore::append_merge(paths, store_out, spec);
     const campaign::ColumnarStore merged =
         campaign::ColumnarStore::open(store_out, spec);
-    std::cerr << "[campaign] appended " << paths.size()
-              << " columnar shards into " << store_out << " ("
-              << merged.items_done() << " items, "
+    std::cerr << "[campaign] appended " << paths.size() << " shards into "
+              << store_out << " (" << merged.items_done() << " items, "
               << (merged.mapped() ? "mapped" : "buffered") << ")\n";
     export_rows(cli, merged.aggregate(group_from_cli(cli)));
     return;
@@ -436,13 +415,7 @@ void run_merge_stores(const util::Cli& cli, const campaign::CampaignSpec& spec,
 
   campaign::ResultStore merged(spec);
   for (const std::string& path : paths) {
-    const auto reader = campaign::StoreReader::open(path, spec);
-    merged.merge(reader.materialize());
-  }
-  if (!store_out.empty()) {
-    campaign::save_store(merged, store_out, out_format);
-    std::cerr << "[campaign] wrote merged store " << store_out << " ("
-              << campaign::to_string(out_format) << ")\n";
+    merged.merge(campaign::ColumnarStore::open(path, spec).materialize());
   }
   export_aggregates(cli, merged);
 }
@@ -645,9 +618,8 @@ int run_local(const util::Cli& cli) {
     enforce_flags(cli,
                   {"threads", "shard", "progress", "max-items",
                    "checkpoint-every", "resume", "trace", "metrics-out",
-                   "metrics-every", "merge-metrics", "store-out",
-                   "store-format", "group", "csv", "json", "merge-stores",
-                   "list", "help"},
+                   "metrics-every", "merge-metrics", "store-out", "group",
+                   "csv", "json", "merge-stores", "list", "help"},
                   "");
     if (cli.has("list")) {
       print_registries();
@@ -674,16 +646,21 @@ int run_local(const util::Cli& cli) {
 
     const campaign::CampaignSpec spec =
         parse_flags([&cli] { return spec_from_cli(cli); });
-    // Validate the export/execution flag values up front — a bad --group
-    // or --store-format must exit 2 before any compute happens.
-    parse_flags([&cli] {
+    // Validate the export flag values up front — a bad --group or an
+    // empty --merge-stores list must exit 2 before any compute happens.
+    const std::vector<std::string> merge_paths = parse_flags([&cli] {
       (void)group_from_cli(cli);
-      (void)store_format_from_cli(cli);
+      std::vector<std::string> paths =
+          util::split_list(cli.get("merge-stores", ""));
+      if (cli.has("merge-stores") && paths.empty()) {
+        throw std::invalid_argument("--merge-stores names no store path");
+      }
+      return paths;
     });
 
     // Merge mode: reassemble shard/checkpoint stores instead of executing.
-    if (const std::string list = cli.get("merge-stores", ""); !list.empty()) {
-      run_merge_stores(cli, spec, list);
+    if (!merge_paths.empty()) {
+      run_merge_stores(cli, spec, merge_paths);
       return 0;
     }
 
@@ -694,16 +671,13 @@ int run_local(const util::Cli& cli) {
     // against this invocation's axes) and execute only the gaps.
     campaign::ResultStore resume_store;
     if (const std::string path = cli.get("resume", ""); !path.empty()) {
-      const auto reader = campaign::StoreReader::open(path, spec);
-      resume_store = reader.materialize();
+      resume_store = campaign::ColumnarStore::open(path, spec).materialize();
       options.resume_from = &resume_store;
       std::cerr << "[campaign] resuming from " << path << " ("
-                << campaign::to_string(reader.format()) << ", "
                 << resume_store.items_done() << " items already done)\n";
     }
 
     const std::string store_out = cli.get("store-out", "");
-    const campaign::StoreFormat store_format = store_format_from_cli(cli);
     const auto checkpoint_every =
         static_cast<std::size_t>(std::max<std::int64_t>(
             0, cli.get_int("checkpoint-every", 0)));
@@ -714,9 +688,8 @@ int run_local(const util::Cli& cli) {
             "target)");
       }
       options.checkpoint_every = checkpoint_every;
-      options.on_checkpoint = [&store_out,
-                               store_format](const campaign::ResultStore& s) {
-        campaign::save_store(s, store_out, store_format);
+      options.on_checkpoint = [&store_out](const campaign::ResultStore& s) {
+        s.save_columnar(store_out);
       };
     }
 
@@ -777,9 +750,8 @@ int run_local(const util::Cli& cli) {
     }
 
     if (!store_out.empty()) {
-      campaign::save_store(store, store_out, store_format);
+      store.save_columnar(store_out);
       std::cerr << "[campaign] wrote raw store " << store_out << " ("
-                << campaign::to_string(store_format) << ", "
                 << store.items_done() << " items)\n";
     }
     if (!metrics_out.empty()) {

@@ -28,8 +28,10 @@
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/ecg/generator.hpp"
 
-// Experiment machinery: runner, policy search, campaigns, and the
-// asynchronous execution runtime (Session / CampaignHandle).
+// Experiment machinery: runner, policy search, campaigns and their raw
+// store files, and the asynchronous execution runtime (Session /
+// CampaignHandle).
+#include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/scenario.hpp"
 #include "ulpdream/campaign/session.hpp"

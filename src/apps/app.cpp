@@ -1,7 +1,6 @@
 #include "ulpdream/apps/app.hpp"
 
 #include <span>
-#include <stdexcept>
 
 #include "ulpdream/apps/classifier_app.hpp"
 #include "ulpdream/apps/cs_app.hpp"
@@ -22,38 +21,32 @@ util::Registry<BioApp>& app_registry() {
         "dwt", [] { return std::make_unique<DwtApp>(); },
         {"DWT compression",
          "multi-level db4 wavelet transform of the ECG window",
-         {kCapPaper},
-         static_cast<int>(AppKind::kDwt)});
+         {kCapPaper}});
     registry.register_factory(
         "matrix_filter", [] { return std::make_unique<MatrixFilterApp>(); },
         {"Matrix FIR filter",
          "band-pass FIR as dense matrix-vector products",
-         {kCapPaper},
-         static_cast<int>(AppKind::kMatrixFilter)});
+         {kCapPaper}});
     registry.register_factory(
         "cs", [] { return std::make_unique<CsApp>(); },
         {"Compressed sensing",
          "Bernoulli sensing + OMP reconstruction (lossy transmit path)",
-         {kCapPaper},
-         static_cast<int>(AppKind::kCompressedSensing)});
+         {kCapPaper}});
     registry.register_factory(
         "morph_filter", [] { return std::make_unique<MorphFilterApp>(); },
         {"Morphological filter",
          "open/close baseline removal on the raw trace",
-         {kCapPaper},
-         static_cast<int>(AppKind::kMorphFilter)});
+         {kCapPaper}});
     registry.register_factory(
         "delineation", [] { return std::make_unique<DelineationApp>(); },
         {"Wavelet delineation",
          "P/Q/R/S/T fiducial detection on the SWT envelope",
-         {kCapPaper},
-         static_cast<int>(AppKind::kDelineation)});
+         {kCapPaper}});
     registry.register_factory(
         "heartbeat_classifier", [] { return std::make_unique<ClassifierApp>(); },
         {"Heartbeat classifier",
          "delineation + rule-based early classification (extension)",
-         {kCapExtendedTier},
-         static_cast<int>(AppKind::kHeartbeatClassifier)});
+         {kCapExtendedTier}});
     return true;
   }();
   (void)built_ins;
@@ -69,27 +62,6 @@ std::vector<std::string> paper_app_names() {
 }
 
 std::vector<std::string> app_names() { return app_registry().names(); }
-
-std::string app_kind_name(AppKind kind) {
-  return app_registry().name_by_tag(static_cast<int>(kind));
-}
-
-std::unique_ptr<BioApp> make_app(AppKind kind) {
-  return make_app(app_kind_name(kind));
-}
-
-const std::vector<AppKind>& all_app_kinds() {
-  static const std::vector<AppKind> kinds =
-      util::tags_as(app_registry().tags_with(core::kCapPaper),
-                    AppKind::kHeartbeatClassifier);
-  return kinds;
-}
-
-const std::vector<AppKind>& extended_app_kinds() {
-  static const std::vector<AppKind> kinds =
-      util::tags_as(app_registry().tags(), AppKind::kHeartbeatClassifier);
-  return kinds;
-}
 
 void load_input(core::ProtectedBuffer& buf, const fixed::SampleVec& samples,
                 std::size_t n) {

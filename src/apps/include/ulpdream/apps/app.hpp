@@ -17,24 +17,6 @@
 
 namespace ulpdream::apps {
 
-/// Legacy identity of the built-in applications; survives only as a
-/// descriptor tag (see app_registry()). Apps registered from outside src/
-/// have no kind — they exist purely by name.
-enum class AppKind : std::uint8_t {
-  kDwt = 0,
-  kMatrixFilter,
-  kCompressedSensing,
-  kMorphFilter,
-  kDelineation,
-  /// Extension beyond the paper's five case studies: the Heartbeat
-  /// Classifier its Sec. III discusses (delineation + rule-based early
-  /// classification, statistical output).
-  kHeartbeatClassifier,
-};
-
-/// Registered name of a built-in kind (registry descriptor lookup).
-[[nodiscard]] std::string app_kind_name(AppKind kind);
-
 class BioApp {
  public:
   virtual ~BioApp() = default;
@@ -104,13 +86,5 @@ void load_input(core::ProtectedBuffer& buf, const fixed::SampleVec& samples,
 /// name (built-ins first, then user registrations).
 [[nodiscard]] std::vector<std::string> paper_app_names();
 [[nodiscard]] std::vector<std::string> app_names();
-
-// --- legacy enum shims -----------------------------------------------------
-
-[[nodiscard]] std::unique_ptr<BioApp> make_app(AppKind kind);
-/// The paper's five case studies (Fig. 2 / Fig. 4 iterate over these).
-[[nodiscard]] const std::vector<AppKind>& all_app_kinds();
-/// The paper's five plus this library's extensions.
-[[nodiscard]] const std::vector<AppKind>& extended_app_kinds();
 
 }  // namespace ulpdream::apps

@@ -5,7 +5,7 @@
 // then EMT — and push them through this one folder, so the two paths are
 // bit-identical by construction: same accumulator types, same operation
 // order, same row emission. Any change to the statistics happens here
-// once and both formats inherit it.
+// once and both paths inherit it.
 
 #include <cmath>
 #include <cstddef>

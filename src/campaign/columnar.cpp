@@ -158,8 +158,8 @@ void write_header(BufferedFileWriter& w, const Layout& l,
   }
 }
 
-/// Staging-file name unique to this process (same convention as
-/// ResultStore::save_atomic).
+/// Staging-file name unique to this process: concurrent writers aiming
+/// at the same target never tear each other's staging bytes.
 std::string staging_name(const std::string& path) {
 #if defined(__unix__) || defined(__APPLE__)
   return path + ".tmp." + std::to_string(::getpid());
@@ -181,8 +181,8 @@ void ResultStore::save_columnar(const std::string& path) const {
   static const tel::Histogram save_ns("store.columnar.save_ns");
   const std::uint64_t t0 = tel::now_ns();
 
-  // Done items only, like the text save — a checkpoint never persists
-  // preallocated-but-unexecuted slots.
+  // Done items only — a checkpoint never persists preallocated but
+  // unexecuted slots.
   std::vector<std::size_t> done_slots;
   done_slots.reserve(item_index_.size());
   for (std::size_t slot = 0; slot < item_index_.size(); ++slot) {

@@ -1,8 +1,8 @@
 #pragma once
-// Out-of-core columnar persistence for campaign raw stores — the binary
-// sibling of the line-oriented text format in result_store.cpp, built for
-// 10^6..10^9-item grids where "parse every double again" and "hold every
-// Sample on the heap" are the bottleneck.
+// Columnar persistence for campaign raw stores — the one on-disk format
+// (ResultStore::save_columnar writes it, ColumnarStore reads it), built
+// out-of-core for 10^6..10^9-item grids where "parse every double again"
+// and "hold every Sample on the heap" are the bottleneck.
 //
 // One file, three regions, all integers and doubles little-endian:
 //
@@ -24,7 +24,7 @@
 //              Sample field, each slot-major, app-major/EMT-minor — the
 //              same canonical layout the in-memory store uses.
 //
-// Loading is zero-copy: open_columnar() memory-maps the file (portable
+// Loading is zero-copy: ColumnarStore::open() memory-maps the file (portable
 // read-into-buffer fallback via util::FileView), validates the header and
 // index, and serves aggregation straight from the mapping — no parse, no
 // heap copy of samples. aggregate() streams the columns through the
@@ -62,8 +62,7 @@ class StoreError : public std::runtime_error {
   std::string path_;
 };
 
-/// The 8-byte magic that opens every columnar store file. (The text
-/// format's first bytes are "ulpdream-campaign-store v1".)
+/// The 8-byte magic that opens every columnar store file.
 inline constexpr char kColumnarMagic[8] = {'U', 'L', 'P', 'D',
                                            'C', 'O', 'L', '1'};
 

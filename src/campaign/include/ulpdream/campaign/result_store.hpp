@@ -131,32 +131,15 @@ class ResultStore {
   [[nodiscard]] sim::SweepResult to_sweep_result(std::size_t record_index,
                                                  std::size_t app_index) const;
 
-  /// Raw-store persistence (shortest-round-trip doubles, done items only):
-  /// the cross-process sharding path. Each shard process saves its store;
-  /// a merge process reloads them against the same spec and aggregates.
-  /// load() throws std::invalid_argument when the stream's fingerprint
-  /// does not match `spec` (after normalization).
-  void save(std::ostream& os) const;
-  [[nodiscard]] static ResultStore load(std::istream& is,
-                                        const CampaignSpec& spec);
-
-  /// Crash-safe save to a file: serialize to a staging file whose name is
-  /// unique to this process (PATH.tmp.<pid> — concurrent writers aiming
-  /// at the same target never tear each other's staging bytes), flush it
-  /// to stable storage (POSIX fsync), rename it over PATH, then fsync the
-  /// parent directory so the rename itself survives power loss. A file at
-  /// PATH is therefore always a complete, loadable checkpoint — never a
-  /// torn or merely page-cached one. Throws std::runtime_error on I/O
-  /// failure; the staging file is removed on every failure path.
-  void save_atomic(const std::string& path) const;
-
-  /// Binary columnar save — the out-of-core sibling of save()/save_atomic
-  /// (format in columnar.hpp): done items' samples as fixed-width
-  /// little-endian columns behind a header + sorted index, published with
-  /// the same staged fsync+rename+directory-fsync protocol. The result
-  /// reopens zero-copy via ColumnarStore::open / StoreReader::open (which
-  /// auto-detects the format by magic). Byte-deterministic: equal stores
-  /// save to equal files.
+  /// Raw-store persistence, the cross-process sharding and checkpoint
+  /// path (format in columnar.hpp): done items' samples as fixed-width
+  /// little-endian columns behind a header + sorted index. The file is
+  /// staged under a name unique to this process (PATH.tmp.<pid>), fsync'd,
+  /// renamed over PATH, and the parent directory fsync'd, so a file at
+  /// PATH is always a complete checkpoint. It reopens zero-copy via
+  /// ColumnarStore::open. Byte-deterministic: equal stores save to equal
+  /// files. Throws on I/O failure; the staging file is removed on every
+  /// failure path.
   void save_columnar(const std::string& path) const;
 
   /// Read-only slot views — the persistence seam the columnar writer and

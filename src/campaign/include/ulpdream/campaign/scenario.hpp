@@ -22,7 +22,6 @@
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"
-#include "ulpdream/campaign/store_reader.hpp"
 
 namespace ulpdream::campaign {
 
@@ -68,13 +67,6 @@ class Scenario {
   /// Executes and aggregates in one step (the common quickstart path).
   [[nodiscard]] std::vector<AggregateRow> run_rows(
       const GroupBy& group = GroupBy{}) const;
-
-  /// Executes and persists the raw store at `path` in the chosen format
-  /// (crash-safe staged publish either way; columnar is the out-of-core
-  /// format — see store_reader.hpp), returning the store. The file
-  /// reopens via StoreReader::open, which auto-detects the format.
-  ResultStore run_to(const std::string& path,
-                     StoreFormat format = StoreFormat::kText) const;
 
   /// Asynchronous run(): submits onto the attached session and returns
   /// the job handle immediately. Throws std::logic_error when no session

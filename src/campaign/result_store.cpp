@@ -3,22 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
-#include <cstdio>
-#include <fstream>
 #include <istream>
 #include <iterator>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "aggregate_fold.hpp"
-#include "ulpdream/util/file_view.hpp"
 #include "ulpdream/util/stats.hpp"
 #include "ulpdream/util/telemetry.hpp"
 
@@ -243,147 +235,6 @@ sim::SweepResult ResultStore::to_sweep_result(std::size_t record_index,
     }
   }
   return result;
-}
-
-void ResultStore::save(std::ostream& os) const {
-  ULPDREAM_TRACE_SPAN("store.save");
-  static const util::telemetry::Counter saves("store.saves");
-  static const util::telemetry::Counter save_bytes("store.save_bytes");
-  static const util::telemetry::Histogram save_ns("store.save_ns");
-  const std::uint64_t t0 = util::telemetry::now_ns();
-  const std::streampos pos0 = os.tellp();
-  os << "ulpdream-campaign-store v1\n";
-  os << "fingerprint " << spec_.fingerprint() << '\n';
-  os << "max_snr";
-  for (double v : max_snr_) os << ' ' << util::fmt_exact(v);
-  os << '\n';
-  const std::size_t pi = per_item();
-  for (std::size_t slot = 0; slot < item_index_.size(); ++slot) {
-    if (!item_done_[slot]) continue;
-    os << "item " << item_index_[slot];
-    for (std::size_t i = 0; i < pi; ++i) {
-      const Sample& s = samples_[slot * pi + i];
-      os << ' ' << util::fmt_exact(s.snr_db) << ' '
-         << util::fmt_exact(s.energy.data_dynamic_j) << ' '
-         << util::fmt_exact(s.energy.side_dynamic_j) << ' '
-         << util::fmt_exact(s.energy.codec_j) << ' '
-         << util::fmt_exact(s.energy.data_leak_j) << ' '
-         << util::fmt_exact(s.energy.side_leak_j) << ' '
-         << util::fmt_exact(s.corrected_words) << ' '
-         << util::fmt_exact(s.detected_uncorrectable);
-    }
-    os << '\n';
-  }
-  os << "end\n";
-  save_ns.record(util::telemetry::now_ns() - t0);
-  saves.add();
-  // Seekable sinks (files) report size; pipes return -1 and skip the byte
-  // count rather than poison it.
-  const std::streampos pos1 = os.tellp();
-  if (pos0 >= 0 && pos1 >= 0) {
-    save_bytes.add(static_cast<std::uint64_t>(pos1 - pos0));
-  }
-}
-
-void ResultStore::save_atomic(const std::string& path) const {
-  ULPDREAM_TRACE_SPAN("store.save_atomic");
-  // Stage under a pid-unique name: a second process checkpointing to the
-  // same path (shard misconfiguration, overlapping cron runs) overwrites
-  // its *own* staging file, not the bytes another writer is about to
-  // rename into place.
-  const std::string tmp =
-#if defined(__unix__) || defined(__APPLE__)
-      path + ".tmp." + std::to_string(::getpid());
-#else
-      path + ".tmp";
-#endif
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    save(f);
-    f.flush();
-    if (!f) {
-      std::remove(tmp.c_str());
-      throw std::runtime_error("ResultStore::save_atomic: failed to write " +
-                               tmp);
-    }
-  }
-  // Staged bytes are fsync'd before the rename publishes the name, and
-  // the parent directory is fsync'd after it — rename-then-crash must
-  // never expose a page-cache-only file nor lose the directory entry.
-  // (Shared with the columnar writer; see util::publish_file_atomic.)
-  util::publish_file_atomic(tmp, path);
-}
-
-ResultStore ResultStore::load(std::istream& is, const CampaignSpec& spec) {
-  ULPDREAM_TRACE_SPAN("store.load");
-  static const util::telemetry::Counter loads("store.loads");
-  static const util::telemetry::Histogram load_ns("store.load_ns");
-  const std::uint64_t t0 = util::telemetry::now_ns();
-  auto fail = [](const std::string& what) -> void {
-    throw std::invalid_argument("ResultStore::load: " + what);
-  };
-  ResultStore store(spec.normalized());
-
-  std::string line;
-  if (!std::getline(is, line) || line != "ulpdream-campaign-store v1") {
-    fail("bad magic");
-  }
-  if (!std::getline(is, line) || line.rfind("fingerprint ", 0) != 0) {
-    fail("missing fingerprint");
-  }
-  if (line.substr(12) != store.spec_.fingerprint()) {
-    fail(
-        "spec fingerprint mismatch — the stream was saved for a different "
-        "campaign grid\n  expected: " +
-        store.spec_.fingerprint() + "\n  stream:   " + line.substr(12));
-  }
-  if (!std::getline(is, line) || line.rfind("max_snr", 0) != 0) {
-    fail("missing max_snr");
-  }
-  {
-    std::istringstream ls(line.substr(7));
-    std::string tok;
-    for (double& v : store.max_snr_) {
-      if (!(ls >> tok)) fail("short max_snr line");
-      v = tok == "nan" ? kNan : util::parse_double_exact(tok);
-    }
-  }
-  const std::size_t pi = store.per_item();
-  while (std::getline(is, line)) {
-    if (line == "end") {
-      load_ns.record(util::telemetry::now_ns() - t0);
-      loads.add();
-      return store;
-    }
-    if (line.rfind("item ", 0) != 0) fail("bad line: " + line);
-    std::istringstream ls(line.substr(5));
-    std::size_t index = 0;
-    if (!(ls >> index) || index >= store.spec_.item_count()) {
-      fail("bad item index");
-    }
-    // Slots grow with the stream's item lines (shard saves are written in
-    // ascending item order, so this append-or-insert stays cheap).
-    const std::size_t slot = store.insert_slot(index);
-    std::string tok;
-    for (std::size_t i = 0; i < pi; ++i) {
-      Sample& s = store.samples_[slot * pi + i];
-      auto next = [&]() -> double {
-        if (!(ls >> tok)) fail("short item line");
-        return util::parse_double_exact(tok);
-      };
-      s.snr_db = next();
-      s.energy.data_dynamic_j = next();
-      s.energy.side_dynamic_j = next();
-      s.energy.codec_j = next();
-      s.energy.data_leak_j = next();
-      s.energy.side_leak_j = next();
-      s.corrected_words = next();
-      s.detected_uncorrectable = next();
-    }
-    store.item_done_[slot] = 1;
-  }
-  fail("missing end marker");
-  return store;  // unreachable
 }
 
 // ---------------------------------------------------------------------------

@@ -102,11 +102,4 @@ std::vector<AggregateRow> Scenario::run_rows(const GroupBy& group) const {
   return run().aggregate(group);
 }
 
-ResultStore Scenario::run_to(const std::string& path,
-                             StoreFormat format) const {
-  ResultStore store = run();
-  save_store(store, path, format);
-  return store;
-}
-
 }  // namespace ulpdream::campaign

@@ -1,6 +1,5 @@
 #include "ulpdream/core/factory.hpp"
 
-#include <stdexcept>
 #include <vector>
 
 #include "ulpdream/core/dream.hpp"
@@ -17,27 +16,23 @@ util::Registry<Emt>& emt_registry() {
         "none", [] { return std::make_unique<NoProtection>(); },
         {"No protection",
          "raw 16-bit samples in the scaled memory (paper baseline)",
-         {kCapPaper},
-         static_cast<int>(EmtKind::kNone)});
+         {kCapPaper}});
     registry.register_factory(
         "dream", [] { return std::make_unique<Dream>(); },
         {"DREAM",
          "sign + run-length mask in error-free side memory, forces MSBs",
-         {kCapPaper, kCapCorrectsErrors, kCapSideMemory},
-         static_cast<int>(EmtKind::kDream)});
+         {kCapPaper, kCapCorrectsErrors, kCapSideMemory}});
     registry.register_factory(
         "ecc_secded", [] { return std::make_unique<EccSecDed>(); },
         {"ECC SEC/DED",
          "extended Hamming(22,16): corrects 1, detects 2 errors per word",
-         {kCapPaper, kCapCorrectsErrors, kCapDetectsErrors},
-         static_cast<int>(EmtKind::kEccSecDed)});
+         {kCapPaper, kCapCorrectsErrors, kCapDetectsErrors}});
     registry.register_factory(
         "dream_secded", [] { return std::make_unique<DreamSecDed>(); },
         {"DREAM + SEC/DED",
          "hybrid multi-error EMT for < 0.55 V operation (extension)",
          {kCapExtendedTier, kCapCorrectsErrors, kCapDetectsErrors,
-          kCapSideMemory},
-         static_cast<int>(EmtKind::kDreamSecDed)});
+          kCapSideMemory}});
     return true;
   }();
   (void)built_ins;
@@ -53,28 +48,5 @@ std::vector<std::string> paper_emt_names() {
 }
 
 std::vector<std::string> emt_names() { return emt_registry().names(); }
-
-std::string emt_kind_name(EmtKind kind) {
-  return emt_registry().name_by_tag(static_cast<int>(kind));
-}
-
-std::unique_ptr<Emt> make_emt(EmtKind kind) {
-  return make_emt(emt_kind_name(kind));
-}
-
-const std::vector<EmtKind>& all_emt_kinds() {
-  static const std::vector<EmtKind> kinds =
-      util::tags_as(emt_registry().tags_with(kCapPaper),
-                    EmtKind::kDreamSecDed);
-  return kinds;
-}
-
-const std::vector<EmtKind>& extended_emt_kinds() {
-  // Every *tagged* entry, i.e. the built-ins; names registered later have
-  // no enum identity by design.
-  static const std::vector<EmtKind> kinds =
-      util::tags_as(emt_registry().tags(), EmtKind::kDreamSecDed);
-  return kinds;
-}
 
 }  // namespace ulpdream::core

@@ -22,24 +22,6 @@
 
 namespace ulpdream::core {
 
-/// Legacy identity of the four built-in EMTs. The library itself is
-/// name-addressed (see core::emt_registry() in factory.hpp); this enum
-/// survives only as an optional descriptor *tag* for stats code that
-/// still groups by it (codec area tables, the codec_energy shim). EMTs
-/// registered from outside src/ have no kind — they exist purely by name.
-enum class EmtKind : std::uint8_t {
-  kNone = 0,
-  kDream,
-  kEccSecDed,
-  /// DREAM + SEC/DED hybrid — the multi-error extension for < 0.55 V
-  /// operation the paper's conclusion calls for (not part of the paper's
-  /// own evaluation; see bench_ablations / bench_deep_voltage).
-  kDreamSecDed,
-};
-
-/// Registered name of a built-in kind (registry descriptor lookup).
-[[nodiscard]] std::string emt_kind_name(EmtKind kind);
-
 /// Decode-side observability: how often the technique corrected or gave up.
 struct CodecCounters {
   std::uint64_t decodes = 0;
@@ -95,8 +77,7 @@ class Emt {
 
   /// Per-operation codec energy in pJ (logic domain, voltage-invariant:
   /// the codec must stay at a safe supply to function). Part of the EMT
-  /// interface so user-registered techniques carry their own energy model
-  /// instead of being keyed off an enum the registry does not know.
+  /// interface so user-registered techniques carry their own energy model.
   [[nodiscard]] virtual double encode_energy_pj() const { return 0.0; }
   [[nodiscard]] virtual double decode_energy_pj() const { return 0.0; }
 

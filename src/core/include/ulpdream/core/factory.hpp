@@ -1,10 +1,8 @@
 #pragma once
-// Name-addressed EMT construction. The registry is the primary interface:
+// Name-addressed EMT construction. The registry is the only interface:
 // built-ins register themselves on first access, user techniques register
 // from anywhere (an example, a test, a downstream project) and are then
-// selectable by name through campaign specs, sweep configs and the
-// Scenario facade. The EmtKind overloads survive as thin shims over the
-// registry via descriptor tags.
+// selectable by name through campaign specs and the Scenario facade.
 
 #include <memory>
 #include <string>
@@ -36,18 +34,5 @@ using util::kCapSideMemory;
 /// every registered name (built-ins first, then user registrations).
 [[nodiscard]] std::vector<std::string> paper_emt_names();
 [[nodiscard]] std::vector<std::string> emt_names();
-
-// --- legacy enum shims -----------------------------------------------------
-
-/// Instantiates the built-in EMT tagged with `kind` (paper-exact
-/// parameters). Shim over the registry.
-[[nodiscard]] std::unique_ptr<Emt> make_emt(EmtKind kind);
-
-/// All kinds the paper evaluates, in presentation order (Fig. 4 a, b, c).
-[[nodiscard]] const std::vector<EmtKind>& all_emt_kinds();
-
-/// Paper kinds plus the extensions this library adds (hybrid multi-error
-/// EMT for deep-voltage operation).
-[[nodiscard]] const std::vector<EmtKind>& extended_emt_kinds();
 
 }  // namespace ulpdream::core

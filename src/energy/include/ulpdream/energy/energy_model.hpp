@@ -42,16 +42,13 @@ struct MemoryEnergyParams {
 /// Encoder/decoder per-operation energy (logic domain, voltage-invariant in
 /// this model because the codec must stay at a safe voltage to function).
 /// The values live on the Emt interface (encode_energy_pj/decode_energy_pj)
-/// so user-registered techniques carry their own; this struct and the kind
-/// shim below survive for the overhead tables.
+/// so user-registered techniques carry their own.
 struct CodecEnergyParams {
   double encode_pj = 0.0;
   double decode_pj = 0.0;
 };
 
 [[nodiscard]] CodecEnergyParams codec_energy(const core::Emt& emt);
-/// Legacy enum shim: instantiates the built-in tagged with `kind`.
-[[nodiscard]] CodecEnergyParams codec_energy(core::EmtKind kind);
 
 struct EnergyBreakdown {
   double data_dynamic_j = 0.0;

@@ -70,7 +70,7 @@ class ProbitBerModel final : public BerModel {
 
 /// The process-wide BER-model registry. Built-ins ("log-linear",
 /// "probit") register on first access; register_factory() adds user
-/// models, selectable by name in campaign specs and sweep configs.
+/// models, selectable by name in campaign specs.
 [[nodiscard]] util::Registry<BerModel>& ber_model_registry();
 
 /// Instantiates the model registered under `name`. Throws
@@ -80,15 +80,5 @@ class ProbitBerModel final : public BerModel {
 
 /// All registered model names, built-ins first.
 [[nodiscard]] std::vector<std::string> ber_model_names();
-
-// --- legacy enum shims -----------------------------------------------------
-
-/// Survives only as a descriptor tag for code that still switches on it.
-enum class BerModelKind { kLogLinear, kProbit };
-
-/// Registered name of a built-in kind (registry descriptor lookup).
-[[nodiscard]] std::string ber_model_kind_name(BerModelKind kind);
-
-[[nodiscard]] std::unique_ptr<BerModel> make_ber_model(BerModelKind kind);
 
 }  // namespace ulpdream::mem

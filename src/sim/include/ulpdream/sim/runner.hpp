@@ -71,13 +71,6 @@ class ExperimentRunner {
                                    const std::string& emt_name,
                                    const mem::FaultMap* faults, double v);
 
-  /// Legacy convenience: run with a kind (instantiates the built-in EMT
-  /// tagged with it).
-  [[nodiscard]] RunResult run_once(const apps::BioApp& app,
-                                   const ecg::Record& record,
-                                   core::EmtKind kind,
-                                   const mem::FaultMap* faults, double v);
-
   /// Maximum SNR ("dashed line" of Fig. 4): error-free fixed-point run
   /// against the golden reference.
   [[nodiscard]] double max_snr_db(const apps::BioApp& app,

@@ -119,13 +119,6 @@ RunResult ExperimentRunner::run_once(const apps::BioApp& app,
   return run_once(app, record, *emt, faults, v);
 }
 
-RunResult ExperimentRunner::run_once(const apps::BioApp& app,
-                                     const ecg::Record& record,
-                                     core::EmtKind kind,
-                                     const mem::FaultMap* faults, double v) {
-  return run_once(app, record, core::emt_kind_name(kind), faults, v);
-}
-
 double ExperimentRunner::max_snr_db(const apps::BioApp& app,
                                     const ecg::Record& record) {
   // Without a golden model the reference already is the error-free run

@@ -3,13 +3,11 @@
 // A Registry<T> maps a stable name to a factory plus a Descriptor, so new
 // EMTs, applications and BER models can be added from *outside* src/ (an
 // example, a downstream project, a test) and then selected by name through
-// every layer that used to switch on an enum: campaign specs, sweep
-// configs, CLIs and the Scenario facade. Descriptors carry the metadata a
-// driver needs to enumerate and validate components *without*
-// instantiating them: a display name, a one-line doc string, capability
-// labels (e.g. "corrects-errors", "paper", "extended-tier") and an
-// optional integer tag that preserves the legacy enum value for stats
-// code that still groups by it.
+// every layer: campaign specs, CLIs and the Scenario facade. The name is
+// a component's only identity. Descriptors carry the metadata a CLI or
+// bench needs to enumerate and validate components *without*
+// instantiating them: a display name, a one-line doc string and
+// capability labels (e.g. "corrects-errors", "paper", "extended-tier").
 //
 // Registration and lookup are thread-safe (mutex-guarded map); factories
 // are invoked outside the lock so a factory may itself consult the
@@ -43,7 +41,6 @@ struct Descriptor {
   std::string display_name;  ///< human-facing name, e.g. "ECC SEC/DED"
   std::string doc;           ///< one-line description for --list output
   std::vector<std::string> capabilities;  ///< e.g. "paper", "corrects-errors"
-  int tag = -1;  ///< optional legacy enum value; -1 = no enum identity
 
   [[nodiscard]] bool has_capability(std::string_view cap) const {
     return std::find(capabilities.begin(), capabilities.end(), cap) !=
@@ -64,9 +61,7 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// Registers `factory` under `name`. Throws std::invalid_argument on an
-  /// empty name, a null factory, a name that is already registered, or a
-  /// descriptor tag another entry already carries (tags are unique legacy
-  /// enum identities; leave the tag at -1 for new components).
+  /// empty name, a null factory or a name that is already registered.
   void register_factory(const std::string& name, Factory factory,
                         Descriptor desc = {}) {
     if (name.empty()) {
@@ -80,15 +75,6 @@ class Registry {
     if (entries_.count(name) != 0) {
       throw std::invalid_argument("duplicate " + noun_ + " registration: '" +
                                   name + "'");
-    }
-    if (desc.tag >= 0) {
-      for (const auto& [other, entry] : entries_) {
-        if (entry.desc.tag == desc.tag) {
-          throw std::invalid_argument("duplicate " + noun_ + " tag " +
-                                      std::to_string(desc.tag) + ": '" + name +
-                                      "' vs '" + other + "'");
-        }
-      }
     }
     entries_.emplace(name, Entry{std::move(factory), std::move(desc)});
     order_.push_back(name);
@@ -147,50 +133,6 @@ class Registry {
     return out;
   }
 
-  /// Name of the entry whose descriptor tag equals `tag`; empty when no
-  /// entry carries it. The bridge for the legacy enum shims.
-  [[nodiscard]] std::string find_by_tag(int tag) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const std::string& name : order_) {
-      if (entries_.at(name).desc.tag == tag) return name;
-    }
-    return {};
-  }
-
-  /// Strict form of find_by_tag: throws std::invalid_argument when no
-  /// entry carries `tag`.
-  [[nodiscard]] std::string name_by_tag(int tag) const {
-    std::string name = find_by_tag(tag);
-    if (name.empty()) {
-      throw std::invalid_argument(noun_ + ": no entry tagged " +
-                                  std::to_string(tag));
-    }
-    return name;
-  }
-
-  /// Descriptor tags (entries with tag >= 0 only) in registration order,
-  /// optionally filtered by capability — basis of the kind-list shims.
-  [[nodiscard]] std::vector<int> tags() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<int> out;
-    for (const std::string& name : order_) {
-      const int tag = entries_.at(name).desc.tag;
-      if (tag >= 0) out.push_back(tag);
-    }
-    return out;
-  }
-  [[nodiscard]] std::vector<int> tags_with(std::string_view capability) const {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    std::vector<int> out;
-    for (const std::string& name : order_) {
-      const Descriptor& desc = entries_.at(name).desc;
-      if (desc.tag >= 0 && desc.has_capability(capability)) {
-        out.push_back(desc.tag);
-      }
-    }
-    return out;
-  }
-
   [[nodiscard]] std::size_t size() const {
     const std::lock_guard<std::mutex> lock(mutex_);
     return order_.size();
@@ -231,22 +173,5 @@ class Registry {
   std::vector<std::string> order_;
   std::unordered_map<std::string, Entry> entries_;
 };
-
-/// Casts a registry tag list back to its enum type, dropping tags above
-/// `max_tag` (kind-list shims): user registrations may carry tags outside
-/// the legacy enum's range, and those must never appear in an enum-typed
-/// list. In-range tags are all claimed by the built-ins — which register
-/// before any user code can — and tag uniqueness is enforced, so the
-/// filtered result is independent of registration timing.
-template <typename Enum>
-[[nodiscard]] std::vector<Enum> tags_as(const std::vector<int>& tags,
-                                        Enum max_tag) {
-  std::vector<Enum> out;
-  out.reserve(tags.size());
-  for (int tag : tags) {
-    if (tag <= static_cast<int>(max_tag)) out.push_back(static_cast<Enum>(tag));
-  }
-  return out;
-}
 
 }  // namespace ulpdream::util

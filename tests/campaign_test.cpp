@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <filesystem>
 #include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"
@@ -37,6 +42,16 @@ ResultStore run(const CampaignSpec& spec, unsigned threads,
   SubmitOptions options;
   options.shard = shard;
   return session.submit(spec, std::move(options)).take();
+}
+
+/// A store path in the temp directory, unique per process (ctest -j runs
+/// every test as its own process) and per call.
+std::string temp_store_path() {
+  static std::atomic<std::uint64_t> sequence{0};
+  return (std::filesystem::temp_directory_path() /
+          ("ulpdream_campaign_test_" + std::to_string(::getpid()) + "_" +
+           std::to_string(sequence++) + ".ulpdcol"))
+      .string();
 }
 
 // Bit-identical row comparison: EXPECT_EQ on every double, no tolerance.
@@ -212,17 +227,16 @@ TEST(CampaignEngine, ShardSplitsMergeToTheFullStore) {
 TEST(CampaignEngine, RawStoreSaveLoadRoundTripsAcrossProcessesShape) {
   const CampaignSpec spec = tiny_spec();
   // Simulate the CLI's cross-process shard workflow: each shard saves its
-  // raw store to a stream; a fresh merge "process" reloads and merges.
-  std::vector<std::string> blobs;
+  // raw store to a file; a fresh merge "process" reopens and merges.
+  std::vector<std::string> paths;
   for (std::size_t i = 0; i < 2; ++i) {
-    std::ostringstream os;
-    run(spec, 4, Shard{i, 2}).save(os);
-    blobs.push_back(os.str());
+    paths.push_back(temp_store_path());
+    run(spec, 4, Shard{i, 2}).save_columnar(paths.back());
   }
   ResultStore merged(spec);
-  for (const std::string& blob : blobs) {
-    std::istringstream is(blob);
-    merged.merge(ResultStore::load(is, spec));
+  for (const std::string& path : paths) {
+    merged.merge(ColumnarStore::open(path, spec).materialize());
+    std::filesystem::remove(path);
   }
   ASSERT_TRUE(merged.complete());
   expect_rows_identical(run(spec, 4).aggregate(), merged.aggregate());
@@ -239,10 +253,10 @@ TEST(ResultStore, ShardStoresAreSparseAndScaleWithTheirSlice) {
   EXPECT_FALSE(shard.complete());
 
   // Loading a shard's save materializes only that shard's items.
-  std::ostringstream os;
-  shard.save(os);
-  std::istringstream is(os.str());
-  const ResultStore loaded = ResultStore::load(is, spec);
+  const std::string path = temp_store_path();
+  shard.save_columnar(path);
+  const ResultStore loaded = ColumnarStore::open(path, spec).materialize();
+  std::filesystem::remove(path);
   EXPECT_EQ(loaded.stored_items(), shard.stored_items());
   EXPECT_EQ(loaded.items_done(), shard.items_done());
 
@@ -275,10 +289,10 @@ TEST(ResultStore, MergeAndLoadRejectSpecMismatch) {
   EXPECT_THROW(ResultStore(spec).merge(ResultStore(other.normalized())),
                std::invalid_argument);
 
-  std::ostringstream os;
-  ResultStore(spec).save(os);
-  std::istringstream is(os.str());
-  EXPECT_THROW((void)ResultStore::load(is, other), std::invalid_argument);
+  const std::string path = temp_store_path();
+  ResultStore(spec).save_columnar(path);
+  EXPECT_THROW((void)ColumnarStore::open(path, other), StoreError);
+  std::filesystem::remove(path);
 }
 
 TEST(ResultStore, AggregateRequiresCompleteStore) {

@@ -45,6 +45,8 @@ expect 2 '--progress' serve --progress=1 --listen=unix:/tmp/nowhere.sock \
 expect 2 'step' --step=0 --max-items=1
 expect 2 'repetitions' --reps=-1 --max-items=1
 expect 2 '--checkpoint-every' --checkpoint-every=4 --max-items=1
+expect 2 '--merge-stores' --merge-stores=,
+expect 2 '--store-format' --store-format=columnar --max-items=1
 expect 2 '--listen' daemon
 expect 2 '--cache-dir' daemon --listen=unix:/tmp/nowhere.sock
 expect 2 '--connect' query
@@ -53,6 +55,14 @@ expect 2 '--shard' query --connect=unix:/tmp/nowhere.sock --shard=0/2
 # Runtime failures (exit 1): a well-formed invocation against a broken
 # world.
 expect 1 - --resume=/nonexistent/resume.bin --max-items=1
+# A store in the retired line-oriented text format is foreign to the
+# columnar reader: it fails typed ("bad magic"), naming the file.
+text_store=$(mktemp)
+printf 'ulpdream-campaign-store v1\nfingerprint x\nmax_snr %s\nend\n' \
+    "30 31 32 33 34 35 36 37 38 39 40 41 42 43 44" >"$text_store"
+expect 1 "$text_store" --resume="$text_store" --max-items=1
+expect 1 "$text_store" --merge-stores="$text_store"
+rm -f "$text_store"
 expect 1 - work --connect=unix:/nonexistent/coordinator.sock
 expect 1 - query --connect=unix:/nonexistent/daemon.sock
 

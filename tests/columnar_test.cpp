@@ -1,9 +1,10 @@
 // The out-of-core columnar persistence contract: a columnar store must
-// reproduce the text format's aggregates bit-identically through every
-// access mode (mmap, buffered fallback, bounded streaming), every merge
-// strategy (in-memory vs append, any shard order) and a checkpoint round
-// trip — and every malformed, truncated or mismatched file must fail
-// with a typed StoreError naming the path, never an out-of-bounds read.
+// reproduce the in-memory store's samples and aggregates bit-identically
+// through every access mode (mmap, buffered fallback, bounded streaming),
+// every merge strategy (in-memory vs append, any shard order) and a
+// checkpoint round trip — and every malformed, truncated, mismatched or
+// foreign file must fail with a typed StoreError naming the path, never
+// an out-of-bounds read.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +19,6 @@
 #include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/spec.hpp"
-#include "ulpdream/campaign/store_reader.hpp"
 #include "ulpdream/util/file_view.hpp"
 
 namespace ulpdream::campaign {
@@ -155,8 +155,18 @@ void write_file(const std::string& path, const std::string& bytes) {
   os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// The save_columnar bytes of `store`, staged in `dir`. Saves are
+/// byte-deterministic, so equal bytes mean sample-level bit equality.
+std::string save_bytes(const ResultStore& store, const TempDir& dir) {
+  static int sequence = 0;
+  const std::string path =
+      dir.file("bytes" + std::to_string(sequence++) + ".col");
+  store.save_columnar(path);
+  return read_file(path);
+}
+
 // ---------------------------------------------------------------------------
-// Round trip and cross-format identity.
+// Round trip and in-memory identity.
 
 TEST(Columnar, RoundTripPreservesEveryItemSampleAndCeiling) {
   const CampaignSpec spec = test_spec();
@@ -179,13 +189,9 @@ TEST(Columnar, RoundTripPreservesEveryItemSampleAndCeiling) {
     }
   }
 
-  // Materialize reproduces the exact text serialization: sample-level
-  // bit equality, not just aggregate equality.
-  std::ostringstream expected;
-  store.save(expected);
-  std::ostringstream actual;
-  col.materialize().save(actual);
-  EXPECT_EQ(actual.str(), expected.str());
+  // Materialize reproduces the exact store: it saves to the same bytes
+  // (sample-level bit equality, not just aggregate equality).
+  EXPECT_EQ(save_bytes(col.materialize(), dir), read_file(path));
 }
 
 TEST(Columnar, AggregateIsBitIdenticalToTheInMemoryPathForEveryGrouping) {
@@ -268,11 +274,7 @@ TEST(Columnar, BufferedFallbackAndBoundedModeMatchTheMappedPath) {
   EXPECT_TRUE(streaming.bounded());
   EXPECT_FALSE(streaming.mapped());
   expect_rows_identical(streaming.aggregate(), reference);
-  std::ostringstream bytes;
-  streaming.materialize().save(bytes);
-  std::ostringstream expected;
-  store.save(expected);
-  EXPECT_EQ(bytes.str(), expected.str());
+  EXPECT_EQ(save_bytes(streaming.materialize(), dir), read_file(path));
 }
 
 TEST(Columnar, EnvKillSwitchForcesTheBufferedFallback) {
@@ -323,41 +325,10 @@ TEST(Columnar, AppendMergeMatchesInMemoryMergeInEveryShardOrder) {
     const ColumnarStore merged = ColumnarStore::open(merged_path, spec);
     EXPECT_TRUE(merged.complete());
     expect_rows_identical(merged.aggregate(), reference_rows);
-    // Sample-level equality too, via the text serialization.
-    std::ostringstream expected;
-    reference.save(expected);
-    std::ostringstream actual;
-    merged.materialize().save(actual);
-    EXPECT_EQ(actual.str(), expected.str());
+    // Sample-level equality too, via the canonical save.
+    EXPECT_EQ(save_bytes(merged.materialize(), dir),
+              save_bytes(reference, dir));
   }
-}
-
-TEST(Columnar, MixedFormatMergeThroughStoreReaderMatchesTheReference) {
-  const CampaignSpec spec = test_spec();
-  const ResultStore reference = full_store(spec);
-  TempDir dir;
-
-  // Shard 0+2 text, shard 1+3 columnar — the StoreReader seam folds them
-  // without the caller caring which is which.
-  std::vector<std::string> paths;
-  for (std::size_t s = 0; s < 4; ++s) {
-    ResultStore shard(spec);
-    fill(shard, 4, s);
-    const bool text = (s % 2) == 0;
-    paths.push_back(
-        dir.file("shard" + std::to_string(s) + (text ? ".store" : ".col")));
-    save_store(shard, paths.back(),
-               text ? StoreFormat::kText : StoreFormat::kColumnar);
-  }
-  ResultStore merged(spec);
-  for (const std::string& path : paths) {
-    merged.merge(StoreReader::open(path, spec).materialize());
-  }
-  std::ostringstream expected;
-  reference.save(expected);
-  std::ostringstream actual;
-  merged.save(actual);
-  EXPECT_EQ(actual.str(), expected.str());
 }
 
 TEST(Columnar, AppendMergeDeduplicatesOverlapsFirstDoneWins) {
@@ -384,55 +355,7 @@ TEST(Columnar, AppendMergeDeduplicatesOverlapsFirstDoneWins) {
   const ColumnarStore merged =
       ColumnarStore::open(dir.file("merged.col"), spec);
   EXPECT_EQ(merged.items_done(), spec.item_count());
-  std::ostringstream expected;
-  in_memory.save(expected);
-  std::ostringstream actual;
-  merged.materialize().save(actual);
-  EXPECT_EQ(actual.str(), expected.str());
-}
-
-// ---------------------------------------------------------------------------
-// Format seam.
-
-TEST(StoreReaderSeam, DetectsBothFormatsAndRejectsForeignFiles) {
-  const CampaignSpec spec = test_spec();
-  const ResultStore store = full_store(spec);
-  TempDir dir;
-  store.save_atomic(dir.file("run.store"));
-  store.save_columnar(dir.file("run.col"));
-
-  EXPECT_EQ(detect_store_format(dir.file("run.store")), StoreFormat::kText);
-  EXPECT_EQ(detect_store_format(dir.file("run.col")), StoreFormat::kColumnar);
-
-  write_file(dir.file("junk.bin"), "PNG\x89 definitely not a store");
-  EXPECT_THROW((void)detect_store_format(dir.file("junk.bin")), StoreError);
-  write_file(dir.file("short.bin"), "abc");
-  EXPECT_THROW((void)detect_store_format(dir.file("short.bin")), StoreError);
-  EXPECT_THROW((void)detect_store_format(dir.file("absent.bin")), StoreError);
-
-  // Both formats answer the same queries identically through the seam.
-  const StoreReader text = StoreReader::open(dir.file("run.store"), spec);
-  const StoreReader col = StoreReader::open(dir.file("run.col"), spec);
-  EXPECT_EQ(text.format(), StoreFormat::kText);
-  EXPECT_EQ(col.format(), StoreFormat::kColumnar);
-  EXPECT_EQ(text.items_done(), col.items_done());
-  EXPECT_EQ(text.complete(), col.complete());
-  EXPECT_TRUE(text.item_done(0));
-  EXPECT_TRUE(col.item_done(0));
-  expect_rows_identical(col.aggregate(), text.aggregate());
-  std::ostringstream ta;
-  text.materialize().save(ta);
-  std::ostringstream ca;
-  col.materialize().save(ca);
-  EXPECT_EQ(ca.str(), ta.str());
-}
-
-TEST(StoreReaderSeam, ParseStoreFormatNamesTheValidValues) {
-  EXPECT_EQ(parse_store_format("text"), StoreFormat::kText);
-  EXPECT_EQ(parse_store_format("columnar"), StoreFormat::kColumnar);
-  EXPECT_THROW((void)parse_store_format("parquet"), std::invalid_argument);
-  EXPECT_STREQ(to_string(StoreFormat::kText), "text");
-  EXPECT_STREQ(to_string(StoreFormat::kColumnar), "columnar");
+  EXPECT_EQ(save_bytes(merged.materialize(), dir), save_bytes(in_memory, dir));
 }
 
 // ---------------------------------------------------------------------------
@@ -565,26 +488,29 @@ TEST(ColumnarHardening, CorruptDirectoryAndIndexFailTyped) {
   expect_open_fails(dir.file("slot.col"), spec);
 }
 
-TEST(ColumnarHardening, TextShortReadsFailTypedThroughTheSeam) {
+TEST(ColumnarHardening, ForeignAndMissingFilesFailTyped) {
   const CampaignSpec spec = test_spec();
   TempDir dir;
-  const std::string good_path = dir.file("run.store");
-  full_store(spec).save_atomic(good_path);
-  const std::string good = read_file(good_path);
 
-  // Cut the text stream mid-line and before the trailing "end" marker;
-  // the seam must surface a StoreError naming the file.
-  for (const std::size_t keep : {good.size() / 2, good.size() - 4}) {
-    SCOPED_TRACE(testing::Message() << "truncated to " << keep << " bytes");
-    const std::string path = dir.file("trunc.store");
-    write_file(path, good.substr(0, keep));
-    try {
-      (void)StoreReader::open(path, spec);
-      FAIL() << "expected StoreError";
-    } catch (const StoreError& e) {
-      EXPECT_EQ(e.path(), path);
-      EXPECT_NE(std::string(e.what()).find(path), std::string::npos);
-    }
+  write_file(dir.file("junk.bin"), "PNG\x89 definitely not a store");
+  expect_open_fails(dir.file("junk.bin"), spec);
+  write_file(dir.file("short.bin"), "abc");
+  expect_open_fails(dir.file("short.bin"), spec);
+  expect_open_fails(dir.file("absent.bin"), spec);
+
+  // A store in the retired line-oriented text format is foreign too: its
+  // first bytes are not the columnar magic.
+  const std::string text_store = dir.file("run.store");
+  write_file(text_store, "ulpdream-campaign-store v1\nfingerprint " +
+                             spec.fingerprint() + "\nmax_snr 30 31 40 41\n" +
+                             "end\n");
+  expect_open_fails(text_store, spec);
+  try {
+    (void)ColumnarStore::open(text_store, spec);
+    FAIL() << "expected StoreError";
+  } catch (const StoreError& e) {
+    EXPECT_NE(std::string(e.what()).find("bad magic"), std::string::npos)
+        << e.what();
   }
 }
 

@@ -28,10 +28,6 @@ TEST(Factory, ProducesAllKinds) {
     ASSERT_NE(emt, nullptr);
     EXPECT_EQ(emt->name(), name);
   }
-  // The enum shims resolve through the same registry.
-  for (const EmtKind kind : all_emt_kinds()) {
-    EXPECT_EQ(make_emt(kind)->name(), emt_kind_name(kind));
-  }
 }
 
 TEST(Factory, PaperExtraBitsTable) {
@@ -70,14 +66,14 @@ TEST(AdaptivePolicy, EmptyPolicyDefaultsToNone) {
 }
 
 TEST(MemorySystem, SizesArraysForEmt) {
-  const auto dream = make_emt(EmtKind::kDream);
+  const auto dream = make_emt("dream");
   MemorySystem system(*dream, 1024);
   EXPECT_EQ(system.data().words(), 1024u);
   EXPECT_EQ(system.data().width_bits(), 16);
   ASSERT_NE(system.safe(), nullptr);
   EXPECT_EQ(system.safe()->width_bits(), 5);
 
-  const auto ecc = make_emt(EmtKind::kEccSecDed);
+  const auto ecc = make_emt("ecc_secded");
   MemorySystem ecc_system(*ecc, 1024);
   EXPECT_EQ(ecc_system.data().width_bits(), 22);
   EXPECT_EQ(ecc_system.safe(), nullptr);
@@ -107,8 +103,8 @@ TEST(MemorySystem, AllocatorRejectsRequestsWhoseEndWraps) {
 }
 
 TEST(ProtectedBuffer, RoundTripThroughEachEmt) {
-  for (const EmtKind kind : all_emt_kinds()) {
-    const auto emt = make_emt(kind);
+  for (const std::string& name : paper_emt_names()) {
+    const auto emt = make_emt(name);
     MemorySystem system(*emt, 256);
     auto buf = ProtectedBuffer::allocate(system, 128);
     for (std::size_t i = 0; i < 128; ++i) {
@@ -165,13 +161,13 @@ TEST(ProtectedBuffer, DreamSurvivesMsbFaultsEccDoesNot) {
     map.edit(w).value = (1u << 15) | (1u << 13);
   }
 
-  const auto dream = make_emt(EmtKind::kDream);
+  const auto dream = make_emt("dream");
   MemorySystem dream_sys(*dream, 256);
   dream_sys.attach_faults(&map);
   auto dream_buf = ProtectedBuffer::allocate(dream_sys, 64);
   // ECC's payload bit k holds Hamming position k+1, so the same physical
   // stuck cells corrupt different logical content — attach the same map.
-  const auto ecc = make_emt(EmtKind::kEccSecDed);
+  const auto ecc = make_emt("ecc_secded");
   MemorySystem ecc_sys(*ecc, 256);
   ecc_sys.attach_faults(&map);
   auto ecc_buf = ProtectedBuffer::allocate(ecc_sys, 64);
@@ -190,7 +186,7 @@ TEST(ProtectedBuffer, DreamSurvivesMsbFaultsEccDoesNot) {
 }
 
 TEST(ProtectedBuffer, CodecCountersAccumulateInSystem) {
-  const auto ecc = make_emt(EmtKind::kEccSecDed);
+  const auto ecc = make_emt("ecc_secded");
   MemorySystem system(*ecc, 64);
   mem::FaultMap map(64, 22);
   // Codeword bit 0 of encode(-1) is a parity bit that evaluates to 0;
@@ -206,7 +202,7 @@ TEST(ProtectedBuffer, CodecCountersAccumulateInSystem) {
 }
 
 TEST(MemorySystem, StatsResetClearsEverything) {
-  const auto dream = make_emt(EmtKind::kDream);
+  const auto dream = make_emt("dream");
   MemorySystem system(*dream, 64);
   auto buf = ProtectedBuffer::allocate(system, 8);
   buf.set(0, 5);

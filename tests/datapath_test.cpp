@@ -2,7 +2,7 @@
 // (Emt::encode_block/decode_block, FaultyMemory::read_block/write_block,
 // ProtectedBuffer::load/store) must be bit-identical to the scalar
 // word-at-a-time path — same decoded samples, same CodecCounters, same
-// data and side AccessStats — for every EMT kind x voltage x scrambler
+// data and side AccessStats — for every EMT x voltage x scrambler
 // setting, and MemorySystem's decoded shadow must be bit-identical to a
 // shadow-free per-word oracle under random operation sequences. Also pins
 // the sparse FaultMap representation against an independently-built
@@ -58,7 +58,7 @@ void expect_counters_eq(const core::CodecCounters& a,
 }
 
 struct DatapathCase {
-  core::EmtKind kind;
+  std::string emt;
   double voltage;
   std::uint64_t scrambler;
 };
@@ -67,7 +67,7 @@ class BlockScalarIdentity : public ::testing::TestWithParam<DatapathCase> {};
 
 TEST_P(BlockScalarIdentity, FullSweepMatchesScalarPath) {
   const DatapathCase param = GetParam();
-  const auto emt = core::make_emt(param.kind);
+  const auto emt = core::make_emt(param.emt);
   const fixed::SampleVec src = test_samples(kWords);
 
   util::Xoshiro256 rng(99);
@@ -107,7 +107,7 @@ TEST_P(BlockScalarIdentity, OverrideMatchesBaseBlockLoop) {
   // the Emt base implementation (a plain loop over the scalar virtuals),
   // including counter updates — qualified calls reach the base directly.
   const DatapathCase param = GetParam();
-  const auto emt = core::make_emt(param.kind);
+  const auto emt = core::make_emt(param.emt);
   const fixed::SampleVec src = test_samples(512);
   const std::size_t n = src.size();
   const bool has_safe = emt->safe_bits() > 0;
@@ -162,11 +162,11 @@ TEST_P(BlockScalarIdentity, OverrideMatchesBaseBlockLoop) {
 
 std::vector<DatapathCase> all_cases() {
   std::vector<DatapathCase> cases;
-  for (const core::EmtKind kind : core::extended_emt_kinds()) {
+  for (const std::string& emt : core::emt_names()) {
     for (const double v : {0.9, 0.8, 0.7, 0.6, 0.5}) {
       for (const std::uint64_t scrambler : {std::uint64_t{0},
                                             std::uint64_t{0xC0FFEE}}) {
-        cases.push_back({kind, v, scrambler});
+        cases.push_back({emt, v, scrambler});
       }
     }
   }
@@ -177,7 +177,7 @@ INSTANTIATE_TEST_SUITE_P(
     AllEmtsVoltagesScramblers, BlockScalarIdentity,
     ::testing::ValuesIn(all_cases()),
     [](const ::testing::TestParamInfo<DatapathCase>& info) {
-      return std::string(core::emt_kind_name(info.param.kind)) + "_v" +
+      return info.param.emt + "_v" +
              std::to_string(static_cast<int>(info.param.voltage * 100)) +
              (info.param.scrambler == 0 ? "_plain" : "_scrambled");
     });
@@ -212,8 +212,8 @@ TEST(SimdTiers, BlockSweepBitIdenticalAcrossTiersOffsetsAndTails) {
   ASSERT_GT(map.entry_count(), 0u);
 
   const std::vector<util::simd::Tier> tiers = runnable_tiers();
-  for (const core::EmtKind kind : core::extended_emt_kinds()) {
-    const auto emt = core::make_emt(kind);
+  for (const std::string& name : core::emt_names()) {
+    const auto emt = core::make_emt(name);
     for (const std::uint64_t scrambler :
          {std::uint64_t{0}, std::uint64_t{0xC0FFEE}}) {
       for (const std::size_t offset : {std::size_t{0}, std::size_t{1},
@@ -226,7 +226,7 @@ TEST(SimdTiers, BlockSweepBitIdenticalAcrossTiersOffsetsAndTails) {
               std::size_t{33}, std::size_t{48}}) {
           ASSERT_LE(offset + len, kBuf);
           SCOPED_TRACE(testing::Message()
-                       << core::emt_kind_name(kind) << " scrambler="
+                       << name << " scrambler="
                        << scrambler << " offset=" << offset
                        << " len=" << len);
 

@@ -39,9 +39,8 @@ TEST(DreamSecDed, CorrectsAnySingleBitErrorLikeEcc) {
 TEST(DreamSecDed, FactoryAndNaming) {
   const auto emt = make_emt("dream_secded");
   EXPECT_EQ(emt->name(), "dream_secded");
-  EXPECT_EQ(emt_kind_name(EmtKind::kDreamSecDed), "dream_secded");
-  EXPECT_EQ(extended_emt_kinds().size(), 4u);
-  EXPECT_EQ(all_emt_kinds().size(), 3u);  // the paper's set is unchanged
+  EXPECT_EQ(emt_names().size(), 4u);
+  EXPECT_EQ(paper_emt_names().size(), 3u);  // the paper's set is unchanged
   // The extension is outside the paper tier by capability.
   EXPECT_TRUE(emt_registry().descriptor("dream_secded")
                   .has_capability(kCapExtendedTier));

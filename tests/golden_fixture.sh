@@ -21,7 +21,7 @@ golden=${3:?missing golden directory}
 run_grid() {  # $1 output directory
     mkdir -p "$1"
     "$bin" --apps all --emts all --vmin 0.55 --vmax 0.85 --step 0.15 \
-        --pathologies normal_sinus,afib --reps 2 --store-format columnar \
+        --pathologies normal_sinus,afib --reps 2 \
         --store-out "$1/grid.ulpdcol" --csv "$1/grid.csv" >/dev/null
 }
 

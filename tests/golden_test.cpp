@@ -24,19 +24,19 @@ TEST(GoldenTables, PaperExtraBitsPerWord) {
   // Paper Sec. V (Formula 2): none 0, DREAM 5, ECC SEC/DED 6 extra bits
   // per 16-bit word; the deep-voltage hybrid stacks both (11).
   struct Expected {
-    core::EmtKind kind;
+    const char* name;
     int payload_bits;
     int safe_bits;
     int extra_bits;
   };
   const Expected golden[] = {
-      {core::EmtKind::kNone, 16, 0, 0},
-      {core::EmtKind::kDream, 16, 5, 5},
-      {core::EmtKind::kEccSecDed, 22, 0, 6},
-      {core::EmtKind::kDreamSecDed, 22, 5, 11},
+      {"none", 16, 0, 0},
+      {"dream", 16, 5, 5},
+      {"ecc_secded", 22, 0, 6},
+      {"dream_secded", 22, 5, 11},
   };
   for (const Expected& e : golden) {
-    const auto emt = core::make_emt(e.kind);
+    const auto emt = core::make_emt(e.name);
     EXPECT_EQ(emt->payload_bits(), e.payload_bits) << emt->name();
     EXPECT_EQ(emt->safe_bits(), e.safe_bits) << emt->name();
     EXPECT_EQ(emt->extra_bits(), e.extra_bits) << emt->name();

@@ -1,8 +1,8 @@
 // Registry-based extension API: the Registry<T> template, the built-in
-// component registrations, the legacy enum shims, the Scenario facade,
-// and — the acceptance test of the redesign — a user-defined EMT
-// registered *in this test binary* (outside src/) running through the
-// campaign engine by name with the engine's determinism guarantees intact.
+// component registrations, the Scenario facade, and — the acceptance test
+// of the redesign — a user-defined EMT registered *in this test binary*
+// (outside src/) running through the campaign engine by name with the
+// engine's determinism guarantees intact.
 
 #include <gtest/gtest.h>
 
@@ -62,43 +62,6 @@ TEST(Registry, UnknownNameErrorListsValidNames) {
   EXPECT_THROW((void)reg.descriptor("nope"), std::invalid_argument);
 }
 
-TEST(Registry, DuplicateTagThrows) {
-  Registry<Widget> reg("widget");
-  reg.register_factory(
-      "a", [] { return std::make_unique<FortyTwo>(); }, {"A", "", {}, 0});
-  EXPECT_THROW(reg.register_factory(
-                   "b", [] { return std::make_unique<FortyTwo>(); },
-                   {"B", "", {}, 0}),
-               std::invalid_argument);
-  // Untagged entries never collide.
-  reg.register_factory("c", [] { return std::make_unique<FortyTwo>(); });
-  reg.register_factory("d", [] { return std::make_unique<FortyTwo>(); });
-}
-
-TEST(Registry, OutOfRangeUserTagsStayOutOfEnumShimLists) {
-  // A user registration carrying a tag beyond the legacy enum range must
-  // never surface in the enum-typed kind lists (which feed enum switches
-  // like codec_area), however early it registers.
-  static const bool registered = [] {
-    core::emt_registry().register_factory(
-        "tagged_custom",
-        [] { return core::make_emt("none"); },
-        {"Tagged custom", "user EMT with an out-of-range tag", {}, 99});
-    return true;
-  }();
-  ASSERT_TRUE(registered);
-  for (const core::EmtKind kind : core::extended_emt_kinds()) {
-    EXPECT_LE(static_cast<int>(kind),
-              static_cast<int>(core::EmtKind::kDreamSecDed));
-  }
-  EXPECT_EQ(core::extended_emt_kinds().size(), 4u);
-  // Reusing a built-in's tag is rejected outright.
-  EXPECT_THROW(core::emt_registry().register_factory(
-                   "fake_dream", [] { return core::make_emt("none"); },
-                   {"Fake", "", {}, static_cast<int>(core::EmtKind::kDream)}),
-               std::invalid_argument);
-}
-
 TEST(Registry, RejectsEmptyNameAndNullFactory) {
   Registry<Widget> reg("widget");
   EXPECT_THROW(
@@ -111,20 +74,17 @@ TEST(Registry, DescriptorCarriesMetadataAndCapabilities) {
   Registry<Widget> reg("widget");
   reg.register_factory(
       "a", [] { return std::make_unique<FortyTwo>(); },
-      {"The Answer", "answers everything", {"deep-thought", "paper"}, 7});
+      {"The Answer", "answers everything", {"deep-thought", "paper"}});
   const Descriptor d = reg.descriptor("a");
   EXPECT_EQ(d.display_name, "The Answer");
   EXPECT_EQ(d.doc, "answers everything");
   EXPECT_TRUE(d.has_capability("deep-thought"));
   EXPECT_FALSE(d.has_capability("babel-fish"));
-  EXPECT_EQ(d.tag, 7);
   EXPECT_EQ(reg.names_with("paper"), (std::vector<std::string>{"a"}));
-  EXPECT_EQ(reg.find_by_tag(7), "a");
-  EXPECT_EQ(reg.find_by_tag(8), "");
 }
 
 // ---------------------------------------------------------------------------
-// Built-in registrations and the enum shims.
+// Built-in registrations.
 
 TEST(ComponentRegistries, BuiltInsEnumerateInPresentationOrder) {
   // >= because other tests in this binary may register extra components.
@@ -149,15 +109,6 @@ TEST(ComponentRegistries, CapabilitiesClassifyTiers) {
   EXPECT_TRUE(apps::app_registry()
                   .descriptor("heartbeat_classifier")
                   .has_capability(core::kCapExtendedTier));
-}
-
-TEST(ComponentRegistries, EnumShimsResolveThroughDescriptorTags) {
-  EXPECT_EQ(core::emt_kind_name(core::EmtKind::kDream), "dream");
-  EXPECT_EQ(core::make_emt(core::EmtKind::kEccSecDed)->name(), "ecc_secded");
-  EXPECT_EQ(apps::app_kind_name(apps::AppKind::kCompressedSensing), "cs");
-  EXPECT_EQ(mem::ber_model_kind_name(mem::BerModelKind::kProbit), "probit");
-  EXPECT_EQ(mem::make_ber_model(mem::BerModelKind::kLogLinear)->name(),
-            "log-linear");
 }
 
 TEST(ComponentRegistries, MakeEmtUnknownNameListsRegisteredNames) {
@@ -226,7 +177,6 @@ TEST(CustomEmt, RegistersAndParsesLikeABuiltIn) {
   EXPECT_TRUE(in_all);
   // The paper tier is untouched.
   EXPECT_EQ(core::paper_emt_names().size(), 3u);
-  EXPECT_EQ(core::extended_emt_kinds().size(), 4u);
 }
 
 TEST(CustomEmt, RunsThroughCampaignEngineDeterministically) {

@@ -2,23 +2,25 @@
 // submitted concurrently to one Session, cancelled at arbitrary points,
 // or split across checkpoint/resume boundaries must reproduce the
 // uninterrupted single-campaign run bit-identically — pinned here by
-// byte-comparing the saved raw stores (save() writes exact
-// shortest-round-trip doubles in canonical item order, so byte equality
-// is sample-level bit equality).
+// byte-comparing the saved raw stores (save_columnar() writes every
+// sample's exact bits in canonical item order, so byte equality is
+// sample-level bit equality).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/scenario.hpp"
 #include "ulpdream/campaign/session.hpp"
-#include "ulpdream/campaign/store_reader.hpp"
 
 namespace ulpdream::campaign {
 namespace {
@@ -35,15 +37,39 @@ CampaignSpec small_spec(std::uint64_t seed, std::size_t reps = 4) {
   return spec.normalized();
 }
 
-std::string save_bytes(const ResultStore& store) {
-  std::ostringstream os;
-  store.save(os);
-  return os.str();
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream f(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(f), {});
 }
 
+/// A store path in the temp directory, unique per process (ctest -j runs
+/// every test as its own process) and per call.
+std::filesystem::path temp_store_path() {
+  static std::atomic<std::uint64_t> sequence{0};
+  return std::filesystem::temp_directory_path() /
+         ("ulpdream_session_test_" + std::to_string(::getpid()) + "_" +
+          std::to_string(sequence++) + ".ulpdcol");
+}
+
+/// The save_columnar bytes of `store`, staged through a temp file.
+std::string save_bytes(const ResultStore& store) {
+  const std::filesystem::path path = temp_store_path();
+  store.save_columnar(path.string());
+  std::string bytes = file_bytes(path);
+  std::filesystem::remove(path);
+  return bytes;
+}
+
+/// The store a fresh process reads back from `bytes`.
 ResultStore load_bytes(const std::string& bytes, const CampaignSpec& spec) {
-  std::istringstream is(bytes);
-  return ResultStore::load(is, spec);
+  const std::filesystem::path path = temp_store_path();
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ResultStore store = ColumnarStore::open(path.string(), spec).materialize();
+  std::filesystem::remove(path);
+  return store;
 }
 
 /// The uninterrupted single-campaign reference: a one-thread session
@@ -189,10 +215,10 @@ TEST(Session, EveryCheckpointResumesToTheIdenticalStore) {
 }
 
 TEST(Session, ColumnarCheckpointResumesToTheIdenticalStore) {
-  // The out-of-core sibling of EveryCheckpointResumesToTheIdenticalStore:
-  // checkpoints persisted with save_columnar, reopened through the
-  // auto-detecting StoreReader as a fresh process would, must complete to
-  // the uninterrupted run bit-identically.
+  // The on-disk sibling of EveryCheckpointResumesToTheIdenticalStore:
+  // checkpoints persisted with save_columnar, reopened through
+  // ColumnarStore as a fresh process would, must complete to the
+  // uninterrupted run bit-identically.
   const CampaignSpec spec = small_spec(2016, 5);  // 10 items
   const std::string reference = reference_bytes(spec);
 
@@ -219,9 +245,8 @@ TEST(Session, ColumnarCheckpointResumesToTheIdenticalStore) {
   for (const std::size_t at : {std::size_t{0}, checkpoint_paths.size() / 2,
                                checkpoint_paths.size() - 1}) {
     SCOPED_TRACE(testing::Message() << "interrupted after checkpoint " << at);
-    const StoreReader reader = StoreReader::open(checkpoint_paths[at], spec);
-    EXPECT_EQ(reader.format(), StoreFormat::kColumnar);
-    const ResultStore snapshot = reader.materialize();
+    const ResultStore snapshot =
+        ColumnarStore::open(checkpoint_paths[at], spec).materialize();
     EXPECT_EQ(snapshot.items_done(), at + 1);
 
     Session session(energy::SystemEnergyModel(), 4);
@@ -245,18 +270,17 @@ TEST(Session, SaveAtomicPublishesTheExactByteStreamAndCleansItsStaging) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "ulpdream_session_test";
   std::filesystem::create_directories(dir);
-  const std::filesystem::path path = dir / "run.store";
+  const std::filesystem::path path = dir / "run.ulpdcol";
 
   // Fresh publish and an overwrite of an existing checkpoint both go
   // through the staged rename.
   for (int round = 0; round < 2; ++round) {
     SCOPED_TRACE(testing::Message() << "round " << round);
-    store.save_atomic(path.string());
-    std::ifstream f(path, std::ios::binary);
-    std::stringstream bytes;
-    bytes << f.rdbuf();
-    EXPECT_EQ(bytes.str(), reference);
-    EXPECT_EQ(save_bytes(load_bytes(bytes.str(), spec)), reference);
+    store.save_columnar(path.string());
+    EXPECT_EQ(file_bytes(path), reference);
+    EXPECT_EQ(
+        save_bytes(ColumnarStore::open(path.string(), spec).materialize()),
+        reference);
   }
   // No staging file survives a successful publish (pid-suffixed or not).
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -266,9 +290,8 @@ TEST(Session, SaveAtomicPublishesTheExactByteStreamAndCleansItsStaging) {
   }
   // A failed publish (unwritable target directory) throws and leaves no
   // partial file behind at the destination name.
-  const std::filesystem::path bad =
-      dir / "missing_subdir" / "run.store";
-  EXPECT_THROW(store.save_atomic(bad.string()), std::runtime_error);
+  const std::filesystem::path bad = dir / "missing_subdir" / "run.ulpdcol";
+  EXPECT_THROW(store.save_columnar(bad.string()), std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(bad));
   std::filesystem::remove_all(dir);
 }
@@ -388,29 +411,6 @@ TEST(Session, ScenarioSubmitsOntoAnAttachedSession) {
   EXPECT_EQ(save_bytes(store), reference_bytes(scenario.build_spec()));
 
   EXPECT_THROW((void)Scenario().app("dwt").submit(), std::logic_error);
-}
-
-TEST(Session, ScenarioRunToPersistsInEitherFormatAndReopensIdentically) {
-  Scenario scenario;
-  scenario.app("dwt").emt("none").voltage(0.8).repetitions(2).seed(5);
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ulpdream_scenario_run_to";
-  std::filesystem::create_directories(dir);
-
-  const ResultStore text_store =
-      scenario.run_to((dir / "run.store").string(), StoreFormat::kText);
-  const ResultStore col_store = scenario.run_to((dir / "run.col").string(),
-                                                StoreFormat::kColumnar);
-  EXPECT_EQ(save_bytes(text_store), save_bytes(col_store));
-
-  const CampaignSpec spec = scenario.build_spec();
-  const StoreReader text = StoreReader::open((dir / "run.store").string(), spec);
-  const StoreReader col = StoreReader::open((dir / "run.col").string(), spec);
-  EXPECT_EQ(text.format(), StoreFormat::kText);
-  EXPECT_EQ(col.format(), StoreFormat::kColumnar);
-  EXPECT_EQ(save_bytes(text.materialize()), save_bytes(text_store));
-  EXPECT_EQ(save_bytes(col.materialize()), save_bytes(text_store));
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -9,11 +9,17 @@
 #include "ulpdream/util/telemetry.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <span>
 #include <sstream>
@@ -366,9 +372,19 @@ std::string run_store_bytes(const campaign::CampaignSpec& spec,
   options.shard = shard;
   const campaign::ResultStore store =
       session.submit(spec, options).wait();
-  std::ostringstream os;
-  store.save(os);
-  return os.str();
+  // Staged through a temp file unique per process (ctest -j runs every
+  // test as its own process) and per call.
+  static std::atomic<std::uint64_t> sequence{0};
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("ulpdream_telemetry_test_" + std::to_string(::getpid()) + "_" +
+       std::to_string(sequence++) + ".ulpdcol");
+  store.save_columnar(path.string());
+  std::ifstream f(path, std::ios::binary);
+  std::string bytes(std::istreambuf_iterator<char>(f), {});
+  f.close();
+  std::filesystem::remove(path);
+  return bytes;
 }
 
 TEST(NonInterference, TracedAndMeteredRunStoreIsByteIdenticalToDarkRun) {

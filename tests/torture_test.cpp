@@ -117,8 +117,8 @@ TEST(Torture, ProtectedBufferRandomMapsNeverCrashAndStayDeterministic) {
   // Heavy random maps across every EMT: reads must be total functions
   // (no crash, in-range) and repeatable.
   util::Xoshiro256 rng(5);
-  for (const EmtKind kind : extended_emt_kinds()) {
-    const auto emt = make_emt(kind);
+  for (const std::string& name : emt_names()) {
+    const auto emt = make_emt(name);
     for (double ber : {1e-3, 1e-2, 0.1}) {
       const mem::FaultMap map = mem::FaultMap::random(512, 22, ber, rng);
       MemorySystem system(*emt, 512);
@@ -139,8 +139,8 @@ TEST(Torture, ProtectedBufferRandomMapsNeverCrashAndStayDeterministic) {
 TEST(Torture, EmtTransparencyOnFaultFreeMemoryExhaustive) {
   // Every EMT must be the identity channel on clean memory, for every
   // possible sample value (full 16-bit exhaustive sweep).
-  for (const EmtKind kind : extended_emt_kinds()) {
-    const auto emt = make_emt(kind);
+  for (const std::string& name : emt_names()) {
+    const auto emt = make_emt(name);
     for (int v = -32768; v <= 32767; ++v) {
       const auto s = static_cast<fixed::Sample>(v);
       if (emt->decode(emt->encode_payload(s), emt->encode_safe(s)) != s) {

@@ -274,7 +274,7 @@ TEST(FmtExact, RoundTripsDoublesBitExactly) {
 
 TEST(FmtExact, RoundTripsNonFiniteDoubles) {
   // to_chars writes inf/-inf/nan and from_chars reads them back, so the
-  // exact text formats (raw store, CSV) carry non-finite values loss-free.
+  // exact text exports (CSV, JSON) carry non-finite values loss-free.
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(fmt_exact(inf), "inf");
   EXPECT_EQ(fmt_exact(-inf), "-inf");
