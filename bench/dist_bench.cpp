@@ -1,5 +1,5 @@
-// Distributed-runtime microbenchmark: the coordinator-side costs that
-// bound a campaign's scale-out — frame round-trip latency/throughput on
+// Leased-execution microbenchmark: the daemon-side costs that bound a
+// grid's scale-out over workers — frame round-trip latency/throughput on
 // the wire protocol (a socketpair, so the numbers are protocol + kernel,
 // no network), shard-sized LeaseResult ingest bandwidth, and LeaseTable
 // grant/complete/expiry churn. Self-timed, no external benchmark
@@ -19,8 +19,8 @@
 #include <thread>
 #include <vector>
 
-#include "ulpdream/dist/lease_table.hpp"
-#include "ulpdream/dist/protocol.hpp"
+#include "ulpdream/serve/lease_table.hpp"
+#include "ulpdream/serve/protocol.hpp"
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/socket.hpp"
 
@@ -50,16 +50,16 @@ struct WireTimings {
 };
 
 /// LeaseResult -> ResultAck ping-pong: the exact exchange a worker's
-/// shard upload makes, echo thread playing coordinator.
+/// shard upload makes, echo thread playing the daemon.
 WireTimings bench_wire(std::size_t frames, std::size_t payload_bytes) {
-  auto [worker, coordinator] = util::Socket::socketpair("dist-bench");
-  std::thread echo([&coordinator = coordinator, frames] {
+  auto [worker, daemon] = util::Socket::socketpair("dist-bench");
+  std::thread echo([&daemon = daemon, frames] {
     util::Frame frame;
     for (std::size_t i = 0; i < frames; ++i) {
-      if (!dist::receive(coordinator, frame)) return;
-      const dist::LeaseResult result =
-          dist::decode_lease_result(frame, coordinator.peer());
-      send(coordinator, dist::ResultAck{result.lease_id});
+      if (!serve::receive(daemon, frame)) return;
+      const serve::LeaseResult result =
+          serve::decode_lease_result(frame, daemon.peer());
+      send(daemon, serve::ResultAck{result.lease_id});
     }
   });
 
@@ -70,9 +70,9 @@ WireTimings bench_wire(std::size_t frames, std::size_t payload_bytes) {
   const auto start = Clock::now();
   util::Frame frame;
   for (std::size_t i = 0; i < frames; ++i) {
-    send(worker, dist::LeaseResult{i, payload});
-    if (!dist::receive(worker, frame)) break;
-    (void)dist::decode_result_ack(frame, worker.peer());
+    send(worker, serve::LeaseResult{i, payload});
+    if (!serve::receive(worker, frame)) break;
+    (void)serve::decode_result_ack(frame, worker.peer());
   }
   t.seconds = seconds_since(start);
   echo.join();
@@ -97,11 +97,11 @@ struct TableTimings {
 TableTimings bench_table(std::size_t items, std::size_t lease_items) {
   TableTimings t;
   t.leases = (items + lease_items - 1) / lease_items;
-  const auto now = dist::LeaseTable::Clock::now();
+  const auto now = serve::LeaseTable::Clock::now();
 
   {
-    dist::LeaseTable table(items, lease_items, std::chrono::seconds(60));
-    dist::LeaseTable::Lease lease;
+    serve::LeaseTable table(items, lease_items, std::chrono::seconds(60));
+    serve::LeaseTable::Lease lease;
     const auto start = Clock::now();
     while (table.grant("bench", now, lease)) table.complete(lease.id);
     t.grant_complete_s = seconds_since(start);
@@ -114,14 +114,14 @@ TableTimings bench_table(std::size_t items, std::size_t lease_items) {
   {
     // Worst-case churn: every lease expires once before its re-grant
     // completes — the recovery path after a mass worker death.
-    dist::LeaseTable table(items, lease_items,
+    serve::LeaseTable table(items, lease_items,
                            std::chrono::milliseconds(1));
-    dist::LeaseTable::Lease lease;
+    serve::LeaseTable::Lease lease;
     const auto late = now + std::chrono::seconds(1);
     const auto start = Clock::now();
     while (table.grant("bench", now, lease)) {
       (void)table.expire_due(late);
-      dist::LeaseTable::Lease again;
+      serve::LeaseTable::Lease again;
       if (!table.grant("bench", late, again)) break;
       table.complete(again.id);
     }

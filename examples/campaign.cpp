@@ -32,16 +32,16 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/session.hpp"
-#include "ulpdream/dist/coordinator.hpp"
-#include "ulpdream/dist/worker.hpp"
 #include "ulpdream/serve/client.hpp"
 #include "ulpdream/serve/daemon.hpp"
+#include "ulpdream/serve/worker.hpp"
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/log.hpp"
 #include "ulpdream/util/table.hpp"
@@ -73,7 +73,7 @@ decltype(auto) parse_flags(F&& f) {
   }
 }
 
-/// Every flag the grid axes understand (shared by run/serve/work).
+/// Every flag the grid axes understand (shared by a local run and query).
 const std::vector<std::string>& axis_flags() {
   static const std::vector<std::string> flags = {
       "apps", "emts",        "vmin", "vmax", "step",      "pathologies",
@@ -81,18 +81,21 @@ const std::vector<std::string>& axis_flags() {
   return flags;
 }
 
-/// Rejects any given flag outside `allowed` (+ the axis flags), naming
-/// the offending flag. Every verb calls this first, so a typo fails
-/// fast with exit 2 instead of being silently ignored.
+/// Rejects any given flag outside `allowed` (+ the axis flags when the
+/// verb describes a grid), naming the offending flag. Every verb calls
+/// this first, so a typo — or an axis flag daemon/work would ignore —
+/// fails fast with exit 2 instead of being silently dropped.
 void enforce_flags(const util::Cli& cli,
                    const std::vector<std::string>& allowed,
-                   const std::string& verb) {
+                   const std::string& verb, bool grid_axes) {
   for (const std::string& key : cli.keys()) {
     if (std::find(allowed.begin(), allowed.end(), key) != allowed.end()) {
       continue;
     }
     const auto& axes = axis_flags();
-    if (std::find(axes.begin(), axes.end(), key) != axes.end()) continue;
+    if (grid_axes && std::find(axes.begin(), axes.end(), key) != axes.end()) {
+      continue;
+    }
     throw UsageError("unknown flag --" + key + " for 'campaign" +
                      (verb.empty() ? "" : " " + verb) + "' (see --help)");
   }
@@ -104,13 +107,11 @@ void print_help() {
 
 Usage:
   campaign [--flags]          execute a grid in this process
-  campaign serve [--flags]    coordinate a distributed campaign (lease
-                              item ranges to socket-connected workers,
-                              ingest their columnar shards, publish the
-                              merged store)
-  campaign work [--flags]     execute leases for a coordinator
   campaign daemon [--flags]   answer spec queries from a warm session
-                              plus a persistent result cache
+                              plus a persistent result cache; grids it
+                              must execute are leased to attached
+                              workers, or run locally when none is
+  campaign work [--flags]     attach to a daemon and execute its leases
   campaign query [--flags]    ask a daemon for a grid (cached answers
                               return without recomputing anything)
 
@@ -164,36 +165,31 @@ Output:
   --list               enumerate registered components and exit
   --help               this text
 
-Distributed (campaign serve; see README "Distributed campaigns"):
-  --listen EP          endpoint to serve on: HOST:PORT (port 0 picks an
-                       ephemeral port, printed on stderr) or unix:/path
-  --lease-items N      items per lease grant                    [256]
-  --lease-ttl MS       re-lease a lease not renewed within MS   [10000]
-  --heartbeat-ms MS    renewal cadence advertised to workers    [2000]
-  --spool-dir DIR      where ingested shard files land (required)
-  --store-out PATH     the merged columnar store (required); byte-
-                       identical to a single-process run of the grid
-  --metrics-out PATH   write the folded worker metrics JSON
-
-Distributed (campaign work):
-  --connect EP         coordinator endpoint (required)
-  --name NAME          worker label for logs and telemetry      [worker]
-  --threads N          session pool workers; 0 = all hardware   [0]
-  --checkpoint-dir DIR local columnar checkpoints of the in-progress
-                       lease (crash forensics; the coordinator re-leases
-                       regardless)
-  --checkpoint-every N checkpoint cadence in items (with --checkpoint-dir)
-
-Query daemon (campaign daemon; see README "Query daemon"):
+Daemon (campaign daemon; see README "Daemon, workers and queries"):
   --listen EP          endpoint to serve on: HOST:PORT (port 0 picks an
                        ephemeral port, printed on stderr) or unix:/path
   --cache-dir DIR      persistent result cache directory (required);
-                       a restarted daemon rehydrates its warm set here
+                       a restarted daemon rehydrates its warm set here,
+                       and leased shards spool under DIR/spool
   --cache-budget-mb N  LRU byte budget for cached stores        [256]
   --threads N          session pool workers; 0 = all hardware   [0]
   --progress-every-ms N  Progress-frame cadence while executing [250]
-  --metrics-out PATH   write the daemon's MetricsSnapshot JSON after the
+  --lease-items N      items per lease grant to a worker        [256]
+  --lease-ttl MS       re-lease a lease not renewed within MS   [10000]
+  --heartbeat-ms MS    worker poll/renew cadence; must be below
+                       --lease-ttl                              [2000]
+  --metrics-out PATH   write the daemon's MetricsSnapshot JSON (with the
+                       departed workers' snapshots folded in) after the
                        graceful SIGTERM/SIGINT drain
+
+Worker (campaign work) — takes no grid axes; each lease names its grid:
+  --connect EP         daemon endpoint (required)
+  --name NAME          worker label for logs and telemetry      [worker]
+  --threads N          session pool workers; 0 = all hardware   [0]
+  --checkpoint-dir DIR local columnar checkpoints of the in-progress
+                       lease (crash forensics; the daemon re-leases
+                       regardless)
+  --checkpoint-every N checkpoint cadence in items (with --checkpoint-dir)
 
 Query client (campaign query) — grid-axis flags pick the grid, the
 daemon executes (or answers warm) and aggregates:
@@ -204,11 +200,6 @@ daemon executes (or answers warm) and aggregates:
                        same grid
   --progress           live progress line from streamed Progress frames
                        (an exact cache hit prints none)
-
-The serve/work verbs take the same grid-axis flags as a local run; the worker's
-HELLO carries the grid fingerprint and the coordinator rejects a
-mismatch quoting both, so a serve/work pair can never silently compute
-different campaigns.
 
 Determinism: item RNG streams are keyed on (seed, item index) alone, so
 any thread count, shard split, cancellation point, checkpoint/resume
@@ -420,67 +411,13 @@ void run_merge_stores(const util::Cli& cli, const campaign::CampaignSpec& spec,
   export_aggregates(cli, merged);
 }
 
-/// `campaign serve`: coordinate a distributed campaign.
-int run_serve(const util::Cli& cli) {
-  enforce_flags(cli,
-                {"listen", "lease-items", "lease-ttl", "heartbeat-ms",
-                 "spool-dir", "store-out", "metrics-out", "help"},
-                "serve");
-  const campaign::CampaignSpec spec =
-      parse_flags([&cli] { return spec_from_cli(cli); });
-
-  dist::Coordinator::Options options;
-  options.listen = cli.get("listen", "");
-  if (options.listen.empty()) {
-    throw UsageError(
-        "campaign serve requires --listen HOST:PORT or --listen unix:/path");
-  }
-  options.spool_dir = cli.get("spool-dir", "");
-  if (options.spool_dir.empty()) {
-    throw UsageError("campaign serve requires --spool-dir DIR");
-  }
-  options.store_out = cli.get("store-out", "");
-  if (options.store_out.empty()) {
-    throw UsageError("campaign serve requires --store-out PATH");
-  }
-  options.lease_items = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("lease-items", 256)));
-  options.lease_ttl_ms = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("lease-ttl", 10'000)));
-  options.heartbeat_ms = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("heartbeat-ms", 2'000)));
-  options.metrics_out = cli.get("metrics-out", "");
-
-  dist::Coordinator coordinator(spec, options);
-  std::cerr << "[campaign] serving " << spec.item_count() << " items on "
-            << coordinator.endpoint() << " (leases of "
-            << options.lease_items << " items, TTL " << options.lease_ttl_ms
-            << " ms)\n";
-  const dist::Coordinator::Report report = coordinator.serve();
-  std::cerr << "[campaign] campaign complete: " << report.workers_seen
-            << " workers, " << report.leases_granted << " leases granted ("
-            << report.leases_expired << " expired, " << report.leases_revoked
-            << " revoked, " << report.stale_results << " stale results), "
-            << report.shards_ingested << " shards / " << report.ingest_bytes
-            << " bytes ingested\n";
-  std::cerr << "[campaign] wrote merged store " << options.store_out << '\n';
-  if (!options.metrics_out.empty()) {
-    std::cerr << "[campaign] wrote merged worker metrics "
-              << options.metrics_out << '\n';
-  }
-  return 0;
-}
-
-/// `campaign work`: execute leases for a coordinator.
+/// `campaign work`: attach to a daemon and execute its leases.
 int run_work(const util::Cli& cli) {
   enforce_flags(cli,
                 {"connect", "name", "threads", "checkpoint-dir",
                  "checkpoint-every", "help"},
-                "work");
-  const campaign::CampaignSpec spec =
-      parse_flags([&cli] { return spec_from_cli(cli); });
-
-  dist::Worker::Options options;
+                "work", false);
+  serve::Worker::Options options;
   options.connect = cli.get("connect", "");
   if (options.connect.empty()) {
     throw UsageError(
@@ -493,10 +430,10 @@ int run_work(const util::Cli& cli) {
   options.checkpoint_every = static_cast<std::size_t>(
       std::max<std::int64_t>(0, cli.get_int("checkpoint-every", 0)));
 
-  dist::Worker worker(spec, options);
+  serve::Worker worker(options);
   std::cerr << "[campaign] worker " << options.name << " connecting to "
             << options.connect << '\n';
-  const dist::Worker::Report report = worker.run();
+  const serve::Worker::Report report = worker.run();
   std::cerr << "[campaign] worker " << options.name << " done: "
             << report.leases_completed << " leases, "
             << report.items_executed << " items\n";
@@ -511,12 +448,14 @@ void handle_stop_signal(int) {
   if (serve::Daemon* daemon = g_daemon.load()) daemon->request_stop();
 }
 
-/// `campaign daemon`: answer spec queries from a warm session + cache.
+/// `campaign daemon`: answer spec queries from a warm session + cache,
+/// leasing executed grids to attached workers.
 int run_daemon(const util::Cli& cli) {
   enforce_flags(cli,
                 {"listen", "cache-dir", "cache-budget-mb", "threads",
-                 "progress-every-ms", "metrics-out", "help"},
-                "daemon");
+                 "progress-every-ms", "lease-items", "lease-ttl",
+                 "heartbeat-ms", "metrics-out", "help"},
+                "daemon", false);
   serve::Daemon::Options options;
   options.listen = cli.get("listen", "");
   if (options.listen.empty()) {
@@ -535,14 +474,27 @@ int run_daemon(const util::Cli& cli) {
       std::max<std::int64_t>(0, cli.get_int("threads", 0)));
   options.progress_every_ms = static_cast<std::size_t>(
       std::max<std::int64_t>(1, cli.get_int("progress-every-ms", 250)));
+  options.lease_items = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, cli.get_int("lease-items", 256)));
+  options.lease_ttl_ms = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, cli.get_int("lease-ttl", 10'000)));
+  options.heartbeat_ms = static_cast<std::size_t>(
+      std::max<std::int64_t>(1, cli.get_int("heartbeat-ms", 2'000)));
   const std::string metrics_out = cli.get("metrics-out", "");
   if (!metrics_out.empty()) util::telemetry::set_hot_timing(true);
 
-  serve::Daemon daemon(options);
+  std::optional<serve::Daemon> served;
+  try {
+    served.emplace(options);
+  } catch (const std::invalid_argument& e) {
+    throw UsageError(std::string("--heartbeat-ms must be below --lease-ttl: ") +
+                     e.what());
+  }
+  serve::Daemon& daemon = *served;
   g_daemon.store(&daemon);
   std::signal(SIGTERM, handle_stop_signal);
   std::signal(SIGINT, handle_stop_signal);
-  std::cerr << "[campaign] query daemon on " << daemon.endpoint()
+  std::cerr << "[campaign] daemon on " << daemon.endpoint()
             << " (cache " << daemon.cache().dir() << ": "
             << daemon.cache().entries() << " warm entries, "
             << daemon.cache().bytes() << " bytes)\n";
@@ -550,7 +502,8 @@ int run_daemon(const util::Cli& cli) {
   const serve::Daemon::Report report = daemon.run();
   g_daemon.store(nullptr);
   std::cerr << "[campaign] daemon drained: " << report.clients
-            << " clients, " << report.queries << " queries ("
+            << " clients, " << report.workers << " workers, "
+            << report.queries << " queries ("
             << report.cache_hits << " hits, " << report.gap_fills
             << " gap-fills, " << report.cold_runs << " cold, "
             << report.errors << " errors), " << report.items_executed
@@ -567,7 +520,7 @@ int run_query(const util::Cli& cli) {
   enforce_flags(cli,
                 {"connect", "group", "csv", "json", "store-out", "progress",
                  "help"},
-                "query");
+                "query", true);
   const campaign::CampaignSpec spec =
       parse_flags([&cli] { return spec_from_cli(cli); });
   const campaign::GroupBy group =
@@ -620,7 +573,7 @@ int run_local(const util::Cli& cli) {
                    "checkpoint-every", "resume", "trace", "metrics-out",
                    "metrics-every", "merge-metrics", "store-out", "group",
                    "csv", "json", "merge-stores", "list", "help"},
-                  "");
+                  "", true);
     if (cli.has("list")) {
       print_registries();
       return 0;
@@ -788,12 +741,11 @@ int main(int argc, char** argv) {
       throw UsageError("expected one verb, got '" + verbs[0] + "' and '" +
                        verbs[1] + "'");
     }
-    if (verbs[0] == "serve") return run_serve(cli);
-    if (verbs[0] == "work") return run_work(cli);
     if (verbs[0] == "daemon") return run_daemon(cli);
+    if (verbs[0] == "work") return run_work(cli);
     if (verbs[0] == "query") return run_query(cli);
     throw UsageError("unknown verb '" + verbs[0] +
-                     "' (verbs: serve, work, daemon, query; see --help)");
+                     "' (verbs: daemon, work, query; see --help)");
   } catch (const UsageError& e) {
     std::cerr << "campaign: " << e.what() << '\n';
     return 2;

@@ -31,7 +31,7 @@ MSG_RESULT = 33
 MSG_PROGRESS = 34
 MSG_ERROR = 35
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 CACHE_STATUS = {0: "cold", 1: "hit", 2: "gap-fill"}
 
 # Record-generation front-end defaults; must match campaign::CampaignSpec.

@@ -143,7 +143,7 @@ class ColumnarStore {
     /// Canonical: physical slots are rewritten in sorted item order and
     /// unreferenced duplicates dropped, so the output is byte-identical
     /// to a single-process ResultStore::save_columnar of the same data —
-    /// the distributed coordinator's proof obligation (CI byte-compares
+    /// the daemon's proof obligation for leased grids (CI byte-compares
     /// its merged store against the single-process run). Both stream
     /// through fixed-size buffers; memory stays O(index) either way.
     bool canonical = false;

@@ -88,7 +88,7 @@ struct Progress {
 /// idiomatic, race-free "stop after N items" — but callbacks must not
 /// block on the handle (wait()/try_result()).
 /// A contiguous slice [begin, end) of the canonical item expansion — the
-/// unit of distributed work leasing (dist::Coordinator grants these).
+/// unit of distributed work leasing (serve::Daemon grants these).
 struct ItemRange {
   std::size_t begin = 0;
   std::size_t end = 0;

@@ -108,7 +108,7 @@ struct WorkItem {
                                                  std::size_t shard_count);
 
 /// The contiguous slice [begin, end) of the expansion — the shape of a
-/// distributed work lease (dist::Coordinator grants ranges, not strided
+/// distributed work lease (serve::Daemon grants ranges, not strided
 /// shards). Throws std::invalid_argument when the range falls outside
 /// the grid or is empty.
 [[nodiscard]] std::vector<WorkItem> expand_range(const CampaignSpec& spec,

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "ulpdream/serve/protocol.hpp"
+#include "ulpdream/util/file_view.hpp"
 #include "ulpdream/util/log.hpp"
 #include "ulpdream/util/telemetry.hpp"
 #include "ulpdream/util/wire.hpp"
@@ -19,19 +20,6 @@ namespace fs = std::filesystem;
 using campaign::StoreError;
 
 namespace {
-
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw StoreError(path, "cannot open for reading");
-  const std::streamsize size = is.tellg();
-  is.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0 &&
-      !is.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw StoreError(path, "short read");
-  }
-  return bytes;
-}
 
 std::string sidecar_of(const std::string& store_path) {
   return fs::path(store_path).replace_extension(".spec").string();
@@ -113,7 +101,7 @@ void ResultCache::rehydrate() {
       if (!fs::exists(sidecar)) {
         throw StoreError(store_path, "missing spec sidecar " + sidecar);
       }
-      const std::vector<std::uint8_t> sidecar_bytes = slurp(sidecar);
+      const std::vector<std::uint8_t> sidecar_bytes = util::read_file(sidecar);
       util::PayloadReader reader(sidecar_bytes, sidecar, "SpecSidecar");
       const campaign::CampaignSpec spec = decode_spec(reader).normalized();
       reader.finish();
@@ -192,13 +180,26 @@ std::optional<ResultCache::Entry> ResultCache::best_overlap(
 
 ResultCache::Entry ResultCache::insert(const campaign::CampaignSpec& spec,
                                        const campaign::ResultStore& store) {
-  const std::string fingerprint = spec.fingerprint();
-  const std::string hash = spec.fingerprint_hash();
-  const std::string store_path =
-      (fs::path(options_.dir) / (hash + ".ulpdcol")).string();
-  const std::string sidecar = sidecar_of(store_path);
+  const std::string path =
+      (fs::path(options_.dir) / (spec.fingerprint_hash() + ".ulpdcol"))
+          .string();
+  store.save_columnar(path);
+  return adopt(spec, path);  // already in place: the rename is a no-op
+}
 
-  store.save_columnar(store_path);
+ResultCache::Entry ResultCache::adopt(const campaign::CampaignSpec& spec,
+                                      const std::string& path) {
+  const std::string fingerprint = spec.fingerprint();
+  const std::string store_path =
+      (fs::path(options_.dir) / (spec.fingerprint_hash() + ".ulpdcol"))
+          .string();
+  const std::string sidecar = sidecar_of(store_path);
+  std::error_code ec;
+  fs::rename(path, store_path, ec);
+  if (ec) {
+    throw StoreError(path, "cannot move into the cache as " + store_path +
+                               ": " + ec.message());
+  }
   {
     util::PayloadWriter writer;
     encode_spec(writer, spec);

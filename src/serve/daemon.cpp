@@ -6,42 +6,87 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <system_error>
 #include <utility>
+#include <vector>
 
+#include "ulpdream/campaign/columnar.hpp"
+#include "ulpdream/util/file_view.hpp"
 #include "ulpdream/util/log.hpp"
 
 namespace ulpdream::serve {
 
+namespace fs = std::filesystem;
+namespace telemetry = util::telemetry;
+
+/// One grid executing as leases on the attached workers.
+struct Daemon::Grid {
+  campaign::CampaignSpec spec;
+  LeaseTable table;
+  std::vector<std::string> shards;  ///< spooled shard files, ingest order
+};
+
 namespace {
 
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw campaign::StoreError(path, "cannot open for reading");
-  const std::streamsize size = is.tellg();
-  is.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  if (size > 0 && !is.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw campaign::StoreError(path, "short read");
-  }
-  return bytes;
+/// Pause after a failed accept or thread spawn: the pending connection
+/// waits in the backlog until a handler frees its descriptor.
+constexpr int kAcceptBackoffMs = 100;
+
+const telemetry::Counter& errors() {
+  static const telemetry::Counter c("serve.errors");
+  return c;
 }
 
-std::string rows_csv_text(const std::vector<campaign::AggregateRow>& rows) {
-  std::ostringstream os;
-  campaign::write_rows_csv(os, rows);
-  return os.str();
+Daemon::Options validated(Daemon::Options options) {
+  if (options.heartbeat_ms >= options.lease_ttl_ms) {
+    throw std::invalid_argument(
+        "heartbeat_ms (" + std::to_string(options.heartbeat_ms) +
+        ") must be below lease_ttl_ms (" +
+        std::to_string(options.lease_ttl_ms) +
+        "): idle workers poll every heartbeat_ms, and a worker silent for "
+        "2 x lease_ttl_ms is dropped");
+  }
+  return options;
+}
+
+/// Fills `result` from a published cache entry. Callers hold the daemon
+/// mutex, so a concurrent insert's eviction sweep cannot unlink the file
+/// mid-read.
+void fill_answer(Result& result, const Query& query,
+                 const ResultCache::Entry& entry) {
+  if (query.want_store) {
+    result.store_bytes = util::read_file(entry.store_path);
+  }
+  if (query.want_rows) {
+    const auto store =
+        campaign::ColumnarStore::open(entry.store_path, entry.spec);
+    std::ostringstream os;
+    campaign::write_rows_csv(os, store.aggregate(query.group));
+    result.rows_csv = os.str();
+  }
+}
+
+void remove_files(const std::vector<std::string>& paths) {
+  std::error_code ec;
+  for (const std::string& path : paths) fs::remove(path, ec);
 }
 
 }  // namespace
 
 Daemon::Daemon(Options options)
-    : options_(std::move(options)),
+    : options_(validated(std::move(options))),
       session_(energy::SystemEnergyModel(), options_.threads),
       cache_(ResultCache::Options{options_.cache_dir,
                                   options_.cache_budget_bytes}),
+      spool_dir_((fs::path(options_.cache_dir) / "spool").string()),
       listener_(util::Listener::open(options_.listen)) {
+  // Shards of grids a previous process never finished are orphans.
+  fs::remove_all(spool_dir_);
+  fs::create_directories(spool_dir_);
   int fds[2];
   if (::pipe(fds) != 0) {
     throw util::SocketError(options_.listen,
@@ -52,6 +97,10 @@ Daemon::Daemon(Options options)
 }
 
 Daemon::~Daemon() {
+  // run() leaves no handler behind; this covers a run() that threw, so
+  // no path destroys a joinable thread.
+  stopping_.store(true);
+  join_all();
   if (stop_rd_ >= 0) (void)::close(stop_rd_);
   if (stop_wr_ >= 0) (void)::close(stop_wr_);
 }
@@ -63,182 +112,454 @@ void Daemon::request_stop() noexcept {
   }
 }
 
+telemetry::MetricsSnapshot Daemon::telemetry() const {
+  std::lock_guard lock(mutex_);
+  telemetry::MetricsSnapshot out = worker_metrics_;
+  out.merge(session_.telemetry());  // the daemon's own gauges win
+  return out;
+}
+
 Daemon::Report Daemon::run() {
+  static const telemetry::Counter accept_errors("serve.accept_errors");
   util::log_info("serve: daemon listening on ", listener_.endpoint(),
                  " (cache ", cache_.dir(), ": ", cache_.entries(),
                  " entries, ", cache_.bytes(), " bytes rehydrated)");
+  bool backoff = false;
   for (;;) {
+    reap_finished();
     pollfd fds[2];
-    fds[0] = pollfd{listener_.fd(), POLLIN, 0};
-    fds[1] = pollfd{stop_rd_, POLLIN, 0};
-    const int rc = ::poll(fds, 2, -1);
+    fds[0] = pollfd{stop_rd_, POLLIN, 0};
+    fds[1] = pollfd{listener_.fd(), POLLIN, 0};
+    // After a failed accept, sit out the back-off watching only the stop
+    // pipe: the listener stays readable while the backlog is non-empty.
+    const int rc =
+        ::poll(fds, backoff ? 1 : 2, backoff ? kAcceptBackoffMs : -1);
+    backoff = false;
     if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw util::SocketError(listener_.endpoint(),
-                              std::string("poll: ") + std::strerror(errno));
+      backoff = errno != EINTR;
+      continue;
     }
-    if ((fds[1].revents & POLLIN) != 0) break;
-    if ((fds[0].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
-    auto conn = std::make_shared<ClientConn>();
-    conn->socket = listener_.accept();
-    std::lock_guard lock(mutex_);
-    report_.clients += 1;
-    conns_.push_back(conn);
-    handlers_.emplace_back([this, conn] { handle_client(conn); });
+    if ((fds[0].revents & POLLIN) != 0) break;
+    if ((fds[1].revents & (POLLIN | POLLERR | POLLHUP)) == 0) continue;
+    try {
+      accept_one();
+    } catch (const std::exception& e) {
+      accept_errors.add();
+      util::log_warn("serve: ", e.what());
+      backoff = true;
+    }
   }
 
-  // Graceful drain: no new connections, idle clients wake to EOF, busy
-  // handlers finish and answer their in-flight query, then everyone
-  // joins.
+  // Drain, 1: no new connections; idle clients and connections that
+  // have not spoken yet wake to EOF.
   stopping_.store(true);
   listener_.close();
+  std::vector<Conn*> clients;
   {
     std::lock_guard lock(mutex_);
-    for (const auto& conn : conns_) {
-      if (!conn->busy.load()) conn->socket.shutdown();
+    for (Conn& conn : conns_) {
+      if (conn.worker) continue;
+      if (!conn.busy.load()) conn.socket.shutdown();
+      clients.push_back(&conn);
     }
   }
-  for (std::thread& handler : handlers_) handler.join();
+  cv_.notify_all();
+  // 2: in-flight queries finish, on the workers still attached.
+  for (Conn* conn : clients) conn->thread.join();
+  {
+    // 3: workers get NoWork{done}, ship their metrics and say Goodbye;
+    // 4: stragglers are cut off.
+    std::unique_lock lock(mutex_);
+    release_workers_ = true;
+    cv_.wait_for(lock, std::chrono::milliseconds(4 * options_.heartbeat_ms),
+                 [this] { return workers_ == 0; });
+  }
+  join_all();
   util::log_info("serve: daemon drained (", report_.queries, " queries, ",
                  report_.cache_hits, " hits, ", report_.gap_fills,
-                 " gap-fills, ", report_.cold_runs, " cold)");
+                 " gap-fills, ", report_.cold_runs, " cold, ",
+                 report_.workers, " workers)");
   std::lock_guard lock(mutex_);
   return report_;
 }
 
-void Daemon::handle_client(const std::shared_ptr<ClientConn>& conn) {
-  static const util::telemetry::Counter errors("serve.errors");
-  static const util::telemetry::Gauge connected("serve.clients_connected");
-  connected.set(static_cast<double>(++connected_count_));
+void Daemon::accept_one() {
+  util::Socket socket = listener_.accept();
+  std::lock_guard lock(mutex_);
+  Conn& conn = conns_.emplace_back();
+  conn.socket = std::move(socket);
+  try {
+    conn.thread = std::thread([this, &conn] { handle_connection(conn); });
+  } catch (const std::system_error& e) {
+    conns_.pop_back();  // closes the socket; the client sees EOF
+    throw std::runtime_error(std::string("handler thread: ") + e.what());
+  }
+}
+
+void Daemon::join_all() {
+  {
+    std::lock_guard lock(mutex_);
+    for (Conn& conn : conns_) conn.socket.shutdown();
+  }
+  cv_.notify_all();
+  for (Conn& conn : conns_) {
+    if (conn.thread.joinable()) conn.thread.join();
+  }
+  conns_.clear();
+}
+
+void Daemon::reap_finished() {
+  std::lock_guard lock(mutex_);
+  for (auto it = conns_.begin(); it != conns_.end();) {
+    if (it->finished.load()) {
+      it->thread.join();
+      it = conns_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void Daemon::handle_connection(Conn& conn) {
   try {
     util::Frame frame;
-    while (receive(conn->socket, frame, options_.max_frame_bytes)) {
+    if (receive(conn.socket, frame, options_.max_frame_bytes)) {
+      if (frame.type == static_cast<std::uint32_t>(MsgType::kHello)) {
+        serve_worker(conn, frame);
+      } else {
+        serve_client(conn, frame);
+      }
+    }
+  } catch (const std::exception& e) {
+    util::log_warn("serve: ", conn.socket.peer(), ": ", e.what());
+  }
+  {
+    // The drain shuts sockets down under mutex_; closing under it too
+    // keeps that shutdown off a descriptor number already closed here
+    // and reused.
+    std::lock_guard lock(mutex_);
+    conn.socket.close();
+  }
+  conn.finished.store(true);
+}
+
+void Daemon::serve_client(Conn& conn, util::Frame& frame) {
+  static const telemetry::Gauge connected("serve.clients_connected");
+  {
+    std::lock_guard lock(mutex_);
+    report_.clients += 1;
+  }
+  connected.set(++clients_connected_);
+  const auto fail = [this, &conn](const std::string& message) {
+    errors().add();
+    {
+      std::lock_guard lock(mutex_);
+      report_.errors += 1;
+    }
+    send(conn.socket, Error{message});
+  };
+  try {
+    do {
       Query query;
       try {
-        query = decode_query(frame, conn->socket.peer());
+        query = decode_query(frame, conn.socket.peer());
       } catch (const ProtocolError& e) {
         // Payload garbage: tell the peer why, then hang up — a client
         // that cannot frame a Query will not frame the next one either.
-        errors.add();
-        {
-          std::lock_guard lock(mutex_);
-          report_.errors += 1;
-        }
-        send(conn->socket, Error{e.what()});
+        fail(e.what());
         break;
       }
       if (query.version != kProtocolVersion) {
-        errors.add();
-        {
-          std::lock_guard lock(mutex_);
-          report_.errors += 1;
-        }
-        send(conn->socket,
-             Error{"protocol version mismatch: daemon speaks " +
-                   std::to_string(kProtocolVersion) + ", client sent " +
-                   std::to_string(query.version)});
+        fail("protocol version mismatch: daemon speaks " +
+             std::to_string(kProtocolVersion) + ", client sent " +
+             std::to_string(query.version));
         continue;
       }
-      conn->busy.store(true);
-      Result result;
+      conn.busy.store(true);
       try {
-        result = answer(query, *conn);
+        send(conn.socket, answer(query, conn));
       } catch (const util::SocketError&) {
-        conn->busy.store(false);
-        throw;  // client died mid-query; already cancelled
+        throw;  // the client died mid-query; its grid is already cancelled
       } catch (const std::exception& e) {
         // Query-level failure (unknown axis name, bad spec, store I/O):
         // answer with the reason and keep the connection — the client
         // may fix the spec and retry.
-        conn->busy.store(false);
-        errors.add();
-        {
-          std::lock_guard lock(mutex_);
-          report_.errors += 1;
-        }
-        send(conn->socket, Error{e.what()});
-        if (stopping_.load()) break;
-        continue;
+        fail(e.what());
       }
-      conn->busy.store(false);
-      send(conn->socket, result);
+      conn.busy.store(false);
       if (stopping_.load()) break;
-    }
+    } while (receive(conn.socket, frame, options_.max_frame_bytes));
   } catch (const std::exception& e) {
-    util::log_warn("serve: client ", conn->socket.peer(), ": ", e.what());
+    util::log_warn("serve: client ", conn.socket.peer(), ": ", e.what());
   }
-  {
-    // The drain in run() shuts idle sockets down under mutex_; closing
-    // under it too keeps that shutdown off a descriptor number already
-    // closed here and reused.
-    std::lock_guard lock(mutex_);
-    conn->socket.close();
-  }
-  connected.set(static_cast<double>(--connected_count_));
+  connected.set(--clients_connected_);
 }
 
-Result Daemon::answer(const Query& query, ClientConn& conn) {
-  static const util::telemetry::Counter queries("serve.queries");
-  static const util::telemetry::Histogram hit_ns("serve.query.hit_ns");
-  static const util::telemetry::Histogram cold_ns("serve.query.cold_ns");
-  static const util::telemetry::Histogram gap_ns("serve.query.gapfill_ns");
-  static const util::telemetry::Counter gap_executed(
+/// The worker conversation: HELLO handshake, then the worker's
+/// request/response loop until Goodbye, EOF, or a transport/protocol
+/// failure — every exit path revokes the worker's leases on every grid.
+void Daemon::serve_worker(Conn& conn, const util::Frame& hello_frame) {
+  static const telemetry::Gauge attached("serve.workers_attached");
+  static const telemetry::Counter revoked("serve.leases_revoked");
+  const std::string peer = conn.socket.peer();
+  const Hello hello = decode_hello(hello_frame, peer);
+  if (hello.version != kProtocolVersion) {
+    errors().add();
+    send(conn.socket,
+         HelloReject{"protocol version mismatch: daemon speaks " +
+                     std::to_string(kProtocolVersion) + ", worker sent " +
+                     std::to_string(hello.version)});
+    return;
+  }
+  std::string owner;
+  {
+    std::lock_guard lock(mutex_);
+    conn.worker = true;
+    report_.workers += 1;
+    // Unique per connection: Unix-socket peers all share one name.
+    owner = hello.worker_name + "#" + std::to_string(report_.workers) +
+            "@" + peer;
+    attached.set(static_cast<double>(++workers_));
+  }
+  util::log_info("serve: worker ", owner, " attached");
+  try {
+    // A worker silent for longer than the TTL is not heartbeating its
+    // leases; time the read out so the handler revokes and exits instead
+    // of blocking forever on a wedged connection.
+    conn.socket.set_recv_timeout(options_.lease_ttl_ms * 2);
+    send(conn.socket, HelloOk{options_.heartbeat_ms});
+    util::Frame frame;
+    bool open = true;
+    while (open && receive(conn.socket, frame, options_.max_frame_bytes)) {
+      switch (static_cast<MsgType>(frame.type)) {
+        case MsgType::kLeaseRequest:
+          grant_lease(conn.socket, owner);
+          break;
+        case MsgType::kHeartbeat: {
+          const Heartbeat beat = decode_heartbeat(frame, peer);
+          {
+            std::lock_guard lock(mutex_);
+            if (const auto it = leases_.find(beat.lease_id);
+                it != leases_.end()) {
+              (void)it->second.grid->table.renew(it->second.table_id,
+                                                 LeaseTable::Clock::now());
+            }
+          }
+          send(conn.socket, HeartbeatAck{beat.lease_id});
+          break;
+        }
+        case MsgType::kLeaseResult: {
+          const LeaseResult result = decode_lease_result(frame, peer);
+          ingest(result);
+          send(conn.socket, ResultAck{result.lease_id});
+          break;
+        }
+        case MsgType::kMetrics: {
+          std::istringstream is(decode_metrics(frame, peer).json);
+          const auto snapshot = telemetry::MetricsSnapshot::read_json(is);
+          std::lock_guard lock(mutex_);
+          worker_metrics_.merge(snapshot);
+          break;
+        }
+        case MsgType::kGoodbye:
+          open = false;
+          break;
+        default:
+          throw ProtocolError(
+              peer, std::string("unexpected ") +
+                        to_string(static_cast<MsgType>(frame.type)) +
+                        " frame (type " + std::to_string(frame.type) +
+                        ") from a worker");
+      }
+    }
+  } catch (const std::exception& e) {
+    util::log_warn("serve: worker ", owner, " failed: ", e.what());
+  }
+
+  std::lock_guard lock(mutex_);
+  for (const auto& grid : grids_) {
+    for (const auto& lease : grid->table.revoke_owner(owner)) {
+      revoked.add();
+      util::log_warn("serve: worker ", owner, " left holding [",
+                     lease.begin, ", ", lease.end, "); re-leasing");
+    }
+  }
+  attached.set(static_cast<double>(--workers_));
+  cv_.notify_all();
+}
+
+void Daemon::grant_lease(util::Socket& socket, const std::string& owner) {
+  static const telemetry::Counter granted("serve.leases_granted");
+  LeaseGrant grant;
+  bool done = false;
+  {
+    std::lock_guard lock(mutex_);
+    const auto now = LeaseTable::Clock::now();
+    for (const auto& grid : grids_) {  // oldest grid with pending work
+      LeaseTable::Lease lease;
+      if (!grid->table.grant(owner, now, lease)) continue;
+      grant = LeaseGrant{next_lease_id_++, grid->spec, lease.begin,
+                         lease.end};
+      leases_.emplace(grant.lease_id,
+                      WireLease{grid, lease.id, lease.begin, lease.end});
+      break;
+    }
+    done = release_workers_;
+  }
+  if (grant.lease_id == 0) {
+    send(socket, NoWork{done, options_.heartbeat_ms});
+    return;
+  }
+  granted.add();
+  send(socket, grant);
+}
+
+void Daemon::ingest(const LeaseResult& result) {
+  static const telemetry::Counter shards("serve.shards_ingested");
+  static const telemetry::Counter bytes("serve.ingest_bytes");
+  static const telemetry::Counter stale("serve.stale_results");
+  std::shared_ptr<Grid> grid;
+  {
+    std::lock_guard lock(mutex_);
+    if (const auto it = leases_.find(result.lease_id); it != leases_.end()) {
+      grid = it->second.grid;
+    }
+  }
+  if (!grid) return;  // its grid finished or was cancelled: moot
+
+  // Spool to disk outside the lock: the daemon holds at most one shard
+  // payload per worker connection at a time. The spool is scratch (a
+  // restart empties it), so no staged publish is needed.
+  const std::string path =
+      spool_dir_ + "/lease_" + std::to_string(result.lease_id) + ".ulpdcol";
+  try {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(reinterpret_cast<const char*>(result.store_bytes.data()),
+             static_cast<std::streamsize>(result.store_bytes.size()));
+    os.close();
+    if (!os) throw campaign::StoreError(path, "cannot spool shard");
+    // A corrupt payload must not mark items done.
+    (void)campaign::ColumnarStore::open(path, grid->spec);
+  } catch (...) {
+    remove_files({path});
+    throw;
+  }
+
+  std::lock_guard lock(mutex_);
+  const auto it = leases_.find(result.lease_id);
+  if (it == leases_.end()) {  // the grid closed while this spooled
+    remove_files({path});
+    return;
+  }
+  grid->shards.push_back(path);
+  shards.add();
+  bytes.add(result.store_bytes.size());
+  if (!grid->table.complete(it->second.table_id)) {
+    // The lease expired (and its range was re-granted) before this
+    // worker finished. The work is valid all the same: credit the range;
+    // append_merge dedups any overlap first-done-wins.
+    stale.add();
+    grid->table.complete_range(it->second.begin, it->second.end);
+  }
+  if (grid->table.all_done()) cv_.notify_all();
+}
+
+void Daemon::close_grid(const std::shared_ptr<Grid>& grid) {
+  grids_.remove(grid);
+  std::erase_if(leases_,
+                [&grid](const auto& kv) { return kv.second.grid == grid; });
+}
+
+Result Daemon::answer(const Query& query, Conn& conn) {
+  static const telemetry::Counter queries("serve.queries");
+  static const telemetry::Histogram hit_ns("serve.query.hit_ns");
+  static const telemetry::Histogram cold_ns("serve.query.cold_ns");
+  static const telemetry::Histogram gap_ns("serve.query.gapfill_ns");
+  static const telemetry::Counter gap_executed(
       "serve.gapfill.items_executed");
-  static const util::telemetry::Counter gap_reused(
-      "serve.gapfill.items_reused");
+  static const telemetry::Counter gap_reused("serve.gapfill.items_reused");
   queries.add();
   {
     std::lock_guard lock(mutex_);
     report_.queries += 1;
   }
-  const std::uint64_t t0 = util::telemetry::now_ns();
+  const std::uint64_t t0 = telemetry::now_ns();
 
   const campaign::CampaignSpec spec = query.spec.normalized();
   const std::string fingerprint = spec.fingerprint();
   Result result;
   result.items_total = spec.item_count();
 
-  // 1. Exact hit: answer from the published cache file; the pool is
-  // never touched. The file read happens under the cache lock so a
-  // concurrent insert's eviction sweep cannot unlink it mid-read.
+  // 1. Exact hit: answer from the published cache file; nothing runs.
   {
     std::unique_lock lock(mutex_);
     if (const auto hit = cache_.find(fingerprint)) {
       result.status = CacheStatus::kHit;
-      if (query.want_store) result.store_bytes = slurp(hit->store_path);
-      if (query.want_rows) {
-        const auto store =
-            campaign::ColumnarStore::open(hit->store_path, hit->spec);
-        result.rows_csv = rows_csv_text(store.aggregate(query.group));
-      }
+      fill_answer(result, query, *hit);
       report_.cache_hits += 1;
       report_.items_reused += spec.item_count();
       lock.unlock();
-      hit_ns.record(util::telemetry::now_ns() - t0);
+      hit_ns.record(telemetry::now_ns() - t0);
       return result;
     }
   }
 
   // 2. Overlap gap-fill: adopt the nearest same-family cached store as
-  // resume_from. submit() consumes the resume store synchronously (the
-  // merge runs on this thread), so `adopted` may die with this frame.
+  // the grid's leading items (read under the lock so eviction cannot
+  // unlink the donor mid-read). 3. Otherwise cold.
   campaign::ResultStore adopted;
   bool have_donor = false;
+  bool leased = false;
   {
     std::lock_guard lock(mutex_);
     if (const auto donor = cache_.best_overlap(spec)) {
-      const auto donor_store =
-          campaign::ColumnarStore::open(donor->store_path, donor->spec);
-      adopted = adopt_prefix(donor_store, spec);
+      adopted = adopt_prefix(
+          campaign::ColumnarStore::open(donor->store_path, donor->spec),
+          spec);
       have_donor = true;
     }
+    leased = workers_ != 0;
   }
+  const std::size_t reused = have_donor ? adopted.items_done() : 0;
+  campaign::ResultStore store;
+  std::string merged;
+  if (leased) {
+    merged = execute_leased(spec, adopted, conn);
+  } else {
+    store = execute_local(spec, have_donor ? &adopted : nullptr, conn);
+  }
+  result.items_executed = spec.item_count() - reused;
+  result.status = have_donor ? CacheStatus::kGapFill : CacheStatus::kCold;
 
+  // Publish to the cache, then answer from the published file — what
+  // the client gets is bit-identical to what the next hit will serve
+  // (and to a single-process `campaign` save of this grid).
+  {
+    std::lock_guard lock(mutex_);
+    fill_answer(result, query,
+                leased ? cache_.adopt(spec, merged)
+                       : cache_.insert(spec, store));
+    report_.items_executed += result.items_executed;
+    if (have_donor) {
+      report_.gap_fills += 1;
+      report_.items_reused += reused;
+      gap_executed.add(result.items_executed);
+      gap_reused.add(reused);
+    } else {
+      report_.cold_runs += 1;
+    }
+  }
+  (have_donor ? gap_ns : cold_ns).record(telemetry::now_ns() - t0);
+  return result;
+}
+
+campaign::ResultStore Daemon::execute_local(
+    const campaign::CampaignSpec& spec, const campaign::ResultStore* resume,
+    Conn& conn) {
   campaign::SubmitOptions submit_options;
-  if (have_donor) submit_options.resume_from = &adopted;
+  submit_options.resume_from = resume;
   const campaign::CampaignHandle handle =
       session_.submit(spec, submit_options);
-
   try {
     for (;;) {
       const campaign::Progress progress = handle.progress();
@@ -254,35 +575,74 @@ Result Daemon::answer(const Query& query, ClientConn& conn) {
     handle.cancel();
     throw;
   }
+  return handle.take();
+}
 
-  const campaign::Progress final_progress = handle.progress();
-  campaign::ResultStore store = handle.take();
-  result.items_executed =
-      final_progress.items_done - final_progress.items_resumed;
-  result.status = have_donor ? CacheStatus::kGapFill : CacheStatus::kCold;
-
-  // 3. Publish to the cache, then answer with the published file's
-  // bytes — what the client gets is bit-identical to what the next hit
-  // will serve (and to a single-process `campaign` save of this grid).
-  {
-    std::lock_guard lock(mutex_);
-    const ResultCache::Entry entry = cache_.insert(spec, store);
-    if (query.want_store) result.store_bytes = slurp(entry.store_path);
-    report_.items_executed += result.items_executed;
-    if (have_donor) {
-      report_.gap_fills += 1;
-      report_.items_reused += final_progress.items_resumed;
-      gap_executed.add(result.items_executed);
-      gap_reused.add(final_progress.items_resumed);
-    } else {
-      report_.cold_runs += 1;
+std::string Daemon::execute_leased(const campaign::CampaignSpec& spec,
+                                   const campaign::ResultStore& adopted,
+                                   Conn& conn) {
+  static const telemetry::Counter expired("serve.leases_expired");
+  const auto grid = std::make_shared<Grid>(
+      spec, LeaseTable(spec.item_count(), options_.lease_items,
+                       std::chrono::milliseconds(options_.lease_ttl_ms)));
+  const std::string base =
+      spool_dir_ + "/grid_" + std::to_string(next_grid_id_++);
+  std::unique_lock lock(mutex_, std::defer_lock);
+  std::string merged;
+  try {
+    if (adopted.items_done() != 0) {
+      // The donor holds the grid's leading items [0, k) — records are
+      // the outermost axis — so it is the grid's first shard and only
+      // the gap is leased.
+      grid->shards.push_back(base + ".prefix.ulpdcol");
+      adopted.save_columnar(grid->shards.back());
+      grid->table.complete_range(0, adopted.items_done());
     }
+    lock.lock();
+    grids_.push_back(grid);
+    for (;;) {
+      for (const auto& lease :
+           grid->table.expire_due(LeaseTable::Clock::now())) {
+        expired.add();
+        util::log_warn("serve: lease [", lease.begin, ", ", lease.end,
+                       ") of ", lease.owner, " expired; re-leasing");
+      }
+      const Progress progress{grid->table.items_done(),
+                              grid->table.item_count()};
+      const bool finished = grid->table.all_done();
+      if (!finished && stopping_.load() && workers_ == 0) {
+        throw std::runtime_error(
+            "daemon stopping with no worker attached to finish the grid (" +
+            std::to_string(progress.items_done) + " of " +
+            std::to_string(progress.items_total) + " items done)");
+      }
+      lock.unlock();
+      send(conn.socket, progress);
+      if (finished) break;
+      lock.lock();
+      cv_.wait_for(lock, std::chrono::milliseconds(options_.progress_every_ms));
+    }
+    lock.lock();
+    close_grid(grid);
+    lock.unlock();
+    // The proof obligation: a canonical merge of the shards is
+    // byte-identical to a single-process save_columnar of this grid.
+    merged = base + ".ulpdcol";
+    campaign::ColumnarStore::append_merge(
+        grid->shards, merged, spec,
+        campaign::ColumnarStore::AppendOptions{/*canonical=*/true});
+  } catch (...) {
+    // The client died, the daemon is stopping without workers, or the
+    // merge failed: close the grid (later results are acked and
+    // dropped) and delete its shards — nothing is cached.
+    if (!lock.owns_lock()) lock.lock();
+    close_grid(grid);
+    lock.unlock();
+    remove_files(grid->shards);
+    throw;
   }
-  if (query.want_rows) {
-    result.rows_csv = rows_csv_text(store.aggregate(query.group));
-  }
-  (have_donor ? gap_ns : cold_ns).record(util::telemetry::now_ns() - t0);
-  return result;
+  remove_files(grid->shards);
+  return merged;
 }
 
 }  // namespace ulpdream::serve

@@ -103,6 +103,11 @@ class ResultCache {
   Entry insert(const campaign::CampaignSpec& spec,
                const campaign::ResultStore& store);
 
+  /// insert() for a completed columnar file already on disk (a leased
+  /// grid's canonical merge): renames `path` into the cache — same
+  /// filesystem, so no bytes are copied — and writes the sidecar.
+  Entry adopt(const campaign::CampaignSpec& spec, const std::string& path);
+
   [[nodiscard]] std::size_t entries() const noexcept { return lru_.size(); }
   [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
   [[nodiscard]] const std::string& dir() const noexcept {

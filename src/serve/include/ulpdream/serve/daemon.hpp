@@ -1,43 +1,51 @@
 #pragma once
-// The campaign query daemon: a long-lived service that keeps a warm
-// campaign::Session (one shared WorkPool) plus a persistent ResultCache
-// and answers spec queries over TCP or Unix sockets (serve/protocol.hpp).
+// The campaign daemon: a long-lived service that keeps a warm
+// campaign::Session plus a persistent ResultCache, answers spec queries
+// from clients, and leases the grids it must execute to attached workers
+// (serve/protocol.hpp). A connection whose first frame is Hello is a
+// worker; any other is a client.
 //
-// Query resolution, in order:
-//   1. exact fingerprint hit  — answer straight from the cached columnar
-//      file (slurp + optional streaming aggregate); the pool is never
-//      touched and no Progress frames are sent.
-//   2. overlap gap-fill       — the nearest cached store in the same
-//      axes family (records a strict prefix of the query's) is adopted
-//      as resume_from and only the gap items execute.
-//   3. cold                   — the whole grid executes.
-//   Either way the completed store is inserted into the cache, and the
-//   Result's store bytes are read back from the published cache file —
-//   so what the client receives is byte-identical to what a later hit
-//   will serve, and to a single-process `campaign` save of the grid.
+// Query resolution: an exact fingerprint hit is answered straight from
+// the cached columnar file — nothing runs, no Progress frames. Otherwise
+// the grid executes, minus the leading items [0, k) the nearest cached
+// store of the same axes family supplies (gap-fill; records are the
+// outermost axis). It runs on the local Session when no worker is
+// attached, else as leases (LeaseTable) on the workers: their shards
+// spool under <cache-dir>/spool and canonically append-merge straight
+// into the cache entry, so no in-memory store of a leased grid is ever
+// built. Every answer is read back from the published cache file —
+// byte-identical to what a later hit serves, and to a single-process
+// `campaign` save of the grid.
 //
-// Concurrency: one accept loop (poll over the listener and a self-pipe),
-// one handler thread per connection, queries from different clients
-// interleaving at work-item granularity on the shared Session. The cache
-// and counters sit behind one mutex; campaign execution does not.
+// Failures: the executing query's progress loop expires leases not
+// renewed within lease_ttl_ms, and a worker's disconnect revokes its
+// leases; a stale result is still credited (append_merge dedups the
+// overlap), and a result for a finished or cancelled grid is acked and
+// dropped. A client that dies mid-query cancels its grid; nothing is
+// cached. A failed accept or thread spawn (EMFILE, EAGAIN) is logged,
+// counted (serve.accept_errors) and retried after a back-off; finished
+// handlers are joined as new connections arrive.
 //
-// Shutdown: request_stop() is async-signal-safe (one write to the
-// self-pipe) — wire it directly to SIGTERM/SIGINT. The daemon then stops
-// accepting, wakes idle connections (they see EOF), lets in-flight
-// queries finish and answer, joins every handler, and returns from
-// run() with a Report.
+// Shutdown: request_stop() is async-signal-safe — wire it to SIGTERM.
+// The drain stops accepting and wakes idle clients; in-flight queries
+// finish, on the workers still attached (a leased query left with none
+// answers an Error); workers then get NoWork{done}, ship their metrics
+// (folded into telemetry()) and say Goodbye; after 4 x heartbeat_ms the
+// remaining sockets are shut and every handler is joined.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
+#include <unordered_map>
 
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/serve/cache.hpp"
+#include "ulpdream/serve/lease_table.hpp"
 #include "ulpdream/serve/protocol.hpp"
 #include "ulpdream/util/socket.hpp"
 #include "ulpdream/util/telemetry.hpp"
@@ -48,18 +56,29 @@ class Daemon {
  public:
   struct Options {
     std::string listen;     ///< "host:port" (port 0 = ephemeral) or "unix:/path"
-    std::string cache_dir;  ///< ResultCache directory (required)
+    /// ResultCache directory (required). Its spool/ subdirectory holds
+    /// the shards of leased grids and is emptied at startup.
+    std::string cache_dir;
     std::uint64_t cache_budget_bytes = std::uint64_t(256) << 20;
     unsigned threads = 0;  ///< session pool size; 0 = hardware_concurrency
     std::size_t max_frame_bytes = kMaxFrameBytes;
-    /// Cadence of Progress frames while a query executes.
+    /// Cadence of Progress frames (and lease expiry) while a query
+    /// executes.
     std::size_t progress_every_ms = 250;
+    /// Items per lease grant (the last grant of a grid may be smaller).
+    std::size_t lease_items = 256;
+    /// A lease not renewed within this window is re-granted.
+    std::size_t lease_ttl_ms = 10'000;
+    /// Idle workers poll, and busy ones renew, at this cadence. Must be
+    /// below lease_ttl_ms.
+    std::size_t heartbeat_ms = 2'000;
   };
 
   /// What run() did, for the CLI's exit summary. Telemetry counters
   /// (serve.*) carry the same facts for metrics scrapes.
   struct Report {
     std::size_t clients = 0;
+    std::size_t workers = 0;  ///< HELLOs accepted
     std::size_t queries = 0;
     std::size_t cache_hits = 0;
     std::size_t gap_fills = 0;
@@ -70,8 +89,9 @@ class Daemon {
   };
 
   /// Binds the endpoint, builds the session pool and rehydrates the
-  /// cache. Throws on bind/cache failure — fail at startup, not at the
-  /// first query.
+  /// cache. Throws std::invalid_argument when heartbeat_ms >=
+  /// lease_ttl_ms (before binding anything), and on bind/cache failure —
+  /// fail at startup, not at the first query.
   explicit Daemon(Options options);
   ~Daemon();
 
@@ -92,41 +112,79 @@ class Daemon {
   void request_stop() noexcept;
 
   /// Metrics accrued since construction (serve.*, session.*, workpool.*,
-  /// codec.*, ... — the session's baseline diff).
-  [[nodiscard]] util::telemetry::MetricsSnapshot telemetry() const {
-    return session_.telemetry();
-  }
+  /// codec.*, ... — the session's baseline diff), plus the snapshots
+  /// departing workers shipped.
+  [[nodiscard]] util::telemetry::MetricsSnapshot telemetry() const;
 
  private:
-  /// Per-connection state shared between the handler thread and the
-  /// drain sweep: drain shuts down idle sockets (busy == false) to wake
-  /// their blocked reads; busy handlers finish their query, answer, see
-  /// stopping_ and exit.
-  struct ClientConn {
+  /// One connection and its handler thread. The drain shuts down idle
+  /// client sockets (busy == false) to wake their blocked reads; busy
+  /// handlers finish their query, answer, see stopping_ and exit. A
+  /// handler's last act is to set `finished`, after it has released
+  /// every lock, so run() may join and erase it.
+  struct Conn {
     util::Socket socket;
+    std::thread thread;
     std::atomic<bool> busy{false};
+    std::atomic<bool> finished{false};
+    bool worker = false;  ///< guarded by mutex_
+  };
+  struct Grid;  ///< one grid executing as leases (daemon.cpp)
+  /// A granted wire lease: daemon-wide id -> (grid, table lease, range),
+  /// kept until the grid closes so a stale result is still credited.
+  struct WireLease {
+    std::shared_ptr<Grid> grid;
+    std::uint64_t table_id = 0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
   };
 
-  void handle_client(const std::shared_ptr<ClientConn>& conn);
+  void accept_one();
+  void reap_finished();
+  /// Shuts every connection's socket down and joins its handler.
+  void join_all();
+  void handle_connection(Conn& conn);
+  void serve_client(Conn& conn, util::Frame& frame);
+  void serve_worker(Conn& conn, const util::Frame& hello);
+  void grant_lease(util::Socket& socket, const std::string& owner);
+  void ingest(const LeaseResult& result);
   /// Answers one decoded query, streaming Progress frames for executed
   /// grids. Throws SocketError/FrameError when the client dies mid-query
-  /// (the in-flight campaign is cancelled first).
-  Result answer(const Query& query, ClientConn& conn);
+  /// (the in-flight grid is cancelled first).
+  Result answer(const Query& query, Conn& conn);
+  campaign::ResultStore execute_local(const campaign::CampaignSpec& spec,
+                                      const campaign::ResultStore* resume,
+                                      Conn& conn);
+  /// Leases `spec` (minus `adopted`'s prefix) to the attached workers and
+  /// returns the path of the canonical merge of their shards.
+  std::string execute_leased(const campaign::CampaignSpec& spec,
+                             const campaign::ResultStore& adopted,
+                             Conn& conn);
+  void close_grid(const std::shared_ptr<Grid>& grid);  ///< under mutex_
 
   Options options_;
   campaign::Session session_;
   ResultCache cache_;
+  std::string spool_dir_;
   util::Listener listener_;
   int stop_rd_ = -1;
   int stop_wr_ = -1;
   std::atomic<bool> stopping_{false};
-  std::atomic<int> connected_count_{0};
+  std::atomic<int> clients_connected_{0};
+  std::atomic<std::uint64_t> next_grid_id_{1};  ///< spool file names
 
-  /// Guards cache_, report_, conns_, and closing a connection's socket.
-  std::mutex mutex_;
+  /// Guards cache_, report_, conns_' membership and worker flags, the
+  /// lease state below, and closing a connection's socket.
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;  ///< grid progress / worker departures
   Report report_;
-  std::vector<std::shared_ptr<ClientConn>> conns_;
-  std::vector<std::thread> handlers_;
+  std::list<Conn> conns_;
+  std::list<std::shared_ptr<Grid>> grids_;  ///< executing, oldest first
+  std::unordered_map<std::uint64_t, WireLease> leases_;
+  std::uint64_t next_lease_id_ = 1;
+  std::size_t workers_ = 0;       ///< attached right now
+  bool release_workers_ = false;  ///< drain: answer NoWork{done}
+  util::telemetry::MetricsSnapshot worker_metrics_;
 };
 
 }  // namespace ulpdream::serve

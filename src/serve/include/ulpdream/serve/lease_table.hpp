@@ -1,9 +1,9 @@
 #pragma once
-// Lease bookkeeping for the distributed coordinator: which item ranges
-// are still pending, which are out on lease (to whom, until when), and
-// which are done. Memory is O(ranges), never O(items) — done coverage is
-// a coalescing interval set — which is what keeps the coordinator's
-// footprint flat in the campaign's item count.
+// Lease bookkeeping for one grid the daemon executes on attached
+// workers: which item ranges are still pending, which are out on lease
+// (to whom, until when), and which are done. Memory is O(ranges), never
+// O(items) — done coverage is a coalescing interval set — which is what
+// keeps the daemon's footprint flat in the grid's item count.
 //
 // Leases are dynamic, not static shards: grant() carves the next chunk
 // off the pending pool, expire_due()/revoke_owner() push the ranges of
@@ -14,7 +14,7 @@
 // shard; the store layer's first-done-wins dedup makes the duplicate
 // harmless.
 //
-// The table is externally synchronized: the coordinator holds one mutex
+// The table is externally synchronized: the daemon holds one mutex
 // across every call. No member blocks.
 
 #include <cstddef>
@@ -26,7 +26,7 @@
 #include <unordered_map>
 #include <vector>
 
-namespace ulpdream::dist {
+namespace ulpdream::serve {
 
 class LeaseTable {
  public:
@@ -87,10 +87,6 @@ class LeaseTable {
   [[nodiscard]] std::size_t active_leases() const noexcept {
     return active_.size();
   }
-  /// Pending ranges (not items) — a proxy for how fragmented the pool is.
-  [[nodiscard]] std::size_t pending_ranges() const noexcept {
-    return pending_.size();
-  }
 
  private:
   struct Range {
@@ -115,4 +111,4 @@ class LeaseTable {
   std::size_t items_done_ = 0;
 };
 
-}  // namespace ulpdream::dist
+}  // namespace ulpdream::serve

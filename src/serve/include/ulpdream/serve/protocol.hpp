@@ -1,9 +1,8 @@
 #pragma once
-// Wire protocol of the campaign query daemon — the serve-side sibling of
-// dist/protocol.hpp, riding the same ULPDFRM1 framing (util/socket.hpp)
-// and the same payload codec (util/wire.hpp). One connection = one
-// client; the conversation is client-initiated query/answer and may
-// carry any number of queries back-to-back:
+// Wire protocol of the campaign daemon — the typed message layer over
+// util::Frame (ULPDFRM1 framing, util/socket.hpp) and the payload codec
+// (util/wire.hpp). A connection's first frame says who is calling: a
+// Hello makes it a worker, anything else a client.
 //
 //   client                          daemon
 //   ------                          ------
@@ -16,13 +15,31 @@
 //   ... more Queries ...
 //   close                           (no goodbye frame)
 //
-// Message type numbers live in a distinct range from dist's (which are
-// 1..12) so a frame from a client that dialed the wrong port fails by
-// name ("expected Query frame, got ...") instead of mis-decoding.
+//   worker                          daemon
+//   ------                          ------
+//   Hello{version, worker_name} ->
+//                                <- HelloOk{heartbeat_ms}
+//                                   (or HelloReject{reason} quoting both
+//                                    versions, then close)
+//   LeaseRequest{}              ->
+//                                <- LeaseGrant{id, spec, [begin, end)}
+//                                   or NoWork{done | retry_ms}
+//   Heartbeat{id}               ->  (while executing; renews the lease)
+//                                <- HeartbeatAck{id}
+//   LeaseResult{id, columnar}   ->
+//                                <- ResultAck{id}
+//   ... more LeaseRequests ...
+//   Metrics{snapshot json}      ->  (once, after NoWork{done})
+//   Goodbye{}                   ->  close
 //
-// The spec codec (encode_spec/decode_spec) is shared between the Query
-// payload and the cache directory's sidecar files, so a rehydrating
-// daemon decodes the very bytes a client once sent.
+// Exactly-once is NOT promised: a lease can expire and be re-granted
+// while the original worker still finishes it, so the same item range
+// may be ingested twice; ColumnarStore::append_merge dedups
+// (first-done-wins). The spec codec is shared by Query, LeaseGrant and
+// the cache's sidecar files. A decode failure throws ProtocolError
+// naming the peer and the field — distinct from util::FrameError, so
+// logs tell "peer sent a truncated LeaseGrant" from "peer is not
+// speaking frames at all".
 
 #include <cstddef>
 #include <cstdint>
@@ -36,17 +53,33 @@
 
 namespace ulpdream::serve {
 
-/// Bump on any wire-visible change; Query carries it and the daemon
-/// rejects mismatches with an Error frame quoting both numbers.
-inline constexpr std::uint32_t kProtocolVersion = 1;
+/// Bump on any wire-visible change; Hello and Query carry it and the
+/// daemon rejects a mismatch quoting both numbers.
+inline constexpr std::uint32_t kProtocolVersion = 2;
 
-/// Default cap on a frame payload — results carry whole columnar stores.
+/// Default cap on a frame payload. Results and lease results carry whole
+/// columnar stores, so this bounds store size, not chat traffic.
 inline constexpr std::size_t kMaxFrameBytes = std::size_t(256) << 20;
 
-/// Same typed decode failure as dist (the codec is shared).
+/// Typed payload-decode failure naming the peer (transport failures are
+/// util::FrameError; this layer means the frame arrived but lied).
 using ProtocolError = util::WireError;
 
 enum class MsgType : std::uint32_t {
+  // Worker conversation.
+  kHello = 1,
+  kHelloOk = 2,
+  kHelloReject = 3,
+  kLeaseRequest = 4,
+  kLeaseGrant = 5,
+  kNoWork = 6,
+  kLeaseResult = 7,
+  kResultAck = 8,
+  kHeartbeat = 9,
+  kHeartbeatAck = 10,
+  kMetrics = 11,
+  kGoodbye = 12,
+  // Client conversation.
   kQuery = 32,
   kResult = 33,
   kProgress = 34,
@@ -65,6 +98,60 @@ enum class CacheStatus : std::uint8_t {
 };
 
 [[nodiscard]] const char* to_string(CacheStatus status) noexcept;
+
+struct Hello {
+  std::uint32_t version = kProtocolVersion;
+  std::string worker_name;  ///< human label for logs/telemetry
+};
+
+struct HelloOk {
+  std::uint64_t heartbeat_ms = 0;  ///< poll and renew at least this often
+};
+
+struct HelloReject {
+  std::string reason;  ///< quotes both versions
+};
+
+struct LeaseRequest {};
+
+struct LeaseGrant {
+  std::uint64_t lease_id = 0;
+  campaign::CampaignSpec spec;  ///< the grid the range belongs to
+  std::uint64_t begin = 0;      ///< canonical item range [begin, end)
+  std::uint64_t end = 0;
+};
+
+struct NoWork {
+  /// True: the daemon is stopping — ship Metrics and say Goodbye.
+  /// False: nothing to lease right now; ask again in retry_ms.
+  bool done = false;
+  std::uint64_t retry_ms = 0;
+};
+
+struct LeaseResult {
+  std::uint64_t lease_id = 0;
+  /// A complete columnar store file (ULPDCOL1 bytes) holding exactly the
+  /// lease's items — the daemon spools and append-merges it.
+  std::vector<std::uint8_t> store_bytes;
+};
+
+struct ResultAck {
+  std::uint64_t lease_id = 0;
+};
+
+struct Heartbeat {
+  std::uint64_t lease_id = 0;
+};
+
+struct HeartbeatAck {
+  std::uint64_t lease_id = 0;
+};
+
+struct Metrics {
+  std::string json;  ///< util::telemetry::MetricsSnapshot::write_json
+};
+
+struct Goodbye {};
 
 struct Query {
   std::uint32_t version = kProtocolVersion;
@@ -96,7 +183,7 @@ struct Error {
 };
 
 // ---------------------------------------------------------------------------
-// Spec codec — shared by the Query payload and cache sidecar files.
+// Spec codec — shared by Query, LeaseGrant and the cache sidecar files.
 
 void encode_spec(util::PayloadWriter& w, const campaign::CampaignSpec& spec);
 /// Decodes the field block encode_spec wrote. Unknown pathology names
@@ -109,14 +196,51 @@ void encode_spec(util::PayloadWriter& w, const campaign::CampaignSpec& spec);
 [[nodiscard]] campaign::GroupBy group_from_mask(std::uint8_t mask) noexcept;
 
 // ---------------------------------------------------------------------------
-// Send / receive, mirroring dist: send() encodes and writes one frame;
-// decode_*() bounds-checks every field and rejects trailing bytes.
+// Send / receive. send() encodes and writes one frame; decode_*() checks
+// the frame's type, bounds-checks every field and rejects trailing
+// bytes, so a garbage or truncated payload throws ProtocolError naming
+// the peer, the message and the field — never reads past the buffer.
 
+void send(util::Socket& socket, const Hello& m);
+void send(util::Socket& socket, const HelloOk& m);
+void send(util::Socket& socket, const HelloReject& m);
+void send(util::Socket& socket, const LeaseRequest& m);
+void send(util::Socket& socket, const LeaseGrant& m);
+void send(util::Socket& socket, const NoWork& m);
+void send(util::Socket& socket, const LeaseResult& m);
+void send(util::Socket& socket, const ResultAck& m);
+void send(util::Socket& socket, const Heartbeat& m);
+void send(util::Socket& socket, const HeartbeatAck& m);
+void send(util::Socket& socket, const Metrics& m);
+void send(util::Socket& socket, const Goodbye& m);
 void send(util::Socket& socket, const Query& m);
 void send(util::Socket& socket, const Result& m);
 void send(util::Socket& socket, const Progress& m);
 void send(util::Socket& socket, const Error& m);
 
+/// Hello and Query decode their version first and stop there when it is
+/// not kProtocolVersion: the rest of a foreign version's payload is not
+/// ours to parse, and the caller rejects by number.
+[[nodiscard]] Hello decode_hello(const util::Frame& frame,
+                                 const std::string& peer);
+[[nodiscard]] HelloOk decode_hello_ok(const util::Frame& frame,
+                                      const std::string& peer);
+[[nodiscard]] HelloReject decode_hello_reject(const util::Frame& frame,
+                                              const std::string& peer);
+[[nodiscard]] LeaseGrant decode_lease_grant(const util::Frame& frame,
+                                            const std::string& peer);
+[[nodiscard]] NoWork decode_no_work(const util::Frame& frame,
+                                    const std::string& peer);
+[[nodiscard]] LeaseResult decode_lease_result(const util::Frame& frame,
+                                              const std::string& peer);
+[[nodiscard]] ResultAck decode_result_ack(const util::Frame& frame,
+                                          const std::string& peer);
+[[nodiscard]] Heartbeat decode_heartbeat(const util::Frame& frame,
+                                         const std::string& peer);
+[[nodiscard]] HeartbeatAck decode_heartbeat_ack(const util::Frame& frame,
+                                                const std::string& peer);
+[[nodiscard]] Metrics decode_metrics(const util::Frame& frame,
+                                     const std::string& peer);
 [[nodiscard]] Query decode_query(const util::Frame& frame,
                                  const std::string& peer);
 [[nodiscard]] Result decode_result(const util::Frame& frame,

@@ -1,9 +1,9 @@
-#include "ulpdream/dist/lease_table.hpp"
+#include "ulpdream/serve/lease_table.hpp"
 
 #include <algorithm>
 #include <stdexcept>
 
-namespace ulpdream::dist {
+namespace ulpdream::serve {
 
 LeaseTable::LeaseTable(std::size_t item_count, std::size_t lease_items,
                        Clock::duration ttl)
@@ -129,4 +129,4 @@ std::size_t LeaseTable::skip_done(std::size_t begin, std::size_t end) const {
   return begin;
 }
 
-}  // namespace ulpdream::dist
+}  // namespace ulpdream::serve

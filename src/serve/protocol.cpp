@@ -20,9 +20,8 @@ void send_frame(util::Socket& socket, MsgType type,
   bytes.add(util::kFrameHeaderBytes + payload.bytes().size());
 }
 
-/// Opens a reader after asserting the frame really is `type` — a dist
-/// worker (or anything else) that dialed the daemon's port must fail by
-/// name, not by field.
+/// Opens a reader after asserting the frame really is `type` — decoding
+/// a LeaseGrant out of a Metrics frame must fail by name, not by field.
 PayloadReader open(const util::Frame& frame, const std::string& peer,
                    MsgType type) {
   if (frame.type != static_cast<std::uint32_t>(type)) {
@@ -34,10 +33,53 @@ PayloadReader open(const util::Frame& frame, const std::string& peer,
   return PayloadReader(frame.payload, peer, to_string(type));
 }
 
+// One-field messages (HelloOk, the lease-id echoes, HelloReject,
+// Metrics, Error) share these.
+
+void send_u64(util::Socket& socket, MsgType type, std::uint64_t v) {
+  PayloadWriter w;
+  w.put_u64(v);
+  send_frame(socket, type, w);
+}
+
+void send_string(util::Socket& socket, MsgType type, const std::string& v) {
+  PayloadWriter w;
+  w.put_string(v);
+  send_frame(socket, type, w);
+}
+
+std::uint64_t decode_u64(const util::Frame& frame, const std::string& peer,
+                         MsgType type, const char* field) {
+  PayloadReader r = open(frame, peer, type);
+  const std::uint64_t v = r.get_u64(field);
+  r.finish();
+  return v;
+}
+
+std::string decode_string(const util::Frame& frame, const std::string& peer,
+                          MsgType type, const char* field) {
+  PayloadReader r = open(frame, peer, type);
+  std::string v = r.get_string(field);
+  r.finish();
+  return v;
+}
+
 }  // namespace
 
 const char* to_string(MsgType type) noexcept {
   switch (type) {
+    case MsgType::kHello: return "Hello";
+    case MsgType::kHelloOk: return "HelloOk";
+    case MsgType::kHelloReject: return "HelloReject";
+    case MsgType::kLeaseRequest: return "LeaseRequest";
+    case MsgType::kLeaseGrant: return "LeaseGrant";
+    case MsgType::kNoWork: return "NoWork";
+    case MsgType::kLeaseResult: return "LeaseResult";
+    case MsgType::kResultAck: return "ResultAck";
+    case MsgType::kHeartbeat: return "Heartbeat";
+    case MsgType::kHeartbeatAck: return "HeartbeatAck";
+    case MsgType::kMetrics: return "Metrics";
+    case MsgType::kGoodbye: return "Goodbye";
     case MsgType::kQuery: return "Query";
     case MsgType::kResult: return "Result";
     case MsgType::kProgress: return "Progress";
@@ -121,6 +163,68 @@ campaign::GroupBy group_from_mask(std::uint8_t mask) noexcept {
   return group;
 }
 
+void send(util::Socket& socket, const Hello& m) {
+  PayloadWriter w;
+  w.put_u32(m.version);
+  w.put_string(m.worker_name);
+  send_frame(socket, MsgType::kHello, w);
+}
+
+void send(util::Socket& socket, const HelloOk& m) {
+  send_u64(socket, MsgType::kHelloOk, m.heartbeat_ms);
+}
+
+void send(util::Socket& socket, const HelloReject& m) {
+  send_string(socket, MsgType::kHelloReject, m.reason);
+}
+
+void send(util::Socket& socket, const LeaseRequest&) {
+  send_frame(socket, MsgType::kLeaseRequest, PayloadWriter());
+}
+
+void send(util::Socket& socket, const LeaseGrant& m) {
+  PayloadWriter w;
+  w.put_u64(m.lease_id);
+  encode_spec(w, m.spec);
+  w.put_u64(m.begin);
+  w.put_u64(m.end);
+  send_frame(socket, MsgType::kLeaseGrant, w);
+}
+
+void send(util::Socket& socket, const NoWork& m) {
+  PayloadWriter w;
+  w.put_u8(m.done ? 1 : 0);
+  w.put_u64(m.retry_ms);
+  send_frame(socket, MsgType::kNoWork, w);
+}
+
+void send(util::Socket& socket, const LeaseResult& m) {
+  PayloadWriter w;
+  w.put_u64(m.lease_id);
+  w.put_blob(m.store_bytes);
+  send_frame(socket, MsgType::kLeaseResult, w);
+}
+
+void send(util::Socket& socket, const ResultAck& m) {
+  send_u64(socket, MsgType::kResultAck, m.lease_id);
+}
+
+void send(util::Socket& socket, const Heartbeat& m) {
+  send_u64(socket, MsgType::kHeartbeat, m.lease_id);
+}
+
+void send(util::Socket& socket, const HeartbeatAck& m) {
+  send_u64(socket, MsgType::kHeartbeatAck, m.lease_id);
+}
+
+void send(util::Socket& socket, const Metrics& m) {
+  send_string(socket, MsgType::kMetrics, m.json);
+}
+
+void send(util::Socket& socket, const Goodbye&) {
+  send_frame(socket, MsgType::kGoodbye, PayloadWriter());
+}
+
 void send(util::Socket& socket, const Query& m) {
   PayloadWriter w;
   w.put_u32(m.version);
@@ -149,15 +253,90 @@ void send(util::Socket& socket, const Progress& m) {
 }
 
 void send(util::Socket& socket, const Error& m) {
-  PayloadWriter w;
-  w.put_string(m.message);
-  send_frame(socket, MsgType::kError, w);
+  send_string(socket, MsgType::kError, m.message);
+}
+
+Hello decode_hello(const util::Frame& frame, const std::string& peer) {
+  PayloadReader r = open(frame, peer, MsgType::kHello);
+  Hello m;
+  m.version = r.get_u32("version");
+  if (m.version != kProtocolVersion) return m;
+  m.worker_name = r.get_string("worker_name");
+  r.finish();
+  return m;
+}
+
+HelloOk decode_hello_ok(const util::Frame& frame, const std::string& peer) {
+  return HelloOk{decode_u64(frame, peer, MsgType::kHelloOk, "heartbeat_ms")};
+}
+
+HelloReject decode_hello_reject(const util::Frame& frame,
+                                const std::string& peer) {
+  return HelloReject{
+      decode_string(frame, peer, MsgType::kHelloReject, "reason")};
+}
+
+LeaseGrant decode_lease_grant(const util::Frame& frame,
+                              const std::string& peer) {
+  PayloadReader r = open(frame, peer, MsgType::kLeaseGrant);
+  LeaseGrant m;
+  m.lease_id = r.get_u64("lease_id");
+  m.spec = decode_spec(r);
+  m.begin = r.get_u64("begin");
+  m.end = r.get_u64("end");
+  r.finish();
+  if (m.begin >= m.end) {
+    throw ProtocolError(peer, "malformed LeaseGrant: empty range [" +
+                                  std::to_string(m.begin) + ", " +
+                                  std::to_string(m.end) + ")");
+  }
+  return m;
+}
+
+NoWork decode_no_work(const util::Frame& frame, const std::string& peer) {
+  PayloadReader r = open(frame, peer, MsgType::kNoWork);
+  NoWork m;
+  m.done = r.get_u8("done") != 0;
+  m.retry_ms = r.get_u64("retry_ms");
+  r.finish();
+  return m;
+}
+
+LeaseResult decode_lease_result(const util::Frame& frame,
+                                const std::string& peer) {
+  PayloadReader r = open(frame, peer, MsgType::kLeaseResult);
+  LeaseResult m;
+  m.lease_id = r.get_u64("lease_id");
+  m.store_bytes = r.get_blob("store_bytes");
+  r.finish();
+  return m;
+}
+
+ResultAck decode_result_ack(const util::Frame& frame,
+                            const std::string& peer) {
+  return ResultAck{decode_u64(frame, peer, MsgType::kResultAck, "lease_id")};
+}
+
+Heartbeat decode_heartbeat(const util::Frame& frame,
+                           const std::string& peer) {
+  return Heartbeat{decode_u64(frame, peer, MsgType::kHeartbeat, "lease_id")};
+}
+
+HeartbeatAck decode_heartbeat_ack(const util::Frame& frame,
+                                  const std::string& peer) {
+  return HeartbeatAck{
+      decode_u64(frame, peer, MsgType::kHeartbeatAck, "lease_id")};
+}
+
+Metrics decode_metrics(const util::Frame& frame, const std::string& peer) {
+  return Metrics{decode_string(frame, peer, MsgType::kMetrics, "json")};
 }
 
 Query decode_query(const util::Frame& frame, const std::string& peer) {
   PayloadReader r = open(frame, peer, MsgType::kQuery);
   Query m;
   m.version = r.get_u32("version");
+  if (m.version != kProtocolVersion) return m;
   m.spec = decode_spec(r);
   m.want_store = r.get_u8("want_store") != 0;
   m.want_rows = r.get_u8("want_rows") != 0;
@@ -188,11 +367,7 @@ Progress decode_progress(const util::Frame& frame, const std::string& peer) {
 }
 
 Error decode_error(const util::Frame& frame, const std::string& peer) {
-  PayloadReader r = open(frame, peer, MsgType::kError);
-  Error m;
-  m.message = r.get_string("message");
-  r.finish();
-  return m;
+  return Error{decode_string(frame, peer, MsgType::kError, "message")};
 }
 
 bool receive(util::Socket& socket, util::Frame& out,

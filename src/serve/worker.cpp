@@ -1,18 +1,18 @@
-#include "ulpdream/dist/worker.hpp"
+#include "ulpdream/serve/worker.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "lease_bytes.hpp"
-#include "ulpdream/dist/protocol.hpp"
+#include "ulpdream/campaign/session.hpp"
+#include "ulpdream/serve/protocol.hpp"
+#include "ulpdream/util/file_view.hpp"
 #include "ulpdream/util/log.hpp"
 #include "ulpdream/util/telemetry.hpp"
 
@@ -20,32 +20,18 @@
 #include <unistd.h>
 #endif
 
-namespace ulpdream::dist {
+namespace ulpdream::serve {
 
 namespace {
 
-/// Reads a whole file into a byte vector.
-std::vector<std::uint8_t> slurp(const std::string& path) {
-  std::ifstream is(path, std::ios::binary | std::ios::ate);
-  if (!is) throw std::runtime_error(path + ": cannot read lease store");
-  const std::streamsize size = is.tellg();
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  is.seekg(0);
-  if (!is.read(reinterpret_cast<char*>(bytes.data()), size)) {
-    throw std::runtime_error(path + ": short read of lease store");
-  }
-  return bytes;
-}
-
-}  // namespace
-
-namespace detail {
-
+/// The bytes a LeaseResult carries for `store`: its columnar file (the
+/// daemon spools them verbatim and opens them like any shard file),
+/// staged through a temp file that no other process or call shares, so
+/// same-named workers in concurrent processes never touch each other's
+/// file.
 std::vector<std::uint8_t> lease_store_bytes(const campaign::ResultStore& store,
                                             const std::string& worker_name,
                                             std::uint64_t lease_id) {
-  // The pid separates processes; the sequence number separates calls in
-  // one process (two coordinators can grant the same lease id).
   static std::atomic<std::uint64_t> sequence{0};
 #if defined(__unix__) || defined(__APPLE__)
   const unsigned long pid = static_cast<unsigned long>(::getpid());
@@ -58,33 +44,27 @@ std::vector<std::uint8_t> lease_store_bytes(const campaign::ResultStore& store,
         std::to_string(pid) + "_" + std::to_string(sequence++) + ".ulpdcol"))
           .string();
   store.save_columnar(tmp);
-  std::vector<std::uint8_t> bytes = slurp(tmp);
+  std::vector<std::uint8_t> bytes = util::read_file(tmp);
   std::filesystem::remove(tmp);
   return bytes;
 }
 
-}  // namespace detail
-
-Worker::Worker(campaign::CampaignSpec spec, Options options)
-    : spec_(spec.normalized()), options_(std::move(options)) {}
+}  // namespace
 
 Worker::Report Worker::run() {
-  return run_on(util::Socket::connect(options_.connect));
-}
-
-Worker::Report Worker::run_on(util::Socket socket) {
   static const util::telemetry::Counter leases_done(
-      "dist.worker_leases_completed");
+      "serve.worker_leases_completed");
   static const util::telemetry::Counter items_done(
-      "dist.worker_items_executed");
+      "serve.worker_items_executed");
 
+  util::Socket socket = util::Socket::connect(options_.connect);
   const std::string peer = socket.peer();
   campaign::Session session(energy::SystemEnergyModel(), options_.threads);
 
-  send(socket, Hello{kProtocolVersion, spec_.fingerprint(), options_.name});
+  send(socket, Hello{kProtocolVersion, options_.name});
   util::Frame frame;
   if (!receive(socket, frame)) {
-    throw util::SocketError(peer, "coordinator closed during handshake");
+    throw util::SocketError(peer, "daemon closed during handshake");
   }
   if (frame.type == static_cast<std::uint32_t>(MsgType::kHelloReject)) {
     throw std::runtime_error(peer + " rejected worker: " +
@@ -98,12 +78,11 @@ Worker::Report Worker::run_on(util::Socket socket) {
   for (;;) {
     send(socket, LeaseRequest{});
     if (!receive(socket, frame)) {
-      throw util::SocketError(peer, "coordinator closed while leasing");
+      throw util::SocketError(peer, "daemon closed while leasing");
     }
     if (frame.type == static_cast<std::uint32_t>(MsgType::kNoWork)) {
       const NoWork no_work = decode_no_work(frame, peer);
-      if (no_work.campaign_done) break;
-      // Everything is leased out right now; an expiry may free work.
+      if (no_work.done) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(
           std::max<std::uint64_t>(1, no_work.retry_ms)));
       continue;
@@ -126,7 +105,7 @@ Worker::Report Worker::run_on(util::Socket socket) {
         store.save_columnar(checkpoint_path);
       };
     }
-    auto handle = session.submit(spec_, std::move(submit));
+    auto handle = session.submit(grant.spec, std::move(submit));
 
     // The pool computes; this thread keeps the lease alive. Renew at
     // half the advertised cadence so one delayed beat cannot lapse it.
@@ -137,7 +116,7 @@ Worker::Report Worker::run_on(util::Socket socket) {
         send(socket, Heartbeat{grant.lease_id});
         if (!receive(socket, frame)) {
           handle.cancel();
-          throw util::SocketError(peer, "coordinator closed mid-lease");
+          throw util::SocketError(peer, "daemon closed mid-lease");
         }
         (void)decode_heartbeat_ack(frame, peer);
         next_beat = std::chrono::steady_clock::now() + heartbeat / 2;
@@ -145,12 +124,11 @@ Worker::Report Worker::run_on(util::Socket socket) {
     }
     const campaign::ResultStore store = handle.take();
 
-    LeaseResult result{
-        grant.lease_id,
-        detail::lease_store_bytes(store, options_.name, grant.lease_id)};
-    send(socket, result);
+    send(socket, LeaseResult{grant.lease_id,
+                             lease_store_bytes(store, options_.name,
+                                               grant.lease_id)});
     if (!receive(socket, frame)) {
-      throw util::SocketError(peer, "coordinator closed before ack");
+      throw util::SocketError(peer, "daemon closed before ack");
     }
     (void)decode_result_ack(frame, peer);
     if (!checkpoint_path.empty()) std::filesystem::remove(checkpoint_path);
@@ -159,12 +137,12 @@ Worker::Report Worker::run_on(util::Socket socket) {
     report.items_executed += static_cast<std::size_t>(grant.end - grant.begin);
     leases_done.add();
     items_done.add(grant.end - grant.begin);
-    util::log_info("dist: worker ", options_.name, " completed lease ",
+    util::log_info("serve: worker ", options_.name, " completed lease ",
                    grant.lease_id, " [", grant.begin, ", ", grant.end, ")");
   }
 
-  // Campaign done: ship this session's metrics for the coordinator's
-  // fold, then part cleanly.
+  // The daemon is stopping: ship this session's metrics for its fold,
+  // then part cleanly.
   std::ostringstream os;
   session.telemetry().write_json(os);
   send(socket, Metrics{os.str()});
@@ -172,4 +150,4 @@ Worker::Report Worker::run_on(util::Socket socket) {
   return report;
 }
 
-}  // namespace ulpdream::dist
+}  // namespace ulpdream::serve

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 #include <utility>
 
@@ -267,6 +268,18 @@ void publish_file_atomic(const std::string& tmp, const std::string& path) {
     std::remove(tmp.c_str());
     throw;
   }
+}
+
+std::vector<std::uint8_t> read_file(const std::string& path) {
+  std::ifstream is(path, std::ios::binary | std::ios::ate);
+  if (!is) io_fail(path, "cannot open for reading");
+  const std::streamsize size = is.tellg();
+  is.seekg(0);
+  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+  if (size > 0 && !is.read(reinterpret_cast<char*>(bytes.data()), size)) {
+    io_fail(path, "short read");
+  }
+  return bytes;
 }
 
 }  // namespace ulpdream::util

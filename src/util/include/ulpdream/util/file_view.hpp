@@ -162,4 +162,8 @@ void fsync_parent_dir(const std::string& path);
 /// — never a torn or unnamed checkpoint.
 void publish_file_atomic(const std::string& tmp, const std::string& path);
 
+/// Reads the whole file at `path` onto the heap (a store answered over
+/// the wire, a cache sidecar). Throws std::runtime_error naming the path.
+[[nodiscard]] std::vector<std::uint8_t> read_file(const std::string& path);
+
 }  // namespace ulpdream::util

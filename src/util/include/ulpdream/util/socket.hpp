@@ -1,6 +1,6 @@
 #pragma once
 // Stream sockets and length-prefixed framing — the byte-moving substrate
-// of the distributed campaign runtime (src/dist). Deliberately tiny: a
+// of the campaign daemon and its workers (src/serve). Deliberately tiny: a
 // RAII fd wrapper (Socket), a bind/accept wrapper (Listener) speaking
 // both TCP ("host:port", port 0 picks an ephemeral port) and Unix-domain
 // endpoints ("unix:/path"), and a framing layer that moves opaque typed
@@ -13,11 +13,11 @@
 //   FrameError::Kind::kOversized   length prefix exceeds the caller's cap
 //   FrameError::Kind::kTruncated   EOF mid-header or mid-payload
 //   FrameError::Kind::kIo          the OS said no (errno text included)
-// — so a coordinator can log "peer X sent garbage" distinctly from
+// — so a daemon can log "peer X sent garbage" distinctly from
 // "peer X died mid-frame" (re-lease the work) and a test can assert the
 // exact failure class (tests/dist_test.cpp's malformed-frame matrix).
 //
-// Blocking I/O only, one reader and one writer per socket: the dist
+// Blocking I/O only, one reader and one writer per socket: the serve
 // protocol is strictly request/response per connection, and timeouts are
 // the receiver's business (set_recv_timeout). No poll loop, no buffering
 // beyond the frame being assembled.
@@ -91,7 +91,7 @@ class Socket {
   [[nodiscard]] static Socket connect(const std::string& endpoint);
 
   /// A connected AF_UNIX stream pair — the in-process transport the
-  /// FakeWorker and the protocol tests ride (same bytes, no listener).
+  /// protocol tests ride (same bytes, no listener).
   [[nodiscard]] static std::pair<Socket, Socket> socketpair(
       const std::string& label = "socketpair");
 
@@ -142,7 +142,7 @@ class Listener {
 
   /// Blocks for the next connection; the returned socket's peer() names
   /// the remote address. Throws SocketError when the listener was closed
-  /// from another thread (the coordinator's shutdown path) or on OS
+  /// from another thread (a server's shutdown path) or on OS
   /// error.
   [[nodiscard]] Socket accept();
 
@@ -174,7 +174,7 @@ inline constexpr char kFrameMagic[8] = {'U', 'L', 'P', 'D',
 inline constexpr std::size_t kFrameHeaderBytes = 24;
 
 /// One decoded frame: the type tag and the opaque payload. Interpreting
-/// the payload is the protocol layer's job (dist/protocol.hpp).
+/// the payload is the protocol layer's job (serve/protocol.hpp).
 struct Frame {
   std::uint32_t type = 0;
   std::vector<std::uint8_t> payload;

@@ -20,7 +20,7 @@
 //    JSON losslessly and byte-stably, and merges associatively with
 //    snapshots from other threads, processes or machines. That merge is
 //    the contract the future distributed mode consumes: every worker
-//    process scrapes locally, the coordinator folds the snapshots.
+//    process scrapes locally, the daemon folds the snapshots.
 //    Counters of deterministic work (words encoded, items executed)
 //    merge exactly across any shard split; wall-clock histograms merge
 //    bucket-wise (counts are exact, the time distribution is whatever
@@ -119,7 +119,7 @@ struct MetricsSnapshot {
   /// Associative fold: counters and histogram buckets add, gauges take
   /// `other`'s value (the later statement of state wins). merge(a, b)
   /// then merge(_, c) equals merge(a, merge(b, c)) — the distributed
-  /// coordinator may fold worker snapshots in any grouping.
+  /// daemon may fold worker snapshots in any grouping.
   void merge(const MetricsSnapshot& other);
 
   /// This snapshot relative to an earlier `baseline` of the same process:

@@ -1,12 +1,10 @@
 #pragma once
-// Payload codec shared by every ULPDFRM1-framed protocol. The framing
-// layer (socket.hpp) moves opaque typed byte blobs; this layer is how
-// those blobs are built and picked apart: a little-endian append-only
-// writer and a bounds-checked reader whose every failure names the peer,
-// the message and the field being decoded. Extracted from the distributed
-// runtime's protocol so the query-daemon protocol (serve/protocol.hpp)
-// and any future RPC speak byte-compatible payload encodings instead of
-// forking the codec.
+// Payload codec of the ULPDFRM1-framed daemon protocol
+// (serve/protocol.hpp) and the cache's spec sidecars. The framing layer
+// (socket.hpp) moves opaque typed byte blobs; this layer is how those
+// blobs are built and picked apart: a little-endian append-only writer
+// and a bounds-checked reader whose every failure names the peer, the
+// message and the field being decoded.
 //
 // The reader is deliberately paranoid: a length that runs past the
 // buffer, a field missing its bytes, or trailing bytes after the last

@@ -250,10 +250,10 @@ Listener Listener::open(const std::string& endpoint) {
   out.fd_ = ::socket(ep.is_unix ? AF_UNIX : AF_INET, SOCK_STREAM, 0);
   if (out.fd_ < 0) throw SocketError(endpoint, "socket: " + errno_text());
   if (ep.is_unix) {
-    // A stale socket file from a crashed coordinator would fail bind
+    // A stale socket file from a crashed daemon would fail bind
     // with EADDRINUSE forever; unlink it first (connect() to a live one
     // would have succeeded, so this only removes corpses or collides
-    // with a concurrent coordinator the deployment misconfigured).
+    // with a concurrent daemon the deployment misconfigured).
     (void)::unlink(ep.unix_path.c_str());
     const sockaddr_un addr = unix_address(ep);
     if (::bind(out.fd_, reinterpret_cast<const sockaddr*>(&addr),

@@ -37,11 +37,19 @@ expect 0 - --list
 # Usage errors (exit 2) must name the offender.
 expect 2 '--bogus-flag' --bogus-flag=1
 expect 2 'frobnicate' frobnicate
-expect 2 '--listen' serve
+expect 2 'serve' serve
 expect 2 '--connect' work
 expect 2 '--shard' work --connect=unix:/tmp/nowhere.sock --shard=0/2
-expect 2 '--progress' serve --progress=1 --listen=unix:/tmp/nowhere.sock \
-    --spool-dir=/tmp --store-out=/tmp/x.ulpdcol
+# daemon and work take no grid axes: a lease names its grid, a query
+# names its own.
+expect 2 '--apps' work --connect=unix:/tmp/nowhere.sock --apps=dwt
+expect 2 '--reps' daemon --listen=unix:/tmp/nowhere.sock \
+    --cache-dir=/nonexistent/cache --reps=3
+# An idle worker polls every heartbeat; one that outlives the lease TTL
+# gets healthy workers dropped.
+expect 2 '--heartbeat-ms must be below --lease-ttl' daemon \
+    --listen=unix:/tmp/nowhere.sock --cache-dir=/nonexistent/cache \
+    --lease-ttl=100 --heartbeat-ms=1000
 expect 2 'step' --step=0 --max-items=1
 expect 2 'repetitions' --reps=-1 --max-items=1
 expect 2 '--checkpoint-every' --checkpoint-every=4 --max-items=1
@@ -63,7 +71,7 @@ printf 'ulpdream-campaign-store v1\nfingerprint x\nmax_snr %s\nend\n' \
 expect 1 "$text_store" --resume="$text_store" --max-items=1
 expect 1 "$text_store" --merge-stores="$text_store"
 rm -f "$text_store"
-expect 1 - work --connect=unix:/nonexistent/coordinator.sock
+expect 1 - work --connect=unix:/nonexistent/daemon.sock
 expect 1 - query --connect=unix:/nonexistent/daemon.sock
 
 if [ "$fails" -ne 0 ]; then

@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -564,6 +566,47 @@ TEST(ServeDaemon, ExecutingQueriesStreamProgressAndHitsStreamNone) {
   options.on_progress = [&hit_frames](const Progress&) { hit_frames += 1; };
   (void)client.query(spec, options);
   EXPECT_EQ(hit_frames, 0u) << "an exact hit must not stream Progress";
+}
+
+TEST(ServeDaemon, FinishedHandlersAreJoinedAsConnectionsArrive) {
+  // A handler thread that exited keeps its stack mapped until it is
+  // joined: two /proc/self/maps lines per connection never joined.
+  const auto map_lines = [] {
+    std::ifstream maps("/proc/self/maps");
+    std::size_t lines = 0;
+    for (std::string line; std::getline(maps, line);) ++lines;
+    return lines;
+  };
+  const auto threads = [] {
+    return std::distance(fs::directory_iterator("/proc/self/task"),
+                         fs::directory_iterator());
+  };
+  if (map_lines() == 0) GTEST_SKIP() << "no /proc/self/maps here";
+  const fs::path dir = scratch("daemon_reap");
+  DaemonFixture fixture(dir);
+  const auto idle = threads();  // pool + accept loop, no handler yet
+  // Waits for the last connection's handler to exit: state, not time.
+  const auto settled = [&] {
+    for (int spin = 0; threads() != idle && spin < 10'000; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return threads() == idle;
+  };
+  (void)fixture.connect().query(small_spec(39));
+  ASSERT_TRUE(settled());
+  const std::size_t before = map_lines();
+  for (int i = 0; i < 200; ++i) {
+    // A hit proves the handler thread exists; closing the connection
+    // ends it.
+    (void)fixture.connect().query(small_spec(39));
+    ASSERT_TRUE(settled()) << "handler " << i << " never exited";
+  }
+  const std::size_t after = map_lines();
+  EXPECT_LT(after, before + 20)
+      << "200 connect/close cycles grew the mappings from " << before
+      << " to " << after << " lines";
+  EXPECT_EQ(fixture.connect().query(small_spec(39)).status,
+            CacheStatus::kHit);
 }
 
 TEST(ServeDaemon, TelemetryCountsQueriesHitsAndCacheGauges) {
