@@ -350,13 +350,10 @@ int run_aggregate(const util::Cli& cli, const campaign::CampaignSpec& spec) {
   std::vector<campaign::AggregateRow> rows;
   const Clock::time_point start = Clock::now();
   if (mode == "streaming") {
-    // Bounded-memory leg: everything (index included) streams through an
-    // LRU chunk cache; neither a mapping nor a heap buffer of the file
-    // ever exists, so peak memory is independent of the store size.
-    campaign::ColumnarStore::OpenOptions options;
-    options.bounded_memory = true;
-    const auto store = campaign::ColumnarStore::open(path, spec, options);
-    rows = store.aggregate();
+    // Bounded-memory leg: everything (index included) streams through the
+    // store's LRU chunk cache a block at a time, so peak memory is
+    // independent of the store size.
+    rows = campaign::ColumnarStore::open(path, spec).aggregate();
   } else if (mode == "materialize") {
     // In-memory leg: copy the whole store onto the heap first — the path
     // whose footprint scales with the store and busts RSS caps.

@@ -152,14 +152,15 @@ Observability (util::telemetry; see README "Observability"):
 
 Output:
   --store-out PATH     save the raw store (resume/merge input) in the
-                       columnar format: zero-copy mmap load + streaming
+                       columnar format: bounded-memory load + streaming
                        aggregation
   --group LIST         aggregation axes: record,app,emt,voltage [all four]
   --csv PATH           aggregates as CSV (exact doubles)
   --json PATH          aggregates as JSON
   --merge-stores LIST  merge saved raw stores instead of executing
-                       (with --store-out PATH, shards fold by append +
-                       streaming aggregation — memory stays bounded no
+                       (with --store-out PATH, shards fold by append into
+                       the bytes a single-process run saves, then
+                       aggregate streaming — memory stays bounded no
                        matter how large the stores are; without it,
                        every input is read into memory and merged)
   --list               enumerate registered components and exit
@@ -382,9 +383,9 @@ void export_aggregates(const util::Cli& cli,
 
 /// --merge-stores: reassemble shard/checkpoint stores instead of
 /// executing. Two regimes behind one flag:
-///  - out-of-core (a --store-out target): shards fold by append — sample
-///    bytes are concatenated verbatim, only the index is re-sorted — and
-///    the merged store aggregates streaming off its mapping. Memory never
+///  - out-of-core (a --store-out target): shards fold by append into the
+///    bytes a single-process run would save, and the merged store
+///    aggregates streaming through a bounded read cache. Memory never
 ///    scales with the sample data, so this handles stores larger than
 ///    RAM.
 ///  - in-memory (no --store-out): each input is materialized and folded
@@ -398,8 +399,7 @@ void run_merge_stores(const util::Cli& cli, const campaign::CampaignSpec& spec,
     const campaign::ColumnarStore merged =
         campaign::ColumnarStore::open(store_out, spec);
     std::cerr << "[campaign] appended " << paths.size() << " shards into "
-              << store_out << " (" << merged.items_done() << " items, "
-              << (merged.mapped() ? "mapped" : "buffered") << ")\n";
+              << store_out << " (" << merged.items_done() << " items)\n";
     export_rows(cli, merged.aggregate(group_from_cli(cli)));
     return;
   }

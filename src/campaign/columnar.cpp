@@ -1,9 +1,10 @@
 #include "ulpdream/campaign/columnar.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <cmath>
 #include <cstring>
 #include <fstream>
+#include <span>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -112,7 +113,7 @@ struct Layout {
 };
 
 /// Computes the full file layout from the logical counts. Shared by the
-/// writer and append_merge so a layout bug cannot split between them.
+/// writer and the reader so a layout bug cannot split between them.
 Layout compute_layout(std::uint64_t n_index, std::uint64_t n_physical,
                       std::uint64_t per_item, std::uint64_t fingerprint_len,
                       std::uint64_t max_snr_count) {
@@ -137,14 +138,14 @@ Layout compute_layout(std::uint64_t n_index, std::uint64_t n_physical,
 
 void write_header(BufferedFileWriter& w, const Layout& l,
                   const std::string& fingerprint,
-                  std::span<const double> max_snr, std::uint64_t n_index,
-                  std::uint64_t n_physical, std::uint64_t per_item) {
+                  std::span<const double> max_snr, std::uint64_t n,
+                  std::uint64_t per_item) {
   w.put_bytes(kColumnarMagic, sizeof(kColumnarMagic));
   w.put_u32(kVersion);
   w.put_u32(kEndianTag);
   w.put_u64(l.file_bytes);
-  w.put_u64(n_index);
-  w.put_u64(n_physical);
+  w.put_u64(n);  // indexed items
+  w.put_u64(n);  // physical slots: one per item, in item order
   w.put_u64(per_item);
   w.put_u64(fingerprint.size());
   w.put_u64(max_snr.size());
@@ -168,6 +169,51 @@ std::string staging_name(const std::string& path) {
 #endif
 }
 
+/// The one writer of the format, shared by save_columnar and
+/// append_merge: header, the `n` sorted items (`item(i)`), the identity
+/// slot_of, an all-ones done column, then each field column in item
+/// order (`put_rows(w, f)` writes field f's n x per_item doubles). Stages
+/// under a process-unique name, publishes atomically and returns the file
+/// size; the staging file is removed on every failure path.
+template <typename ItemAt, typename PutRows>
+std::uint64_t write_store(const std::string& path,
+                          const std::string& fingerprint,
+                          std::span<const double> max_snr, std::uint64_t n,
+                          std::uint64_t per_item, ItemAt item,
+                          PutRows put_rows) {
+  const Layout l =
+      compute_layout(n, n, per_item, fingerprint.size(), max_snr.size());
+  const std::string tmp = staging_name(path);
+  try {
+    BufferedFileWriter w(tmp);
+    write_header(w, l, fingerprint, max_snr, n, per_item);
+    for (std::uint64_t i = 0; i < n; ++i) w.put_u64(item(i));
+    for (std::uint64_t i = 0; i < n; ++i) w.put_u64(i);
+    const std::uint8_t done = 1;
+    for (std::uint64_t i = 0; i < n; ++i) w.put_bytes(&done, 1);
+    w.pad_to(l.column_offset[3]);
+    for (std::size_t f = 0; f < 8; ++f) put_rows(w, f);
+    if (w.written() != l.file_bytes) {
+      throw StoreError(tmp, "internal layout mismatch while writing");
+    }
+    w.finish();
+    util::publish_file_atomic(tmp, path);
+  } catch (...) {
+    std::remove(tmp.c_str());
+    throw;
+  }
+  return l.file_bytes;
+}
+
+/// Sorted-index entries per scan block: each block reads one slice of
+/// every column it needs (64 KiB of a per-item-2 field column).
+constexpr std::uint64_t kScanBlock = 4096;
+constexpr unsigned kAllFields = 0xFF;
+
+[[noreturn]] void fail(const std::string& path, const std::string& what) {
+  throw StoreError(path, "columnar store: " + what);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -188,133 +234,144 @@ void ResultStore::save_columnar(const std::string& path) const {
   for (std::size_t slot = 0; slot < item_index_.size(); ++slot) {
     if (item_done_[slot]) done_slots.push_back(slot);
   }
-  const std::uint64_t n = done_slots.size();
   const std::uint64_t pi = per_item();
-  const std::string fingerprint = spec_.fingerprint();
-  const Layout l =
-      compute_layout(n, n, pi, fingerprint.size(), max_snr_.size());
-
-  const std::string tmp = staging_name(path);
-  try {
-    BufferedFileWriter w(tmp);
-    write_header(w, l, fingerprint, max_snr_, n, n, pi);
-    // Index: sorted item indices with the identity permutation — a fresh
-    // save is its own canonical order.
-    for (const std::size_t slot : done_slots) {
-      w.put_u64(item_index_[slot]);
-    }
-    for (std::uint64_t i = 0; i < n; ++i) w.put_u64(i);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const std::uint8_t done = 1;
-      w.put_bytes(&done, 1);
-    }
-    w.pad_to(l.column_offset[2] + align8(l.column_bytes[2]));
-    // One pass per field column, slot-major / app-major / EMT-minor.
-    for (std::size_t f = 0; f < 8; ++f) {
-      for (const std::size_t slot : done_slots) {
-        const Sample* s = samples_.data() + slot * pi;
-        for (std::uint64_t k = 0; k < pi; ++k) {
-          w.put_f64(kFieldGet[f](s[k]));
+  const std::uint64_t bytes = write_store(
+      path, spec_.fingerprint(), max_snr_, done_slots.size(), pi,
+      [&](std::uint64_t i) { return item_index_[done_slots[i]]; },
+      [&](BufferedFileWriter& w, std::size_t f) {
+        for (const std::size_t slot : done_slots) {
+          const Sample* s = samples_.data() + slot * pi;
+          for (std::uint64_t k = 0; k < pi; ++k) {
+            w.put_f64(kFieldGet[f](s[k]));
+          }
         }
-      }
-    }
-    if (w.written() != l.file_bytes) {
-      throw StoreError(tmp, "internal layout mismatch while writing");
-    }
-    w.finish();
-    util::publish_file_atomic(tmp, path);
-  } catch (...) {
-    std::remove(tmp.c_str());
-    throw;
-  }
+      });
   save_ns.record(tel::now_ns() - t0);
-  save_bytes.add(l.file_bytes);
+  save_bytes.add(bytes);
   saves.add();
 }
 
 // ---------------------------------------------------------------------------
 // Reader.
 
-std::uint64_t ColumnarStore::u64_at(std::uint64_t offset) const {
-  return reader_ ? reader_->pod_at<std::uint64_t>(offset)
-                 : view_->pod_at<std::uint64_t>(offset);
-}
+/// One block of the sorted index: entries [pos, pos + n), their items,
+/// physical slots and done flags, and — for the fields a scan asked for —
+/// their sample rows (per field: n x per_item doubles, entry-major).
+struct ColumnarStore::Block {
+  std::uint64_t pos = 0;
+  std::uint64_t n = 0;
+  std::vector<std::uint64_t> items;
+  std::vector<std::uint64_t> slots;
+  std::vector<std::uint8_t> done;
+  std::vector<double> rows[8];
+};
 
-double ColumnarStore::f64_at(std::uint64_t offset) const {
-  return reader_ ? reader_->pod_at<double>(offset)
-                 : view_->pod_at<double>(offset);
-}
+bool ColumnarStore::next_block(Block& b, unsigned fields) const {
+  const bool has_prev = b.n != 0;
+  std::uint64_t prev = has_prev ? b.items[b.n - 1] : 0;
+  b.pos += b.n;
+  b.n = std::min(kScanBlock, n_index_ - b.pos);
+  if (b.n == 0) return false;
 
-std::uint8_t ColumnarStore::u8_at(std::uint64_t offset) const {
-  return reader_ ? reader_->pod_at<std::uint8_t>(offset)
-                 : view_->pod_at<std::uint8_t>(offset);
-}
+  b.items.resize(b.n);
+  b.slots.resize(b.n);
+  reader_.read(columns_[0].offset + 8 * b.pos, b.items.data(), 8 * b.n);
+  reader_.read(columns_[1].offset + 8 * b.pos, b.slots.data(), 8 * b.n);
+  const std::uint64_t item_count = spec_.item_count();
+  bool contiguous = true;
+  for (std::uint64_t i = 0; i < b.n; ++i) {
+    const std::uint64_t item = b.items[i];
+    const std::uint64_t slot = b.slots[i];
+    if (item >= item_count) {
+      fail(path(), "index entry " + std::to_string(b.pos + i) + " names item " +
+                      std::to_string(item) + " outside the campaign grid");
+    }
+    if ((i != 0 || has_prev) && item <= prev) {
+      fail(path(), "item index is not strictly ascending at entry " +
+                      std::to_string(b.pos + i));
+    }
+    if (slot >= n_physical_) {
+      fail(path(), "index entry " + std::to_string(b.pos + i) +
+                      " points at physical slot " + std::to_string(slot) +
+                      " of " + std::to_string(n_physical_));
+    }
+    contiguous = contiguous && slot == b.slots[0] + i;
+    prev = item;
+  }
 
-bool ColumnarStore::mapped() const noexcept {
-  return view_.has_value() && view_->mapped();
+  // Contiguous slots (every file written by save_columnar or append_merge)
+  // take one read per column; a permuted slot_of (older verbatim appends)
+  // falls back to one read per entry.
+  const std::uint64_t first = b.slots[0];
+  b.done.resize(b.n);
+  if (contiguous) {
+    reader_.read(columns_[2].offset + first, b.done.data(), b.n);
+  } else {
+    for (std::uint64_t i = 0; i < b.n; ++i) {
+      b.done[i] = reader_.pod_at<std::uint8_t>(columns_[2].offset +
+                                               b.slots[i]);
+    }
+  }
+  const std::uint64_t row_bytes = 8 * per_item_;
+  for (std::size_t f = 0; f < 8; ++f) {
+    if ((fields & (1u << f)) == 0) continue;
+    std::vector<double>& rows = b.rows[f];
+    rows.resize(b.n * per_item_);
+    const std::uint64_t base = columns_[3 + f].offset;
+    if (contiguous) {
+      reader_.read(base + first * row_bytes, rows.data(), b.n * row_bytes);
+    } else {
+      for (std::uint64_t i = 0; i < b.n; ++i) {
+        reader_.read(base + b.slots[i] * row_bytes,
+                     rows.data() + i * per_item_, row_bytes);
+      }
+    }
+  }
+  return true;
 }
 
 ColumnarStore ColumnarStore::open(const std::string& path,
-                                  const CampaignSpec& spec,
-                                  const OpenOptions& options) {
+                                  const CampaignSpec& spec) {
   ULPDREAM_TRACE_SPAN("store.open_columnar");
   namespace tel = util::telemetry;
   static const tel::Counter opens("store.columnar.opens");
-  static const tel::Counter mapped_opens("store.columnar.mapped_opens");
   static const tel::Histogram open_ns("store.columnar.open_ns");
   const std::uint64_t t0 = tel::now_ns();
 
-  ColumnarStore store;
-  store.path_ = path;
-  store.spec_ = spec.normalized();
-  const auto fail = [&path](const std::string& what) -> void {
-    throw StoreError(path, "columnar store: " + what);
-  };
-
-  std::uint64_t size = 0;
-  try {
-    if (options.bounded_memory) {
-      store.reader_.emplace(path, options.cache_chunk_bytes,
-                            options.cache_chunks);
-      size = store.reader_->size();
-    } else {
-      store.view_ = util::FileView::open(path, options.allow_mmap);
-      size = store.view_->size();
+  ColumnarStore store = [&path] {
+    try {
+      return ColumnarStore(util::ChunkedFileReader(path));
+    } catch (const std::runtime_error& e) {
+      throw StoreError(path, e.what());
     }
-  } catch (const std::runtime_error& e) {
-    throw StoreError(path, e.what());
-  }
+  }();
+  store.spec_ = spec.normalized();
+  const util::ChunkedFileReader& r = store.reader_;
+  const std::uint64_t size = r.size();
 
   // Header. Every count is validated against the real file size before
-  // anything derived from it is dereferenced — a truncated or lying file
-  // fails typed, never with a read off the end of the mapping.
-  if (size < kFixedHeaderBytes) fail("truncated header");
+  // anything derived from it is read — a truncated or lying file fails
+  // typed, never with a read off the end.
+  if (size < kFixedHeaderBytes) fail(path, "truncated header");
   char magic[8];
-  if (store.reader_) {
-    store.reader_->read(0, magic, sizeof(magic));
-  } else {
-    std::memcpy(magic, store.view_->bytes(0, 8).data(), 8);
-  }
+  r.read(0, magic, sizeof(magic));
   if (std::memcmp(magic, kColumnarMagic, sizeof(magic)) != 0) {
-    fail("bad magic (not a columnar store file)");
+    fail(path, "bad magic (not a columnar store file)");
   }
-  const auto u32_at = [&store](std::uint64_t offset) {
-    return store.reader_ ? store.reader_->pod_at<std::uint32_t>(offset)
-                         : store.view_->pod_at<std::uint32_t>(offset);
-  };
-  const std::uint32_t version = u32_at(8);
+  const auto version = r.pod_at<std::uint32_t>(8);
   if (version != kVersion) {
-    fail("unsupported version " + std::to_string(version) + " (expected " +
-         std::to_string(kVersion) + ")");
+    fail(path, "unsupported version " + std::to_string(version) +
+                   " (expected " + std::to_string(kVersion) + ")");
   }
-  if (u32_at(12) != kEndianTag) {
-    fail("endianness mismatch — file was written on a foreign-endian host");
+  if (r.pod_at<std::uint32_t>(12) != kEndianTag) {
+    fail(path,
+         "endianness mismatch — file was written on a foreign-endian host");
   }
   const std::uint64_t file_bytes = store.u64_at(16);
   if (file_bytes != size) {
-    fail("truncated or padded file (header records " +
-         std::to_string(file_bytes) + " bytes, file has " +
-         std::to_string(size) + ")");
+    fail(path, "truncated or padded file (header records " +
+                   std::to_string(file_bytes) + " bytes, file has " +
+                   std::to_string(size) + ")");
   }
   store.n_index_ = store.u64_at(24);
   store.n_physical_ = store.u64_at(32);
@@ -325,52 +382,41 @@ ColumnarStore ColumnarStore::open(const std::string& path,
   const std::uint64_t want_pi =
       store.spec_.apps.size() * store.spec_.emts.size();
   if (store.per_item_ != want_pi) {
-    fail("per-item sample count " + std::to_string(store.per_item_) +
-         " disagrees with the campaign spec (" + std::to_string(want_pi) +
-         ")");
+    fail(path, "per-item sample count " + std::to_string(store.per_item_) +
+                   " disagrees with the campaign spec (" +
+                   std::to_string(want_pi) + ")");
   }
   if (fingerprint_len > size - kFixedHeaderBytes) {
-    fail("truncated fingerprint");
+    fail(path, "truncated fingerprint");
   }
   std::string fingerprint(fingerprint_len, '\0');
-  if (fingerprint_len != 0) {
-    if (store.reader_) {
-      store.reader_->read(kFixedHeaderBytes, fingerprint.data(),
-                          fingerprint_len);
-    } else {
-      std::memcpy(fingerprint.data(),
-                  store.view_->bytes(kFixedHeaderBytes, fingerprint_len)
-                      .data(),
-                  fingerprint_len);
-    }
-  }
+  r.read(kFixedHeaderBytes, fingerprint.data(), fingerprint_len);
   if (fingerprint != store.spec_.fingerprint()) {
-    fail(
-        "spec fingerprint mismatch — the file was saved for a different "
-        "campaign grid\n  expected: " +
-        store.spec_.fingerprint() + "\n  file:     " + fingerprint);
+    fail(path,
+         "spec fingerprint mismatch — the file was saved for a different "
+         "campaign grid\n  expected: " +
+             store.spec_.fingerprint() + "\n  file:     " + fingerprint);
   }
   if (max_snr_count !=
       store.spec_.records.size() * store.spec_.apps.size()) {
-    fail("max_snr count disagrees with the campaign spec");
+    fail(path, "max_snr count disagrees with the campaign spec");
   }
 
   const Layout l = compute_layout(store.n_index_, store.n_physical_,
                                   store.per_item_, fingerprint_len,
                                   max_snr_count);
   if (l.file_bytes != size) {
-    fail("index/column lengths disagree with the file size (layout needs " +
-         std::to_string(l.file_bytes) + " bytes, file has " +
-         std::to_string(size) + ")");
+    fail(path,
+         "index/column lengths disagree with the file size (layout needs " +
+             std::to_string(l.file_bytes) + " bytes, file has " +
+             std::to_string(size) + ")");
   }
   store.max_snr_.resize(max_snr_count);
-  for (std::uint64_t i = 0; i < max_snr_count; ++i) {
-    store.max_snr_[i] =
-        store.f64_at(kFixedHeaderBytes + l.fingerprint_pad + 8 * i);
-  }
+  r.read(kFixedHeaderBytes + l.fingerprint_pad, store.max_snr_.data(),
+         8 * max_snr_count);
   if (store.u64_at(l.dir_offset) != kNumColumns) {
-    fail("unexpected column count " +
-         std::to_string(store.u64_at(l.dir_offset)));
+    fail(path, "unexpected column count " +
+                   std::to_string(store.u64_at(l.dir_offset)));
   }
   store.columns_.resize(kNumColumns);
   for (std::size_t c = 0; c < kNumColumns; ++c) {
@@ -378,49 +424,34 @@ ColumnarStore ColumnarStore::open(const std::string& path,
     store.columns_[c].bytes = store.u64_at(l.dir_offset + 16 + 16 * c);
     if (store.columns_[c].offset != l.column_offset[c] ||
         store.columns_[c].bytes != l.column_bytes[c]) {
-      fail("column " + std::to_string(c) +
-           " directory entry disagrees with the index counts (offset " +
-           std::to_string(store.columns_[c].offset) + ", " +
-           std::to_string(store.columns_[c].bytes) + " bytes; expected " +
-           std::to_string(l.column_offset[c]) + ", " +
-           std::to_string(l.column_bytes[c]) + ")");
+      fail(path, "column " + std::to_string(c) +
+                     " directory entry disagrees with the index counts "
+                     "(offset " +
+                     std::to_string(store.columns_[c].offset) + ", " +
+                     std::to_string(store.columns_[c].bytes) +
+                     " bytes; expected " +
+                     std::to_string(l.column_offset[c]) + ", " +
+                     std::to_string(l.column_bytes[c]) + ")");
     }
   }
 
-  // Index validation: strictly ascending canonical items inside the grid,
-  // physical slots inside the data columns. One sequential pass — also
-  // where items_done is counted, so open() touches the (small) index but
-  // never a sample column.
-  std::uint64_t prev = 0;
-  for (std::uint64_t i = 0; i < store.n_index_; ++i) {
-    const std::uint64_t item = store.u64_at(l.column_offset[0] + 8 * i);
-    const std::uint64_t slot = store.u64_at(l.column_offset[1] + 8 * i);
-    if (item >= store.spec_.item_count()) {
-      fail("index entry " + std::to_string(i) + " names item " +
-           std::to_string(item) + " outside the campaign grid");
+  // Index validation happens in the scan; counting done flags on the way
+  // makes open() read the index columns but never a sample column.
+  Block b;
+  while (store.next_block(b, 0)) {
+    for (std::uint64_t i = 0; i < b.n; ++i) {
+      if (b.done[i] != 0) ++store.items_done_;
     }
-    if (i != 0 && item <= prev) {
-      fail("item index is not strictly ascending at entry " +
-           std::to_string(i));
-    }
-    if (slot >= store.n_physical_) {
-      fail("index entry " + std::to_string(i) + " points at physical slot " +
-           std::to_string(slot) + " of " +
-           std::to_string(store.n_physical_));
-    }
-    prev = item;
-    if (store.u8_at(l.column_offset[2] + slot) != 0) ++store.items_done_;
   }
 
   open_ns.record(tel::now_ns() - t0);
   opens.add();
-  if (store.mapped()) mapped_opens.add();
   return store;
 }
 
 std::size_t ColumnarStore::item_at(std::size_t sorted_pos) const {
   if (sorted_pos >= n_index_) {
-    throw StoreError(path_, "item_at: position out of range");
+    throw StoreError(path(), "item_at: position out of range");
   }
   return static_cast<std::size_t>(
       u64_at(columns_[0].offset + 8 * sorted_pos));
@@ -429,7 +460,7 @@ std::size_t ColumnarStore::item_at(std::size_t sorted_pos) const {
 void ColumnarStore::samples_at(std::size_t sorted_pos,
                                std::vector<Sample>& out) const {
   if (sorted_pos >= n_index_) {
-    throw StoreError(path_, "samples_at: position out of range");
+    throw StoreError(path(), "samples_at: position out of range");
   }
   const std::uint64_t phys = u64_at(columns_[1].offset + 8 * sorted_pos);
   out.assign(per_item_, Sample{});
@@ -437,7 +468,7 @@ void ColumnarStore::samples_at(std::size_t sorted_pos,
     const std::uint64_t base =
         columns_[3 + f].offset + 8 * phys * per_item_;
     for (std::uint64_t k = 0; k < per_item_; ++k) {
-      kFieldSet[f](out[k], f64_at(base + 8 * k));
+      kFieldSet[f](out[k], reader_.pod_at<double>(base + 8 * k));
     }
   }
 }
@@ -460,7 +491,7 @@ bool ColumnarStore::item_done(std::size_t item_index) const {
     return false;
   }
   const std::uint64_t slot = u64_at(columns_[1].offset + 8 * lo);
-  return u8_at(columns_[2].offset + slot) != 0;
+  return reader_.pod_at<std::uint8_t>(columns_[2].offset + slot) != 0;
 }
 
 double ColumnarStore::max_snr_db(std::size_t record_index,
@@ -484,25 +515,25 @@ std::vector<AggregateRow> ColumnarStore::aggregate(
   const std::size_t na = spec_.apps.size();
   const std::size_t ne = spec_.emts.size();
 
-  // The streaming fold: walk the sorted index (canonical item order),
-  // assemble each (app, EMT) sample from the eight field columns and push
-  // it through the shared folder. Memory is one accumulator per output
-  // row — never a function of the store size; the column bytes stream
-  // through the mapping (or the bounded chunk cache) and are never
-  // materialized as Samples.
+  // The streaming fold: walk the sorted index (canonical item order) a
+  // block at a time, assemble each (app, EMT) sample from the block's
+  // eight field rows and push it through the shared folder. Memory is
+  // one accumulator per output row plus one block — never a function of
+  // the store size.
   detail::AggregateFolder folder(spec_, group);
   Sample s;
-  for (std::uint64_t pos = 0; pos < n_index_; ++pos) {
-    const std::uint64_t item = u64_at(columns_[0].offset + 8 * pos);
-    const std::uint64_t phys = u64_at(columns_[1].offset + 8 * pos);
-    const std::uint64_t base = phys * per_item_;
-    for (std::size_t ai = 0; ai < na; ++ai) {
-      for (std::size_t ei = 0; ei < ne; ++ei) {
-        const std::uint64_t k = base + ai * ne + ei;
-        for (std::size_t f = 0; f < 8; ++f) {
-          kFieldSet[f](s, f64_at(columns_[3 + f].offset + 8 * k));
+  Block b;
+  while (next_block(b, kAllFields)) {
+    for (std::uint64_t i = 0; i < b.n; ++i) {
+      const auto item = static_cast<std::size_t>(b.items[i]);
+      for (std::size_t ai = 0; ai < na; ++ai) {
+        for (std::size_t ei = 0; ei < ne; ++ei) {
+          const std::uint64_t k = i * per_item_ + ai * ne + ei;
+          for (std::size_t f = 0; f < 8; ++f) {
+            kFieldSet[f](s, b.rows[f][k]);
+          }
+          folder.add(item, ai, ei, s);
         }
-        folder.add(static_cast<std::size_t>(item), ai, ei, s);
       }
     }
   }
@@ -514,14 +545,20 @@ std::vector<AggregateRow> ColumnarStore::aggregate(
 
 ResultStore ColumnarStore::materialize() const {
   ResultStore store(spec_);
-  std::vector<Sample> samples;
-  for (std::uint64_t pos = 0; pos < n_index_; ++pos) {
-    const std::uint64_t phys = u64_at(columns_[1].offset + 8 * pos);
-    if (u8_at(columns_[2].offset + phys) == 0) continue;
-    WorkItem item;
-    item.index = item_at(pos);
-    samples_at(pos, samples);
-    store.record_item(item, samples);
+  std::vector<Sample> samples(per_item_);
+  WorkItem item;
+  Block b;
+  while (next_block(b, kAllFields)) {
+    for (std::uint64_t i = 0; i < b.n; ++i) {
+      if (b.done[i] == 0) continue;
+      for (std::uint64_t k = 0; k < per_item_; ++k) {
+        for (std::size_t f = 0; f < 8; ++f) {
+          kFieldSet[f](samples[k], b.rows[f][i * per_item_ + k]);
+        }
+      }
+      item.index = static_cast<std::size_t>(b.items[i]);
+      store.record_item(item, samples);
+    }
   }
   const std::size_t na = spec_.apps.size();
   for (std::size_t ri = 0; ri < spec_.records.size(); ++ri) {
@@ -537,8 +574,7 @@ ResultStore ColumnarStore::materialize() const {
 
 void ColumnarStore::append_merge(const std::vector<std::string>& inputs,
                                  const std::string& out_path,
-                                 const CampaignSpec& spec,
-                                 const AppendOptions& options) {
+                                 const CampaignSpec& spec) {
   ULPDREAM_TRACE_SPAN("store.append_merge");
   namespace tel = util::telemetry;
   static const tel::Counter appends("store.columnar.appends");
@@ -550,61 +586,42 @@ void ColumnarStore::append_merge(const std::vector<std::string>& inputs,
         "ColumnarStore::append_merge: no input stores");
   }
 
-  // Open every input bounded (sequential copies hit a small chunk cache;
-  // memory never scales with the sample data). Validation — fingerprints
-  // against `spec`, structure against the file — happens in open().
-  OpenOptions bounded;
-  bounded.bounded_memory = true;
-  bounded.cache_chunk_bytes = 1u << 20;
-  bounded.cache_chunks = 4;
+  // Validation — fingerprints against `spec`, structure against the
+  // file — happens in open().
   std::vector<ColumnarStore> stores;
   stores.reserve(inputs.size());
   for (const std::string& path : inputs) {
-    stores.push_back(open(path, spec, bounded));
+    stores.push_back(open(path, spec));
   }
-  const CampaignSpec& nspec = stores.front().spec_;
   const std::uint64_t pi = stores.front().per_item_;
 
-  // Merged index: every input's (item, physical slot, done) with slots
-  // rebased onto the concatenated columns; sorted by item, stable in
-  // input order. The first done occurrence of a duplicated item wins —
-  // the same rule ResultStore::merge applies pairwise — and duplicate
-  // sample bytes stay in the file as unreferenced slots rather than
-  // being compacted (append never rewrites sample bytes).
+  // Merged index: every input's done entries, sorted by item, stable in
+  // input order, so the first done occurrence of a duplicated item wins —
+  // the rule ResultStore::merge applies pairwise. Entries that are not
+  // done are never persisted (the save_columnar rule).
   struct Entry {
     std::uint64_t item;
-    std::uint64_t phys;   ///< slot rebased onto the concatenated columns
-    std::uint32_t store;  ///< input the slot lives in (canonical copies)
-    std::uint64_t slot;   ///< slot inside that input
-    std::uint8_t done;
+    std::uint64_t pos;    ///< sorted position inside its input
+    std::uint32_t store;  ///< input index
   };
   std::vector<Entry> entries;
-  std::uint64_t n_physical = 0;
   for (std::uint32_t si = 0; si < stores.size(); ++si) {
-    const ColumnarStore& s = stores[si];
-    for (std::uint64_t i = 0; i < s.n_index_; ++i) {
-      const std::uint64_t item = s.u64_at(s.columns_[0].offset + 8 * i);
-      const std::uint64_t slot = s.u64_at(s.columns_[1].offset + 8 * i);
-      const std::uint8_t done = s.u8_at(s.columns_[2].offset + slot);
-      entries.push_back(Entry{item, n_physical + slot, si, slot, done});
+    Block b;
+    while (stores[si].next_block(b, 0)) {
+      for (std::uint64_t i = 0; i < b.n; ++i) {
+        if (b.done[i] != 0) entries.push_back({b.items[i], b.pos + i, si});
+      }
     }
-    n_physical += s.n_physical_;
   }
   std::stable_sort(entries.begin(), entries.end(),
                    [](const Entry& a, const Entry& b) {
                      return a.item < b.item;
                    });
-  std::vector<Entry> merged;
-  merged.reserve(entries.size());
-  for (std::size_t i = 0; i < entries.size();) {
-    std::size_t j = i;
-    std::size_t pick = i;
-    for (; j < entries.size() && entries[j].item == entries[i].item; ++j) {
-      if (entries[pick].done == 0 && entries[j].done != 0) pick = j;
-    }
-    merged.push_back(entries[pick]);
-    i = j;
-  }
+  entries.erase(std::unique(entries.begin(), entries.end(),
+                            [](const Entry& a, const Entry& b) {
+                              return a.item == b.item;
+                            }),
+                entries.end());
 
   // Max-SNR ceilings: first non-NaN wins across inputs in order (the
   // pairwise merge rule, applied left to right).
@@ -615,81 +632,24 @@ void ColumnarStore::append_merge(const std::vector<std::string>& inputs,
     }
   }
 
-  if (options.canonical) {
-    // Canonical mode persists done entries only — the same "a save never
-    // writes unexecuted slots" rule as ResultStore::save_columnar, whose
-    // byte layout this mode reproduces exactly.
-    std::erase_if(merged, [](const Entry& e) { return e.done == 0; });
-    n_physical = merged.size();
-  }
-
-  const std::string fingerprint = nspec.fingerprint();
-  const Layout l = compute_layout(merged.size(), n_physical, pi,
-                                  fingerprint.size(), max_snr.size());
-
-  const std::string tmp = staging_name(out_path);
-  try {
-    BufferedFileWriter w(tmp);
-    write_header(w, l, fingerprint, max_snr, merged.size(), n_physical, pi);
-    for (const Entry& e : merged) w.put_u64(e.item);
-    if (options.canonical) {
-      for (std::uint64_t i = 0; i < merged.size(); ++i) w.put_u64(i);
-    } else {
-      for (const Entry& e : merged) w.put_u64(e.phys);
-    }
-    std::vector<char> copy_buf(1u << 20);
-    if (options.canonical) {
-      // Slots rewritten in sorted item order: the done column is all
-      // ones and each entry's sample row is gathered from its source
-      // store — one pi-wide row read per entry per field column, still
-      // never decoding a sample.
-      for (std::uint64_t i = 0; i < merged.size(); ++i) {
-        const std::uint8_t done = 1;
-        w.put_bytes(&done, 1);
-      }
-      w.pad_to(l.column_offset[2] + align8(l.column_bytes[2]));
-      const std::size_t row_bytes = static_cast<std::size_t>(8 * pi);
-      copy_buf.resize(row_bytes);
-      for (std::size_t f = 0; f < 8; ++f) {
-        for (const Entry& e : merged) {
-          const ColumnarStore& s = stores[e.store];
-          s.reader_->read(s.columns_[3 + f].offset + e.slot * row_bytes,
-                          copy_buf.data(), row_bytes);
-          w.put_bytes(copy_buf.data(), row_bytes);
-        }
-      }
-    } else {
-      // Done and sample columns: verbatim concatenation of the inputs'
-      // columns, streamed through a fixed-size copy buffer.
-      const auto copy_column = [&](std::size_t col) {
-        for (const ColumnarStore& s : stores) {
-          std::uint64_t off = s.columns_[col].offset;
-          std::uint64_t left = s.columns_[col].bytes;
-          while (left > 0) {
-            const std::size_t take = static_cast<std::size_t>(
-                std::min<std::uint64_t>(copy_buf.size(), left));
-            s.reader_->read(off, copy_buf.data(), take);
-            w.put_bytes(copy_buf.data(), take);
-            off += take;
-            left -= take;
+  // One pass per field column: each input is scanned forward in blocks
+  // (its surviving entries ascend in sorted position) and each winner's
+  // row is copied without decoding a sample.
+  const std::uint64_t bytes = write_store(
+      out_path, stores.front().spec_.fingerprint(), max_snr, entries.size(),
+      pi, [&](std::uint64_t i) { return entries[i].item; },
+      [&](BufferedFileWriter& w, std::size_t f) {
+        std::vector<Block> cursors(stores.size());
+        for (const Entry& e : entries) {
+          Block& b = cursors[e.store];
+          while (e.pos >= b.pos + b.n) {
+            stores[e.store].next_block(b, 1u << f);
           }
+          w.put_bytes(b.rows[f].data() + (e.pos - b.pos) * pi, 8 * pi);
         }
-      };
-      copy_column(2);
-      w.pad_to(l.column_offset[2] + align8(l.column_bytes[2]));
-      for (std::size_t f = 0; f < 8; ++f) copy_column(3 + f);
-    }
-    if (w.written() != l.file_bytes) {
-      throw StoreError(tmp, "internal layout mismatch while appending");
-    }
-    w.finish();
-    util::publish_file_atomic(tmp, out_path);
-  } catch (...) {
-    std::remove(tmp.c_str());
-    throw;
-  }
+      });
   append_ns.record(tel::now_ns() - t0);
-  append_bytes.add(l.file_bytes);
+  append_bytes.add(bytes);
   appends.add();
 }
 

@@ -1,8 +1,9 @@
 #pragma once
 // Columnar persistence for campaign raw stores — the one on-disk format
-// (ResultStore::save_columnar writes it, ColumnarStore reads it), built
-// out-of-core for 10^6..10^9-item grids where "parse every double again"
-// and "hold every Sample on the heap" are the bottleneck.
+// (ResultStore::save_columnar and ColumnarStore::append_merge write it,
+// ColumnarStore reads it), built out-of-core for 10^6..10^9-item grids
+// where "parse every double again" and "hold every Sample on the heap"
+// are the bottleneck.
 //
 // One file, three regions, all integers and doubles little-endian:
 //
@@ -12,36 +13,36 @@
 //              directory of (absolute offset, byte length) pairs — every
 //              region is bounds-checked against the real file size before
 //              any access, so a truncated or corrupt file throws a typed
-//              StoreError naming the path instead of reading off the end
-//              of a mapping.
+//              StoreError naming the path instead of reading off the end.
 //   index      two u64 columns: `item_index` (strictly ascending item
 //              indices — the canonical iteration order) and `slot_of`
-//              (the physical slot each item's samples live in). A fresh
-//              save writes the identity permutation; append-merge keeps
-//              shard sample bytes where they landed and only re-sorts
-//              this (small) index.
+//              (the physical slot each item's samples live in). Every
+//              writer emits done items only, in item order, with the
+//              identity `slot_of`; the reader still accepts a permuted
+//              `slot_of` and unreferenced slots, the layout that older
+//              verbatim appends wrote.
 //   columns    a u8 done-flag column plus one fixed-width f64 column per
 //              Sample field, each slot-major, app-major/EMT-minor — the
 //              same canonical layout the in-memory store uses.
 //
-// Loading is zero-copy: ColumnarStore::open() memory-maps the file (portable
-// read-into-buffer fallback via util::FileView), validates the header and
-// index, and serves aggregation straight from the mapping — no parse, no
-// heap copy of samples. aggregate() streams the columns through the
-// shared AggregateFolder in canonical item order, so its rows are
-// bit-identical to ResultStore::aggregate() on the same campaign; its
-// memory is one accumulator per output row. For hard RSS caps there is a
-// bounded mode that replaces the mapping with an LRU chunk cache
-// (util::ChunkedFileReader) — memory stays constant no matter how large
-// the store grows. Shards fold by append: sample bytes are concatenated
-// verbatim and only the index is re-sorted, so merging N shards costs
-// O(total bytes) sequential I/O and O(index) memory.
+// Every read goes through one bounded chunk cache (util::ChunkedFileReader:
+// pread, nothing mapped). open() validates the header and scans the index;
+// aggregate() and materialize() walk the sorted index in fixed blocks,
+// reading each index and field-column slice once per block. Memory stays
+// bounded however large the store grows, and aggregate() folds in
+// canonical item order through the shared AggregateFolder, so its rows are
+// bit-identical to ResultStore::aggregate() on the same campaign. Shards
+// fold by append_merge, which writes the bytes a single-process
+// save_columnar of the merged data would.
+//
+// A ColumnarStore serves one thread at a time: its chunk cache mutates
+// inside const calls. Open one per request or per thread.
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ulpdream/campaign/result_store.hpp"
@@ -67,41 +68,22 @@ inline constexpr char kColumnarMagic[8] = {'U', 'L', 'P', 'D',
                                            'C', 'O', 'L', '1'};
 
 /// A campaign raw store opened from its columnar file: a read-only,
-/// mmap-backed (or bounded-memory) view with the same query surface as a
-/// complete in-memory ResultStore, minus any per-sample heap state.
+/// bounded-memory view with the same query surface as a complete
+/// in-memory ResultStore, minus any per-sample heap state. One thread at
+/// a time (see the file comment).
 class ColumnarStore {
  public:
-  struct OpenOptions {
-    /// Prefer mmap (zero-copy). Off — or with ULPDREAM_DISABLE_MMAP set —
-    /// the portable read-into-buffer fallback is used instead.
-    bool allow_mmap = true;
-    /// Bounded-memory mode: never map or buffer the whole file; stream
-    /// everything (index included) through an LRU chunk cache of
-    /// cache_chunk_bytes x cache_chunks. For aggregation under an RSS cap
-    /// smaller than the store.
-    bool bounded_memory = false;
-    std::size_t cache_chunk_bytes = 1u << 18;
-    std::size_t cache_chunks = 64;
-  };
-
   /// Opens and validates `path` against `spec` (normalized; fingerprints
   /// must match). Throws StoreError on any structural problem: bad magic,
   /// unsupported version, foreign endianness, truncation, directory /
   /// count disagreement, an unsorted or out-of-range index.
   [[nodiscard]] static ColumnarStore open(const std::string& path,
-                                          const CampaignSpec& spec,
-                                          const OpenOptions& options);
-  [[nodiscard]] static ColumnarStore open(const std::string& path,
-                                          const CampaignSpec& spec) {
-    return open(path, spec, OpenOptions{});
-  }
+                                          const CampaignSpec& spec);
 
   [[nodiscard]] const CampaignSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] const std::string& path() const noexcept { return path_; }
-  /// True when the file is served by a real memory mapping (the zero-copy
-  /// path); false for the buffered fallback and for bounded mode.
-  [[nodiscard]] bool mapped() const noexcept;
-  [[nodiscard]] bool bounded() const noexcept { return reader_.has_value(); }
+  [[nodiscard]] const std::string& path() const noexcept {
+    return reader_.path();
+  }
 
   /// Items with an index entry (= stored items; saves write done items
   /// only, so normally all of them are done).
@@ -126,7 +108,7 @@ class ColumnarStore {
       const GroupBy& group = GroupBy{}) const;
 
   /// Reads one item's samples (app-major, EMT-minor) out of the columns —
-  /// the random-access escape hatch (and the resume/materialize path).
+  /// the random-access escape hatch.
   /// `sorted_pos` indexes the sorted item index, not physical slots.
   [[nodiscard]] std::size_t item_at(std::size_t sorted_pos) const;
   void samples_at(std::size_t sorted_pos, std::vector<Sample>& out) const;
@@ -136,47 +118,36 @@ class ColumnarStore {
   /// merge). Deliberately the only operation that materializes samples.
   [[nodiscard]] ResultStore materialize() const;
 
-  struct AppendOptions {
-    /// Verbatim (default): sample bytes are concatenated where they
-    /// landed and only the index is re-sorted — O(total bytes)
-    /// sequential I/O, duplicate slots stay in the file unreferenced.
-    /// Canonical: physical slots are rewritten in sorted item order and
-    /// unreferenced duplicates dropped, so the output is byte-identical
-    /// to a single-process ResultStore::save_columnar of the same data —
-    /// the daemon's proof obligation for leased grids (CI byte-compares
-    /// its merged store against the single-process run). Both stream
-    /// through fixed-size buffers; memory stays O(index) either way.
-    bool canonical = false;
-  };
-
   /// Folds shard files by append: validates every input against `spec`,
-  /// copies their done/sample columns (verbatim or canonically reordered
-  /// per `options` — sample bytes are never decoded), merges the sorted
-  /// index runs (first done occurrence of a duplicated item wins,
-  /// matching ResultStore::merge), and atomically publishes `out_path`.
-  /// Memory scales with the merged index, never with the sample data.
+  /// merges their sorted indices (first done occurrence of a duplicated
+  /// item wins, matching ResultStore::merge), gathers the winners' sample
+  /// rows in item order without decoding a sample, and atomically
+  /// publishes `out_path` — the bytes a single-process save_columnar of
+  /// the merged data writes. Memory scales with the merged index, never
+  /// with the sample data.
   static void append_merge(const std::vector<std::string>& inputs,
                            const std::string& out_path,
-                           const CampaignSpec& spec,
-                           const AppendOptions& options);
-  static void append_merge(const std::vector<std::string>& inputs,
-                           const std::string& out_path,
-                           const CampaignSpec& spec) {
-    append_merge(inputs, out_path, spec, AppendOptions{});
-  }
+                           const CampaignSpec& spec);
 
  private:
-  ColumnarStore() = default;
+  struct Block;
 
-  /// Bounds-checked scalar read through whichever backing is active.
-  [[nodiscard]] std::uint64_t u64_at(std::uint64_t offset) const;
-  [[nodiscard]] double f64_at(std::uint64_t offset) const;
-  [[nodiscard]] std::uint8_t u8_at(std::uint64_t offset) const;
+  explicit ColumnarStore(util::ChunkedFileReader reader)
+      : reader_(std::move(reader)) {}
+
+  /// The one scan: advances `b` to the next block of the sorted index
+  /// and fills the entries' items, slots and done flags, plus their rows
+  /// of every field column in the `fields` bitmask (bit f = field f).
+  /// Validates what it reads (items strictly ascending inside the grid,
+  /// slots inside the data columns). False once the index is exhausted.
+  bool next_block(Block& b, unsigned fields) const;
+
+  [[nodiscard]] std::uint64_t u64_at(std::uint64_t offset) const {
+    return reader_.pod_at<std::uint64_t>(offset);
+  }
 
   CampaignSpec spec_;
-  std::string path_;
-  std::optional<util::FileView> view_;          ///< mapped / buffered
-  std::optional<util::ChunkedFileReader> reader_;  ///< bounded mode
+  util::ChunkedFileReader reader_;
   std::uint64_t n_index_ = 0;
   std::uint64_t n_physical_ = 0;
   std::uint64_t per_item_ = 0;

@@ -136,7 +136,7 @@ class ResultStore {
   /// little-endian columns behind a header + sorted index. The file is
   /// staged under a name unique to this process (PATH.tmp.<pid>), fsync'd,
   /// renamed over PATH, and the parent directory fsync'd, so a file at
-  /// PATH is always a complete checkpoint. It reopens zero-copy via
+  /// PATH is always a complete checkpoint. It reopens out-of-core via
   /// ColumnarStore::open. Byte-deterministic: equal stores save to equal
   /// files. Throws on I/O failure; the staging file is removed on every
   /// failure path.
@@ -179,12 +179,15 @@ class ResultStore {
 
 /// Aggregate-row serialization. Column order is fixed and documented by
 /// aggregate_csv_header(); doubles use shortest-round-trip formatting so
-/// write -> read reproduces the exact values.
+/// write -> read reproduces the exact values. read_rows_csv reads outside
+/// input (a daemon's answer) and throws std::invalid_argument naming the
+/// row and column of any malformed cell; `n` must be a plain unsigned
+/// integer. The JSON export (NaN as null, infinities as "inf"/"-inf") is
+/// write-only.
 [[nodiscard]] const std::vector<std::string>& aggregate_csv_header();
 void write_rows_csv(std::ostream& os, const std::vector<AggregateRow>& rows);
 [[nodiscard]] std::vector<AggregateRow> read_rows_csv(std::istream& is);
 void write_rows_json(std::ostream& os, const std::vector<AggregateRow>& rows);
-[[nodiscard]] std::vector<AggregateRow> read_rows_json(std::istream& is);
 
 /// Pretty-printed view of aggregate rows (human-facing counterpart of the
 /// CSV export).

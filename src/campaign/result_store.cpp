@@ -1,10 +1,8 @@
 #include "ulpdream/campaign/result_store.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <istream>
-#include <iterator>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
@@ -271,30 +269,48 @@ std::vector<std::string> row_cells(const AggregateRow& r) {
           util::fmt_exact(r.detected_mean)};
 }
 
-AggregateRow row_from_cells(const std::vector<std::string>& cells) {
-  if (cells.size() != aggregate_csv_header().size()) {
-    throw std::invalid_argument("read_rows_csv: wrong column count");
+/// Parses data row `row` (1-based; the header is row 0). Every rejection
+/// names the reader, the row and the column.
+AggregateRow row_from_cells(const std::vector<std::string>& cells,
+                            std::size_t row) {
+  const std::vector<std::string>& header = aggregate_csv_header();
+  if (cells.size() != header.size()) {
+    throw std::invalid_argument(
+        "read_rows_csv: row " + std::to_string(row) + " has " +
+        std::to_string(cells.size()) + " columns, expected " +
+        std::to_string(header.size()));
   }
-  AggregateRow r;
   std::size_t c = 0;
+  const auto cell = [&](auto parse) {
+    const std::size_t col = c++;
+    try {
+      return parse(cells[col]);
+    } catch (const std::invalid_argument&) {
+      throw std::invalid_argument("read_rows_csv: row " +
+                                  std::to_string(row) + ", column " +
+                                  header[col] + ": bad value \"" +
+                                  cells[col] + "\"");
+    }
+  };
+  AggregateRow r;
   r.record = cells[c++];
   r.app = cells[c++];
   r.emt = cells[c++];
-  r.voltage = parse_voltage(cells[c++]);
-  r.n = static_cast<std::size_t>(std::stoull(cells[c++]));
-  r.snr_mean_db = util::parse_double_exact(cells[c++]);
-  r.snr_stddev_db = util::parse_double_exact(cells[c++]);
-  r.snr_min_db = util::parse_double_exact(cells[c++]);
-  r.snr_max_db = util::parse_double_exact(cells[c++]);
-  r.snr_p10_db = util::parse_double_exact(cells[c++]);
-  r.energy_mean_j = util::parse_double_exact(cells[c++]);
-  r.data_dynamic_j = util::parse_double_exact(cells[c++]);
-  r.side_dynamic_j = util::parse_double_exact(cells[c++]);
-  r.codec_j = util::parse_double_exact(cells[c++]);
-  r.data_leak_j = util::parse_double_exact(cells[c++]);
-  r.side_leak_j = util::parse_double_exact(cells[c++]);
-  r.corrected_mean = util::parse_double_exact(cells[c++]);
-  r.detected_mean = util::parse_double_exact(cells[c++]);
+  r.voltage = cell(parse_voltage);
+  r.n = static_cast<std::size_t>(cell(util::parse_u64_exact));
+  r.snr_mean_db = cell(util::parse_double_exact);
+  r.snr_stddev_db = cell(util::parse_double_exact);
+  r.snr_min_db = cell(util::parse_double_exact);
+  r.snr_max_db = cell(util::parse_double_exact);
+  r.snr_p10_db = cell(util::parse_double_exact);
+  r.energy_mean_j = cell(util::parse_double_exact);
+  r.data_dynamic_j = cell(util::parse_double_exact);
+  r.side_dynamic_j = cell(util::parse_double_exact);
+  r.codec_j = cell(util::parse_double_exact);
+  r.data_leak_j = cell(util::parse_double_exact);
+  r.side_leak_j = cell(util::parse_double_exact);
+  r.corrected_mean = cell(util::parse_double_exact);
+  r.detected_mean = cell(util::parse_double_exact);
   return r;
 }
 
@@ -328,13 +344,13 @@ std::vector<AggregateRow> read_rows_csv(std::istream& is) {
   std::vector<AggregateRow> rows;
   rows.reserve(parsed.size() - 1);
   for (std::size_t i = 1; i < parsed.size(); ++i) {
-    rows.push_back(row_from_cells(parsed[i]));
+    rows.push_back(row_from_cells(parsed[i], i));
   }
   return rows;
 }
 
-// Minimal JSON layer, restricted to the flat document this module emits:
-// {"rows": [{<string|number|null fields>}, ...]}.
+// JSON export of the flat document {"rows": [{<string|number|null
+// fields>}, ...]}. Nothing reads it back.
 
 namespace {
 
@@ -352,86 +368,6 @@ void json_escape(std::ostream& os, const std::string& s) {
   }
   os << '"';
 }
-
-struct JsonParser {
-  const std::string& text;
-  std::size_t pos = 0;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("read_rows_json: " + what + " at offset " +
-                                std::to_string(pos));
-  }
-  void skip_ws() {
-    while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t' ||
-                                 text[pos] == '\n' || text[pos] == '\r')) {
-      ++pos;
-    }
-  }
-  char peek() {
-    skip_ws();
-    if (pos >= text.size()) fail("unexpected end");
-    return text[pos];
-  }
-  void expect(char ch) {
-    if (peek() != ch) fail(std::string("expected '") + ch + "'");
-    ++pos;
-  }
-  bool consume(char ch) {
-    if (peek() != ch) return false;
-    ++pos;
-    return true;
-  }
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos < text.size() && text[pos] != '"') {
-      char ch = text[pos++];
-      if (ch == '\\') {
-        if (pos >= text.size()) fail("bad escape");
-        switch (text[pos++]) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case 'r': out.push_back('\r'); break;
-          default: fail("unsupported escape");
-        }
-      } else {
-        out.push_back(ch);
-      }
-    }
-    if (pos >= text.size()) fail("unterminated string");
-    ++pos;  // closing quote
-    return out;
-  }
-  /// Number, null, or a quoted non-finite token. JSON has no literal for
-  /// NaN or the infinities, so the writer encodes NaN as null and +/-Inf
-  /// as the strings "inf"/"-inf"; decode reverses both losslessly.
-  double parse_number_or_null() {
-    skip_ws();
-    if (text.compare(pos, 4, "null") == 0) {
-      pos += 4;
-      return kNan;
-    }
-    if (pos < text.size() && text[pos] == '"') {
-      const std::string token = parse_string();
-      if (token == "inf") return std::numeric_limits<double>::infinity();
-      if (token == "-inf") return -std::numeric_limits<double>::infinity();
-      fail("expected number, null, \"inf\" or \"-inf\", got \"" + token +
-           "\"");
-    }
-    const std::size_t start = pos;
-    while (pos < text.size() &&
-           (std::isdigit(static_cast<unsigned char>(text[pos])) ||
-            text[pos] == '-' || text[pos] == '+' || text[pos] == '.' ||
-            text[pos] == 'e' || text[pos] == 'E')) {
-      ++pos;
-    }
-    if (pos == start) fail("expected number");
-    return util::parse_double_exact(text.substr(start, pos - start));
-  }
-};
 
 }  // namespace
 
@@ -478,74 +414,6 @@ void write_rows_json(std::ostream& os, const std::vector<AggregateRow>& rows) {
     os << '}';
   }
   os << "\n]}\n";
-}
-
-std::vector<AggregateRow> read_rows_json(std::istream& is) {
-  const std::string text(std::istreambuf_iterator<char>(is), {});
-  JsonParser p{text};
-  p.expect('{');
-  if (p.parse_string() != "rows") p.fail("expected \"rows\" key");
-  p.expect(':');
-  p.expect('[');
-  std::vector<AggregateRow> rows;
-  if (!p.consume(']')) {
-    do {
-      p.expect('{');
-      AggregateRow r;
-      do {
-        const std::string key = p.parse_string();
-        p.expect(':');
-        if (key == "record") {
-          r.record = p.parse_string();
-        } else if (key == "app") {
-          r.app = p.parse_string();
-        } else if (key == "emt") {
-          r.emt = p.parse_string();
-        } else if (key == "voltage") {
-          r.voltage = p.parse_number_or_null();
-        } else if (key == "n") {
-          const double n = p.parse_number_or_null();
-          if (std::isnan(n) || n < 0.0 || n != std::floor(n)) {
-            p.fail("\"n\" must be a non-negative integer");
-          }
-          r.n = static_cast<std::size_t>(n);
-        } else if (key == "snr_mean_db") {
-          r.snr_mean_db = p.parse_number_or_null();
-        } else if (key == "snr_stddev_db") {
-          r.snr_stddev_db = p.parse_number_or_null();
-        } else if (key == "snr_min_db") {
-          r.snr_min_db = p.parse_number_or_null();
-        } else if (key == "snr_max_db") {
-          r.snr_max_db = p.parse_number_or_null();
-        } else if (key == "snr_p10_db") {
-          r.snr_p10_db = p.parse_number_or_null();
-        } else if (key == "energy_mean_j") {
-          r.energy_mean_j = p.parse_number_or_null();
-        } else if (key == "data_dynamic_j") {
-          r.data_dynamic_j = p.parse_number_or_null();
-        } else if (key == "side_dynamic_j") {
-          r.side_dynamic_j = p.parse_number_or_null();
-        } else if (key == "codec_j") {
-          r.codec_j = p.parse_number_or_null();
-        } else if (key == "data_leak_j") {
-          r.data_leak_j = p.parse_number_or_null();
-        } else if (key == "side_leak_j") {
-          r.side_leak_j = p.parse_number_or_null();
-        } else if (key == "corrected_mean") {
-          r.corrected_mean = p.parse_number_or_null();
-        } else if (key == "detected_mean") {
-          r.detected_mean = p.parse_number_or_null();
-        } else {
-          p.fail("unknown key: " + key);
-        }
-      } while (p.consume(','));
-      p.expect('}');
-      rows.push_back(std::move(r));
-    } while (p.consume(','));
-    p.expect(']');
-  }
-  p.expect('}');
-  return rows;
 }
 
 util::Table rows_to_table(const std::vector<AggregateRow>& rows,

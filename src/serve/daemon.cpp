@@ -625,12 +625,10 @@ std::string Daemon::execute_leased(const campaign::CampaignSpec& spec,
     lock.lock();
     close_grid(grid);
     lock.unlock();
-    // The proof obligation: a canonical merge of the shards is
+    // The proof obligation: the append-merge of the shards is
     // byte-identical to a single-process save_columnar of this grid.
     merged = base + ".ulpdcol";
-    campaign::ColumnarStore::append_merge(
-        grid->shards, merged, spec,
-        campaign::ColumnarStore::AppendOptions{/*canonical=*/true});
+    campaign::ColumnarStore::append_merge(grid->shards, merged, spec);
   } catch (...) {
     // The client died, the daemon is stopping without workers, or the
     // merge failed: close the grid (later results are acked and

@@ -11,7 +11,7 @@
 // store of the same axes family supplies (gap-fill; records are the
 // outermost axis). It runs on the local Session when no worker is
 // attached, else as leases (LeaseTable) on the workers: their shards
-// spool under <cache-dir>/spool and canonically append-merge straight
+// spool under <cache-dir>/spool and append-merge straight
 // into the cache entry, so no in-memory store of a leased grid is ever
 // built. Every answer is read back from the published cache file —
 // byte-identical to what a later hit serves, and to a single-process

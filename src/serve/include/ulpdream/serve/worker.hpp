@@ -12,7 +12,7 @@
 //
 // Every item's RNG stream is keyed on (spec.seed, item.index) only, so
 // the union of any lease split is bit-identical to the single-process
-// run — the property the daemon's canonical merge turns into byte-equal
+// run — the property the daemon's append-merge turns into byte-equal
 // store files.
 
 #include <cstddef>

@@ -6,6 +6,7 @@
 // by the campaign result store.
 
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -41,6 +42,11 @@ class CsvWriter {
 
 /// Inverse of fmt_exact; throws std::invalid_argument on malformed input.
 [[nodiscard]] double parse_double_exact(const std::string& text);
+
+/// Strict unsigned integer: the whole token is decimal digits (no sign,
+/// space or fraction) and fits in 64 bits; anything else throws
+/// std::invalid_argument. For counts read back from outside input.
+[[nodiscard]] std::uint64_t parse_u64_exact(const std::string& text);
 
 /// Column-aligned text table with a title and optional CSV dump.
 class Table {

@@ -129,8 +129,10 @@ struct MetricsSnapshot {
   [[nodiscard]] MetricsSnapshot since(const MetricsSnapshot& baseline) const;
 
   void write_json(std::ostream& os) const;
-  /// Inverse of write_json(); throws std::invalid_argument on malformed
-  /// input. Round trip is loss-free and byte-stable.
+  /// Inverse of write_json(); throws std::invalid_argument naming the
+  /// byte offset on malformed input — a count that is not a plain 64-bit
+  /// unsigned integer, a histogram bucket outside [0, 64], a section
+  /// missing or repeated. Round trip is loss-free and byte-stable.
   [[nodiscard]] static MetricsSnapshot read_json(std::istream& is);
 
   bool operator==(const MetricsSnapshot&) const = default;

@@ -112,6 +112,18 @@ double parse_double_exact(const std::string& text) {
   return value;
 }
 
+std::uint64_t parse_u64_exact(const std::string& text) {
+  std::uint64_t value = 0;
+  const char* first = text.data();
+  const char* last = first + text.size();
+  const auto [ptr, ec] = std::from_chars(first, last, value);
+  if (ec != std::errc() || ptr != last) {
+    throw std::invalid_argument("parse_u64_exact: bad unsigned integer: " +
+                                text);
+  }
+  return value;
+}
+
 void Table::set_header(std::vector<std::string> header) {
   if (!rows_.empty()) {
     throw std::logic_error("Table: set_header after rows were added");

@@ -399,7 +399,27 @@ struct JsonParser {
       ++pos;
     }
     if (pos == start) fail("expected unsigned integer");
-    return std::stoull(text.substr(start, pos - start));
+    const std::string token = text.substr(start, pos - start);
+    try {
+      return parse_u64_exact(token);
+    } catch (const std::invalid_argument&) {
+      pos = start;
+      fail("unsigned integer " + token + " does not fit in 64 bits");
+    }
+  }
+  /// A histogram bucket key: a bit_width value, so an integer in [0, 64].
+  int parse_bucket() {
+    skip_ws();
+    const std::size_t start = pos;
+    const std::string key = parse_string();
+    try {
+      if (const std::uint64_t bucket = parse_u64_exact(key); bucket <= 64) {
+        return static_cast<int>(bucket);
+      }
+    } catch (const std::invalid_argument&) {
+    }
+    pos = start;
+    fail("histogram bucket \"" + key + "\" is not an integer in [0, 64]");
   }
   double parse_double() {
     skip_ws();
@@ -456,8 +476,17 @@ MetricsSnapshot MetricsSnapshot::read_json(std::istream& is) {
   JsonParser p{text};
   MetricsSnapshot out;
   p.expect('{');
+  // Exactly three sections, each once (in any order).
+  std::vector<std::string> seen;
   for (int section = 0; section < 3; ++section) {
+    p.skip_ws();
+    const std::size_t key_at = p.pos;
     const std::string key = p.parse_string();
+    if (std::find(seen.begin(), seen.end(), key) != seen.end()) {
+      p.pos = key_at;
+      p.fail("duplicate section \"" + key + "\"");
+    }
+    seen.push_back(key);
     p.expect(':');
     p.expect('{');
     if (key == "counters") {
@@ -494,9 +523,9 @@ MetricsSnapshot MetricsSnapshot::read_json(std::istream& is) {
               p.expect('{');
               if (!p.consume('}')) {
                 do {
-                  const std::string bucket = p.parse_string();
+                  const int bucket = p.parse_bucket();
                   p.expect(':');
-                  h.buckets[std::stoi(bucket)] = p.parse_u64();
+                  h.buckets[bucket] = p.parse_u64();
                 } while (p.consume(','));
                 p.expect('}');
               }

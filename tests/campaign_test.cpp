@@ -330,22 +330,53 @@ TEST(ResultStore, CsvRoundTripIsLossless) {
   expect_rows_identical(rows, read_rows_csv(ss));
 }
 
-TEST(ResultStore, JsonRoundTripIsLossless) {
-  const CampaignSpec spec = tiny_spec();
-  const auto rows = run(spec, 4).aggregate();
+TEST(ResultStore, CsvReaderRejectsMalformedCellsNamingRowAndColumn) {
+  // read_rows_csv reads a daemon's answer, so a count must be a plain
+  // unsigned integer: no sign, space or fraction, and it must fit.
+  std::string header;
+  for (const std::string& column : aggregate_csv_header()) {
+    header += (header.empty() ? "" : ",") + column;
+  }
+  const auto csv = [&](const std::string& n, const std::string& snr) {
+    return header + "\nr,a,e,0.5," + n + "," + snr +
+           ",1,2,3,4,5,6,7,8,9,10,11,12\n";
+  };
+  const auto expect_rejected = [](const std::string& text,
+                                   const std::string& column) {
+    SCOPED_TRACE(text);
+    std::istringstream is(text);
+    try {
+      (void)read_rows_csv(is);
+      FAIL() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("read_rows_csv: row 1, column " + column),
+                std::string::npos)
+          << what;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not std::invalid_argument: " << e.what();
+    }
+  };
+  for (const char* n : {"-1", "3.5", " 7", "+7", "", "x",
+                        "99999999999999999999"}) {
+    expect_rejected(csv(n, "0.25"), "n");
+  }
+  expect_rejected(csv("3", "fast"), "snr_mean_db");
 
-  std::stringstream ss;
-  write_rows_json(ss, rows);
-  expect_rows_identical(rows, read_rows_json(ss));
+  std::istringstream good(csv("18446744073709551615", "0.25"));
+  const auto rows = read_rows_csv(good);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].n, std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(rows[0].snr_mean_db, 0.25);
 }
 
 TEST(ResultStore, NonFiniteDoublesRoundTripThroughCsvAndJson) {
   // A perfectly reconstructed window has +Inf SNR (zero error power) and a
   // marginalized voltage is NaN, so non-finite values are reachable in real
-  // exports. They must survive write -> read in both machine formats: CSV
-  // carries the to_chars tokens (inf/-inf/nan) verbatim, while JSON — which
-  // has no non-finite literals — encodes NaN as null and the infinities as
-  // the quoted strings "inf"/"-inf".
+  // exports. CSV carries the to_chars tokens (inf/-inf/nan) verbatim and
+  // must survive write -> read; the JSON export — JSON has no non-finite
+  // literals — must encode NaN as null and the infinities as the quoted
+  // strings "inf"/"-inf".
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
   AggregateRow row;
@@ -392,12 +423,44 @@ TEST(ResultStore, NonFiniteDoublesRoundTripThroughCsvAndJson) {
     EXPECT_EQ(text[at + 3], '"') << "unterminated inf token at " << at;
   }
   EXPECT_NE(text.find("\"voltage\":null"), std::string::npos);
-  check(read_rows_json(json));
+  EXPECT_NE(text.find("\"snr_mean_db\":\"inf\""), std::string::npos);
+  EXPECT_NE(text.find("\"snr_min_db\":\"-inf\""), std::string::npos);
+  EXPECT_NE(text.find("\"snr_stddev_db\":null"), std::string::npos);
 
-  // Unknown quoted tokens in a numeric field are rejected, not zeroed.
-  std::istringstream bogus(
-      R"({"rows":[{"record":"r","app":"a","emt":"e","voltage":"fast"}]})");
-  EXPECT_THROW((void)read_rows_json(bogus), std::invalid_argument);
+  // A finite row: every field is written, each double in its exact
+  // shortest form (0.1 + 0.2 is 0.30000000000000004, which a rounding
+  // writer would print as 0.3).
+  AggregateRow finite;
+  finite.record = "nsr_7";
+  finite.app = "dwt";
+  finite.emt = "dream";
+  finite.voltage = 0.65;
+  finite.n = 3;
+  finite.snr_mean_db = 0.1 + 0.2;
+  finite.snr_stddev_db = 1.0 / 3.0;
+  finite.snr_min_db = -12.5;
+  finite.snr_max_db = 45.0;
+  finite.snr_p10_db = 7.25;
+  finite.energy_mean_j = 1.25e-6;
+  finite.data_dynamic_j = 1e-7;
+  finite.side_dynamic_j = 2e-8;
+  finite.codec_j = 3e-9;
+  finite.data_leak_j = 4e-10;
+  finite.side_leak_j = 5e-11;
+  finite.corrected_mean = 2.5;
+  finite.detected_mean = 0.125;
+  std::stringstream finite_json;
+  write_rows_json(finite_json, {finite});
+  EXPECT_EQ(finite_json.str(),
+            "{\"rows\":[\n"
+            "{\"record\":\"nsr_7\",\"app\":\"dwt\",\"emt\":\"dream\","
+            "\"voltage\":0.65,\"n\":3,\"snr_mean_db\":0.30000000000000004,"
+            "\"snr_stddev_db\":0.3333333333333333,\"snr_min_db\":-12.5,"
+            "\"snr_max_db\":45,\"snr_p10_db\":7.25,\"energy_mean_j\":1.25e-06,"
+            "\"data_dynamic_j\":1e-07,\"side_dynamic_j\":2e-08,"
+            "\"codec_j\":3e-09,\"data_leak_j\":4e-10,\"side_leak_j\":5e-11,"
+            "\"corrected_mean\":2.5,\"detected_mean\":0.125}\n"
+            "]}\n");
 }
 
 TEST(ResultStore, BridgesToThePolicyExplorer) {

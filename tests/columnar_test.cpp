@@ -1,15 +1,18 @@
 // The out-of-core columnar persistence contract: a columnar store must
 // reproduce the in-memory store's samples and aggregates bit-identically
-// through every access mode (mmap, buffered fallback, bounded streaming),
-// every merge strategy (in-memory vs append, any shard order) and a
+// through its one bounded reader (block scans across block boundaries
+// and cache eviction, and the per-entry fallback for the permuted index
+// of legacy verbatim merges), every merge strategy (in-memory vs append,
+// any shard order; an append writes the single-process bytes) and a
 // checkpoint round trip — and every malformed, truncated, mismatched or
 // foreign file must fail with a typed StoreError naming the path, never
 // an out-of-bounds read.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -247,51 +250,81 @@ TEST(Columnar, FailedSaveLeavesNoPartialOrStagingFile) {
 }
 
 // ---------------------------------------------------------------------------
-// Access modes: mmap, forced fallback, bounded streaming.
+// The reader: block scans, cache eviction, the legacy per-entry fallback.
 
-TEST(Columnar, BufferedFallbackAndBoundedModeMatchTheMappedPath) {
-  const CampaignSpec spec = test_spec();
+TEST(Columnar, LargeStoreAcrossScanBlocksAndCacheEvictionMatchesInMemory) {
+  // An odd item count spans several scan blocks and ends in a partial one
+  // for any power-of-two block size, and the file is larger than the
+  // reader's whole chunk cache, so every scan evicts.
+  CampaignSpec spec = test_spec();
+  spec.voltages = {0.6};
+  spec.records.resize(1);
+  spec.repetitions = 18001;
+  spec = spec.normalized();
   const ResultStore store = full_store(spec);
   TempDir dir;
-  const std::string path = dir.file("full.col");
+  const std::string path = dir.file("large.col");
   store.save_columnar(path);
-  const auto reference = store.aggregate();
+  ASSERT_GT(fs::file_size(path), util::ChunkedFileReader::kChunkBytes *
+                                     util::ChunkedFileReader::kMaxChunks);
 
-  ColumnarStore::OpenOptions no_mmap;
-  no_mmap.allow_mmap = false;
-  const ColumnarStore buffered = ColumnarStore::open(path, spec, no_mmap);
-  EXPECT_FALSE(buffered.mapped());
-  EXPECT_FALSE(buffered.bounded());
-  expect_rows_identical(buffered.aggregate(), reference);
+  const ColumnarStore col = ColumnarStore::open(path, spec);
+  EXPECT_EQ(col.items_done(), spec.item_count());
+  expect_rows_identical(col.aggregate(), store.aggregate());
+  EXPECT_EQ(save_bytes(col.materialize(), dir), read_file(path));
+  std::vector<Sample> samples;
+  col.samples_at(spec.item_count() - 1, samples);
+  const auto want = store.slot_samples(spec.item_count() - 1);
+  ASSERT_EQ(samples.size(), want.size());
+  EXPECT_EQ(std::memcmp(samples.data(), want.data(), want.size_bytes()), 0);
 
-  // Bounded mode with a deliberately tiny cache: every access pattern
-  // (header, index walk, column strides) must survive constant eviction.
-  ColumnarStore::OpenOptions bounded;
-  bounded.bounded_memory = true;
-  bounded.cache_chunk_bytes = 64;
-  bounded.cache_chunks = 4;
-  const ColumnarStore streaming = ColumnarStore::open(path, spec, bounded);
-  EXPECT_TRUE(streaming.bounded());
-  EXPECT_FALSE(streaming.mapped());
-  expect_rows_identical(streaming.aggregate(), reference);
-  EXPECT_EQ(save_bytes(streaming.materialize(), dir), read_file(path));
+  // Strided shards of the same store append back to its exact bytes.
+  std::vector<std::string> shards;
+  for (std::size_t s = 0; s < 3; ++s) {
+    ResultStore shard(spec);
+    fill(shard, 3, s);
+    shards.push_back(dir.file("shard" + std::to_string(s) + ".col"));
+    shard.save_columnar(shards.back());
+  }
+  ColumnarStore::append_merge(shards, dir.file("merged.col"), spec);
+  EXPECT_EQ(read_file(dir.file("merged.col")), read_file(path));
 }
 
-TEST(Columnar, EnvKillSwitchForcesTheBufferedFallback) {
-  const CampaignSpec spec = test_spec();
+/// The grid of the committed legacy fixture (tests/legacy_store), built
+/// the way `campaign --apps dwt,cs --emts none,dream --vmin 0.6 --vmax
+/// 0.8 --step 0.1 --reps 3` builds it.
+CampaignSpec legacy_spec() {
+  CampaignSpec spec;
+  spec.apps = parse_app_list("dwt,cs");
+  spec.emts = parse_emt_list("none,dream");
+  spec.voltages = CampaignSpec::voltage_range(0.6, 0.8, 0.1);
+  spec.records = {RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 7}};
+  spec.repetitions = 3;
+  spec.seed = 2016;
+  spec.ber_model = "log-linear";
+  return spec.normalized();
+}
+
+TEST(Columnar, LegacyVerbatimMergesReadLikeTheSingleProcessStore) {
+  const CampaignSpec spec = legacy_spec();
+  const std::string fixtures = ULPDREAM_LEGACY_STORE_DIR;
+  const std::string single_path = fixtures + "/single.ulpdcol";
+  const ResultStore single =
+      ColumnarStore::open(single_path, spec).materialize();
   TempDir dir;
-  const std::string path = dir.file("full.col");
-  full_store(spec).save_columnar(path);
-
-  ::setenv("ULPDREAM_DISABLE_MMAP", "1", 1);
-  EXPECT_TRUE(util::mmap_disabled_by_env());
-  const ColumnarStore col = ColumnarStore::open(path, spec);
-  ::unsetenv("ULPDREAM_DISABLE_MMAP");
-  EXPECT_FALSE(util::mmap_disabled_by_env());
-
-  EXPECT_FALSE(col.mapped());
-  expect_rows_identical(col.aggregate(),
-                        full_store(spec).aggregate());
+  for (const char* name :
+       {"verbatim_merge.ulpdcol", "verbatim_overlap.ulpdcol"}) {
+    SCOPED_TRACE(name);
+    const ColumnarStore legacy =
+        ColumnarStore::open(fixtures + "/" + name, spec);
+    EXPECT_TRUE(legacy.complete());
+    expect_rows_identical(legacy.aggregate(), single.aggregate());
+    EXPECT_EQ(save_bytes(legacy.materialize(), dir), read_file(single_path));
+    // Appending a legacy file rewrites it in the one layout.
+    ColumnarStore::append_merge({fixtures + "/" + name},
+                                dir.file("rewritten.col"), spec);
+    EXPECT_EQ(read_file(dir.file("rewritten.col")), read_file(single_path));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -325,9 +358,8 @@ TEST(Columnar, AppendMergeMatchesInMemoryMergeInEveryShardOrder) {
     const ColumnarStore merged = ColumnarStore::open(merged_path, spec);
     EXPECT_TRUE(merged.complete());
     expect_rows_identical(merged.aggregate(), reference_rows);
-    // Sample-level equality too, via the canonical save.
-    EXPECT_EQ(save_bytes(merged.materialize(), dir),
-              save_bytes(reference, dir));
+    // The appended file is the single-process save, byte for byte.
+    EXPECT_EQ(read_file(merged_path), save_bytes(reference, dir));
   }
 }
 
@@ -355,28 +387,23 @@ TEST(Columnar, AppendMergeDeduplicatesOverlapsFirstDoneWins) {
   const ColumnarStore merged =
       ColumnarStore::open(dir.file("merged.col"), spec);
   EXPECT_EQ(merged.items_done(), spec.item_count());
-  EXPECT_EQ(save_bytes(merged.materialize(), dir), save_bytes(in_memory, dir));
+  EXPECT_EQ(read_file(dir.file("merged.col")), save_bytes(in_memory, dir));
 }
 
 // ---------------------------------------------------------------------------
 // Malformed-file hardening. Every case must throw StoreError naming the
-// path — never crash, never read past the mapping.
+// path — never crash, never read past the end of the file.
 
-/// Expects ColumnarStore::open (all backings) to throw StoreError whose
-/// message names the file.
+/// Expects ColumnarStore::open to throw StoreError whose message names
+/// the file.
 void expect_open_fails(const std::string& path, const CampaignSpec& spec) {
-  for (const bool bounded : {false, true}) {
-    SCOPED_TRACE(testing::Message() << (bounded ? "bounded" : "mapped"));
-    ColumnarStore::OpenOptions options;
-    options.bounded_memory = bounded;
-    try {
-      (void)ColumnarStore::open(path, spec, options);
-      FAIL() << "expected StoreError for " << path;
-    } catch (const StoreError& e) {
-      EXPECT_EQ(e.path(), path);
-      EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
-          << e.what();
-    }
+  try {
+    (void)ColumnarStore::open(path, spec);
+    FAIL() << "expected StoreError for " << path;
+  } catch (const StoreError& e) {
+    EXPECT_EQ(e.path(), path);
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
   }
 }
 
@@ -486,6 +513,36 @@ TEST(ColumnarHardening, CorruptDirectoryAndIndexFailTyped) {
   bad[slot_off] = static_cast<char>(0xEE);
   write_file(dir.file("slot.col"), bad);
   expect_open_fails(dir.file("slot.col"), spec);
+}
+
+TEST(ColumnarHardening, UnsortedIndexAtAScanBlockBoundaryFailsTyped) {
+  // Index validation runs block by block, so an order break between the
+  // last entry of one block and the first of the next must still be
+  // caught. Swapping entries j and j + 1 breaks the order at j + 1; the
+  // swaps straddle the boundaries of 2,048-, 4,096- and 8,192-entry
+  // blocks.
+  CampaignSpec spec = test_spec();
+  spec.repetitions = 2600;  // 10,400 items
+  spec = spec.normalized();
+  TempDir dir;
+  const std::string good = [&] {
+    const std::string path = dir.file("good.col");
+    full_store(spec).save_columnar(path);
+    return read_file(path);
+  }();
+  const std::size_t fp_pad = (spec.fingerprint().size() + 7) & ~7ull;
+  const std::size_t msnr = spec.records.size() * spec.apps.size();
+  const std::size_t index_off = 64 + fp_pad + 8 * msnr + 8 + 16 * 11;
+  for (const std::size_t j : {2047u, 4095u, 8191u}) {
+    SCOPED_TRACE(testing::Message() << "entries " << j << " and " << j + 1);
+    std::string bad = good;
+    const auto entry = [&](std::size_t k) {
+      return bad.begin() + static_cast<std::ptrdiff_t>(index_off + 8 * k);
+    };
+    std::swap_ranges(entry(j), entry(j + 1), entry(j + 1));
+    write_file(dir.file("unsorted.col"), bad);
+    expect_open_fails(dir.file("unsorted.col"), spec);
+  }
 }
 
 TEST(ColumnarHardening, ForeignAndMissingFilesFailTyped) {

@@ -2,10 +2,8 @@
 # `campaign --merge-stores` end to end. Three --shard i/3 stores of one
 # grid are merged by append (with --store-out) and in memory (without
 # it); both merged CSVs must be byte-identical to the single-process
-# CSV. The appended file keeps the shards' slot order, so its bytes
-# differ from a single-process save; resuming from it re-saves the store
-# in canonical order, which must be byte-identical to the single-process
-# store.
+# CSV, and so must the appended store and a store re-saved by resuming
+# from it.
 #
 # Usage: merge_stores_smoke.sh /path/to/campaign WORK_DIR
 set -eu
@@ -41,5 +39,6 @@ same() {  # $1 $2: byte-compare, report
 }
 same append.csv single.csv
 same memory.csv single.csv
+same merged.ulpdcol single.ulpdcol
 same resumed.ulpdcol single.ulpdcol
 exit $status

@@ -153,6 +153,50 @@ TEST(Metrics, ReadJsonRejectsMalformedInput) {
   EXPECT_THROW(parse("not json at all"), std::invalid_argument);
 }
 
+TEST(Metrics, ReadJsonRejectsOverflowBadBucketsAndRepeatedSections) {
+  // read_json serves worker Metrics frames and --merge-metrics files, so
+  // every rejection is std::invalid_argument naming the reader and the
+  // byte offset — never a bare std::stoull / std::stoi exception.
+  const auto expect_rejected = [](const std::string& text,
+                                  const std::string& what_part) {
+    SCOPED_TRACE(text);
+    std::istringstream is(text);
+    try {
+      (void)MetricsSnapshot::read_json(is);
+      FAIL() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("MetricsSnapshot::read_json: "), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(what_part), std::string::npos) << what;
+      EXPECT_NE(what.find(" at offset "), std::string::npos) << what;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "not std::invalid_argument: " << e.what();
+    }
+  };
+  const auto doc = [](const std::string& counter, const std::string& bucket) {
+    return R"({"counters": {"c": )" + counter +
+           R"(}, "gauges": {}, "histograms": {"h": {"sum": 1, "buckets": {")" +
+           bucket + R"(": 1}}}})";
+  };
+  expect_rejected(doc("99999999999999999999", "3"), "64 bits");
+  for (const char* bucket : {"x", "99999999999", "-3", "65", "5000", " 3"}) {
+    expect_rejected(doc("1", bucket), "histogram bucket");
+  }
+  expect_rejected(R"({"counters": {}, "counters": {}, "counters": {}})",
+                  "duplicate section \"counters\"");
+  expect_rejected(R"({"gauges": {}, "counters": {}, "gauges": {}})",
+                  "duplicate section \"gauges\"");
+
+  // The edges of the valid ranges still parse.
+  for (const char* bucket : {"0", "64"}) {
+    std::istringstream is(doc("18446744073709551615", bucket));
+    const MetricsSnapshot m = MetricsSnapshot::read_json(is);
+    EXPECT_EQ(m.counters.at("c"), 18446744073709551615ull);
+    EXPECT_EQ(m.histograms.at("h").buckets.size(), 1u);
+  }
+}
+
 TEST(Metrics, SnapshotInjectsSimdTierGauge) {
   EXPECT_TRUE(snapshot().gauges.contains("simd.active_tier"));
 }

@@ -6,17 +6,20 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <limits>
 #include <sstream>
 #include <thread>
 #include <vector>
 
 #include "ulpdream/util/cli.hpp"
+#include "ulpdream/util/file_view.hpp"
 #include "ulpdream/util/socket.hpp"
 #include "ulpdream/util/rng.hpp"
 #include "ulpdream/util/stats.hpp"
@@ -26,6 +29,60 @@
 
 namespace ulpdream::util {
 namespace {
+
+TEST(ChunkedFileReader, ReadsExactBytesThroughEvictionAndMultiChunkReads) {
+  // A file of more chunks than the cache holds, so walking it evicts,
+  // with a partial last chunk; reads inside one chunk, across chunk
+  // boundaries, of a whole chunk or more and at the tail must all return
+  // the file's bytes.
+  constexpr std::size_t kChunk = ChunkedFileReader::kChunkBytes;
+  const std::size_t size = (ChunkedFileReader::kMaxChunks + 2) * kChunk + 123;
+  std::vector<unsigned char> bytes(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<unsigned char>((i * 2654435761u) >> 13);
+  }
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("ulpdream_chunked_reader_" + std::to_string(::getpid()) + ".bin"))
+          .string();
+  {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(size));
+  }
+  const ChunkedFileReader reader(path);
+  EXPECT_EQ(reader.size(), size);
+
+  const auto expect_range = [&](std::uint64_t offset, std::size_t len) {
+    SCOPED_TRACE(testing::Message() << "offset " << offset << " len " << len);
+    std::vector<unsigned char> got(len);
+    reader.read(offset, got.data(), len);
+    const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(offset);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), first));
+  };
+  for (int pass = 0; pass < 2; ++pass) {  // the second pass re-reads
+    for (std::uint64_t off = 0; off + 4096 <= size; off += kChunk / 2) {
+      expect_range(off, 4096);
+    }
+  }
+  expect_range(kChunk - 3, 7);            // straddles a chunk boundary
+  expect_range(5, kChunk);                // a whole chunk, unaligned
+  expect_range(kChunk / 2, 3 * kChunk);   // several chunks
+  expect_range(size - 123, 123);          // the partial last chunk
+  expect_range(size, 0);
+  EXPECT_EQ(reader.pod_at<unsigned char>(size - 1), bytes[size - 1]);
+
+  try {
+    std::vector<unsigned char> got(2);
+    reader.read(size - 1, got.data(), 2);
+    ADD_FAILURE() << "read past the end was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos)
+        << e.what();
+  }
+  std::filesystem::remove(path);
+  EXPECT_THROW(ChunkedFileReader{path}, std::runtime_error);
+}
 
 TEST(Rng, DeterministicForSameSeed) {
   Xoshiro256 a(123);
