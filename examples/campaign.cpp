@@ -73,6 +73,14 @@ decltype(auto) parse_flags(F&& f) {
   }
 }
 
+/// A count flag: `def` when absent, values below `floor` clamp up to it,
+/// and a malformed value is a usage error naming the flag.
+std::size_t count_flag(const util::Cli& cli, const std::string& key,
+                       std::int64_t def, std::int64_t floor = 0) {
+  return static_cast<std::size_t>(std::max<std::int64_t>(
+      floor, parse_flags([&] { return cli.get_int(key, def); })));
+}
+
 /// Every flag the grid axes understand (shared by a local run and query).
 const std::vector<std::string>& axis_flags() {
   static const std::vector<std::string> flags = {
@@ -265,13 +273,18 @@ void print_registries() {
 
 campaign::Shard shard_from_cli(const util::Cli& cli) {
   const std::string arg = cli.get("shard", "0/1");
+  const std::invalid_argument usage(
+      "--shard expects I/N with I < N, e.g. --shard 0/4, got '" + arg + "'");
   const auto slash = arg.find('/');
-  if (slash == std::string::npos) {
-    throw std::invalid_argument("--shard expects I/N, e.g. --shard 0/4");
-  }
+  if (slash == std::string::npos) throw usage;
   campaign::Shard shard;
-  shard.index = std::stoull(arg.substr(0, slash));
-  shard.count = std::stoull(arg.substr(slash + 1));
+  try {
+    shard.index = util::parse_u64_exact(arg.substr(0, slash));
+    shard.count = util::parse_u64_exact(arg.substr(slash + 1));
+  } catch (const std::invalid_argument&) {
+    throw usage;
+  }
+  if (shard.index >= shard.count) throw usage;
   return shard;
 }
 
@@ -424,11 +437,9 @@ int run_work(const util::Cli& cli) {
         "campaign work requires --connect HOST:PORT or --connect unix:/path");
   }
   options.name = cli.get("name", "worker");
-  options.threads = static_cast<unsigned>(
-      std::max<std::int64_t>(0, cli.get_int("threads", 0)));
+  options.threads = static_cast<unsigned>(count_flag(cli, "threads", 0));
   options.checkpoint_dir = cli.get("checkpoint-dir", "");
-  options.checkpoint_every = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, cli.get_int("checkpoint-every", 0)));
+  options.checkpoint_every = count_flag(cli, "checkpoint-every", 0);
 
   serve::Worker worker(options);
   std::cerr << "[campaign] worker " << options.name << " connecting to "
@@ -468,18 +479,14 @@ int run_daemon(const util::Cli& cli) {
         "campaign daemon requires --cache-dir DIR (the persistent result "
         "cache)");
   }
-  options.cache_budget_bytes = static_cast<std::uint64_t>(std::max<
-      std::int64_t>(1, cli.get_int("cache-budget-mb", 256))) << 20;
-  options.threads = static_cast<unsigned>(
-      std::max<std::int64_t>(0, cli.get_int("threads", 0)));
-  options.progress_every_ms = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("progress-every-ms", 250)));
-  options.lease_items = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("lease-items", 256)));
-  options.lease_ttl_ms = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("lease-ttl", 10'000)));
-  options.heartbeat_ms = static_cast<std::size_t>(
-      std::max<std::int64_t>(1, cli.get_int("heartbeat-ms", 2'000)));
+  options.cache_budget_bytes =
+      static_cast<std::uint64_t>(count_flag(cli, "cache-budget-mb", 256, 1))
+      << 20;
+  options.threads = static_cast<unsigned>(count_flag(cli, "threads", 0));
+  options.progress_every_ms = count_flag(cli, "progress-every-ms", 250, 1);
+  options.lease_items = count_flag(cli, "lease-items", 256, 1);
+  options.lease_ttl_ms = count_flag(cli, "lease-ttl", 10'000, 1);
+  options.heartbeat_ms = count_flag(cli, "heartbeat-ms", 2'000, 1);
   const std::string metrics_out = cli.get("metrics-out", "");
   if (!metrics_out.empty()) util::telemetry::set_hot_timing(true);
 
@@ -619,6 +626,10 @@ int run_local(const util::Cli& cli) {
 
     campaign::SubmitOptions options;
     options.shard = parse_flags([&cli] { return shard_from_cli(cli); });
+    const auto threads = static_cast<unsigned>(count_flag(cli, "threads", 0));
+    const std::size_t checkpoint_every = count_flag(cli, "checkpoint-every", 0);
+    const std::size_t metrics_every_s = count_flag(cli, "metrics-every", 0);
+    const std::size_t max_items = count_flag(cli, "max-items", 0);
 
     // Resume: adopt a previous run's raw store (fingerprint-checked
     // against this invocation's axes) and execute only the gaps.
@@ -631,9 +642,6 @@ int run_local(const util::Cli& cli) {
     }
 
     const std::string store_out = cli.get("store-out", "");
-    const auto checkpoint_every =
-        static_cast<std::size_t>(std::max<std::int64_t>(
-            0, cli.get_int("checkpoint-every", 0)));
     if (checkpoint_every != 0) {
       if (store_out.empty()) {
         throw UsageError(
@@ -650,14 +658,12 @@ int run_local(const util::Cli& cli) {
     // the trace epoch precede the first worker span.
     const std::string trace_out = cli.get("trace", "");
     const std::string metrics_out = cli.get("metrics-out", "");
-    const auto metrics_every_s = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, cli.get_int("metrics-every", 0)));
     if (!trace_out.empty()) util::telemetry::trace::start();
     if (!metrics_out.empty() || metrics_every_s != 0) {
       util::telemetry::set_hot_timing(true);
     }
 
-    campaign::Session session = campaign::Session::from_cli(cli);
+    campaign::Session session(energy::SystemEnergyModel(), threads);
     std::cerr << "[campaign] " << spec.records.size() << " records x "
               << spec.apps.size() << " apps x " << spec.emts.size()
               << " emts x " << spec.voltages.size() << " voltages x "
@@ -670,8 +676,6 @@ int run_local(const util::Cli& cli) {
 
     // Drive the handle: stream progress, honour --max-items via the
     // cooperative cancel, and pick up the store when the job lands.
-    const auto max_items = static_cast<std::size_t>(
-        std::max<std::int64_t>(0, cli.get_int("max-items", 0)));
     const bool show_progress = cli.has("progress");
     campaign::ResultStore store;
     if (!show_progress && max_items == 0 && metrics_every_s == 0) {

@@ -96,8 +96,14 @@ struct WorkItem {
   std::uint64_t seed = 0;  ///< mix64(spec.seed, index)
 };
 
-/// Expands a normalized spec into its full canonical item list:
-/// index = (record * n_voltages + voltage) * repetitions + rep.
+/// The item at canonical position `index` (< item_count()) of a
+/// normalized spec: index = (record * n_voltages + voltage) * repetitions
+/// + rep, seed = mix64(spec.seed, index). The one derivation behind every
+/// expansion below, so a shard's or a lease's items are bit-identical to
+/// the full expansion's.
+[[nodiscard]] WorkItem work_item(const CampaignSpec& spec, std::size_t index);
+
+/// Expands a normalized spec into its full canonical item list.
 [[nodiscard]] std::vector<WorkItem> expand(const CampaignSpec& spec);
 
 /// The slice of the expansion owned by shard `shard_index` of

@@ -175,19 +175,15 @@ std::string CampaignSpec::fingerprint_hash() const {
   return text;
 }
 
+WorkItem work_item(const CampaignSpec& spec, std::size_t index) {
+  const std::size_t cell = index / spec.repetitions;
+  return WorkItem{index, cell / spec.voltages.size(),
+                  cell % spec.voltages.size(), index % spec.repetitions,
+                  util::mix64(spec.seed, index)};
+}
+
 std::vector<WorkItem> expand(const CampaignSpec& spec) {
-  std::vector<WorkItem> items;
-  items.reserve(spec.item_count());
-  std::size_t index = 0;
-  for (std::size_t ri = 0; ri < spec.records.size(); ++ri) {
-    for (std::size_t vi = 0; vi < spec.voltages.size(); ++vi) {
-      for (std::size_t rep = 0; rep < spec.repetitions; ++rep, ++index) {
-        items.push_back(
-            WorkItem{index, ri, vi, rep, util::mix64(spec.seed, index)});
-      }
-    }
-  }
-  return items;
+  return expand_shard(spec, 0, 1);
 }
 
 std::vector<WorkItem> expand_shard(const CampaignSpec& spec,
@@ -196,14 +192,17 @@ std::vector<WorkItem> expand_shard(const CampaignSpec& spec,
   if (shard_count == 0 || shard_index >= shard_count) {
     throw std::invalid_argument("expand_shard: need shard_index < shard_count");
   }
-  std::vector<WorkItem> all = expand(spec);
-  if (shard_count == 1) return all;
-  std::vector<WorkItem> mine;
-  mine.reserve(all.size() / shard_count + 1);
-  for (const WorkItem& item : all) {
-    if (item.index % shard_count == shard_index) mine.push_back(item);
+  // Only this shard's items are derived: indices shard_index,
+  // shard_index + shard_count, ... below item_count().
+  const std::size_t total = spec.item_count();
+  const std::size_t n =
+      shard_index < total ? (total - 1 - shard_index) / shard_count + 1 : 0;
+  std::vector<WorkItem> items;
+  items.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    items.push_back(work_item(spec, shard_index + k * shard_count));
   }
-  return mine;
+  return items;
 }
 
 std::vector<WorkItem> expand_range(const CampaignSpec& spec,
@@ -214,16 +213,10 @@ std::vector<WorkItem> expand_range(const CampaignSpec& spec,
         std::to_string(begin) + ", " + std::to_string(end) + ") of " +
         std::to_string(spec.item_count()) + " items)");
   }
-  // Same per-item derivation as expand(), evaluated only on the slice —
-  // a lease's items are bit-identical to the full expansion's.
-  const std::size_t n_v = spec.voltages.size();
-  const std::size_t reps = spec.repetitions;
   std::vector<WorkItem> items;
   items.reserve(end - begin);
   for (std::size_t index = begin; index < end; ++index) {
-    const std::size_t cell = index / reps;
-    items.push_back(WorkItem{index, cell / n_v, cell % n_v, index % reps,
-                             util::mix64(spec.seed, index)});
+    items.push_back(work_item(spec, index));
   }
   return items;
 }

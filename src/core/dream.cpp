@@ -88,145 +88,11 @@ fixed::Sample Dream::decode(std::uint32_t payload, std::uint16_t safe,
 
 namespace {
 
-// --- SSE2 building blocks -----------------------------------------------
+// --- AVX2 kernels (16 words per iteration) ------------------------------
 
-// 1 << s per 16-bit lane, s in [0, 15], without variable shifts (SSE2 has
-// none): a chain of conditional multiplies by 2^1, 2^2, 2^4, 2^8 selected
-// by the bits of s.
-inline __m128i pow2_epu16_sse2(__m128i s) {
-  __m128i pow = _mm_set1_epi16(1);
-  __m128i bit = _mm_set1_epi16(1);
-  const short muls[4] = {2, 4, 16, 256};
-  for (int b = 0; b < 4; ++b) {
-    const __m128i cond = _mm_cmpeq_epi16(_mm_and_si128(s, bit), bit);
-    const __m128i scaled = _mm_mullo_epi16(pow, _mm_set1_epi16(muls[b]));
-    pow = _mm_or_si128(_mm_and_si128(cond, scaled),
-                       _mm_andnot_si128(cond, pow));
-    bit = _mm_slli_epi16(bit, 1);
-  }
-  return pow;
-}
-
-// floor(log2(v)) per 32-bit lane for v in [1, 2^16]: isolate the top set
-// bit (then the int->float conversion is exact) and read the exponent.
-inline __m128i msb_epu32_sse2(__m128i v) {
-  v = _mm_or_si128(v, _mm_srli_epi32(v, 1));
-  v = _mm_or_si128(v, _mm_srli_epi32(v, 2));
-  v = _mm_or_si128(v, _mm_srli_epi32(v, 4));
-  v = _mm_or_si128(v, _mm_srli_epi32(v, 8));
-  v = _mm_xor_si128(v, _mm_srli_epi32(v, 1));
-  const __m128 f = _mm_cvtepi32_ps(v);
-  return _mm_sub_epi32(_mm_srli_epi32(_mm_castps_si128(f), 23),
-                       _mm_set1_epi32(127));
-}
-
-// Low 16 bits of eight consecutive u32 payload words, packed to u16 lanes.
-inline __m128i load_payload8_sse2(const std::uint32_t* p) {
-  const __m128i a =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
-  const __m128i b =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 4));
-  return _mm_packs_epi32(_mm_srai_epi32(_mm_slli_epi32(a, 16), 16),
-                         _mm_srai_epi32(_mm_slli_epi32(b, 16), 16));
-}
-
-// The mask-force datapath of Fig. 3 on eight words at once. `exact` is the
-// run_step == 1 "set one bit" stage; `below` = pow >> 1 is zero exactly
-// when run == 16, which makes the run < 16 guard branchless.
-inline __m128i dream_force8_sse2(__m128i data, __m128i safe, __m128i vstep,
-                                 bool exact) {
-  const __m128i one = _mm_set1_epi16(1);
-  const __m128i sign =
-      _mm_sub_epi16(_mm_setzero_si128(), _mm_and_si128(safe, one));
-  const __m128i id = _mm_srli_epi16(safe, 1);
-  // run = id*step + 1; the mask covering the top `run` bits is
-  // -(1 << (16 - run)) mod 2^16, and 16 - run = 15 - id*step.
-  const __m128i s =
-      _mm_sub_epi16(_mm_set1_epi16(15), _mm_mullo_epi16(id, vstep));
-  const __m128i pow = pow2_epu16_sse2(s);
-  const __m128i mask = _mm_sub_epi16(_mm_setzero_si128(), pow);
-  const __m128i or_v = _mm_or_si128(data, mask);
-  const __m128i and_v = _mm_andnot_si128(mask, data);
-  __m128i fixed_v = _mm_or_si128(_mm_and_si128(sign, or_v),
-                                 _mm_andnot_si128(sign, and_v));
-  if (exact) {
-    const __m128i below = _mm_srli_epi16(pow, 1);
-    const __m128i set_v = _mm_or_si128(fixed_v, below);
-    const __m128i clr_v = _mm_andnot_si128(below, fixed_v);
-    fixed_v = _mm_or_si128(_mm_and_si128(sign, clr_v),
-                           _mm_andnot_si128(sign, set_v));
-  }
-  return fixed_v;
-}
-
-// corrected[0..7] = (fixed != data) ? 1 : 0, one byte per word.
-inline void store_corrected8_sse2(std::uint8_t* corrected, __m128i fixed_v,
-                                  __m128i data) {
-  const __m128i ne = _mm_xor_si128(_mm_cmpeq_epi16(fixed_v, data),
-                                   _mm_set1_epi16(-1));
-  _mm_storel_epi64(
-      reinterpret_cast<__m128i*>(corrected),
-      _mm_packs_epi16(_mm_and_si128(ne, _mm_set1_epi16(1)),
-                      _mm_setzero_si128()));
-}
-
-template <bool kFromU32>
-std::size_t dream_force_sse2(const void* src, const std::uint16_t* safe,
-                             fixed::Sample* out, std::uint8_t* corrected,
-                             std::size_t n, int run_step) {
-  const __m128i vstep = _mm_set1_epi16(static_cast<short>(run_step));
-  const bool exact = run_step == 1;
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m128i data;
-    if constexpr (kFromU32) {
-      data = load_payload8_sse2(static_cast<const std::uint32_t*>(src) + i);
-    } else {
-      data = _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-          static_cast<const std::uint16_t*>(src) + i));
-    }
-    const __m128i vsafe =
-        safe != nullptr
-            ? _mm_loadu_si128(reinterpret_cast<const __m128i*>(safe + i))
-            : _mm_setzero_si128();
-    const __m128i fixed_v = dream_force8_sse2(data, vsafe, vstep, exact);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i), fixed_v);
-    store_corrected8_sse2(corrected + i, fixed_v, data);
-  }
-  return i;
-}
-
-std::size_t dream_encode_safe_sse2(const fixed::Sample* in,
-                                   std::uint16_t* safe, std::size_t n,
-                                   int id_shift) {
-  const __m128i zero = _mm_setzero_si128();
-  const __m128i one = _mm_set1_epi16(1);
-  const __m128i v15 = _mm_set1_epi32(15);
-  const __m128i shift = _mm_cvtsi32_si128(id_shift);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i u =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + i));
-    const __m128i sign = _mm_srli_epi16(u, 15);
-    // t = u ^ (u << 1) flags every adjacent-bit transition; the MSB run
-    // ends at the highest set bit, so run - 1 = 15 - msb(t | 1).
-    const __m128i t =
-        _mm_or_si128(_mm_xor_si128(u, _mm_slli_epi16(u, 1)), one);
-    const __m128i id_lo = _mm_srl_epi32(
-        _mm_sub_epi32(v15, msb_epu32_sse2(_mm_unpacklo_epi16(t, zero))),
-        shift);
-    const __m128i id_hi = _mm_srl_epi32(
-        _mm_sub_epi32(v15, msb_epu32_sse2(_mm_unpackhi_epi16(t, zero))),
-        shift);
-    const __m128i id = _mm_packs_epi32(id_lo, id_hi);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(safe + i),
-                     _mm_or_si128(_mm_slli_epi16(id, 1), sign));
-  }
-  return i;
-}
-
-// --- AVX2 versions (16 words per iteration) -----------------------------
-
+// 1 << s per 16-bit lane, s in [0, 15], without variable shifts (AVX2 has
+// no 16-bit ones): a chain of conditional multiplies by 2^1, 2^2, 2^4, 2^8
+// selected by the bits of s.
 __attribute__((target("avx2"))) inline __m256i pow2_epu16_avx2(__m256i s) {
   __m256i pow = _mm256_set1_epi16(1);
   __m256i bit = _mm256_set1_epi16(1);
@@ -240,6 +106,8 @@ __attribute__((target("avx2"))) inline __m256i pow2_epu16_avx2(__m256i s) {
   return pow;
 }
 
+// floor(log2(v)) per 32-bit lane for v in [1, 2^16]: isolate the top set
+// bit (then the int->float conversion is exact) and read the exponent.
 __attribute__((target("avx2"))) inline __m256i msb_epu32_avx2(__m256i v) {
   v = _mm256_or_si256(v, _mm256_srli_epi32(v, 1));
   v = _mm256_or_si256(v, _mm256_srli_epi32(v, 2));
@@ -251,6 +119,8 @@ __attribute__((target("avx2"))) inline __m256i msb_epu32_avx2(__m256i v) {
                           _mm256_set1_epi32(127));
 }
 
+// Low 16 bits of sixteen consecutive u32 payload words, packed to u16
+// lanes in word order.
 __attribute__((target("avx2"))) inline __m256i
 load_payload16_avx2(const std::uint32_t* p) {
   const __m256i a =
@@ -263,12 +133,17 @@ load_payload16_avx2(const std::uint32_t* p) {
   return _mm256_permute4x64_epi64(packed, _MM_SHUFFLE(3, 1, 2, 0));
 }
 
+// The mask-force datapath of Fig. 3 on sixteen words at once. `exact` is
+// the run_step == 1 "set one bit" stage; `below` = pow >> 1 is zero
+// exactly when run == 16, which makes the run < 16 guard branchless.
 __attribute__((target("avx2"))) inline __m256i
 dream_force16_avx2(__m256i data, __m256i safe, __m256i vstep, bool exact) {
   const __m256i one = _mm256_set1_epi16(1);
   const __m256i sign =
       _mm256_sub_epi16(_mm256_setzero_si256(), _mm256_and_si256(safe, one));
   const __m256i id = _mm256_srli_epi16(safe, 1);
+  // run = id*step + 1; the mask covering the top `run` bits is
+  // -(1 << (16 - run)) mod 2^16, and 16 - run = 15 - id*step.
   const __m256i s =
       _mm256_sub_epi16(_mm256_set1_epi16(15), _mm256_mullo_epi16(id, vstep));
   const __m256i pow = pow2_epu16_avx2(s);
@@ -284,6 +159,7 @@ dream_force16_avx2(__m256i data, __m256i safe, __m256i vstep, bool exact) {
   return fixed_v;
 }
 
+// corrected[0..15] = (fixed != data) ? 1 : 0, one byte per word.
 __attribute__((target("avx2"))) inline void
 store_corrected16_avx2(std::uint8_t* corrected, __m256i fixed_v,
                        __m256i data) {
@@ -337,6 +213,8 @@ dream_encode_safe_avx2(const fixed::Sample* in, std::uint16_t* safe,
     const __m256i u =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i));
     const __m256i sign = _mm256_srli_epi16(u, 15);
+    // t = u ^ (u << 1) flags every adjacent-bit transition; the MSB run
+    // ends at the highest set bit, so run - 1 = 15 - msb(t | 1).
     const __m256i t =
         _mm256_or_si256(_mm256_xor_si256(u, _mm256_slli_epi16(u, 1)), one);
     // unpacklo/hi and packs all operate per 128-bit lane, so the pack
@@ -362,12 +240,9 @@ void Dream::encode_safe_block(const fixed::Sample* in, std::uint16_t* safe,
                               std::size_t n) const {
   std::size_t i = 0;
 #if ULPDREAM_SIMD_X86
-  const auto tier = util::simd::active_tier();
-  const int id_shift = std::countr_zero(static_cast<unsigned>(run_step_));
-  if (tier >= util::simd::Tier::kAvx2) {
-    i = dream_encode_safe_avx2(in, safe, n, id_shift);
-  } else if (tier >= util::simd::Tier::kSse2) {
-    i = dream_encode_safe_sse2(in, safe, n, id_shift);
+  if (util::simd::active_tier() >= util::simd::Tier::kAvx2) {
+    i = dream_encode_safe_avx2(
+        in, safe, n, std::countr_zero(static_cast<unsigned>(run_step_)));
   }
 #endif
   for (; i < n; ++i) safe[i] = encode_safe(in[i]);
@@ -378,11 +253,8 @@ void Dream::force_block(const std::uint32_t* payload,
                         std::uint8_t* corrected, std::size_t n) const {
   std::size_t i = 0;
 #if ULPDREAM_SIMD_X86
-  const auto tier = util::simd::active_tier();
-  if (tier >= util::simd::Tier::kAvx2) {
+  if (util::simd::active_tier() >= util::simd::Tier::kAvx2) {
     i = dream_force_avx2<true>(payload, safe, out, corrected, n, run_step_);
-  } else if (tier >= util::simd::Tier::kSse2) {
-    i = dream_force_sse2<true>(payload, safe, out, corrected, n, run_step_);
   }
 #endif
   for (; i < n; ++i) {
@@ -399,11 +271,8 @@ void Dream::force_block16(const std::uint16_t* data, const std::uint16_t* safe,
                           std::size_t n) const {
   std::size_t i = 0;
 #if ULPDREAM_SIMD_X86
-  const auto tier = util::simd::active_tier();
-  if (tier >= util::simd::Tier::kAvx2) {
+  if (util::simd::active_tier() >= util::simd::Tier::kAvx2) {
     i = dream_force_avx2<false>(data, safe, out, corrected, n, run_step_);
-  } else if (tier >= util::simd::Tier::kSse2) {
-    i = dream_force_sse2<false>(data, safe, out, corrected, n, run_step_);
   }
 #endif
   for (; i < n; ++i) {

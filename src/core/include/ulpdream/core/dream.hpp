@@ -69,10 +69,11 @@ class Dream final : public Emt {
 
   [[nodiscard]] int mask_id_bits() const noexcept { return mask_id_bits_; }
 
-  // Raw block kernels behind encode_block()/decode_block(), dispatched on
-  // util::simd::active_tier() with the scalar word loop as tail and
-  // fallback. Exposed so the DREAM+ECC hybrid can pipeline them and the
-  // differential tests can drive every tier directly.
+  // Raw block kernels behind encode_block()/decode_block(): the AVX2
+  // kernels (16 codewords per iteration) when util::simd::active_tier()
+  // is kAvx2, with the scalar word loop as their tail and as the whole
+  // path otherwise. Exposed so the DREAM+ECC hybrid can pipeline them and
+  // the differential tests can drive both tiers directly.
 
   /// safe[i] = encode_safe(in[i]) for i < n.
   void encode_safe_block(const fixed::Sample* in, std::uint16_t* safe,

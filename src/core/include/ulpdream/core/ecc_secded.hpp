@@ -56,11 +56,11 @@ class EccSecDed final : public Emt {
   [[nodiscard]] fixed::Sample decode_ex(std::uint32_t payload,
                                         Outcome& outcome) const;
 
-  // Raw block kernels behind encode_block()/decode_block(), dispatched on
-  // util::simd::active_tier() with the scalar word loop as tail and
-  // fallback (the SSE2 tier is the linearized scalar path — byte-table
-  // gathers need AVX2). Exposed for the DREAM+ECC hybrid's pipeline and
-  // the differential tests.
+  // Raw block kernels behind encode_block()/decode_block(): the AVX2
+  // byte-table gather kernels when util::simd::active_tier() is kAvx2,
+  // with the scalar word loop as their tail and as the whole path
+  // otherwise. Exposed for the DREAM+ECC hybrid's pipeline and the
+  // differential tests.
   void encode_block_raw(const fixed::Sample* in, std::uint32_t* payload,
                         std::size_t n) const;
   /// outcome[i] = static_cast<uint8_t>(Outcome) per word.

@@ -113,8 +113,6 @@ class FaultyMemory {
     stats_.reads += n;
   }
 
-  void fill(std::uint32_t bits);
-
   [[nodiscard]] const AccessStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 

@@ -235,10 +235,6 @@ void FaultyMemory::read_block(std::size_t addr,
   if (patched != 0) fault_patch_counter().add(patched);
 }
 
-void FaultyMemory::fill(std::uint32_t bits) {
-  for (auto& w : store_) w = bits & width_mask_;
-}
-
 SafeMemory::SafeMemory(std::size_t words, int width_bits)
     : width_(width_bits), store_(words, 0) {
   if (width_bits <= 0 || width_bits > 16) {

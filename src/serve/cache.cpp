@@ -55,12 +55,10 @@ campaign::ResultStore adopt_prefix(const campaign::ColumnarStore& cached,
   std::vector<campaign::Sample> samples;
   for (std::size_t slot = 0; slot < donor.slot_items().size(); ++slot) {
     if (!donor.slot_done(slot)) continue;
-    const std::size_t index = donor.slot_items()[slot];
-    const campaign::WorkItem item =
-        campaign::expand_range(query, index, index + 1).front();
     const auto span = donor.slot_samples(slot);
     samples.assign(span.begin(), span.end());
-    out.record_item(item, samples);
+    out.record_item(campaign::work_item(query, donor.slot_items()[slot]),
+                    samples);
   }
   return out;
 }

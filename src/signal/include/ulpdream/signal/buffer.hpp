@@ -17,24 +17,18 @@
 
 namespace ulpdream::signal {
 
-template <typename B>
-concept SampleBuffer = requires(B& b, const B& cb, std::size_t i,
-                                fixed::Sample s) {
-  { cb.get(i) } -> std::convertible_to<fixed::Sample>;
-  { b.set(i, s) };
-  { cb.size() } -> std::convertible_to<std::size_t>;
-};
-
-/// A SampleBuffer that also moves whole windows per call: load() writes a
+/// Word access (get/set) plus whole-window transfers: load() writes a
 /// span into the buffer at an offset, store() reads a window back out.
-/// ProtectedBuffer models this with one codec dispatch per window (the
-/// batched data path); kernels use it through read_window/write_window so
-/// plain VecBuffers and faulty-memory buffers share one code path.
+/// ProtectedBuffer moves a window with one codec dispatch (the batched
+/// data path); kernels use it through read_window/write_window so plain
+/// VecBuffers and faulty-memory buffers share one code path.
 template <typename B>
-concept BlockSampleBuffer =
-    SampleBuffer<B> &&
-    requires(B& b, const B& cb, std::size_t i,
+concept SampleBuffer =
+    requires(B& b, const B& cb, std::size_t i, fixed::Sample s,
              std::span<const fixed::Sample> src, std::span<fixed::Sample> dst) {
+      { cb.get(i) } -> std::convertible_to<fixed::Sample>;
+      { b.set(i, s) };
+      { cb.size() } -> std::convertible_to<std::size_t>;
       { b.load(i, src) };
       { cb.store(i, dst) };
     };
@@ -72,32 +66,21 @@ class VecBuffer {
 };
 
 static_assert(SampleBuffer<VecBuffer>);
-static_assert(BlockSampleBuffer<VecBuffer>);
 
-/// Reads buf[offset, offset + dst.size()) into `dst` — the block path when
-/// the buffer supports it, a scalar loop otherwise. Access-trace
-/// equivalent either way: the same addresses are read once each, in
-/// ascending order.
+/// Reads buf[offset, offset + dst.size()) into `dst` through the block
+/// path: the same addresses are read once each, in ascending order.
 template <SampleBuffer B>
 void read_window(const B& buf, std::size_t offset,
                  std::span<fixed::Sample> dst) {
-  if constexpr (BlockSampleBuffer<B>) {
-    buf.store(offset, dst);
-  } else {
-    for (std::size_t i = 0; i < dst.size(); ++i) dst[i] = buf.get(offset + i);
-  }
+  buf.store(offset, dst);
 }
 
-/// Writes `src` into buf[offset, offset + src.size()), block path when
-/// available.
+/// Writes `src` into buf[offset, offset + src.size()) through the block
+/// path.
 template <SampleBuffer B>
 void write_window(B& buf, std::size_t offset,
                   std::span<const fixed::Sample> src) {
-  if constexpr (BlockSampleBuffer<B>) {
-    buf.load(offset, src);
-  } else {
-    for (std::size_t i = 0; i < src.size(); ++i) buf.set(offset + i, src[i]);
-  }
+  buf.load(offset, src);
 }
 
 /// Chunk size used when staging window transfers through the stack.

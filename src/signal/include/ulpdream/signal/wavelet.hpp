@@ -126,10 +126,10 @@ std::vector<BandLayout> dwt_multi(const In& in, std::size_t n,
 
 namespace detail {
 
-/// Shared a-trous filtering core for swt_detail/swt_approx. Interior
-/// windows at hole == 1 are contiguous and fetched with one block read;
-/// outputs are staged and flushed in kWindowChunk blocks, so `in` and
-/// `out` must be distinct buffers. Access trace matches the scalar loop.
+/// The a-trous filtering core of swt_detail. Interior windows at
+/// hole == 1 are contiguous and fetched with one block read; outputs are
+/// staged and flushed in kWindowChunk blocks, so `in` and `out` must be
+/// distinct buffers. Access trace matches the scalar loop.
 template <SampleBuffer In, SampleBuffer Out>
 void swt_filter(const In& in, std::size_t n, const TapVec& taps_q15,
                 std::size_t scale, Out& out) {
@@ -170,13 +170,6 @@ template <SampleBuffer In, SampleBuffer Out>
 void swt_detail(const In& in, std::size_t n, const FixedBank& bank,
                 std::size_t scale, Out& out) {
   detail::swt_filter(in, n, bank.hi, scale, out);
-}
-
-/// Undecimated approximation at a given scale (low-pass with holes).
-template <SampleBuffer In, SampleBuffer Out>
-void swt_approx(const In& in, std::size_t n, const FixedBank& bank,
-                std::size_t scale, Out& out) {
-  detail::swt_filter(in, n, bank.lo, scale, out);
 }
 
 /// Double-precision decimated DWT (analysis) for the CS sparsity basis and

@@ -1,9 +1,31 @@
 #include "ulpdream/util/cli.hpp"
 
-#include <cstdlib>
+#include <charconv>
 #include <sstream>
+#include <stdexcept>
 
 namespace ulpdream::util {
+
+namespace {
+
+/// The whole of `value` as a T (std::from_chars: no sign prefix '+', no
+/// space, nothing after the number, in range); anything else throws
+/// std::invalid_argument naming the flag and the value.
+template <typename T>
+T parse_flag_value(const std::string& key, const std::string& value,
+                   const char* expected) {
+  T out{};
+  const char* first = value.data();
+  const char* last = first + value.size();
+  const auto [ptr, ec] = std::from_chars(first, last, out);
+  if (ec != std::errc() || ptr != last) {
+    throw std::invalid_argument("--" + key + " expects " + expected +
+                                ", got '" + value + "'");
+  }
+  return out;
+}
+
+}  // namespace
 
 std::vector<std::string> split_list(const std::string& list, char sep) {
   std::vector<std::string> out;
@@ -44,14 +66,16 @@ std::string Cli::get(const std::string& key, const std::string& def) const {
 
 double Cli::get_double(const std::string& key, double def) const {
   const auto it = values_.find(key);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  return it == values_.end()
+             ? def
+             : parse_flag_value<double>(key, it->second, "a number");
 }
 
 std::int64_t Cli::get_int(const std::string& key, std::int64_t def) const {
   const auto it = values_.find(key);
   return it == values_.end()
              ? def
-             : std::strtoll(it->second.c_str(), nullptr, 10);
+             : parse_flag_value<std::int64_t>(key, it->second, "an integer");
 }
 
 bool Cli::get_bool(const std::string& key, bool def) const {

@@ -20,6 +20,10 @@ class Cli {
   [[nodiscard]] bool has(const std::string& key) const;
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& def) const;
+  /// `def` when --key is absent; otherwise the whole value parsed as a
+  /// number (get_int: a signed decimal integer, so no fraction). Trailing
+  /// junk, an empty value or one out of range throws
+  /// std::invalid_argument naming --key and the value.
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t def) const;

@@ -1,18 +1,16 @@
 #pragma once
 // util::simd — the tiny dispatch layer behind the vectorized block-codec
-// kernels (DREAM significance remap, SEC/DED syndrome/correction, the
-// FaultyMemory scrambler/fault loops).
+// kernels (DREAM significance remap, SEC/DED syndrome/correction).
 //
-// Policy, in order:
-//  - compile time: defining ULPDREAM_DISABLE_SIMD (the CMake option of the
-//    same name) removes every intrinsic kernel from the build; the scalar
-//    loops — which are always built and are the bit-exact reference — are
-//    all that remains. Non-x86 targets take this path automatically.
-//  - runtime: the environment variable ULPDREAM_DISABLE_SIMD (set and not
-//    "0") forces the scalar tier without a rebuild, and otherwise the CPU
-//    is probed once for AVX2; SSE2 is the x86-64 baseline.
+// One kernel tier per CPU, chosen by:
+//  - the build: defining ULPDREAM_DISABLE_SIMD (the CMake option of the
+//    same name) removes every intrinsic kernel; the scalar loops — which
+//    are always built and are the bit-exact reference — are all that
+//    remains. Non-x86 targets take this path automatically.
+//  - the CPU: otherwise one probe picks AVX2 when the CPU has it and the
+//    scalar loops when it does not.
 //  - tests: force_tier() clamps the active tier so the SIMD-vs-scalar
-//    differential suites can run every compiled path on one machine.
+//    differential suites can run both tiers in one binary.
 //
 // Every kernel guarded by this layer must be bit-identical to its scalar
 // fallback — outputs, CodecCounters and AccessStats alike. The dispatch
@@ -33,14 +31,15 @@
 
 namespace ulpdream::util::simd {
 
-/// Kernel tiers, ordered: a tier implies every lower one.
-enum class Tier : std::uint8_t { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+/// Kernel tiers, ordered. The values are what the simd.active_tier gauge
+/// reports, so kAvx2 stays 2 for metrics saved by any build.
+enum class Tier : std::uint8_t { kScalar = 0, kAvx2 = 2 };
 
 [[nodiscard]] const char* tier_name(Tier tier) noexcept;
 
 /// The tier kernels should dispatch to: the probed CPU tier, clamped by
-/// the compile-time gate, the ULPDREAM_DISABLE_SIMD environment variable
-/// and any force_tier() override. Cheap after the first call.
+/// the compile-time gate and any force_tier() override. Cheap after the
+/// first call.
 [[nodiscard]] Tier active_tier() noexcept;
 
 /// Test hook: clamp active_tier() to `tier` (never raises above what the

@@ -1,8 +1,6 @@
 #include "ulpdream/util/simd.hpp"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 namespace ulpdream::util::simd {
 
@@ -10,16 +8,7 @@ namespace {
 
 Tier detect_tier() {
 #if ULPDREAM_SIMD_X86
-  if (const char* env = std::getenv("ULPDREAM_DISABLE_SIMD");
-      env != nullptr && *env != '\0' && std::strcmp(env, "0") != 0) {
-    return Tier::kScalar;
-  }
-  if (__builtin_cpu_supports("avx2")) return Tier::kAvx2;
-#if defined(__x86_64__)
-  return Tier::kSse2;  // architectural baseline
-#else
-  return __builtin_cpu_supports("sse2") ? Tier::kSse2 : Tier::kScalar;
-#endif
+  return __builtin_cpu_supports("avx2") ? Tier::kAvx2 : Tier::kScalar;
 #else
   return Tier::kScalar;
 #endif
@@ -31,12 +20,7 @@ std::atomic<int> g_forced{-1};
 }  // namespace
 
 const char* tier_name(Tier tier) noexcept {
-  switch (tier) {
-    case Tier::kSse2: return "sse2";
-    case Tier::kAvx2: return "avx2";
-    case Tier::kScalar: break;
-  }
-  return "scalar";
+  return tier == Tier::kAvx2 ? "avx2" : "scalar";
 }
 
 Tier active_tier() noexcept {

@@ -113,6 +113,46 @@ TEST(CampaignSpec, ShardsPartitionTheExpansion) {
   EXPECT_THROW((void)expand_shard(spec, 0, 0), std::invalid_argument);
 }
 
+TEST(CampaignSpec, EveryExpansionIsWorkItemAtItsIndex) {
+  // 3 records x 3 voltages x 4 reps. The nested record > voltage > rep
+  // enumeration is the reference; expand, every shard of a 5-way split
+  // and a lease-shaped range must return exactly work_item(spec, index).
+  CampaignSpec spec = tiny_spec();
+  spec.records.push_back(RecordAxis{ecg::Pathology::kNormalSinus, 0.5, 3});
+  spec.voltages = {0.5, 0.7, 0.9};
+  spec.repetitions = 4;
+  spec = spec.normalized();
+  const auto same = [](const WorkItem& a, const WorkItem& b) {
+    return a.index == b.index && a.record_index == b.record_index &&
+           a.voltage_index == b.voltage_index &&
+           a.rep_index == b.rep_index && a.seed == b.seed;
+  };
+
+  const std::vector<WorkItem> items = expand(spec);
+  ASSERT_EQ(items.size(), 36u);
+  std::size_t index = 0;
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t v = 0; v < 3; ++v) {
+      for (std::size_t rep = 0; rep < 4; ++rep, ++index) {
+        const WorkItem want{index, r, v, rep, util::mix64(spec.seed, index)};
+        EXPECT_TRUE(same(work_item(spec, index), want)) << index;
+        EXPECT_TRUE(same(items[index], want)) << index;
+      }
+    }
+  }
+  for (std::size_t shard = 0; shard < 5; ++shard) {
+    const std::vector<WorkItem> mine = expand_shard(spec, shard, 5);
+    EXPECT_EQ(mine.size(), shard == 0 ? 8u : 7u);
+    for (const WorkItem& item : mine) {
+      EXPECT_EQ(item.index % 5, shard);
+      EXPECT_TRUE(same(item, items[item.index])) << item.index;
+    }
+  }
+  for (const WorkItem& item : expand_range(spec, 13, 29)) {
+    EXPECT_TRUE(same(item, items[item.index])) << item.index;
+  }
+}
+
 TEST(CampaignSpec, NormalizeFillsDefaults) {
   const CampaignSpec spec = CampaignSpec{}.normalized();
   EXPECT_EQ(spec.apps, apps::paper_app_names());

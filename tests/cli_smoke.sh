@@ -59,6 +59,26 @@ expect 2 '--listen' daemon
 expect 2 '--cache-dir' daemon --listen=unix:/tmp/nowhere.sock
 expect 2 '--connect' query
 expect 2 '--shard' query --connect=unix:/tmp/nowhere.sock --shard=0/2
+# Numeric flags parse their whole value: a fraction, a sign, trailing
+# junk or a word exits 2 naming the flag instead of running on whatever
+# a prefix parse made of it.
+dwt="--apps=dwt --emts=none --vmin=0.9 --vmax=0.9 --reps=3 --threads=1"
+expect 2 '--reps' $dwt --reps=2.5
+expect 2 '--shard' $dwt --shard=1.5/3
+expect 2 '--shard' $dwt --shard=-1/3
+expect 2 '--shard' $dwt --shard=3/3
+expect 2 '--seed' $dwt --seed=12abc
+expect 2 '--vmin' $dwt --vmin=0.9x
+expect 2 '--threads' $dwt --threads=four
+expect 2 '--max-items' $dwt --max-items=1.5
+expect 2 '--threads' work --connect=unix:/nonexistent/daemon.sock \
+    --threads=four
+expect 2 '--checkpoint-every' work --connect=unix:/nonexistent/daemon.sock \
+    --checkpoint-every=1e3
+# (/dev/null/cache cannot be created even by root, so a build that let
+# the bad value through fails at the cache instead of serving forever.)
+expect 2 '--lease-items' daemon --listen=unix:/tmp/nowhere.sock \
+    --cache-dir=/dev/null/cache --lease-items=4x
 
 # Runtime failures (exit 1): a well-formed invocation against a broken
 # world.

@@ -186,10 +186,7 @@ INSTANTIATE_TEST_SUITE_P(
 /// clamped by both), lowest first. kScalar is always present.
 std::vector<util::simd::Tier> runnable_tiers() {
   std::vector<util::simd::Tier> tiers{util::simd::Tier::kScalar};
-  if (util::simd::active_tier() >= util::simd::Tier::kSse2) {
-    tiers.push_back(util::simd::Tier::kSse2);
-  }
-  if (util::simd::active_tier() >= util::simd::Tier::kAvx2) {
+  if (util::simd::active_tier() == util::simd::Tier::kAvx2) {
     tiers.push_back(util::simd::Tier::kAvx2);
   }
   return tiers;
@@ -201,8 +198,8 @@ TEST(SimdTiers, BlockSweepBitIdenticalAcrossTiersOffsetsAndTails) {
   // vector widths (1..3x the 8/16-lane kernels, plus scalar-tail sizes).
   // The word-at-a-time accessors are the tier-independent reference; every
   // tier's block sweep must reproduce them bit-exactly — decoded samples,
-  // CodecCounters and per-bank AccessStats alike. 0.5 V gives a dense
-  // fault map, so the kernels' correction and detection lanes run too.
+  // CodecCounters and AccessStats alike. 0.5 V gives a dense fault map,
+  // so the kernels' correction and detection lanes run too.
   constexpr std::size_t kBuf = 256;
   const fixed::SampleVec src = test_samples(kBuf);
   util::Xoshiro256 rng(13);

@@ -21,6 +21,7 @@
 #include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/scenario.hpp"
 #include "ulpdream/campaign/session.hpp"
+#include "ulpdream/util/simd.hpp"
 
 namespace ulpdream::campaign {
 namespace {
@@ -411,6 +412,57 @@ TEST(Session, ScenarioSubmitsOntoAnAttachedSession) {
   EXPECT_EQ(save_bytes(store), reference_bytes(scenario.build_spec()));
 
   EXPECT_THROW((void)Scenario().app("dwt").submit(), std::logic_error);
+}
+
+TEST(Session, ScalarTierReproducesTheDetectedTierEndToEnd) {
+  // Every app x every EMT from a dense fault map (0.5 V) to a clean one
+  // (0.9 V), once on the scalar kernels and once on the tier this CPU
+  // detected: the stores must match byte for byte and the two runs must
+  // count the same codec, memory, simulator and CS work. One thread, so
+  // the clean-run reuse and CS memo counters are deterministic.
+  if (util::simd::active_tier() == util::simd::Tier::kScalar) {
+    GTEST_SKIP() << "the detected tier is already scalar";
+  }
+  CampaignSpec spec;
+  spec.apps = parse_app_list("all");
+  spec.emts = parse_emt_list("all");
+  spec.voltages = CampaignSpec::voltage_range(0.5, 0.9, 0.1);
+  spec.records = {RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 7}};
+  spec.repetitions = 2;
+  spec = spec.normalized();
+
+  struct Run {
+    std::string store;
+    std::map<std::string, std::uint64_t> work;
+  };
+  const auto run = [&spec] {
+    Session session(energy::SystemEnergyModel(), 1);
+    Run out{save_bytes(session.submit(spec).take()), {}};
+    for (const auto& [name, value] : session.telemetry().counters) {
+      for (const char* prefix : {"codec.", "mem.", "sim.", "cs."}) {
+        if (name.rfind(prefix, 0) == 0) out.work[name] = value;
+      }
+    }
+    return out;
+  };
+  struct ClearForcedTier {
+    ~ClearForcedTier() { util::simd::clear_forced_tier(); }
+  };
+  Run scalar;
+  {
+    const ClearForcedTier clear_tier;
+    util::simd::force_tier(util::simd::Tier::kScalar);
+    scalar = run();
+  }
+  Run detected = run();
+
+  EXPECT_EQ(scalar.store, detected.store);
+  EXPECT_EQ(scalar.work, detected.work);
+  for (const char* counter :
+       {"codec.dream.decode_words", "codec.ecc_secded.decode_words",
+        "sim.clean_runs", "cs.reconstructions"}) {
+    EXPECT_GT(detected.work[counter], 0u) << counter;
+  }
 }
 
 }  // namespace

@@ -362,6 +362,45 @@ TEST(Cli, DefaultsWhenMissing) {
   EXPECT_FALSE(cli.get_bool("missing", false));
 }
 
+TEST(Cli, NumericFlagsParseTheWholeValue) {
+  const char* argv[] = {"prog",         "--neg=-1",      "--zero=0",
+                        "--frac=0.05",  "--exp=1e-3",    "--half=2.5",
+                        "--junk=12abc", "--tail=0.9x",   "--word=four",
+                        "--empty=",     "--huge=99999999999999999999",
+                        "--big=1e999"};
+  const Cli cli(12, argv);
+  EXPECT_EQ(cli.get_int("neg", 7), -1);
+  EXPECT_EQ(cli.get_int("zero", 7), 0);
+  EXPECT_EQ(cli.get_double("zero", 7.0), 0.0);
+  EXPECT_EQ(cli.get_double("frac", 7.0), 0.05);
+  EXPECT_EQ(cli.get_double("exp", 7.0), 1e-3);
+
+  // The std::invalid_argument message of a rejected read, "" if none.
+  const auto error_of = [](const auto& read) -> std::string {
+    try {
+      (void)read();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "";
+  };
+  // A fraction, trailing junk, a word, an empty value and overflow are
+  // rejected, naming the flag and the value.
+  for (const std::string key : {"half", "junk", "word", "empty", "huge"}) {
+    const std::string error = error_of([&] { return cli.get_int(key, 7); });
+    EXPECT_NE(error.find("--" + key), std::string::npos)
+        << key << ": " << error;
+    EXPECT_NE(error.find(cli.get(key, "?")), std::string::npos) << error;
+  }
+  for (const std::string key : {"tail", "junk", "word", "empty", "big"}) {
+    const std::string error =
+        error_of([&] { return cli.get_double(key, 7.0); });
+    EXPECT_NE(error.find("--" + key), std::string::npos)
+        << key << ": " << error;
+    EXPECT_NE(error.find(cli.get(key, "?")), std::string::npos) << error;
+  }
+}
+
 TEST(WorkPool, RunsEveryIndexExactlyOnceAcrossConcurrentJobs) {
   WorkPool pool(4);
   EXPECT_EQ(pool.threads(), 4u);
