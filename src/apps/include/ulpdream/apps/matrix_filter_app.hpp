@@ -25,6 +25,18 @@ struct MatrixFilterConfig {
   double sharpen_alpha = 0.7;
 };
 
+/// The filter's kernel: `iterations` rounds of C = A x B, where `a`
+/// holds the k x k operator row-major in raw Q2.14 (A / 2 in Q1.15) and
+/// `b` the k x cols input block column-major (B[r][c] = b[c * k + r]),
+/// ping-ponging between `b` and `c`. Returns the buffer holding the last
+/// result: `c` after an odd number of rounds, else `b`. `a` must not
+/// overlap `b` or `c`.
+core::ProtectedBuffer& matrix_filter_product(const core::ProtectedBuffer& a,
+                                             core::ProtectedBuffer& b,
+                                             core::ProtectedBuffer& c,
+                                             std::size_t k, std::size_t cols,
+                                             std::size_t iterations);
+
 class MatrixFilterApp final : public BioApp {
  public:
   explicit MatrixFilterApp(MatrixFilterConfig cfg = {});

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <span>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 namespace ulpdream::apps {
 
@@ -35,13 +37,61 @@ MatrixFilterApp::MatrixFilterApp(MatrixFilterConfig cfg) : cfg_(cfg) {
   }
 }
 
+core::ProtectedBuffer& matrix_filter_product(const core::ProtectedBuffer& a,
+                                             core::ProtectedBuffer& b,
+                                             core::ProtectedBuffer& c,
+                                             std::size_t k, std::size_t cols,
+                                             std::size_t iterations) {
+  // On the device each dot product reads its operator row and its source
+  // column with one block call each: every A row is read iterations x
+  // cols times, and each source column k times per (iteration, column).
+  // A is never written after its load, and no read in a column's loop
+  // touches the column being written, so every re-read returns the same
+  // samples. The kernel therefore copies A once and each source column
+  // once per (iteration, column), and read_charged() charges the
+  // device's repeat reads: the codec counters and access stats are those
+  // of the per-dot-product block reads. Each output column is written
+  // with one block call once its k dot products are done.
+  signal::ReadPattern a_reads(k * k);
+  for (std::size_t r = 0; r < k; ++r) {
+    a_reads.block(r * k, k, iterations * cols);
+  }
+  std::vector<fixed::Sample> a_rows(k * k);
+  a.read_charged(0, a_rows, a_reads);
+  signal::ReadPattern col_reads(k);
+  col_reads.block(0, k, k);
+
+  std::vector<fixed::Sample> src_col(k);
+  std::vector<fixed::Sample> dst_col(k);
+  core::ProtectedBuffer* src = &b;
+  core::ProtectedBuffer* dst = &c;
+  for (std::size_t it = 0; it < iterations; ++it) {
+    for (std::size_t col = 0; col < cols; ++col) {
+      src->read_charged(col * k, src_col, col_reads);
+      for (std::size_t r = 0; r < k; ++r) {
+        const fixed::Sample* const a_row = a_rows.data() + r * k;
+        std::int64_t acc = 0;
+        for (std::size_t m = 0; m < k; ++m) {
+          acc += fixed::mul_q15(src_col[m], fixed::Q15::from_raw(a_row[m]));
+        }
+        // A is stored halved (Q2.14): shift by 14 restores full scale.
+        dst_col[r] =
+            fixed::saturate_sample(fixed::rounded_shift_right(acc, 14));
+      }
+      dst->load(col * k, dst_col);
+    }
+    std::swap(src, dst);
+  }
+  // After the final swap, `src` holds the last result.
+  return *src;
+}
+
 std::vector<double> MatrixFilterApp::run(core::MemorySystem& system,
                                          const ecg::Record& record) const {
   if (record.samples.size() < cfg_.n) {
     throw std::invalid_argument("MatrixFilterApp: record shorter than window");
   }
   const std::size_t k = cfg_.k;
-  const std::size_t cols = cfg_.n / k;
 
   system.reset_allocator();
   auto a_buf = core::ProtectedBuffer::allocate(system, k * k);
@@ -52,39 +102,10 @@ std::vector<double> MatrixFilterApp::run(core::MemorySystem& system,
   // B column-major: B[r][c] = x[c*k + r].
   load_input(b_buf, record.samples, cfg_.n);
 
-  // C = A x B, iterated; ping-pong between b_buf and c_buf. Each dot
-  // product reads one operator row and one source column — both
-  // contiguous, both fetched per (c, r) as in the scalar kernel (A rows
-  // and B columns are deliberately re-read from the faulty memory every
-  // time, as on the device), just through one block call each. Each
-  // output column is written with one block call once its k dot products
-  // are done; no read in the column loop touches `dst`, so the reads,
-  // writes and decoded values are those of k word writes.
-  std::vector<fixed::Sample> a_row(k);
-  std::vector<fixed::Sample> src_col(k);
-  std::vector<fixed::Sample> dst_col(k);
-  core::ProtectedBuffer* src = &b_buf;
-  core::ProtectedBuffer* dst = &c_buf;
-  for (std::size_t it = 0; it < cfg_.iterations; ++it) {
-    for (std::size_t c = 0; c < cols; ++c) {
-      for (std::size_t r = 0; r < k; ++r) {
-        a_buf.store(r * k, std::span<fixed::Sample>(a_row.data(), k));
-        src->store(c * k, std::span<fixed::Sample>(src_col.data(), k));
-        std::int64_t acc = 0;
-        for (std::size_t m = 0; m < k; ++m) {
-          acc += fixed::mul_q15(src_col[m], fixed::Q15::from_raw(a_row[m]));
-        }
-        // A is stored halved (Q2.14): shift by 14 restores full scale.
-        dst_col[r] =
-            fixed::saturate_sample(fixed::rounded_shift_right(acc, 14));
-      }
-      dst->load(c * k, std::span<const fixed::Sample>(dst_col.data(), k));
-    }
-    std::swap(src, dst);
-  }
-
-  // After the final swap, `src` holds the last result.
-  return read_output_f64(*src, cfg_.n);
+  // C = A x B, iterated; ping-pong between b_buf and c_buf.
+  const core::ProtectedBuffer& result = matrix_filter_product(
+      a_buf, b_buf, c_buf, k, cfg_.n / k, cfg_.iterations);
+  return read_output_f64(result, cfg_.n);
 }
 
 std::optional<std::vector<double>> MatrixFilterApp::ideal_output(

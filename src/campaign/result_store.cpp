@@ -248,27 +248,6 @@ double parse_voltage(const std::string& cell) {
   return cell == "*" ? kNan : util::parse_double_exact(cell);
 }
 
-std::vector<std::string> row_cells(const AggregateRow& r) {
-  return {r.record,
-          r.app,
-          r.emt,
-          fmt_voltage(r.voltage),
-          std::to_string(r.n),
-          util::fmt_exact(r.snr_mean_db),
-          util::fmt_exact(r.snr_stddev_db),
-          util::fmt_exact(r.snr_min_db),
-          util::fmt_exact(r.snr_max_db),
-          util::fmt_exact(r.snr_p10_db),
-          util::fmt_exact(r.energy_mean_j),
-          util::fmt_exact(r.data_dynamic_j),
-          util::fmt_exact(r.side_dynamic_j),
-          util::fmt_exact(r.codec_j),
-          util::fmt_exact(r.data_leak_j),
-          util::fmt_exact(r.side_leak_j),
-          util::fmt_exact(r.corrected_mean),
-          util::fmt_exact(r.detected_mean)};
-}
-
 /// Parses data row `row` (1-based; the header is row 0). Every rejection
 /// names the reader, the row and the column.
 AggregateRow row_from_cells(const std::vector<std::string>& cells,
@@ -331,9 +310,34 @@ const std::vector<std::string>& aggregate_csv_header() {
 }
 
 void write_rows_csv(std::ostream& os, const std::vector<AggregateRow>& rows) {
-  util::CsvWriter csv(os);
-  csv.write_row(aggregate_csv_header());
-  for (const AggregateRow& r : rows) csv.write_row(row_cells(r));
+  util::CsvWriter(os).write_row(aggregate_csv_header());
+  // Each row is formatted into one reused line: the same bytes CsvWriter
+  // writes for the row's cells, without a string per cell.
+  std::string line;
+  for (const AggregateRow& r : rows) {
+    line.clear();
+    for (const std::string* text : {&r.record, &r.app, &r.emt}) {
+      line += util::CsvWriter::escape(*text);
+      line += ',';
+    }
+    if (std::isnan(r.voltage)) {
+      line += '*';
+    } else {
+      util::append_exact(line, r.voltage);
+    }
+    line += ',';
+    line += std::to_string(r.n);
+    for (const double v :
+         {r.snr_mean_db, r.snr_stddev_db, r.snr_min_db, r.snr_max_db,
+          r.snr_p10_db, r.energy_mean_j, r.data_dynamic_j, r.side_dynamic_j,
+          r.codec_j, r.data_leak_j, r.side_leak_j, r.corrected_mean,
+          r.detected_mean}) {
+      line += ',';
+      util::append_exact(line, v);
+    }
+    line += '\n';
+    os.write(line.data(), static_cast<std::streamsize>(line.size()));
+  }
 }
 
 std::vector<AggregateRow> read_rows_csv(std::istream& is) {

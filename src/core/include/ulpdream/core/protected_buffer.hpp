@@ -18,6 +18,14 @@
 // whole shadow stale; a stale word is decoded again on its next read.
 // get() and set() are inline: a word with nothing to replay reads
 // straight from the shadow, and set() decodes its one word in place.
+//
+// Read once, charge many: since a re-read of a word not written in
+// between returns the same sample and replays the same outcome, a kernel
+// that re-reads a window need not copy it each time. read_charged()
+// copies a window once and charges the reads of a signal::ReadPattern
+// over it — each word's outcome times its read count, plus the block
+// calls and words the pattern's block reads would have tallied — so
+// every device read is still counted, exactly as if it had been made.
 
 #include <cstddef>
 #include <cstdint>
@@ -29,6 +37,7 @@
 
 #include "ulpdream/core/emt.hpp"
 #include "ulpdream/mem/memory.hpp"
+#include "ulpdream/signal/buffer.hpp"
 #include "ulpdream/util/telemetry.hpp"
 
 namespace ulpdream::core {
@@ -79,6 +88,15 @@ class MemorySystem {
   void store_block(std::size_t addr, std::span<const fixed::Sample> src);
   /// Reads `dst.size()` decoded words starting at `addr` from the shadow.
   void load_block(std::size_t addr, std::span<fixed::Sample> dst);
+  /// Copies the same window as load_block(addr, dst), with the same range
+  /// check and stale-word refresh, and adds what the reads of `reads`
+  /// (a pattern over exactly that window) would add: each word's decodes,
+  /// outcome counts, data and side reads and mem.fault_patch_words times
+  /// its read count, and the pattern's block calls and words to the
+  /// codec.<emt>.decode_* tally. Throws std::invalid_argument when the
+  /// pattern's size is not dst.size().
+  void read_charged(std::size_t addr, std::span<fixed::Sample> dst,
+                    const signal::ReadPattern& reads);
 
   /// Bump allocator over the data array (word granularity). Throws
   /// std::bad_alloc when the 32 kB footprint would be exceeded — apps must
@@ -123,14 +141,26 @@ class MemorySystem {
   /// store_block() / load_block() without the codec call tallies.
   void write_words(std::size_t addr, std::span<const fixed::Sample> src);
   void read_words(std::size_t addr, std::span<fixed::Sample> dst);
+  /// The copy half of a read: range-checks [addr, addr + dst.size()),
+  /// refreshes its stale words and copies it out of the shadow. Returns
+  /// the OR of the window's outcome bytes (0: nothing to replay).
+  std::uint8_t copy_from_shadow(std::size_t addr,
+                                std::span<fixed::Sample> dst);
+  /// The replay half: adds `reads` decodes and data/side reads of
+  /// [addr, addr + n), and for each word whose outcome byte is set, its
+  /// corrected/detected/patched counts times weight(i), which is called
+  /// once per word in address order. `any` is copy_from_shadow()'s result.
+  template <typename Weight>
+  void replay(std::size_t addr, std::size_t n, std::uint8_t any,
+              std::uint64_t reads, Weight weight);
   /// ProtectedBuffer::get(): a word whose outcome byte is 0 (fresh,
   /// unpatched, nothing corrected or detected) replays only its decode
   /// and its reads; every other word takes read_words().
   fixed::Sample read_word(std::size_t addr) {
     if (addr < shadow_.size() && outcome_[addr] == 0) {
       ++counters_.decodes;
-      data_.count_reads(addr, 1);
-      if (safe_) safe_->count_reads(addr, 1);
+      data_.count_reads(addr, 1, 1);
+      if (safe_) safe_->count_reads(addr, 1, 1);
       return shadow_[addr];
     }
     fixed::Sample s = 0;
@@ -189,6 +219,10 @@ class ProtectedBuffer {
   /// and throw std::out_of_range when [i, i + span) exceeds the buffer.
   void load(std::size_t i, std::span<const fixed::Sample> src);
   void store(std::size_t i, std::span<fixed::Sample> dst) const;
+  /// store(i, dst)'s copy, charged as the reads of `reads` over that
+  /// window (MemorySystem::read_charged); same range check as store().
+  void read_charged(std::size_t i, std::span<fixed::Sample> dst,
+                    const signal::ReadPattern& reads) const;
 
   [[nodiscard]] std::size_t base() const noexcept { return base_; }
 
@@ -197,5 +231,7 @@ class ProtectedBuffer {
   std::size_t base_;
   std::size_t length_;
 };
+
+static_assert(signal::SampleBuffer<ProtectedBuffer>);
 
 }  // namespace ulpdream::core

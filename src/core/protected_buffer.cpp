@@ -198,7 +198,8 @@ void MemorySystem::write_word(std::size_t addr, fixed::Sample s) {
       (patched ? kPatched : 0));
 }
 
-void MemorySystem::read_words(std::size_t addr, std::span<fixed::Sample> dst) {
+std::uint8_t MemorySystem::copy_from_shadow(std::size_t addr,
+                                            std::span<fixed::Sample> dst) {
   const std::size_t n = dst.size();
   if (n > shadow_.size() || addr > shadow_.size() - n) {
     throw std::out_of_range("MemorySystem: read range");
@@ -220,22 +221,61 @@ void MemorySystem::read_words(std::size_t addr, std::span<fixed::Sample> dst) {
       any |= oc[i];
     }
   }
-  counters_.decodes += n;
+  return any;
+}
+
+template <typename Weight>
+void MemorySystem::replay(std::size_t addr, std::size_t n, std::uint8_t any,
+                          std::uint64_t reads, Weight weight) {
+  counters_.decodes += reads;
   if (any != 0) {
+    const std::uint8_t* const oc = outcome_.data() + addr;
     std::uint64_t corrected = 0;
     std::uint64_t detected = 0;
     std::uint64_t patched = 0;
     for (std::size_t i = 0; i < n; ++i) {
-      corrected += (oc[i] & kDecodeCorrected) != 0;
-      detected += (oc[i] & kDecodeDetected) != 0;
-      patched += (oc[i] & kPatched) != 0;
+      const std::uint64_t w = weight(i);
+      corrected += (oc[i] & kDecodeCorrected) != 0 ? w : 0;
+      detected += (oc[i] & kDecodeDetected) != 0 ? w : 0;
+      patched += (oc[i] & kPatched) != 0 ? w : 0;
     }
     counters_.corrected_words += corrected;
     counters_.detected_uncorrectable += detected;
     tally_.patched_words += patched;
   }
-  data_.count_reads(addr, n);
-  if (safe_) safe_->count_reads(addr, n);
+  data_.count_reads(addr, n, reads);
+  if (safe_) safe_->count_reads(addr, n, reads);
+}
+
+void MemorySystem::read_words(std::size_t addr, std::span<fixed::Sample> dst) {
+  const std::uint8_t any = copy_from_shadow(addr, dst);
+  replay(addr, dst.size(), any, dst.size(),
+         [](std::size_t) { return std::uint64_t{1}; });
+}
+
+void MemorySystem::read_charged(std::size_t addr, std::span<fixed::Sample> dst,
+                                const signal::ReadPattern& reads) {
+  if (reads.size() != dst.size()) {
+    throw std::invalid_argument(
+        "MemorySystem::read_charged: pattern of " +
+        std::to_string(reads.size()) + " words for a " +
+        std::to_string(dst.size()) + "-word window");
+  }
+  tally_.decode_calls += reads.block_calls();
+  tally_.decode_words += reads.block_words();
+  const bool timed = util::telemetry::hot_timing_enabled();
+  const std::uint64_t t0 = timed ? util::telemetry::now_ns() : 0;
+  const std::uint8_t any = copy_from_shadow(addr, dst);
+  // Word i's read count is the running sum of the pattern's deltas.
+  const std::uint32_t* const delta = reads.delta().data();
+  std::uint32_t count = 0;
+  replay(addr, dst.size(), any, reads.reads(), [&](std::size_t i) {
+    count += delta[i];
+    return std::uint64_t{count};
+  });
+  if (timed) {
+    telemetry_.decode_block_ns.record(util::telemetry::now_ns() - t0);
+  }
 }
 
 ProtectedBuffer::ProtectedBuffer(MemorySystem& system, std::size_t base,
@@ -262,6 +302,14 @@ void ProtectedBuffer::store(std::size_t i, std::span<fixed::Sample> dst) const {
     throw std::out_of_range("ProtectedBuffer::store");
   }
   system_->load_block(base_ + i, dst);
+}
+
+void ProtectedBuffer::read_charged(std::size_t i, std::span<fixed::Sample> dst,
+                                   const signal::ReadPattern& reads) const {
+  if (dst.size() > length_ || i > length_ - dst.size()) {
+    throw std::out_of_range("ProtectedBuffer::read_charged");
+  }
+  system_->read_charged(base_ + i, dst, reads);
 }
 
 }  // namespace ulpdream::core

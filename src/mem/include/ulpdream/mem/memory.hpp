@@ -101,16 +101,16 @@ class FaultyMemory {
   /// the word and 0 elsewhere. Returns the number of such words.
   /// peek_word() is its one-word form: the bits read() would return,
   /// with `patched` set when a FaultMap entry covers the word; it throws
-  /// std::out_of_range for addr >= words(). count_reads() adds a read of
-  /// [addr, addr + n) to stats() without reading — exactly what
-  /// read_block() adds. The block forms throw std::out_of_range when the
-  /// range does not fit.
+  /// std::out_of_range for addr >= words(). count_reads() adds `reads`
+  /// reads of words in [addr, addr + n) to stats() without reading; with
+  /// `reads` = n that is exactly what read_block() adds. The block forms
+  /// throw std::out_of_range when the range does not fit.
   std::size_t peek_block(std::size_t addr, std::span<std::uint32_t> dst,
                          std::span<std::uint8_t> patched) const;
   [[nodiscard]] std::uint32_t peek_word(std::size_t addr, bool& patched) const;
-  void count_reads(std::size_t addr, std::size_t n) const {
+  void count_reads(std::size_t addr, std::size_t n, std::uint64_t reads) const {
     detail::check_range(addr, n, store_.size(), "FaultyMemory::count_reads");
-    stats_.reads += n;
+    stats_.reads += reads;
   }
 
   [[nodiscard]] const AccessStats& stats() const noexcept { return stats_; }
@@ -156,9 +156,9 @@ class SafeMemory {
 
   /// The stats-free read and the stats-only read, as on FaultyMemory.
   void peek_block(std::size_t addr, std::span<std::uint16_t> dst) const;
-  void count_reads(std::size_t addr, std::size_t n) const {
+  void count_reads(std::size_t addr, std::size_t n, std::uint64_t reads) const {
     detail::check_range(addr, n, store_.size(), "SafeMemory::count_reads");
-    stats_.reads += n;
+    stats_.reads += reads;
   }
 
   [[nodiscard]] const AccessStats& stats() const noexcept { return stats_; }

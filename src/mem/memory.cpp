@@ -231,7 +231,7 @@ std::size_t FaultyMemory::peek_block(std::size_t addr,
 void FaultyMemory::read_block(std::size_t addr,
                               std::span<std::uint32_t> dst) const {
   const std::size_t patched = peek_block(addr, dst, {});
-  count_reads(addr, dst.size());
+  count_reads(addr, dst.size(), dst.size());
   if (patched != 0) fault_patch_counter().add(patched);
 }
 
@@ -264,7 +264,7 @@ void SafeMemory::write_block(std::size_t addr,
 void SafeMemory::read_block(std::size_t addr,
                             std::span<std::uint16_t> dst) const {
   peek_block(addr, dst);
-  count_reads(addr, dst.size());
+  count_reads(addr, dst.size(), dst.size());
 }
 
 void SafeMemory::peek_block(std::size_t addr,

@@ -44,38 +44,49 @@ struct FixedBank {
 /// Kernel scales by 1/2 overall (Q15 banks already embed 1/sqrt2 per tap
 /// pair) so the fixed-point dynamic range never grows across levels.
 ///
-/// Batched data path: each lifting step's tap window is contiguous except
-/// at the periodic wrap, so interior windows are fetched with one block
-/// read, and output coefficients are staged and flushed in kWindowChunk
-/// blocks. The input must be a different buffer than approx/detail (the
-/// staging reorders reads relative to writes); the access trace — which
-/// addresses, how often — is unchanged.
+/// Batched data path: the input (n samples) is copied once and charged
+/// as the device reads it, window by window: window i reads the `taps`
+/// words from 2i on, with one block read when it fits kMaxTaps and does
+/// not wrap, and with a word get() per tap (index mod n) otherwise.
+/// Output coefficients are staged and flushed in kWindowChunk blocks, so
+/// the input must be a different buffer than approx/detail.
 template <SampleBuffer In, SampleBuffer OutA, SampleBuffer OutD>
 void dwt_level(const In& in, std::size_t n, const FixedBank& bank, OutA& approx,
                OutD& detail, std::size_t approx_off = 0,
                std::size_t detail_off = 0) {
   const std::size_t half = n / 2;
+  if (half == 0) return;
   const std::size_t taps = bank.lo.size();
   constexpr std::size_t kMaxTaps = 16;  // db4 uses 8
-  fixed::Sample window[kMaxTaps];
+  ReadPattern reads(n);
+  for (std::size_t i = 0; i < half; ++i) {
+    const std::size_t start = 2 * i;
+    if (taps <= kMaxTaps && start + taps <= n) {
+      reads.block(start, taps);
+    } else {
+      // Taps start, start + 1, ... mod n: whole laps over the input, then
+      // the rest from `start` on, wrapping to 0 at most once.
+      const std::size_t rest = taps % n;
+      const std::size_t before_wrap = std::min(rest, n - start);
+      reads.words(0, n, taps / n);
+      reads.words(start, before_wrap);
+      reads.words(0, rest - before_wrap);
+    }
+  }
+  // x[t] = in[t mod n] for t < n + taps: every window is contiguous in x.
+  fixed::SampleVec x(n + taps);
+  in.read_charged(0, std::span<fixed::Sample>(x.data(), n), reads);
+  for (std::size_t t = n; t < x.size(); ++t) x[t] = x[t - n];
+
   ChunkedWriter approx_out(approx, approx_off);
   ChunkedWriter detail_out(detail, detail_off);
   for (std::size_t i = 0; i < half; ++i) {
+    const fixed::Sample* const window = x.data() + 2 * i;
     std::int64_t acc_lo = 0;
     std::int64_t acc_hi = 0;
-    if (taps <= kMaxTaps && 2 * i + taps <= n) {
-      read_window(in, 2 * i, std::span<fixed::Sample>(window, taps));
-      for (std::size_t k = 0; k < taps; ++k) {
-        acc_lo += fixed::mul_q15(window[k], bank.lo[k]);
-        acc_hi += fixed::mul_q15(window[k], bank.hi[k]);
-      }
-    } else {
-      for (std::size_t k = 0; k < taps; ++k) {
-        const std::size_t src = (2 * i + k) % n;  // periodic extension
-        const fixed::Sample s = in.get(src);
-        acc_lo += fixed::mul_q15(s, bank.lo[k]);
-        acc_hi += fixed::mul_q15(s, bank.hi[k]);
-      }
+    for (std::size_t k = 0; k < taps; ++k) {
+      acc_lo += fixed::mul_q15(window[k], bank.lo[k]);
+      acc_hi += fixed::mul_q15(window[k], bank.hi[k]);
     }
     approx_out.push(fixed::narrow_q15(acc_lo));
     detail_out.push(fixed::narrow_q15(acc_hi));
@@ -126,35 +137,62 @@ std::vector<BandLayout> dwt_multi(const In& in, std::size_t n,
 
 namespace detail {
 
-/// The a-trous filtering core of swt_detail. Interior windows at
-/// hole == 1 are contiguous and fetched with one block read; outputs are
-/// staged and flushed in kWindowChunk blocks, so `in` and `out` must be
-/// distinct buffers. Access trace matches the scalar loop.
+/// The a-trous filtering core of swt_detail: out[i] is the sum over taps
+/// k of taps_q15[k] * in[reflect(i + k * hole - center)]. The input is
+/// copied once and charged as the device reads it, window by window: at
+/// hole == 1 a window inside [0, n) is one block read (when it fits
+/// kMaxTaps), and every other window reads each tap with a word get() at
+/// its reflected index. Outputs are staged and flushed in kWindowChunk
+/// blocks, so `in` and `out` must be distinct buffers.
 template <SampleBuffer In, SampleBuffer Out>
 void swt_filter(const In& in, std::size_t n, const TapVec& taps_q15,
                 std::size_t scale, Out& out) {
+  if (n == 0) return;
   const std::size_t hole = std::size_t{1} << (scale - 1);
   const std::size_t taps = taps_q15.size();
-  const long center = static_cast<long>((taps / 2) * hole);
+  const std::size_t center = (taps / 2) * hole;
+  const std::size_t reach = taps == 0 ? 0 : (taps - 1) * hole;  // last tap
   constexpr std::size_t kMaxTaps = 16;
-  fixed::Sample window[kMaxTaps];
+  // Windows [lo, hi) keep every tap inside [0, n); the others reflect.
+  const std::size_t lo = std::min(center, n);
+  const std::size_t hi =
+      std::max(lo, n + center > reach ? n + center - reach : 0);
+  const auto tap_index = [&](std::size_t i, std::size_t k) {
+    return reflect_index(
+        static_cast<long>(i + k * hole) - static_cast<long>(center), n);
+  };
+  ReadPattern reads(n);
+  if (hole == 1 && taps <= kMaxTaps) {
+    for (std::size_t i = lo; i < hi; ++i) reads.block(i - center, taps);
+  } else if (hi > lo) {
+    // Tap k of windows lo..hi-1 reads one contiguous run of words.
+    for (std::size_t k = 0; k < taps; ++k) {
+      reads.words(lo - center + k * hole, hi - lo);
+    }
+  }
+  const auto border = [&](std::size_t first, std::size_t last) {
+    for (std::size_t i = first; i < last; ++i) {
+      for (std::size_t k = 0; k < taps; ++k) reads.words(tap_index(i, k), 1);
+    }
+  };
+  border(0, lo);
+  border(hi, n);
+  // x[t] = in[reflect(t - center)] for t < n + reach: window i is the
+  // taps x[i], x[i + hole], ... of x. The input lands at x[center...],
+  // and the reflected ends are copied from there.
+  fixed::SampleVec x(n + reach);
+  fixed::Sample* const mid = x.data() + center;
+  in.read_charged(0, std::span<fixed::Sample>(mid, n), reads);
+  for (std::size_t t = 0; t < center; ++t) x[t] = mid[tap_index(t, 0)];
+  for (std::size_t t = center + n; t < x.size(); ++t) {
+    x[t] = mid[tap_index(t, 0)];
+  }
+
   ChunkedWriter staged(out, 0);
   for (std::size_t i = 0; i < n; ++i) {
     std::int64_t acc = 0;
-    const long start = static_cast<long>(i) - center;
-    if (hole == 1 && taps <= kMaxTaps && start >= 0 &&
-        static_cast<std::size_t>(start) + taps <= n) {
-      read_window(in, static_cast<std::size_t>(start),
-                  std::span<fixed::Sample>(window, taps));
-      for (std::size_t k = 0; k < taps; ++k) {
-        acc += fixed::mul_q15(window[k], taps_q15[k]);
-      }
-    } else {
-      for (std::size_t k = 0; k < taps; ++k) {
-        const long src = static_cast<long>(i) +
-                         static_cast<long>(k * hole) - center;
-        acc += fixed::mul_q15(in.get(reflect_index(src, n)), taps_q15[k]);
-      }
+    for (std::size_t k = 0; k < taps; ++k) {
+      acc += fixed::mul_q15(x[i + k * hole], taps_q15[k]);
     }
     staged.push(fixed::narrow_q15(acc));
   }

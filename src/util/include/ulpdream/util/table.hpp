@@ -40,6 +40,9 @@ class CsvWriter {
 /// (std::to_chars); the formatter machine-readable exports use.
 [[nodiscard]] std::string fmt_exact(double value);
 
+/// Appends fmt_exact(value) to `out`, with no string of its own.
+void append_exact(std::string& out, double value);
+
 /// Inverse of fmt_exact; throws std::invalid_argument on malformed input.
 [[nodiscard]] double parse_double_exact(const std::string& text);
 

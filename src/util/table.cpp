@@ -95,10 +95,16 @@ std::vector<std::vector<std::string>> parse_csv(std::istream& is) {
 }
 
 std::string fmt_exact(double value) {
+  std::string out;
+  append_exact(out, value);
+  return out;
+}
+
+void append_exact(std::string& out, double value) {
   char buf[64];
   const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
   if (ec != std::errc()) throw std::runtime_error("fmt_exact: to_chars");
-  return std::string(buf, ptr);
+  out.append(buf, ptr);
 }
 
 double parse_double_exact(const std::string& text) {

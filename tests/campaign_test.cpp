@@ -449,6 +449,37 @@ TEST(ResultStore, NonFiniteDoublesRoundTripThroughCsvAndJson) {
   write_rows_csv(csv, rows);
   check(read_rows_csv(csv));
 
+  // The CSV bytes themselves: the to_chars tokens verbatim, "*" for the
+  // marginalized voltage, and text cells quoted only when they hold a
+  // separator, a quote or a newline (quotes doubled).
+  AggregateRow quoted = row;
+  quoted.record = "nsr,7";
+  quoted.app = "say \"hi\"";
+  quoted.emt = "two\nlines";
+  quoted.voltage = 0.5;
+  quoted.n = 12;
+  quoted.snr_mean_db = -inf;
+  quoted.corrected_mean = 0.1 + 0.2;
+  std::stringstream both;
+  write_rows_csv(both, {row, quoted});
+  EXPECT_EQ(both.str(),
+            "record,app,emt,voltage,n,snr_mean_db,snr_stddev_db,snr_min_db,"
+            "snr_max_db,snr_p10_db,energy_mean_j,data_dynamic_j,"
+            "side_dynamic_j,codec_j,data_leak_j,side_leak_j,corrected_mean,"
+            "detected_mean\n"
+            "nsr_7,dwt,none,*,3,inf,nan,-inf,inf,inf,1.25e-06,0,0,0,0,0,0,0\n"
+            "\"nsr,7\",\"say \"\"hi\"\"\",\"two\nlines\",0.5,12,-inf,nan,-inf,"
+            "inf,inf,1.25e-06,0,0,0,0,0,0.30000000000000004,0\n");
+  const std::vector<AggregateRow> back = read_rows_csv(both);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[1].record, quoted.record);
+  EXPECT_EQ(back[1].app, quoted.app);
+  EXPECT_EQ(back[1].emt, quoted.emt);
+  EXPECT_EQ(back[1].voltage, 0.5);
+  EXPECT_EQ(back[1].n, 12u);
+  EXPECT_EQ(back[1].snr_mean_db, -inf);
+  EXPECT_EQ(back[1].corrected_mean, 0.1 + 0.2);
+
   std::stringstream json;
   write_rows_json(json, rows);
   const std::string text = json.str();

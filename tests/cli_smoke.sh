@@ -44,11 +44,11 @@ expect 2 '--shard' work --connect=unix:/tmp/nowhere.sock --shard=0/2
 # names its own.
 expect 2 '--apps' work --connect=unix:/tmp/nowhere.sock --apps=dwt
 expect 2 '--reps' daemon --listen=unix:/tmp/nowhere.sock \
-    --cache-dir=/nonexistent/cache --reps=3
+    --cache-dir=/dev/null/cache --reps=3
 # An idle worker polls every heartbeat; one that outlives the lease TTL
 # gets healthy workers dropped.
 expect 2 '--heartbeat-ms must be below --lease-ttl' daemon \
-    --listen=unix:/tmp/nowhere.sock --cache-dir=/nonexistent/cache \
+    --listen=unix:/tmp/nowhere.sock --cache-dir=/dev/null/cache \
     --lease-ttl=100 --heartbeat-ms=1000
 expect 2 'step' --step=0 --max-items=1
 expect 2 'repetitions' --reps=-1 --max-items=1
