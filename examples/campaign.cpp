@@ -191,14 +191,11 @@ Daemon (campaign daemon; see README "Daemon, workers and queries"):
                        departed workers' snapshots folded in) after the
                        graceful SIGTERM/SIGINT drain
 
-Worker (campaign work) — takes no grid axes; each lease names its grid:
+Worker (campaign work) — takes no grid axes; each lease names its grid,
+and the daemon re-leases the range of a worker that dies:
   --connect EP         daemon endpoint (required)
   --name NAME          worker label for logs and telemetry      [worker]
   --threads N          session pool workers; 0 = all hardware   [0]
-  --checkpoint-dir DIR local columnar checkpoints of the in-progress
-                       lease (crash forensics; the daemon re-leases
-                       regardless)
-  --checkpoint-every N checkpoint cadence in items (with --checkpoint-dir)
 
 Query client (campaign query) — grid-axis flags pick the grid, the
 daemon executes (or answers warm) and aggregates:
@@ -426,10 +423,7 @@ void run_merge_stores(const util::Cli& cli, const campaign::CampaignSpec& spec,
 
 /// `campaign work`: attach to a daemon and execute its leases.
 int run_work(const util::Cli& cli) {
-  enforce_flags(cli,
-                {"connect", "name", "threads", "checkpoint-dir",
-                 "checkpoint-every", "help"},
-                "work", false);
+  enforce_flags(cli, {"connect", "name", "threads", "help"}, "work", false);
   serve::Worker::Options options;
   options.connect = cli.get("connect", "");
   if (options.connect.empty()) {
@@ -438,8 +432,6 @@ int run_work(const util::Cli& cli) {
   }
   options.name = cli.get("name", "worker");
   options.threads = static_cast<unsigned>(count_flag(cli, "threads", 0));
-  options.checkpoint_dir = cli.get("checkpoint-dir", "");
-  options.checkpoint_every = count_flag(cli, "checkpoint-every", 0);
 
   serve::Worker worker(options);
   std::cerr << "[campaign] worker " << options.name << " connecting to "

@@ -82,8 +82,7 @@ int main(int argc, char** argv) {
   // 1. Register the technique — one call, from application code.
   core::emt_registry().register_factory(
       "tmr_msb", [] { return std::make_unique<TmrMsb>(); },
-      {"TMR on 2 MSBs",
-       "triplicates the two sign-run MSBs, majority-votes on decode",
+      {"triplicates the two sign-run MSBs, majority-votes on decode",
        {core::kCapCorrectsErrors, "custom"}});
 
   // The registries now enumerate it like any built-in — this is what a

@@ -13,6 +13,12 @@ same grid, which is exactly what CI asserts.
         --apps dwt --emts dream --vmin 0.6 --vmax 0.7 --step 0.05 \
         --reps 2 > rows.csv
 
+The wire carries component names only, so the axis shorthands the
+campaign CLI resolves are expanded here: `paper` (the default) for
+--apps and --emts, and `paper` / `all` for --pathologies. `all` for
+--apps or --emts needs the daemon's registries, which this client
+cannot see, and is a usage error.
+
 Exit codes mirror the campaign CLI: 0 success, 1 runtime/daemon error,
 2 usage error.
 """
@@ -37,6 +43,12 @@ CACHE_STATUS = {0: "cold", 1: "hit", 2: "gap-fill"}
 # Record-generation front-end defaults; must match campaign::CampaignSpec.
 FS_HZ = 250.0
 DURATION_S = 8.2
+
+# The shorthands of campaign::parse_{app,emt,pathology}_list, in the same
+# order.
+PAPER_APPS = "dwt,matrix_filter,cs,morph_filter,delineation"
+PAPER_EMTS = "none,dream,ecc_secded"
+ALL_PATHOLOGIES = "normal_sinus,bradycardia,tachycardia,pvc,afib,st_elevation"
 
 
 class Payload:
@@ -117,15 +129,32 @@ def group_mask(axes):
     return mask
 
 
+def split_list(value):
+    """The non-empty elements of a comma list (util::split_list)."""
+    return [item for item in value.split(",") if item]
+
+
+def axis_names(flag, value, shorthands):
+    """The names of one axis flag's comma list, shorthands expanded."""
+    if value in shorthands:
+        return shorthands[value].split(",")
+    if value == "all":
+        raise ValueError(
+            "--%s all needs the daemon's registry, which this client "
+            "cannot see; list the names" % flag
+        )
+    return split_list(value)
+
+
 def encode_query(args):
     p = Payload()
     p.u32(PROTOCOL_VERSION)
     # The spec block (serve::encode_spec field order).
-    apps = args.apps.split(",")
+    apps = axis_names("apps", args.apps, {"paper": PAPER_APPS})
     p.u32(len(apps))
     for a in apps:
         p.string(a)
-    emts = args.emts.split(",")
+    emts = axis_names("emts", args.emts, {"paper": PAPER_EMTS})
     p.u32(len(emts))
     for e in emts:
         p.string(e)
@@ -133,10 +162,15 @@ def encode_query(args):
     p.u32(len(voltages))
     for v in voltages:
         p.f64(v)
+    pathologies = axis_names(
+        "pathologies",
+        args.pathologies,
+        {"paper": ALL_PATHOLOGIES, "all": ALL_PATHOLOGIES},
+    )
     records = [
         (pathology, float(noise))
-        for noise in args.noise.split(",")
-        for pathology in args.pathologies.split(",")
+        for noise in split_list(args.noise)
+        for pathology in pathologies
     ]
     p.u32(len(records))
     for pathology, noise in records:

@@ -19,33 +19,27 @@ util::Registry<BioApp>& app_registry() {
     using core::kCapPaper;
     registry.register_factory(
         "dwt", [] { return std::make_unique<DwtApp>(); },
-        {"DWT compression",
-         "multi-level db4 wavelet transform of the ECG window",
+        {"multi-level db4 wavelet transform of the ECG window",
          {kCapPaper}});
     registry.register_factory(
         "matrix_filter", [] { return std::make_unique<MatrixFilterApp>(); },
-        {"Matrix FIR filter",
-         "band-pass FIR as dense matrix-vector products",
+        {"band-pass FIR as dense matrix-vector products",
          {kCapPaper}});
     registry.register_factory(
         "cs", [] { return std::make_unique<CsApp>(); },
-        {"Compressed sensing",
-         "Bernoulli sensing + OMP reconstruction (lossy transmit path)",
+        {"sparse binary sensing + OMP reconstruction (lossy transmit path)",
          {kCapPaper}});
     registry.register_factory(
         "morph_filter", [] { return std::make_unique<MorphFilterApp>(); },
-        {"Morphological filter",
-         "open/close baseline removal on the raw trace",
+        {"open/close baseline removal on the raw trace",
          {kCapPaper}});
     registry.register_factory(
         "delineation", [] { return std::make_unique<DelineationApp>(); },
-        {"Wavelet delineation",
-         "P/Q/R/S/T fiducial detection on the SWT envelope",
+        {"P/Q/R/S/T fiducial detection on the SWT envelope",
          {kCapPaper}});
     registry.register_factory(
         "heartbeat_classifier", [] { return std::make_unique<ClassifierApp>(); },
-        {"Heartbeat classifier",
-         "delineation + rule-based early classification (extension)",
+        {"delineation + rule-based early classification (extension)",
          {kCapExtendedTier}});
     return true;
   }();

@@ -155,9 +155,6 @@ class ResultStore {
     return std::span<const Sample>(samples_)
         .subspan(slot * per_item(), per_item());
   }
-  [[nodiscard]] std::span<const double> max_snr_values() const noexcept {
-    return max_snr_;
-  }
 
  private:
   static constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);

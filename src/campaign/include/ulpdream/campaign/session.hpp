@@ -7,8 +7,8 @@
 // item draws one fault map at BER(V) from its own RNG stream and shares
 // it across every (app, EMT) pair — the paper's Sec. V fairness
 // protocol. submit() returns a CampaignHandle — a future-like job handle
-// with wait()/try_result(), live progress (items done, per-worker
-// throughput), cooperative item-granular cancellation, an observer that
+// with wait()/take(), live progress (items done, throughput),
+// cooperative item-granular cancellation, an observer that
 // streams each completed WorkItem's samples as it lands, and periodic
 // ResultStore checkpoint snapshots that a later submit(spec,
 // resume_from=...) completes by running only the missing items.
@@ -24,7 +24,7 @@
 //   campaign::Session session;                   // one pool, many jobs
 //   auto a = session.submit(spec_a);
 //   auto b = session.submit(spec_b, opts);       // runs interleaved
-//   while (!a.try_result()) { report(a.progress()); ... }
+//   while (!a.progress().finished) { report(a.progress()); ... }
 //   ResultStore done = b.wait();
 
 #include <cstddef>
@@ -32,7 +32,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <vector>
 
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/spec.hpp"
@@ -62,7 +61,6 @@ struct Progress {
   std::size_t items_done = 0;     ///< recorded in the store (incl. resumed)
   std::size_t items_total = 0;    ///< items in this submission's shard slice
   std::size_t items_resumed = 0;  ///< satisfied by the resume store
-  double elapsed_s = 0.0;         ///< wall time since submit
   /// Executed items per second of elapsed time (resumed items excluded);
   /// 0 until the first item lands.
   double items_per_second = 0.0;
@@ -71,8 +69,6 @@ struct Progress {
   /// lifetime average is dragged by the pre-restart gap. Falls back to
   /// items_per_second until the first smoothing window (0.5 s) closes.
   double items_per_second_ewma = 0.0;
-  /// Items executed by each pool worker — the per-worker throughput view.
-  std::vector<std::size_t> per_worker_items;
   bool cancelled = false;
   bool finished = false;
 
@@ -86,7 +82,7 @@ struct Progress {
 /// threads, serialized by the job's lock (never concurrently). on_item
 /// receives the job's own handle — calling handle.cancel() there is the
 /// idiomatic, race-free "stop after N items" — but callbacks must not
-/// block on the handle (wait()/try_result()).
+/// block on the handle (wait()/take()).
 /// A contiguous slice [begin, end) of the canonical item expansion — the
 /// unit of distributed work leasing (serve::Daemon grants these).
 struct ItemRange {
@@ -139,8 +135,6 @@ class CampaignHandle {
   /// the CLI). One-shot: afterwards the handle's store is empty
   /// (progress counters remain).
   [[nodiscard]] ResultStore take() const;
-  /// Non-blocking wait(): empty until the job has finished.
-  [[nodiscard]] std::optional<ResultStore> try_result() const;
   [[nodiscard]] Progress progress() const;
   /// Cooperative and item-granular: items already executing finish and
   /// are recorded; unclaimed items never start. Idempotent.

@@ -356,32 +356,13 @@ std::vector<AggregateRow> read_rows_csv(std::istream& is) {
 // JSON export of the flat document {"rows": [{<string|number|null
 // fields>}, ...]}. Nothing reads it back.
 
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default: os << ch; break;
-    }
-  }
-  os << '"';
-}
-
-}  // namespace
-
 void write_rows_json(std::ostream& os, const std::vector<AggregateRow>& rows) {
   auto num = [&](const char* key, double v, bool last = false) {
     os << '"' << key << "\":";
     if (std::isnan(v)) {
       os << "null";
     } else if (std::isinf(v)) {
-      // Bare inf is not JSON; encode as a string the reader maps back.
+      // Bare inf is not JSON, so it is written as the string "inf".
       os << (v > 0 ? "\"inf\"" : "\"-inf\"");
     } else {
       os << util::fmt_exact(v);
@@ -394,11 +375,11 @@ void write_rows_json(std::ostream& os, const std::vector<AggregateRow>& rows) {
     if (i) os << ',';
     os << "\n{";
     os << "\"record\":";
-    json_escape(os, r.record);
+    util::json_escape(os, r.record);
     os << ",\"app\":";
-    json_escape(os, r.app);
+    util::json_escape(os, r.app);
     os << ",\"emt\":";
-    json_escape(os, r.emt);
+    util::json_escape(os, r.emt);
     os << ',';
     num("voltage", r.voltage);
     os << "\"n\":" << r.n << ',';

@@ -190,24 +190,16 @@ ResultStore CampaignHandle::take() const {
   return out;
 }
 
-std::optional<ResultStore> CampaignHandle::try_result() const {
-  detail::CampaignJob& job = checked(job_);
-  if (!job.pool_job->finished()) return std::nullopt;
-  return wait();
-}
-
 Progress CampaignHandle::progress() const {
   detail::CampaignJob& job = checked(job_);
   Progress p;
   p.items_total = job.shard_total;
   p.items_resumed = job.resumed;
-  p.per_worker_items = job.pool_job->done_per_worker();
   p.cancelled = job.pool_job->cancelled();
   p.finished = job.pool_job->finished();
   const auto now = detail::Clock::now();
   const std::lock_guard lock(job.mutex);
   p.items_done = job.resumed + job.executed;
-  p.elapsed_s = std::chrono::duration<double>(now - job.start).count();
   const double run_s =
       std::chrono::duration<double>(job.last_item - job.start).count();
   p.items_per_second =

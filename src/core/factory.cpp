@@ -14,23 +14,19 @@ util::Registry<Emt>& emt_registry() {
   static const bool built_ins = [] {
     registry.register_factory(
         "none", [] { return std::make_unique<NoProtection>(); },
-        {"No protection",
-         "raw 16-bit samples in the scaled memory (paper baseline)",
+        {"raw 16-bit samples in the scaled memory (paper baseline)",
          {kCapPaper}});
     registry.register_factory(
         "dream", [] { return std::make_unique<Dream>(); },
-        {"DREAM",
-         "sign + run-length mask in error-free side memory, forces MSBs",
+        {"sign + run-length mask in error-free side memory, forces MSBs",
          {kCapPaper, kCapCorrectsErrors, kCapSideMemory}});
     registry.register_factory(
         "ecc_secded", [] { return std::make_unique<EccSecDed>(); },
-        {"ECC SEC/DED",
-         "extended Hamming(22,16): corrects 1, detects 2 errors per word",
+        {"extended Hamming(22,16): corrects 1, detects 2 errors per word",
          {kCapPaper, kCapCorrectsErrors, kCapDetectsErrors}});
     registry.register_factory(
         "dream_secded", [] { return std::make_unique<DreamSecDed>(); },
-        {"DREAM + SEC/DED",
-         "hybrid multi-error EMT for < 0.55 V operation (extension)",
+        {"hybrid multi-error EMT for < 0.55 V operation (extension)",
          {kCapExtendedTier, kCapCorrectsErrors, kCapDetectsErrors,
           kCapSideMemory}});
     return true;

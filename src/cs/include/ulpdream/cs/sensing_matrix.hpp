@@ -14,14 +14,6 @@
 
 namespace ulpdream::cs {
 
-/// Sparse binary Phi of size m x n with exactly `ones_per_column` ones per
-/// column (placed uniformly without replacement), entries scaled by
-/// 1/sqrt(ones_per_column) so columns have unit norm.
-[[nodiscard]] linalg::Matrix sparse_binary_matrix(std::size_t m,
-                                                  std::size_t n,
-                                                  int ones_per_column,
-                                                  std::uint64_t seed);
-
 /// Dense Bernoulli +/- 1/sqrt(m) matrix.
 [[nodiscard]] linalg::Matrix bernoulli_matrix(std::size_t m, std::size_t n,
                                               std::uint64_t seed);

@@ -6,30 +6,6 @@
 
 namespace ulpdream::cs {
 
-linalg::Matrix sparse_binary_matrix(std::size_t m, std::size_t n,
-                                    int ones_per_column, std::uint64_t seed) {
-  if (ones_per_column <= 0 ||
-      static_cast<std::size_t>(ones_per_column) > m) {
-    throw std::invalid_argument("sparse_binary_matrix: bad ones_per_column");
-  }
-  util::Xoshiro256 rng(seed);
-  linalg::Matrix phi(m, n);
-  const double value = 1.0 / std::sqrt(static_cast<double>(ones_per_column));
-  std::vector<std::size_t> rows(m);
-  for (std::size_t c = 0; c < n; ++c) {
-    // Partial Fisher-Yates to pick `ones_per_column` distinct rows.
-    for (std::size_t i = 0; i < m; ++i) rows[i] = i;
-    for (int k = 0; k < ones_per_column; ++k) {
-      const std::size_t j =
-          static_cast<std::size_t>(k) +
-          static_cast<std::size_t>(rng.bounded(m - static_cast<std::size_t>(k)));
-      std::swap(rows[static_cast<std::size_t>(k)], rows[j]);
-      phi.at(rows[static_cast<std::size_t>(k)], c) = value;
-    }
-  }
-  return phi;
-}
-
 linalg::Matrix SparsePhi::to_dense() const {
   linalg::Matrix phi(m, n);
   const double value = 1.0 / static_cast<double>(d);

@@ -57,7 +57,5 @@ class Matrix {
 [[nodiscard]] double dot(const std::vector<double>& a,
                          const std::vector<double>& b);
 [[nodiscard]] double norm2(const std::vector<double>& v);
-/// a += s * b
-void axpy(double s, const std::vector<double>& b, std::vector<double>& a);
 
 }  // namespace ulpdream::linalg

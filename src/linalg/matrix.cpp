@@ -109,9 +109,4 @@ double dot(const std::vector<double>& a, const std::vector<double>& b) {
 
 double norm2(const std::vector<double>& v) { return std::sqrt(dot(v, v)); }
 
-void axpy(double s, const std::vector<double>& b, std::vector<double>& a) {
-  if (a.size() != b.size()) throw std::invalid_argument("axpy: size mismatch");
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] += s * b[i];
-}
-
 }  // namespace ulpdream::linalg

@@ -39,13 +39,11 @@ util::Registry<BerModel>& ber_model_registry() {
   static const bool built_ins = [] {
     registry.register_factory(
         "log-linear", [] { return std::make_unique<LogLinearBerModel>(); },
-        {"Log-linear BER(V)",
-         "log10(BER) linear in V, calibrated to the 0.5-0.9 V window",
+        {"log10(BER) linear in V, calibrated to the 0.5-0.9 V window",
          {util::kCapPaper}});
     registry.register_factory(
         "probit", [] { return std::make_unique<ProbitBerModel>(); },
-        {"Probit BER(V)",
-         "erfc cell-failure model from Gaussian Vth variation (D2 ablation)",
+        {"erfc cell-failure model from Gaussian Vth variation (D2 ablation)",
          {util::kCapExtendedTier}});
     return true;
   }();

@@ -132,13 +132,4 @@ std::size_t FaultMap::fault_count() const noexcept {
   return count;
 }
 
-std::size_t FaultMap::words_with_at_least(int k) const noexcept {
-  if (k <= 0) return words_;  // clean words trivially have >= 0 faults
-  std::size_t count = 0;
-  for (const auto& wf : faults_) {
-    if (std::popcount(wf.mask) >= k) ++count;
-  }
-  return count;
-}
-
 }  // namespace ulpdream::mem

@@ -117,10 +117,6 @@ class FaultMap {
   /// Total number of stuck cells in the map.
   [[nodiscard]] std::size_t fault_count() const noexcept;
 
-  /// Number of words with at least `k` stuck cells (diagnostic used to
-  /// predict where ECC SEC/DED starts failing).
-  [[nodiscard]] std::size_t words_with_at_least(int k) const noexcept;
-
  private:
   /// Recomputes coarse_ and chunk_start_ from the sorted index_.
   void rebuild_accelerators();

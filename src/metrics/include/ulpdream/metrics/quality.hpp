@@ -6,8 +6,6 @@
 
 #include <vector>
 
-#include "ulpdream/fixed/sample.hpp"
-
 namespace ulpdream::metrics {
 
 /// SNR value used when the corrupted output is bit-identical to the
@@ -25,24 +23,5 @@ inline constexpr double kSnrCeilingDb = 120.0;
 /// non-zero error (degenerate but must not NaN).
 [[nodiscard]] double snr_db(const std::vector<double>& theo,
                             const std::vector<double>& exp);
-
-/// Convenience overloads on 16-bit sample buffers.
-[[nodiscard]] double mse(const fixed::SampleVec& theo,
-                         const fixed::SampleVec& exp);
-[[nodiscard]] double snr_db(const fixed::SampleVec& theo,
-                            const fixed::SampleVec& exp);
-
-/// Root-mean-square of a vector.
-[[nodiscard]] double rms(const std::vector<double>& v);
-
-/// Percentage root-mean-square difference — the standard ECG compression
-/// quality metric (used by the CS literature the paper builds on).
-/// PRD = 100 * ||theo - exp|| / ||theo||.
-[[nodiscard]] double prd_percent(const std::vector<double>& theo,
-                                 const std::vector<double>& exp);
-
-/// Peak SNR over the 16-bit code space (auxiliary diagnostic).
-[[nodiscard]] double psnr_db(const std::vector<double>& theo,
-                             const std::vector<double>& exp);
 
 }  // namespace ulpdream::metrics

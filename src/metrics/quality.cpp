@@ -38,41 +38,4 @@ double snr_db(const std::vector<double>& theo,
   return snr;
 }
 
-double mse(const fixed::SampleVec& theo, const fixed::SampleVec& exp) {
-  return mse(fixed::to_doubles(theo), fixed::to_doubles(exp));
-}
-
-double snr_db(const fixed::SampleVec& theo, const fixed::SampleVec& exp) {
-  return snr_db(fixed::to_doubles(theo), fixed::to_doubles(exp));
-}
-
-double rms(const std::vector<double>& v) {
-  if (v.empty()) return 0.0;
-  double acc = 0.0;
-  for (double x : v) acc += x * x;
-  return std::sqrt(acc / static_cast<double>(v.size()));
-}
-
-double prd_percent(const std::vector<double>& theo,
-                   const std::vector<double>& exp) {
-  check_sizes(theo.size(), exp.size());
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 0; i < theo.size(); ++i) {
-    const double d = theo[i] - exp[i];
-    num += d * d;
-    den += theo[i] * theo[i];
-  }
-  if (den <= 0.0) return num > 0.0 ? 100.0 * 1e6 : 0.0;
-  return 100.0 * std::sqrt(num / den);
-}
-
-double psnr_db(const std::vector<double>& theo,
-               const std::vector<double>& exp) {
-  const double err = mse(theo, exp);
-  if (err <= 0.0) return kSnrCeilingDb;
-  const double peak = 32767.0;
-  return 20.0 * std::log10(peak / std::sqrt(err));
-}
-
 }  // namespace ulpdream::metrics

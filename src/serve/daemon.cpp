@@ -223,7 +223,7 @@ void Daemon::reap_finished() {
 void Daemon::handle_connection(Conn& conn) {
   try {
     util::Frame frame;
-    if (receive(conn.socket, frame, options_.max_frame_bytes)) {
+    if (receive(conn.socket, frame)) {
       if (frame.type == static_cast<std::uint32_t>(MsgType::kHello)) {
         serve_worker(conn, frame);
       } else {
@@ -268,6 +268,11 @@ void Daemon::serve_client(Conn& conn, util::Frame& frame) {
         // that cannot frame a Query will not frame the next one either.
         fail(e.what());
         break;
+      } catch (const std::invalid_argument& e) {
+        // A well-framed Query naming a value outside its domain (e.g. a
+        // record pathology "all"): answer why and keep the connection.
+        fail(e.what());
+        continue;
       }
       if (query.version != kProtocolVersion) {
         fail("protocol version mismatch: daemon speaks " +
@@ -288,7 +293,7 @@ void Daemon::serve_client(Conn& conn, util::Frame& frame) {
       }
       conn.busy.store(false);
       if (stopping_.load()) break;
-    } while (receive(conn.socket, frame, options_.max_frame_bytes));
+    } while (receive(conn.socket, frame));
   } catch (const std::exception& e) {
     util::log_warn("serve: client ", conn.socket.peer(), ": ", e.what());
   }
@@ -330,7 +335,7 @@ void Daemon::serve_worker(Conn& conn, const util::Frame& hello_frame) {
     send(conn.socket, HelloOk{options_.heartbeat_ms});
     util::Frame frame;
     bool open = true;
-    while (open && receive(conn.socket, frame, options_.max_frame_bytes)) {
+    while (open && receive(conn.socket, frame)) {
       switch (static_cast<MsgType>(frame.type)) {
         case MsgType::kLeaseRequest:
           grant_lease(conn.socket, owner);

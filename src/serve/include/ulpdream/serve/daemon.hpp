@@ -61,7 +61,6 @@ class Daemon {
     std::string cache_dir;
     std::uint64_t cache_budget_bytes = std::uint64_t(256) << 20;
     unsigned threads = 0;  ///< session pool size; 0 = hardware_concurrency
-    std::size_t max_frame_bytes = kMaxFrameBytes;
     /// Cadence of Progress frames (and lease expiry) while a query
     /// executes.
     std::size_t progress_every_ms = 250;

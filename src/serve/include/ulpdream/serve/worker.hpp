@@ -6,9 +6,7 @@
 // stopping. While a lease executes, the worker heartbeats from its main
 // thread (the Session's pool does the computing) so a healthy-but-slow
 // worker is never mistaken for a dead one; while idle, it polls at the
-// daemon's heartbeat cadence. With checkpoint_dir set, the in-progress
-// lease store is also checkpointed locally (forensics only: the daemon
-// re-leases a dead worker's range regardless).
+// daemon's heartbeat cadence. A dead worker's range is simply re-leased.
 //
 // Every item's RNG stream is keyed on (spec.seed, item.index) only, so
 // the union of any lease split is bit-identical to the single-process
@@ -30,11 +28,6 @@ class Worker {
     std::string name = "worker";
     /// Session threads (0 = hardware concurrency).
     unsigned threads = 0;
-    /// Periodic local checkpoints of the in-progress lease store (empty =
-    /// off). Files land as <dir>/<name>_lease_<id>.ulpdcol.
-    std::string checkpoint_dir;
-    /// Checkpoint cadence in items (only with checkpoint_dir).
-    std::size_t checkpoint_every = 0;
   };
 
   struct Report {

@@ -1,5 +1,7 @@
 #include "ulpdream/serve/protocol.hpp"
 
+#include <stdexcept>
+
 #include "ulpdream/ecg/generator.hpp"
 #include "ulpdream/util/telemetry.hpp"
 
@@ -136,6 +138,12 @@ campaign::CampaignSpec decode_spec(util::PayloadReader& r) {
     campaign::RecordAxis axis;
     const std::string pathology = r.get_string("pathology");
     axis.pathology = campaign::parse_pathology_list(pathology).front();
+    // One record, one pathology: a list or paper/all is rejected.
+    if (pathology != ecg::pathology_name(axis.pathology)) {
+      throw std::invalid_argument(
+          "record pathology must be one pathology name, got '" + pathology +
+          "'");
+    }
     axis.noise_scale = r.get_f64("noise_scale");
     axis.seed = r.get_u64("record_seed");
     spec.records.push_back(axis);
@@ -348,7 +356,13 @@ Query decode_query(const util::Frame& frame, const std::string& peer) {
 Result decode_result(const util::Frame& frame, const std::string& peer) {
   PayloadReader r = open(frame, peer, MsgType::kResult);
   Result m;
-  m.status = static_cast<CacheStatus>(r.get_u8("status"));
+  const std::uint8_t status = r.get_u8("status");
+  if (status > static_cast<std::uint8_t>(CacheStatus::kGapFill)) {
+    throw ProtocolError(peer, "malformed Result: field 'status' is " +
+                                  std::to_string(status) +
+                                  ", not a cache status (0-2)");
+  }
+  m.status = static_cast<CacheStatus>(status);
   m.items_total = r.get_u64("items_total");
   m.items_executed = r.get_u64("items_executed");
   m.store_bytes = r.get_blob("store_bytes");

@@ -93,18 +93,6 @@ Worker::Report Worker::run() {
     submit.item_range = campaign::ItemRange{
         static_cast<std::size_t>(grant.begin),
         static_cast<std::size_t>(grant.end)};
-    std::string checkpoint_path;
-    if (!options_.checkpoint_dir.empty() && options_.checkpoint_every > 0) {
-      std::filesystem::create_directories(options_.checkpoint_dir);
-      checkpoint_path = options_.checkpoint_dir + "/" + options_.name +
-                        "_lease_" + std::to_string(grant.lease_id) +
-                        ".ulpdcol";
-      submit.checkpoint_every = options_.checkpoint_every;
-      submit.on_checkpoint = [checkpoint_path](
-                                 const campaign::ResultStore& store) {
-        store.save_columnar(checkpoint_path);
-      };
-    }
     auto handle = session.submit(grant.spec, std::move(submit));
 
     // The pool computes; this thread keeps the lease alive. Renew at
@@ -131,7 +119,6 @@ Worker::Report Worker::run() {
       throw util::SocketError(peer, "daemon closed before ack");
     }
     (void)decode_result_ack(frame, peer);
-    if (!checkpoint_path.empty()) std::filesystem::remove(checkpoint_path);
 
     ++report.leases_completed;
     report.items_executed += static_cast<std::size_t>(grant.end - grant.begin);

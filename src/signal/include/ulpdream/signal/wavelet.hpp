@@ -14,9 +14,30 @@
 #include "ulpdream/fixed/fixed_point.hpp"
 #include "ulpdream/fixed/sample.hpp"
 #include "ulpdream/signal/buffer.hpp"
-#include "ulpdream/signal/fir.hpp"
 
 namespace ulpdream::signal {
+
+/// Q1.15 coefficient taps.
+using TapVec = std::vector<fixed::Q15>;
+
+/// Quantizes double taps to Q1.15, scaling them down only when the
+/// largest magnitude reaches 1. Gains above 1 are fine: the kernels
+/// accumulate in 64 bits and saturate on narrowing.
+[[nodiscard]] TapVec quantize_taps(const std::vector<double>& taps);
+
+/// Symmetric-extension index mapping: reflects i into [0, n).
+[[nodiscard]] constexpr std::size_t reflect_index(long i, std::size_t n) {
+  const long len = static_cast<long>(n);
+  if (len <= 1) return 0;
+  long idx = i;
+  // Mirror without repeating the edge sample (whole-point symmetry),
+  // applied iteratively for far out-of-range indices.
+  while (idx < 0 || idx >= len) {
+    if (idx < 0) idx = -idx;
+    if (idx >= len) idx = 2 * (len - 1) - idx;
+  }
+  return static_cast<std::size_t>(idx);
+}
 
 enum class WaveletFamily { kHaar, kDb2, kDb4 };
 

@@ -1,10 +1,21 @@
 #include "ulpdream/signal/wavelet.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 
 namespace ulpdream::signal {
+
+TapVec quantize_taps(const std::vector<double>& taps) {
+  double max_abs = 0.0;
+  for (double t : taps) max_abs = std::max(max_abs, std::fabs(t));
+  const double scale = max_abs >= 1.0 ? 0.999 / max_abs : 1.0;
+  TapVec out;
+  out.reserve(taps.size());
+  for (double t : taps) out.push_back(fixed::Q15::from_double(t * scale));
+  return out;
+}
 
 namespace {
 

@@ -78,10 +78,4 @@ std::int64_t Cli::get_int(const std::string& key, std::int64_t def) const {
              : parse_flag_value<std::int64_t>(key, it->second, "an integer");
 }
 
-bool Cli::get_bool(const std::string& key, bool def) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) return def;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
-}
-
 }  // namespace ulpdream::util

@@ -27,7 +27,6 @@ class Cli {
   [[nodiscard]] double get_double(const std::string& key, double def) const;
   [[nodiscard]] std::int64_t get_int(const std::string& key,
                                      std::int64_t def) const;
-  [[nodiscard]] bool get_bool(const std::string& key, bool def) const;
 
   /// Positional (non --key) arguments in order.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {

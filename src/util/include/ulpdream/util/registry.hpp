@@ -6,8 +6,8 @@
 // every layer: campaign specs, CLIs and the Scenario facade. The name is
 // a component's only identity. Descriptors carry the metadata a CLI or
 // bench needs to enumerate and validate components *without*
-// instantiating them: a display name, a one-line doc string and
-// capability labels (e.g. "corrects-errors", "paper", "extended-tier").
+// instantiating them: a one-line doc string and capability labels (e.g.
+// "corrects-errors", "paper", "extended-tier").
 //
 // Registration and lookup are thread-safe (mutex-guarded map); factories
 // are invoked outside the lock so a factory may itself consult the
@@ -38,8 +38,7 @@ inline constexpr const char* kCapSideMemory = "side-memory";
 
 /// Metadata registered alongside a component factory.
 struct Descriptor {
-  std::string display_name;  ///< human-facing name, e.g. "ECC SEC/DED"
-  std::string doc;           ///< one-line description for --list output
+  std::string doc;  ///< one-line description for --list output
   std::vector<std::string> capabilities;  ///< e.g. "paper", "corrects-errors"
 
   [[nodiscard]] bool has_capability(std::string_view cap) const {
@@ -61,11 +60,18 @@ class Registry {
   Registry& operator=(const Registry&) = delete;
 
   /// Registers `factory` under `name`. Throws std::invalid_argument on an
-  /// empty name, a null factory or a name that is already registered.
+  /// empty name, a name holding whitespace, ',' or '|' (the separators of
+  /// CLI lists and of CampaignSpec::fingerprint(), so {"a b"} and
+  /// {"a", "b"} could not be told apart), a null factory or a name that
+  /// is already registered.
   void register_factory(const std::string& name, Factory factory,
                         Descriptor desc = {}) {
     if (name.empty()) {
       throw std::invalid_argument(noun_ + " registration: empty name");
+    }
+    if (name.find_first_of(" \t\n\v\f\r,|") != std::string::npos) {
+      throw std::invalid_argument(noun_ + " registration: name '" + name +
+                                  "' contains whitespace, ',' or '|'");
     }
     if (!factory) {
       throw std::invalid_argument(noun_ + " registration: null factory for '" +

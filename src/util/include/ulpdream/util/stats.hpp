@@ -19,8 +19,6 @@ class RunningStats {
   [[nodiscard]] double stddev() const noexcept;
   [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
-  /// Standard error of the mean.
-  [[nodiscard]] double sem() const noexcept;
 
   void merge(const RunningStats& other) noexcept;
 
@@ -44,29 +42,6 @@ class QuantileSketch {
  private:
   mutable std::vector<double> samples_;
   mutable bool sorted_ = false;
-};
-
-/// Simple fixed-width histogram for distribution reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x) noexcept;
-  [[nodiscard]] std::size_t bin_count(std::size_t i) const;
-  [[nodiscard]] std::size_t bins() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t total() const noexcept { return total_; }
-  [[nodiscard]] std::size_t underflow() const noexcept { return underflow_; }
-  [[nodiscard]] std::size_t overflow() const noexcept { return overflow_; }
-  [[nodiscard]] double bin_lo(std::size_t i) const noexcept;
-  [[nodiscard]] double bin_hi(std::size_t i) const noexcept;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
 };
 
 }  // namespace ulpdream::util

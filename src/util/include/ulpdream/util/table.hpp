@@ -30,6 +30,10 @@ class CsvWriter {
   std::ostream& os_;
 };
 
+/// Writes `s` as a JSON string: quoted, with '"', '\\', newline, tab and
+/// carriage return escaped and every other byte as is.
+void json_escape(std::ostream& os, const std::string& s);
+
 /// Parses CSV as produced by CsvWriter: quoted cells, doubled quotes,
 /// embedded separators/newlines inside quotes. Returns one vector of
 /// cells per row; a trailing newline does not produce an empty row.
@@ -61,9 +65,6 @@ class Table {
 
   void add_row(std::vector<std::string> row);
 
-  /// Convenience: formats doubles with the given precision.
-  void add_row_numeric(const std::vector<double>& row, int precision = 3);
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_.size(); }
   [[nodiscard]] std::size_t cols() const noexcept { return header_.size(); }
 
@@ -87,8 +88,5 @@ class Table {
 
 /// Formats a double with fixed precision (helper used across benches).
 [[nodiscard]] std::string fmt(double value, int precision = 3);
-
-/// Formats a value in engineering style with a unit (e.g. "12.3 pJ").
-[[nodiscard]] std::string fmt_eng(double value, const std::string& unit);
 
 }  // namespace ulpdream::util

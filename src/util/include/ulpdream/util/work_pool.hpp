@@ -87,25 +87,17 @@ class WorkPool::Job {
   [[nodiscard]] std::size_t total() const noexcept { return count_; }
   /// Indices fully executed so far.
   [[nodiscard]] std::size_t done() const;
-  /// done(), broken down by pool worker — the throughput view.
-  [[nodiscard]] std::vector<std::size_t> done_per_worker() const;
 
  private:
   friend class WorkPool;
   Job(std::shared_ptr<State> state, std::size_t count, WorkerFactory factory);
 
-  /// Per-(job, worker) slot. `fn` is created and used only by the owning
-  /// worker thread; `done` is guarded by the pool mutex.
-  struct Slot {
-    WorkerFn fn;
-    std::size_t done = 0;
-  };
-
   std::shared_ptr<State> state_;
   const std::size_t count_;
-  // All remaining fields are guarded by State::mutex.
+  // All remaining fields are guarded by State::mutex, except that each
+  // worker creates and uses its own entry of `fns_` (one per pool worker).
   WorkerFactory factory_;
-  std::vector<Slot> slots_;
+  std::vector<WorkerFn> fns_;
   std::size_t next_ = 0;       ///< first unclaimed index
   std::size_t in_flight_ = 0;  ///< claimed, still executing
   std::size_t done_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 namespace ulpdream::util {
 
@@ -25,11 +24,6 @@ double RunningStats::variance() const noexcept {
 }
 
 double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double RunningStats::sem() const noexcept {
-  if (n_ < 2) return 0.0;
-  return stddev() / std::sqrt(static_cast<double>(n_));
-}
 
 void RunningStats::merge(const RunningStats& other) noexcept {
   if (other.n_ == 0) return;
@@ -60,41 +54,6 @@ double QuantileSketch::quantile(double q) const {
   const double frac = pos - static_cast<double>(lo);
   if (lo + 1 >= samples_.size()) return samples_.back();
   return samples_[lo] * (1.0 - frac) + samples_[lo + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram: need hi > lo and bins > 0");
-  }
-}
-
-void Histogram::add(double x) noexcept {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<std::size_t>((x - lo_) / width);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;
-  ++counts_[idx];
-}
-
-std::size_t Histogram::bin_count(std::size_t i) const { return counts_.at(i); }
-
-double Histogram::bin_lo(std::size_t i) const noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const noexcept {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i + 1);
 }
 
 }  // namespace ulpdream::util

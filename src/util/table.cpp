@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cmath>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -36,6 +35,21 @@ std::string CsvWriter::escape(const std::string& cell) {
   }
   out.push_back('"');
   return out;
+}
+
+void json_escape(std::ostream& os, const std::string& s) {
+  os << '"';
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': os << "\\\""; break;
+      case '\\': os << "\\\\"; break;
+      case '\n': os << "\\n"; break;
+      case '\t': os << "\\t"; break;
+      case '\r': os << "\\r"; break;
+      default: os << ch; break;
+    }
+  }
+  os << '"';
 }
 
 std::vector<std::vector<std::string>> parse_csv(std::istream& is) {
@@ -144,13 +158,6 @@ void Table::add_row(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void Table::add_row_numeric(const std::vector<double>& row, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(row.size());
-  for (double v : row) cells.push_back(fmt(v, precision));
-  add_row(std::move(cells));
-}
-
 void Table::print(std::ostream& os) const { os << to_string(); }
 
 std::string Table::to_string() const {
@@ -201,25 +208,6 @@ std::string fmt(double value, int precision) {
   os.precision(precision);
   os << value;
   return os.str();
-}
-
-std::string fmt_eng(double value, const std::string& unit) {
-  static const struct {
-    double scale;
-    const char* prefix;
-  } kScales[] = {{1e12, "T"}, {1e9, "G"}, {1e6, "M"},  {1e3, "k"},
-                 {1.0, ""},   {1e-3, "m"}, {1e-6, "u"}, {1e-9, "n"},
-                 {1e-12, "p"}, {1e-15, "f"}};
-  const double mag = std::fabs(value);
-  for (const auto& s : kScales) {
-    if (mag >= s.scale || (s.scale == 1e-15 && mag > 0.0)) {
-      std::ostringstream os;
-      os.precision(3);
-      os << value / s.scale << ' ' << s.prefix << unit;
-      return os.str();
-    }
-  }
-  return "0 " + unit;
 }
 
 }  // namespace ulpdream::util

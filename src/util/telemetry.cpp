@@ -324,21 +324,6 @@ void set_hot_timing(bool on) noexcept {
 
 namespace {
 
-void json_escape(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default: os << ch; break;
-    }
-  }
-  os << '"';
-}
-
 struct JsonParser {
   const std::string& text;
   std::size_t pos = 0;

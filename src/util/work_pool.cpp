@@ -52,7 +52,7 @@ struct WorkPool::State {
     }
     job->finished_ = true;
     job->factory_ = nullptr;
-    for (Job::Slot& slot : job->slots_) slot.fn = nullptr;
+    for (WorkerFn& fn : job->fns_) fn = nullptr;
     jobs.erase(std::remove(jobs.begin(), jobs.end(), job), jobs.end());
     queue_depth().set(static_cast<double>(jobs.size()));
     done_cv.notify_all();
@@ -79,7 +79,7 @@ WorkPool::Job::Job(std::shared_ptr<State> state, std::size_t count,
     : state_(std::move(state)),
       count_(count),
       factory_(std::move(factory)),
-      slots_(state_->threads) {}
+      fns_(state_->threads) {}
 
 void WorkPool::Job::wait() {
   std::unique_lock lock(state_->mutex);
@@ -126,14 +126,6 @@ bool WorkPool::Job::cancelled() const {
 std::size_t WorkPool::Job::done() const {
   const std::lock_guard lock(state_->mutex);
   return done_;
-}
-
-std::vector<std::size_t> WorkPool::Job::done_per_worker() const {
-  const std::lock_guard lock(state_->mutex);
-  std::vector<std::size_t> out;
-  out.reserve(slots_.size());
-  for (const Slot& slot : slots_) out.push_back(slot.done);
-  return out;
 }
 
 WorkPool::WorkPool(unsigned threads) : state_(std::make_shared<State>()) {
@@ -230,13 +222,13 @@ void WorkPool::worker_main(unsigned worker_id) {
     idle.add(waited);
     idle_total.add(waited);
 
-    Job::Slot& slot = job->slots_[worker_id];
+    WorkerFn& fn = job->fns_[worker_id];
     std::exception_ptr error;
     {
       ULPDREAM_TRACE_SPAN("pool.item");
       try {
-        if (!slot.fn) slot.fn = job->factory_();
-        slot.fn(index);
+        if (!fn) fn = job->factory_();
+        fn(index);
       } catch (...) {
         error = std::current_exception();
       }
@@ -254,7 +246,6 @@ void WorkPool::worker_main(unsigned worker_id) {
       if (!job->error_) job->error_ = error;
     } else {
       ++job->done_;
-      ++slot.done;
     }
     state_->finish_if_drained(job);
   }

@@ -28,7 +28,6 @@
 #include "ulpdream/mem/ber_model.hpp"
 #include "ulpdream/mem/fault_map.hpp"
 #include "ulpdream/signal/buffer.hpp"
-#include "ulpdream/signal/fir.hpp"
 #include "ulpdream/signal/morphology.hpp"
 #include "ulpdream/signal/wavelet.hpp"
 #include "ulpdream/util/rng.hpp"
@@ -390,13 +389,21 @@ class ChargedRead : public ::testing::Test {
 
 /// The kernel filters: the paper's db2 (delineation) and db4 (DWT) banks,
 /// Haar, and a 17-tap pair past the kernels' 16-tap window, where every
-/// read is a word get().
+/// read is a word get(): a Hamming-windowed sinc low-pass (cutoff 0.2 of
+/// the sample rate) and its spectral inversion.
 std::vector<std::pair<std::string, signal::FixedBank>> test_banks() {
+  const std::vector<double> lo = {
+      -0.00187252, 0.00307670,  0.01084320,  0.0,         -0.04090234,
+      -0.04469298, 0.08101174,  0.29237131,  0.40032980,  0.29237131,
+      0.08101174,  -0.04469298, -0.04090234, 0.0,         0.01084320,
+      0.00307670,  -0.00187252};
+  std::vector<double> hi(lo.size());
+  for (std::size_t k = 0; k < lo.size(); ++k) hi[k] = -lo[k];
+  hi[lo.size() / 2] += 1.0;
   return {{"haar", signal::fixed_bank(signal::WaveletFamily::kHaar)},
           {"db2", signal::fixed_bank(signal::WaveletFamily::kDb2)},
           {"db4", signal::fixed_bank(signal::WaveletFamily::kDb4)},
-          {"fir17", {signal::design_lowpass(0.2, 17),
-                     signal::design_highpass(0.2, 17)}}};
+          {"fir17", {signal::quantize_taps(lo), signal::quantize_taps(hi)}}};
 }
 
 TEST_F(ChargedRead, MinMaxFilterMatchesThePerWindowLoop) {

@@ -146,26 +146,6 @@ OmpResult expect_matches_reference(const linalg::Matrix& a,
   return want;
 }
 
-TEST(SensingMatrix, SparseBinaryColumnStructure) {
-  const linalg::Matrix phi = sparse_binary_matrix(32, 64, 4, 7);
-  const double expected = 1.0 / 2.0;  // 1/sqrt(4)
-  for (std::size_t c = 0; c < 64; ++c) {
-    int nonzero = 0;
-    for (std::size_t r = 0; r < 32; ++r) {
-      if (phi.at(r, c) != 0.0) {
-        ++nonzero;
-        EXPECT_DOUBLE_EQ(phi.at(r, c), expected);
-      }
-    }
-    EXPECT_EQ(nonzero, 4);
-  }
-}
-
-TEST(SensingMatrix, SparseBinaryRejectsBadDensity) {
-  EXPECT_THROW(sparse_binary_matrix(4, 8, 5, 1), std::invalid_argument);
-  EXPECT_THROW(sparse_binary_matrix(4, 8, 0, 1), std::invalid_argument);
-}
-
 TEST(SensingMatrix, BernoulliEntriesHaveCorrectMagnitude) {
   const linalg::Matrix phi = bernoulli_matrix(16, 32, 3);
   const double mag = 1.0 / 4.0;

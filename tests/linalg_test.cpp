@@ -104,13 +104,10 @@ TEST(Matrix, ColumnExtraction) {
   EXPECT_THROW(a.column(2), std::out_of_range);
 }
 
-TEST(VectorOps, DotNormAxpy) {
+TEST(VectorOps, DotAndNorm) {
   const std::vector<double> a = {1.0, 2.0, 2.0};
   EXPECT_DOUBLE_EQ(dot(a, a), 9.0);
   EXPECT_DOUBLE_EQ(norm2(a), 3.0);
-  std::vector<double> acc = {1.0, 1.0, 1.0};
-  axpy(2.0, a, acc);
-  EXPECT_EQ(acc, (std::vector<double>{3.0, 5.0, 5.0}));
 }
 
 TEST(Cholesky, FactorizesKnownSpd) {

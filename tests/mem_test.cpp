@@ -116,15 +116,6 @@ TEST(FaultMap, StuckBitRejectsOutOfRange) {
   EXPECT_THROW(FaultMap::stuck_bit(8, 16, -1, false), std::invalid_argument);
 }
 
-TEST(FaultMap, WordsWithAtLeastCountsMultiBit) {
-  FaultMap map(4, 16);
-  map.edit(0).mask = 0b11;
-  map.edit(1).mask = 0b1;
-  EXPECT_EQ(map.words_with_at_least(1), 2u);
-  EXPECT_EQ(map.words_with_at_least(2), 1u);
-  EXPECT_EQ(map.words_with_at_least(3), 0u);
-}
-
 TEST(FaultMap, ConcurrentReadersNeverGrowTheMap) {
   // The const read path (lookup/chunk_clean) must be insertion-free: with
   // the mutable accessor split off as edit(), concurrent block readers

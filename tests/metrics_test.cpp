@@ -56,35 +56,6 @@ TEST(Quality, SnrDegenerateZeroReference) {
   EXPECT_DOUBLE_EQ(snr_db(theo, exp), -kSnrCeilingDb);
 }
 
-TEST(Quality, SampleOverloadAgrees) {
-  const fixed::SampleVec a = {100, -200, 300};
-  const fixed::SampleVec b = {110, -200, 290};
-  EXPECT_NEAR(snr_db(a, b),
-              snr_db(fixed::to_doubles(a), fixed::to_doubles(b)), 1e-12);
-}
-
-TEST(Quality, PrdZeroForIdentical) {
-  const std::vector<double> x = {1.0, 2.0};
-  EXPECT_DOUBLE_EQ(prd_percent(x, x), 0.0);
-}
-
-TEST(Quality, PrdKnownValue) {
-  const std::vector<double> theo = {3.0, 4.0};   // norm 5
-  const std::vector<double> exp = {3.0, 3.0};    // error norm 1
-  EXPECT_NEAR(prd_percent(theo, exp), 20.0, 1e-12);
-}
-
-TEST(Quality, RmsKnown) {
-  EXPECT_DOUBLE_EQ(rms({3.0, 4.0}), std::sqrt(12.5));
-  EXPECT_DOUBLE_EQ(rms({}), 0.0);
-}
-
-TEST(Quality, PsnrUsesPeak) {
-  std::vector<double> theo(10, 0.0);
-  std::vector<double> exp(10, 1.0);
-  EXPECT_NEAR(psnr_db(theo, exp), 20.0 * std::log10(32767.0), 1e-9);
-}
-
 TEST(DelineationScore, PerfectMatch) {
   FiducialList ref = {{FiducialType::kR, 100, 500},
                       {FiducialType::kR, 300, 480}};

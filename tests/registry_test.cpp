@@ -70,13 +70,32 @@ TEST(Registry, RejectsEmptyNameAndNullFactory) {
   EXPECT_THROW(reg.register_factory("a", nullptr), std::invalid_argument);
 }
 
+TEST(Registry, RejectsNamesHoldingListOrFingerprintSeparators) {
+  // CampaignSpec::fingerprint() joins names with spaces and sections with
+  // '|', and axis flags split on ','; a name holding one would let two
+  // different grids share a fingerprint.
+  Registry<Widget> reg("widget");
+  for (const std::string bad : {"a b", "a\tb", "a,b", "a|b", " a"}) {
+    try {
+      reg.register_factory(bad, [] { return std::make_unique<FortyTwo>(); });
+      FAIL() << "name '" << bad << "' must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(reg.size(), 0u);
+  reg.register_factory("a_b-c.d", [] { return std::make_unique<FortyTwo>(); });
+  EXPECT_TRUE(reg.contains("a_b-c.d"));
+}
+
 TEST(Registry, DescriptorCarriesMetadataAndCapabilities) {
   Registry<Widget> reg("widget");
   reg.register_factory(
       "a", [] { return std::make_unique<FortyTwo>(); },
-      {"The Answer", "answers everything", {"deep-thought", "paper"}});
+      {"answers everything", {"deep-thought", "paper"}});
   const Descriptor d = reg.descriptor("a");
-  EXPECT_EQ(d.display_name, "The Answer");
   EXPECT_EQ(d.doc, "answers everything");
   EXPECT_TRUE(d.has_capability("deep-thought"));
   EXPECT_FALSE(d.has_capability("babel-fish"));
@@ -156,7 +175,7 @@ bool register_inverted_once() {
   static const bool done = [] {
     core::emt_registry().register_factory(
         "inverted", [] { return std::make_unique<InvertedStore>(); },
-        {"Inverted store", "stores samples complemented (test technique)",
+        {"stores samples complemented (test technique)",
          {"custom"}});
     return true;
   }();
@@ -248,7 +267,7 @@ TEST(CustomEmt, WiderThanEccPayloadWidensTheFaultMap) {
   static const bool registered = [] {
     core::emt_registry().register_factory(
         "wide24", [] { return std::make_unique<WidePayload>(); },
-        {"Wide payload", "24-bit payload (test technique)", {"custom"}});
+        {"24-bit payload (test technique)", {"custom"}});
     return true;
   }();
   ASSERT_TRUE(registered);

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -93,6 +94,34 @@ std::string reference_columnar_bytes(const CampaignSpec& spec,
 campaign::ResultStore run_grid(const CampaignSpec& spec) {
   campaign::Session session(energy::SystemEnergyModel(), 2);
   return session.submit(spec).take();
+}
+
+/// A Query frame for small_spec(seed) whose record pathology goes on the
+/// wire as `pathology` verbatim, the way a client that forwards its axis
+/// flag's text would send it.
+Frame query_naming_pathology(std::uint64_t seed,
+                             const std::string& pathology) {
+  Query query;
+  query.spec = small_spec(seed);
+  auto [a, b] = Socket::socketpair();
+  send(a, query);
+  Frame frame;
+  EXPECT_TRUE(receive(b, frame));
+  util::PayloadWriter from;
+  util::PayloadWriter to;
+  from.put_string("normal_sinus");
+  to.put_string(pathology);
+  std::vector<std::uint8_t>& p = frame.payload;
+  const auto at = std::search(p.begin(), p.end(), from.bytes().begin(),
+                              from.bytes().end());
+  if (at == p.end()) {
+    ADD_FAILURE() << "no normal_sinus record in the encoded Query";
+    return frame;
+  }
+  const auto pos = at - p.begin();
+  p.erase(at, at + static_cast<std::ptrdiff_t>(from.bytes().size()));
+  p.insert(p.begin() + pos, to.bytes().begin(), to.bytes().end());
+  return frame;
 }
 
 /// A live daemon on a Unix socket, with run() on a background thread and
@@ -184,6 +213,44 @@ TEST(ServeProtocol, ResultProgressErrorRoundTrip) {
   EXPECT_EQ(p.items_total, 12u);
   ASSERT_TRUE(receive(b, frame));
   EXPECT_EQ(decode_error(frame, "p").message, "boom");
+}
+
+TEST(ServeProtocol, QueryRecordPathologyMustBeExactlyOneName) {
+  const Query afib = decode_query(query_naming_pathology(42, "afib"), "p");
+  ASSERT_EQ(afib.spec.records.size(), 1u);
+  EXPECT_EQ(afib.spec.records[0].pathology, ecg::Pathology::kAtrialFib);
+  // "all", "paper" and lists used to decode silently as their first
+  // pathology.
+  for (const std::string bad :
+       {"all", "paper", "normal_sinus,afib", ",afib"}) {
+    try {
+      (void)decode_query(query_naming_pathology(42, bad), "p");
+      FAIL() << "pathology '" << bad << "' must not decode";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + bad + "'"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ServeProtocol, ResultStatusOutsideTheEnumThrowsNamingTheField) {
+  auto [a, b] = Socket::socketpair();
+  Result result;
+  result.status = CacheStatus::kHit;
+  send(a, result);
+  Frame frame;
+  ASSERT_TRUE(receive(b, frame));
+  frame.payload[0] = 3;  // status is the first field
+  try {
+    (void)decode_result(frame, "p");
+    FAIL() << "status byte 3 must not decode as a CacheStatus";
+  } catch (const ProtocolError& e) {
+    EXPECT_NE(std::string(e.what()).find("'status'"), std::string::npos)
+        << e.what();
+  }
+  frame.payload[0] = 2;
+  EXPECT_EQ(decode_result(frame, "p").status, CacheStatus::kGapFill);
 }
 
 TEST(ServeProtocol, TruncatedPayloadThrowsNamingPeerAndField) {
@@ -516,6 +583,27 @@ TEST(ServeDaemon, GarbageFrameGetsAnErrorFrameNotACrash) {
   // everyone else.
   Client client = fixture.connect();
   EXPECT_EQ(client.query(small_spec(36)).status, CacheStatus::kCold);
+}
+
+TEST(ServeDaemon, QueryNamingPathologyAllGetsAnErrorFrame) {
+  const fs::path dir = scratch("daemon_pathology_all");
+  DaemonFixture fixture(dir);
+  Socket socket = Socket::connect(fixture.daemon().endpoint());
+  const Frame bad = query_naming_pathology(37, "all");
+  util::write_frame(socket, bad.type, bad.payload);
+  Frame frame;
+  ASSERT_TRUE(receive(socket, frame));
+  const std::string message = decode_error(frame, "daemon").message;
+  EXPECT_NE(message.find("'all'"), std::string::npos) << message;
+
+  // The connection survives: its next Query is answered.
+  Query good;
+  good.spec = small_spec(37);
+  send(socket, good);
+  do {
+    ASSERT_TRUE(receive(socket, frame));
+  } while (frame.type == static_cast<std::uint32_t>(MsgType::kProgress));
+  EXPECT_EQ(decode_result(frame, "daemon").status, CacheStatus::kCold);
 }
 
 TEST(ServeDaemon, ConcurrentClientsAllGetCorrectAnswers) {

@@ -362,7 +362,7 @@ TEST(Session, ResumeRejectsAStoreFromADifferentGrid) {
   }
 }
 
-TEST(Session, ProgressReportsCompletionAndPerWorkerThroughput) {
+TEST(Session, ProgressReportsCompletion) {
   const CampaignSpec spec = small_spec(2016);
   Session session(energy::SystemEnergyModel(), 3);
   CampaignHandle handle = session.submit(spec);
@@ -376,22 +376,13 @@ TEST(Session, ProgressReportsCompletionAndPerWorkerThroughput) {
   EXPECT_EQ(p.items_remaining(), 0u);
   EXPECT_EQ(p.items_resumed, 0u);
   EXPECT_GT(p.items_per_second, 0.0);
-  EXPECT_GT(p.elapsed_s, 0.0);
-  ASSERT_EQ(p.per_worker_items.size(), 3u);
-  std::size_t executed = 0;
-  for (std::size_t n : p.per_worker_items) executed += n;
-  EXPECT_EQ(executed, spec.item_count());
 }
 
-TEST(Session, TryResultIsEmptyUntilFinished) {
+TEST(Session, TakeMovesTheStoreOutOnce) {
   const CampaignSpec spec = small_spec(2016, 2);
   Session session(energy::SystemEnergyModel(), 2);
   CampaignHandle handle = session.submit(spec);
-  // May or may not be ready yet; once wait() returns it must be.
-  (void)handle.wait();
-  const auto result = handle.try_result();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_TRUE(result->complete());
+  EXPECT_TRUE(handle.wait().complete());
 
   // take() moves the store out of the runtime exactly once.
   const ResultStore taken = handle.take();

@@ -4,7 +4,6 @@
 #include <numbers>
 
 #include "ulpdream/signal/buffer.hpp"
-#include "ulpdream/signal/fir.hpp"
 #include "ulpdream/signal/morphology.hpp"
 #include "ulpdream/signal/wavelet.hpp"
 #include "ulpdream/util/rng.hpp"
@@ -42,59 +41,6 @@ TEST(ReflectIndex, MirrorsAtBothEnds) {
   EXPECT_EQ(reflect_index(10, 10), 8u);
   EXPECT_EQ(reflect_index(12, 10), 6u);
   EXPECT_EQ(reflect_index(5, 1), 0u);
-}
-
-TEST(FirDesign, LowpassDcGainNearUnity) {
-  const TapVec taps = design_lowpass(0.1, 31);
-  double sum = 0.0;
-  for (const auto& t : taps) sum += t.to_double();
-  EXPECT_NEAR(sum, 1.0, 0.01);
-}
-
-TEST(FirDesign, HighpassDcGainNearZero) {
-  const TapVec taps = design_highpass(0.1, 31);
-  double sum = 0.0;
-  for (const auto& t : taps) sum += t.to_double();
-  EXPECT_NEAR(sum, 0.0, 0.01);
-}
-
-TEST(FirDesign, RejectsBadParameters) {
-  EXPECT_THROW(design_lowpass(0.0, 31), std::invalid_argument);
-  EXPECT_THROW(design_lowpass(0.6, 31), std::invalid_argument);
-  EXPECT_THROW(design_lowpass(0.1, 30), std::invalid_argument);  // even
-  EXPECT_THROW(design_lowpass(0.1, 1), std::invalid_argument);
-}
-
-TEST(Fir, LowpassPassesDcBlocksHighFrequency) {
-  const std::size_t n = 256;
-  const TapVec lp = design_lowpass(0.05, 51);
-
-  // DC input passes nearly unchanged.
-  VecBuffer dc(fixed::SampleVec(n, 10000));
-  VecBuffer out(n);
-  fir_apply(dc, out, lp, n);
-  for (std::size_t i = 60; i < n - 60; ++i) {
-    EXPECT_NEAR(out.get(i), 10000, 200);
-  }
-
-  // A high-frequency tone (0.4 cycles/sample) is strongly attenuated.
-  VecBuffer tone(sine_wave(n, 0.4 * static_cast<double>(n), 10000.0));
-  VecBuffer out2(n);
-  fir_apply(tone, out2, lp, n);
-  for (std::size_t i = 60; i < n - 60; ++i) {
-    EXPECT_LT(std::abs(static_cast<int>(out2.get(i))), 800);
-  }
-}
-
-TEST(Fir, MovingAverageSmoothsImpulse) {
-  const std::size_t n = 64;
-  fixed::SampleVec x(n, 0);
-  x[32] = 9000;
-  VecBuffer in(x);
-  VecBuffer out(n);
-  moving_average(in, out, 9, n);
-  EXPECT_NEAR(out.get(32), 1000, 10);  // 9000 / 9
-  EXPECT_EQ(out.get(0), 0);
 }
 
 TEST(WaveletBank, OrthogonalityConditions) {

@@ -217,7 +217,6 @@ TEST(RunningStats, SingleSampleVarianceZero) {
   RunningStats s;
   s.add(42.0);
   EXPECT_EQ(s.variance(), 0.0);
-  EXPECT_EQ(s.sem(), 0.0);
 }
 
 TEST(RunningStats, MergeMatchesSequential) {
@@ -245,31 +244,11 @@ TEST(QuantileSketch, MedianOfKnownData) {
   EXPECT_DOUBLE_EQ(q.quantile(1.0), 101.0);
 }
 
-TEST(Histogram, BinningAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(Histogram, RejectsBadRange) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(Table, AlignedOutputContainsCells) {
   Table t("demo");
   t.set_header({"a", "long_header", "c"});
   t.add_row({"1", "2", "3"});
-  t.add_row_numeric({4.5, 6.25, -1.0}, 2);
+  t.add_row({fmt(4.5, 2), fmt(6.25, 2), fmt(-1.0, 2)});
   const std::string s = t.to_string();
   EXPECT_NE(s.find("demo"), std::string::npos);
   EXPECT_NE(s.find("long_header"), std::string::npos);
@@ -349,7 +328,7 @@ TEST(Cli, ParsesKeyValueForms) {
   Cli cli(6, argv);
   EXPECT_EQ(cli.get_int("alpha", 0), 3);
   EXPECT_EQ(cli.get_int("beta", 0), 7);
-  EXPECT_TRUE(cli.get_bool("flag", false));
+  EXPECT_EQ(cli.get("flag", ""), "true");
   ASSERT_EQ(cli.positional().size(), 1u);
   EXPECT_EQ(cli.positional()[0], "pos1");
 }
@@ -359,7 +338,7 @@ TEST(Cli, DefaultsWhenMissing) {
   Cli cli(1, argv);
   EXPECT_EQ(cli.get("missing", "dflt"), "dflt");
   EXPECT_DOUBLE_EQ(cli.get_double("missing", 2.5), 2.5);
-  EXPECT_FALSE(cli.get_bool("missing", false));
+  EXPECT_FALSE(cli.has("missing"));
 }
 
 TEST(Cli, NumericFlagsParseTheWholeValue) {
@@ -422,10 +401,6 @@ TEST(WorkPool, RunsEveryIndexExactlyOnceAcrossConcurrentJobs) {
     EXPECT_EQ(hits_a[i].load(), 1);
     EXPECT_EQ(hits_b[i].load(), 1);
   }
-  // Per-worker counts decompose the total.
-  std::size_t sum = 0;
-  for (std::size_t n : job_a->done_per_worker()) sum += n;
-  EXPECT_EQ(sum, kCount);
 }
 
 TEST(WorkPool, CancelDropsUnclaimedIndicesButDrainsInFlightOnes) {
