@@ -95,16 +95,15 @@ std::vector<double> CsApp::run(core::MemorySystem& system,
 std::optional<std::vector<double>> CsApp::ideal_output(
     const ecg::Record& record) const {
   const std::size_t n = cfg_.cs.block_n;
-  const linalg::Matrix phi = reconstructor_.phi().to_dense();
   std::vector<double> out;
   out.reserve(input_length());
+  std::vector<double> x(n);
   for (std::size_t b = 0; b < cfg_.blocks; ++b) {
-    std::vector<double> x(n);
     for (std::size_t c = 0; c < n; ++c) {
       x[c] = static_cast<double>(record.samples[b * n + c]);
     }
-    const std::vector<double> y = phi.multiply(x);
-    const std::vector<double> xhat = reconstructor_.reconstruct(y);
+    const std::vector<double> xhat =
+        reconstructor_.reconstruct(reconstructor_.phi().project(row_cols_, x));
     out.insert(out.end(), xhat.begin(), xhat.end());
   }
   return out;

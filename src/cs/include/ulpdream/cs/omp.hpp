@@ -5,6 +5,13 @@
 // greedily: pick the column most correlated with the residual, re-solve
 // the least-squares on the active set, repeat until the residual or the
 // iteration budget is exhausted.
+//
+// The solver is Batch-OMP (Rubinstein, Zibulevsky & Elad, "Efficient
+// Implementation of the K-SVD Algorithm using Batch Orthogonal Matching
+// Pursuit", Technion CS-2008-08): the dictionary's Gram matrix is built
+// once, and each iteration's correlations come from it instead of from a
+// full A^T r. Near-ties are re-checked exactly, so every result is the
+// one the plain A^T r solver gives, bit for bit (see omp.cpp).
 
 #include <cstddef>
 #include <vector>
@@ -25,8 +32,31 @@ struct OmpResult {
   std::size_t iterations = 0;
 };
 
-/// Runs OMP on the (m x n) dictionary `a` and measurement `y` (length m).
-[[nodiscard]] OmpResult omp_solve(const linalg::Matrix& a,
+/// An (m x n) OMP dictionary A with what every solve against it reads:
+/// the Gram matrix G = A^T A and the largest column 2-norm. Built once,
+/// read-only afterwards, so any number of threads may solve against one
+/// object.
+class OmpDictionary {
+ public:
+  explicit OmpDictionary(linalg::Matrix a);
+
+  [[nodiscard]] const linalg::Matrix& matrix() const noexcept { return a_; }
+  /// G(i, j) sums A(r, i) * A(r, j) over rows r in ascending order, from
+  /// +0: the sum OMP's Gram rows have always used (n x n, symmetric).
+  [[nodiscard]] const linalg::Matrix& gram() const noexcept { return gram_; }
+  /// Largest sqrt(G(j, j)); +infinity when any G(j, j) is not finite.
+  [[nodiscard]] double max_column_norm() const noexcept { return mu_; }
+
+ private:
+  linalg::Matrix a_;
+  linalg::Matrix gram_;
+  double mu_ = 0.0;
+};
+
+/// Runs OMP on the dictionary and measurement `y` (length m). Counts each
+/// iteration whose pick re-checked two or more columns exactly as
+/// cs.omp_near_ties.
+[[nodiscard]] OmpResult omp_solve(const OmpDictionary& dict,
                                   const std::vector<double>& y,
                                   const OmpConfig& cfg);
 

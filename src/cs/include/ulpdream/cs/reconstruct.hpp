@@ -3,7 +3,8 @@
 // compressed measurements by OMP in a wavelet sparsity basis. The node
 // compresses with a sparse binary Phi (see sensing_matrix.hpp); this class
 // owns the matching dense dictionary A = Phi * Psi (Psi = inverse DWT
-// basis) built once per configuration.
+// basis) and its OMP Gram matrix, built once per configuration and
+// read-only afterwards, so pool workers share them.
 //
 // Note on quality ceilings: CS at 50% compression is lossy by
 // construction, so even an error-free execution reconstructs with finite
@@ -37,8 +38,8 @@ class CsReconstructor {
 
   [[nodiscard]] const CsConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] const SparsePhi& phi() const noexcept { return phi_; }
-  /// The OMP dictionary A = Phi * Psi, (m x n).
-  [[nodiscard]] const linalg::Matrix& dictionary() const noexcept {
+  /// The OMP dictionary A = Phi * Psi, (m x n), with its Gram matrix.
+  [[nodiscard]] const OmpDictionary& dictionary() const noexcept {
     return dictionary_;
   }
 
@@ -50,7 +51,7 @@ class CsReconstructor {
  private:
   CsConfig cfg_;
   SparsePhi phi_;
-  linalg::Matrix dictionary_;  ///< A = Phi * Psi, (m x n)
+  OmpDictionary dictionary_;  ///< A = Phi * Psi, (m x n)
 };
 
 }  // namespace ulpdream::cs

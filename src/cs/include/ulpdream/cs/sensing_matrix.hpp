@@ -7,6 +7,7 @@
 // provided for comparison/testing.
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ulpdream/linalg/matrix.hpp"
@@ -35,6 +36,15 @@ struct SparsePhi {
   /// Row-major view: for each measurement row, the input columns it sums,
   /// in ascending order.
   [[nodiscard]] std::vector<std::vector<std::uint32_t>> row_columns() const;
+  /// y = Phi x in double precision (x of length n) from this matrix's
+  /// row_columns(), which a caller projecting many vectors builds once.
+  /// Each row sums 1/d times x at its columns in ascending column order,
+  /// from +0: for finite x the dense product to_dense().multiply(x) adds
+  /// only +-0 terms besides these, to an accumulator that starts at +0,
+  /// so y is bit-identical to it.
+  [[nodiscard]] std::vector<double> project(
+      const std::vector<std::vector<std::uint32_t>>& row_cols,
+      std::span<const double> x) const;
 };
 
 [[nodiscard]] SparsePhi make_sparse_phi(std::size_t m, std::size_t n, int d,

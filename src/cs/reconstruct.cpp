@@ -31,33 +31,30 @@ const CsConfig& validated(const CsConfig& cfg) {
   return cfg;
 }
 
+/// The synthesis dictionary A = Phi * Psi: column j is Phi's sparse
+/// projection of the j-th wavelet synthesis atom, bit-identical to the
+/// dense product.
+linalg::Matrix synthesis_dictionary(const CsConfig& cfg, const SparsePhi& phi) {
+  const std::vector<std::vector<std::uint32_t>> row_cols = phi.row_columns();
+  linalg::Matrix a(cfg.block_m, cfg.block_n);
+  std::vector<double> unit(cfg.block_n, 0.0);
+  for (std::size_t j = 0; j < cfg.block_n; ++j) {
+    unit[j] = 1.0;
+    const std::vector<double> column = phi.project(
+        row_cols, signal::idwt_multi_f64(unit, cfg.family, cfg.dwt_levels));
+    for (std::size_t r = 0; r < cfg.block_m; ++r) a.at(r, j) = column[r];
+    unit[j] = 0.0;
+  }
+  return a;
+}
+
 }  // namespace
 
 CsReconstructor::CsReconstructor(const CsConfig& cfg)
     : cfg_(validated(cfg)),
       phi_(make_sparse_phi(cfg.block_m, cfg.block_n, cfg.ones_per_column,
                            cfg.phi_seed)),
-      dictionary_(cfg.block_m, cfg.block_n) {
-  // Column j of A is Phi applied to the j-th wavelet synthesis atom. Each
-  // row sums its ~n*d/m nonzero Phi columns (entries 1/d) in ascending
-  // column order: the dense product adds only +-0 terms besides these,
-  // to an accumulator that starts at +0, so every entry is bit-identical
-  // to it.
-  const std::vector<std::vector<std::uint32_t>> row_cols = phi_.row_columns();
-  const double value = 1.0 / static_cast<double>(phi_.d);
-  std::vector<double> unit(cfg.block_n, 0.0);
-  for (std::size_t j = 0; j < cfg.block_n; ++j) {
-    unit[j] = 1.0;
-    const std::vector<double> atom =
-        signal::idwt_multi_f64(unit, cfg.family, cfg.dwt_levels);
-    for (std::size_t r = 0; r < cfg.block_m; ++r) {
-      double acc = 0.0;
-      for (const std::uint32_t c : row_cols[r]) acc += value * atom[c];
-      dictionary_.at(r, j) = acc;
-    }
-    unit[j] = 0.0;
-  }
-}
+      dictionary_(synthesis_dictionary(cfg_, phi_)) {}
 
 std::vector<double> CsReconstructor::reconstruct(
     const std::vector<double>& y) const {

@@ -30,6 +30,22 @@ std::vector<std::vector<std::uint32_t>> SparsePhi::row_columns() const {
   return out;
 }
 
+std::vector<double> SparsePhi::project(
+    const std::vector<std::vector<std::uint32_t>>& row_cols,
+    std::span<const double> x) const {
+  if (row_cols.size() != m || x.size() != n) {
+    throw std::invalid_argument("SparsePhi::project: dimension mismatch");
+  }
+  const double value = 1.0 / static_cast<double>(d);
+  std::vector<double> y(m);
+  for (std::size_t r = 0; r < m; ++r) {
+    double acc = 0.0;
+    for (const std::uint32_t c : row_cols[r]) acc += value * x[c];
+    y[r] = acc;
+  }
+  return y;
+}
+
 SparsePhi make_sparse_phi(std::size_t m, std::size_t n, int d,
                           std::uint64_t seed) {
   if (d <= 0 || (d & (d - 1)) != 0 || static_cast<std::size_t>(d) > m) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "ulpdream/cs/omp.hpp"
 #include "ulpdream/cs/reconstruct.hpp"
@@ -12,6 +15,7 @@
 #include "ulpdream/linalg/solve.hpp"
 #include "ulpdream/metrics/quality.hpp"
 #include "ulpdream/util/rng.hpp"
+#include "ulpdream/util/telemetry.hpp"
 
 namespace ulpdream::cs {
 namespace {
@@ -113,20 +117,20 @@ OmpResult reference_omp(const linalg::Matrix& a, const std::vector<double>& y,
 
 /// Runs both solvers and requires every output bit to match, including a
 /// throw with the same message. Returns the reference result.
-OmpResult expect_matches_reference(const linalg::Matrix& a,
+OmpResult expect_matches_reference(const OmpDictionary& dict,
                                    const std::vector<double>& y,
                                    const OmpConfig& cfg) {
   OmpResult want;
   std::string want_error;
   try {
-    want = reference_omp(a, y, cfg);
+    want = reference_omp(dict.matrix(), y, cfg);
   } catch (const std::runtime_error& e) {
     want_error = e.what();
   }
   OmpResult got;
   std::string got_error;
   try {
-    got = omp_solve(a, y, cfg);
+    got = omp_solve(dict, y, cfg);
   } catch (const std::runtime_error& e) {
     got_error = e.what();
   }
@@ -167,6 +171,27 @@ TEST(SensingMatrix, SparsePhiDenseEquivalence) {
   }
 }
 
+TEST(SensingMatrix, SparsePhiProjectMatchesTheDenseProduct) {
+  // The sparse row sums must give the dense product's bits, signed zeros
+  // and cancellations included.
+  const SparsePhi phi = make_sparse_phi(32, 64, 4, 11);
+  const linalg::Matrix dense = phi.to_dense();
+  util::Xoshiro256 rng(12);
+  std::vector<double> x(64);
+  for (auto& v : x) {
+    v = std::round(rng.gaussian(0.0, 1000.0));
+    if (rng.bounded(8) == 0) v = rng.bernoulli(0.5) ? 0.0 : -0.0;
+  }
+  x[7] = -x[9];
+  const std::vector<double> got = phi.project(phi.row_columns(), x);
+  const std::vector<double> want = dense.multiply(x);
+  ASSERT_EQ(got.size(), want.size());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(double)),
+            0);
+  EXPECT_THROW((void)phi.project(phi.row_columns(), std::vector<double>(63)),
+               std::invalid_argument);
+}
+
 TEST(SensingMatrix, SparsePhiRowsDistinctPerColumn) {
   const SparsePhi phi = make_sparse_phi(16, 32, 4, 13);
   for (std::size_t c = 0; c < 32; ++c) {
@@ -189,17 +214,17 @@ TEST(Omp, RecoversExactlySparseSignal) {
   const std::size_t n = 64;
   const std::size_t m = 32;
   const std::size_t k = 5;
-  const linalg::Matrix a = bernoulli_matrix(m, n, 21);
+  const OmpDictionary dict(bernoulli_matrix(m, n, 21));
   util::Xoshiro256 rng(22);
   std::vector<double> alpha(n, 0.0);
   for (std::size_t i = 0; i < k; ++i) {
     alpha[rng.bounded(n)] = rng.gaussian(0.0, 10.0) + 5.0;
   }
-  const std::vector<double> y = a.multiply(alpha);
+  const std::vector<double> y = dict.matrix().multiply(alpha);
 
   OmpConfig cfg;
   cfg.max_atoms = 10;
-  const OmpResult res = omp_solve(a, y, cfg);
+  const OmpResult res = omp_solve(dict, y, cfg);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(res.solution[i], alpha[i], 1e-6);
   }
@@ -207,27 +232,27 @@ TEST(Omp, RecoversExactlySparseSignal) {
 }
 
 TEST(Omp, ZeroMeasurementGivesZeroSolution) {
-  const linalg::Matrix a = bernoulli_matrix(8, 16, 1);
+  const OmpDictionary dict(bernoulli_matrix(8, 16, 1));
   const std::vector<double> y(8, 0.0);
-  const OmpResult res = omp_solve(a, y, OmpConfig{});
+  const OmpResult res = omp_solve(dict, y, OmpConfig{});
   for (double v : res.solution) EXPECT_DOUBLE_EQ(v, 0.0);
   EXPECT_TRUE(res.support.empty());
 }
 
 TEST(Omp, RespectsAtomBudget) {
-  const linalg::Matrix a = bernoulli_matrix(32, 64, 5);
+  const OmpDictionary dict(bernoulli_matrix(32, 64, 5));
   util::Xoshiro256 rng(6);
   std::vector<double> y(32);
   for (auto& v : y) v = rng.gaussian();
   OmpConfig cfg;
   cfg.max_atoms = 7;
-  const OmpResult res = omp_solve(a, y, cfg);
+  const OmpResult res = omp_solve(dict, y, cfg);
   EXPECT_LE(res.support.size(), 7u);
 }
 
 TEST(Omp, SizeMismatchThrows) {
-  const linalg::Matrix a = bernoulli_matrix(8, 16, 1);
-  EXPECT_THROW(omp_solve(a, std::vector<double>(7, 0.0), OmpConfig{}),
+  const OmpDictionary dict(bernoulli_matrix(8, 16, 1));
+  EXPECT_THROW(omp_solve(dict, std::vector<double>(7, 0.0), OmpConfig{}),
                std::invalid_argument);
 }
 
@@ -236,9 +261,10 @@ TEST(Omp, OrthogonalMeasurementReportsItsNorm) {
   // correlation is exactly 0, so no atom is chosen and nothing is fitted.
   linalg::Matrix a = bernoulli_matrix(8, 16, 1);
   for (std::size_t c = 0; c < 16; ++c) a.at(2, c) = 0.0;
+  const OmpDictionary dict(std::move(a));
   std::vector<double> y(8, 0.0);
   y[2] = 1.0;
-  const OmpResult res = omp_solve(a, y, OmpConfig{});
+  const OmpResult res = omp_solve(dict, y, OmpConfig{});
   EXPECT_TRUE(res.support.empty());
   EXPECT_EQ(res.iterations, 0u);
   EXPECT_EQ(res.residual_norm, 1.0);
@@ -268,7 +294,7 @@ TEST(OmpOracle, ReconstructorDictionaryCleanAndCorruptedEcg) {
 }
 
 TEST(OmpOracle, AtomBudgetAtOrAboveMeasurementCount) {
-  const linalg::Matrix a = bernoulli_matrix(16, 48, 9);
+  const OmpDictionary dict(bernoulli_matrix(16, 48, 9));
   util::Xoshiro256 rng(10);
   std::vector<double> y(16);
   for (auto& v : y) v = rng.gaussian();
@@ -276,23 +302,23 @@ TEST(OmpOracle, AtomBudgetAtOrAboveMeasurementCount) {
     OmpConfig cfg;
     cfg.max_atoms = max_atoms;
     cfg.residual_tol = 0.0;
-    const OmpResult want = expect_matches_reference(a, y, cfg);
+    const OmpResult want = expect_matches_reference(dict, y, cfg);
     EXPECT_EQ(want.iterations, 16u);
   }
 }
 
 TEST(OmpOracle, ResidualToleranceEarlyExit) {
-  const linalg::Matrix a = bernoulli_matrix(32, 64, 21);
+  const OmpDictionary dict(bernoulli_matrix(32, 64, 21));
   util::Xoshiro256 rng(23);
   std::vector<double> alpha(64, 0.0);
   for (int i = 0; i < 4; ++i) {
     alpha[rng.bounded(64)] = rng.gaussian(0.0, 10.0) + 5.0;
   }
-  const std::vector<double> y = a.multiply(alpha);
+  const std::vector<double> y = dict.matrix().multiply(alpha);
   OmpConfig cfg;
   cfg.max_atoms = 20;
   cfg.residual_tol = 1e-6;
-  const OmpResult want = expect_matches_reference(a, y, cfg);
+  const OmpResult want = expect_matches_reference(dict, y, cfg);
   EXPECT_LT(want.iterations, cfg.max_atoms);
   EXPECT_LT(want.residual_norm, cfg.residual_tol * linalg::norm2(y));
 }
@@ -319,13 +345,127 @@ TEST(OmpOracle, RankDeficientDictionariesThroughTheRidgeFallback) {
     for (auto& x : y) x = rng.gaussian() * scale;
     OmpConfig cfg;
     cfg.residual_tol = 0.0;
-    const OmpResult want = expect_matches_reference(a, y, cfg);
+    const OmpDictionary dict(a);
+    const OmpResult want = expect_matches_reference(dict, y, cfg);
     linalg::Matrix gram = reference_gram(active_columns(a, want.support));
     if (!want.support.empty() && !linalg::cholesky(gram)) ++fallbacks;
   }
   EXPECT_GE(fallbacks, seeds / 2)
       << "ridge fallback reached in only " << fallbacks << " of " << seeds
       << " seeds";
+}
+
+TEST(OmpDictionary, GramAndColumnNormBound) {
+  // Every Gram entry is the rows-ascending sum a from-scratch Gram row
+  // computes; mu is the largest column norm, and +infinity once a column's
+  // squared norm is not finite.
+  linalg::Matrix a = bernoulli_matrix(12, 20, 7);
+  util::Xoshiro256 rng(8);
+  for (auto& x : a.data()) x *= 1.0 + rng.gaussian();
+  const OmpDictionary dict(a);
+  double mu = 0.0;
+  for (std::size_t i = 0; i < a.cols(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      double want = 0.0;
+      for (std::size_t r = 0; r < a.rows(); ++r) {
+        want += a.at(r, i) * a.at(r, j);
+      }
+      const double got = dict.gram().at(i, j);
+      EXPECT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << "G(" << i << ", " << j << ")";
+    }
+    mu = std::max(mu, std::sqrt(dict.gram().at(i, i)));
+  }
+  EXPECT_EQ(dict.max_column_norm(), mu);
+
+  a.at(5, 3) = 1e300;
+  EXPECT_EQ(OmpDictionary(a).max_column_norm(),
+            std::numeric_limits<double>::infinity());
+}
+
+TEST(OmpOracle, TwinColumnNearTies) {
+  // Each Bernoulli column has a twin with about a third of its entries one
+  // ulp away, so two correlations agree to within the Gram form's rounding
+  // on most iterations: the pick has to come from the exact re-check.
+  const std::size_t m = 24;
+  const int seeds = 64;
+  const auto ties = [] {
+    return util::telemetry::snapshot().counters["cs.omp_near_ties"];
+  };
+  const std::uint64_t ties_before = ties();
+  for (int seed = 0; seed < seeds; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    util::Xoshiro256 rng(5000 + static_cast<std::uint64_t>(seed));
+    const linalg::Matrix base =
+        bernoulli_matrix(m, m, 6000 + static_cast<std::uint64_t>(seed));
+    linalg::Matrix a(m, 2 * m);
+    for (std::size_t c = 0; c < m; ++c) {
+      for (std::size_t r = 0; r < m; ++r) {
+        const double v = base.at(r, c);
+        a.at(r, 2 * c) = v;
+        a.at(r, 2 * c + 1) =
+            rng.bounded(3) == 0
+                ? std::nextafter(v, rng.bernoulli(0.5) ? 1.0 : -1.0)
+                : v;
+      }
+    }
+    std::vector<double> y(m);
+    for (auto& v : y) v = rng.gaussian() * 1000.0;
+    OmpConfig cfg;
+    cfg.max_atoms = 16;
+    cfg.residual_tol = 0.0;
+    expect_matches_reference(OmpDictionary(std::move(a)), y, cfg);
+  }
+  EXPECT_GT(ties() - ties_before, 0u);
+}
+
+TEST(OmpOracle, NonFiniteAndUnderflowingInputs) {
+  // An infinite or NaN measurement entry, an infinite dictionary entry and
+  // a dictionary whose Gram overflows give a non-finite bound or Gram-form
+  // correlation, which sends every remaining column to the exact re-check.
+  const linalg::Matrix a = bernoulli_matrix(16, 32, 40);
+  util::Xoshiro256 rng(41);
+  std::vector<double> y(16);
+  for (auto& v : y) v = rng.gaussian();
+  OmpConfig cfg;
+  cfg.max_atoms = 8;
+  cfg.residual_tol = 0.0;
+  const OmpDictionary dict(a);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    std::vector<double> y_bad = y;
+    y_bad[5] = bad;
+    expect_matches_reference(dict, y_bad, cfg);
+  }
+  linalg::Matrix a_inf = a;
+  a_inf.at(9, 4) = std::numeric_limits<double>::infinity();
+  expect_matches_reference(OmpDictionary(a_inf), y, cfg);
+  linalg::Matrix a_huge = a;
+  for (auto& x : a_huge.data()) x *= 1e160;
+  expect_matches_reference(OmpDictionary(a_huge), y, cfg);
+
+  // Subnormal Gram entries, Gram-form products and squares of y, the
+  // inputs the bound's underflow terms cover.
+  linalg::Matrix a_tiny = a;
+  for (auto& x : a_tiny.data()) x *= 1e-160;
+  const OmpDictionary tiny(a_tiny);
+  expect_matches_reference(tiny, y, cfg);
+  std::vector<double> y_huge = y;
+  for (auto& v : y_huge) v *= 1e150;
+  expect_matches_reference(tiny, y_huge, cfg);
+  linalg::Matrix a_mixed = a;
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); c += 2) a_mixed.at(r, c) *= 1e-160;
+  }
+  expect_matches_reference(OmpDictionary(a_mixed), y, cfg);
+  // Squares of about 1.5e-162 round to 0 or denorm_min, so ||y|| falls
+  // short; all-subnormal entries leave ||y|| at 0 and nothing is fitted.
+  std::vector<double> y_small = y;
+  for (auto& v : y_small) v = (1.5 + 0.1 * v) * 1e-162;
+  expect_matches_reference(dict, y_small, cfg);
+  std::vector<double> y_subnormal = y;
+  for (auto& v : y_subnormal) v *= 1e-310;
+  EXPECT_TRUE(expect_matches_reference(dict, y_subnormal, cfg).support.empty());
 }
 
 /// The dictionary as the dense product Phi * Psi, one atom at a time:
@@ -365,7 +505,7 @@ TEST(Reconstructor, SparseDictionaryMatchesDenseProduct) {
                  << " d=" << cfg.ones_per_column);
     const linalg::Matrix want = dense_dictionary(cfg);
     const CsReconstructor recon(cfg);
-    const linalg::Matrix& got = recon.dictionary();
+    const linalg::Matrix& got = recon.dictionary().matrix();
     ASSERT_EQ(got.rows(), want.rows());
     ASSERT_EQ(got.cols(), want.cols());
     EXPECT_EQ(std::memcmp(got.data().data(), want.data().data(),
@@ -469,19 +609,19 @@ class OmpSparsitySweep : public ::testing::TestWithParam<int> {
       while (alpha_[pos] != 0.0) pos = (pos + 1) % n_;
       alpha_[pos] = rng.gaussian(0.0, 5.0) + 2.0;
     }
-    y_ = a_.multiply(alpha_);
+    y_ = dict_.matrix().multiply(alpha_);
     cfg_.max_atoms = 2 * k;
   }
 
   static constexpr std::size_t n_ = 128;
-  const linalg::Matrix a_ = bernoulli_matrix(64, n_, 31);
+  const OmpDictionary dict_{bernoulli_matrix(64, n_, 31)};
   std::vector<double> alpha_ = std::vector<double>(n_, 0.0);
   std::vector<double> y_;
   OmpConfig cfg_;
 };
 
 TEST_P(OmpSparsitySweep, RecoveryDegradesGracefullyWithK) {
-  const OmpResult res = omp_solve(a_, y_, cfg_);
+  const OmpResult res = omp_solve(dict_, y_, cfg_);
   // Well below the m/2 phase-transition, recovery is essentially exact.
   if (GetParam() <= 12) {
     for (std::size_t i = 0; i < n_; ++i) {
@@ -494,7 +634,7 @@ TEST_P(OmpSparsitySweep, RecoveryDegradesGracefullyWithK) {
 }
 
 TEST_P(OmpSparsitySweep, BitIdenticalToFromScratchSolve) {
-  expect_matches_reference(a_, y_, cfg_);
+  expect_matches_reference(dict_, y_, cfg_);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sparsity, OmpSparsitySweep,

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <string>
 #include <utility>
@@ -62,6 +63,13 @@ struct DatapathCase {
   double voltage;
   std::uint64_t scrambler;
 };
+
+// gtest prints a parameter without a PrintTo as its raw bytes, here a
+// std::string's heap pointer among them, and the ctest names carry that
+// print: this keeps them the same from build to build.
+void PrintTo(const DatapathCase& c, std::ostream* os) {
+  *os << c.emt << " at " << c.voltage << " V, scrambler " << c.scrambler;
+}
 
 class BlockScalarIdentity : public ::testing::TestWithParam<DatapathCase> {};
 
