@@ -7,7 +7,7 @@
 // The technique ("tmr_msb") is deliberately simple: triplicate the two
 // sign-run MSBs into a 20-bit payload and majority-vote them on decode —
 // a poor man's DREAM that needs no side memory. The point is not the
-// codec; it is that a 60-line user type participates in Scenario grids,
+// codec; it is that a 60-line user type participates in campaign grids,
 // aggregation and the determinism guarantees exactly like "dream" does.
 //
 // Usage: custom_emt [--reps 4] [--threads 4]
@@ -95,25 +95,23 @@ int main(int argc, char** argv) {
   std::cout << '\n';
 
   // 2. Run it through a campaign grid, by name, next to the built-ins.
-  const auto scenario = [&](unsigned n_threads) {
-    return Scenario()
-        .app("dwt")
-        .emt("none")
-        .emt("dream")
-        .emt("tmr_msb")
-        .voltage(0.6)
-        .voltage(0.8)
-        .record(ecg::Pathology::kNormalSinus, 1.0, 7)
-        .repetitions(reps)
-        .threads(n_threads);
+  CampaignSpec spec;
+  spec.apps = {"dwt"};
+  spec.emts = {"none", "dream", "tmr_msb"};
+  spec.voltages = {0.6, 0.8};
+  spec.records = {campaign::RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 7}};
+  spec.repetitions = reps;
+  const auto rows_at = [&spec](unsigned n_threads) {
+    Session session(energy::SystemEnergyModel(), n_threads);
+    return session.submit(spec).take().aggregate();
   };
-  const std::vector<AggregateRow> rows = scenario(threads).run_rows();
+  const std::vector<AggregateRow> rows = rows_at(threads);
   campaign::rows_to_table(rows, "Custom EMT vs built-ins (DWT)")
       .print(std::cout);
 
   // 3. The engine's guarantees hold for user components too: aggregates
   // are bit-identical for any thread count.
-  const std::vector<AggregateRow> serial_rows = scenario(1).run_rows();
+  const std::vector<AggregateRow> serial_rows = rows_at(1);
   bool deterministic = rows.size() == serial_rows.size();
   for (std::size_t i = 0; deterministic && i < rows.size(); ++i) {
     deterministic = rows[i].emt == serial_rows[i].emt &&

@@ -43,6 +43,7 @@ int main(int argc, char** argv) {
   const std::string emt_name = policy.select(voltage);
   std::cout << "Supply " << voltage << " V -> policy selects EMT: "
             << emt_name << "\n\n";
+  const auto emt = core::make_emt(emt_name);
 
   // Fault environment for this voltage.
   const auto ber_model = mem::make_ber_model("log-linear");
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
   // Stage 1: morphological filtering.
   const apps::MorphFilterApp morph;
   const sim::RunResult morph_r =
-      runner.run_once(morph, record, emt_name, &faults, voltage);
+      runner.run_once(morph, record, *emt, &faults, voltage);
   table.add_row({"morph_filter", util::fmt(morph_r.snr_db, 1),
                  util::fmt(morph_r.energy.total_j() * 1e6, 4),
                  std::to_string(morph_r.counters.corrected_words)});
@@ -65,8 +66,7 @@ int main(int argc, char** argv) {
   // Stage 2: delineation — also score against the generator ground truth.
   const apps::DelineationApp delineator;
   const sim::RunResult delin_r =
-      runner.run_once(delineator, record, emt_name, &faults, voltage);
-  const auto emt = core::make_emt(emt_name);
+      runner.run_once(delineator, record, *emt, &faults, voltage);
   core::MemorySystem delin_sys(*emt);
   delin_sys.attach_faults(&faults);
   const metrics::FiducialList detected =
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   // Stage 3: compressed sensing for transmission.
   const apps::CsApp cs_app;
   const sim::RunResult cs_r =
-      runner.run_once(cs_app, record, emt_name, &faults, voltage);
+      runner.run_once(cs_app, record, *emt, &faults, voltage);
   table.add_row({"compressed_sensing", util::fmt(cs_r.snr_db, 1),
                  util::fmt(cs_r.energy.total_j() * 1e6, 4),
                  std::to_string(cs_r.counters.corrected_words)});
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
             << "%, PPV = " << util::fmt(score.ppv() * 100.0, 1) << "%\n";
 
   const double nominal = runner
-                             .run_once(morph, record, "none",
+                             .run_once(morph, record, *core::make_emt("none"),
                                        nullptr, mem::VoltageWindow::kNominal)
                              .energy.total_j();
   std::cout << "Energy vs nominal unprotected (morph stage): "

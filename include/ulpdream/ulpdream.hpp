@@ -8,8 +8,8 @@
 // the string-keyed registries (ulpdream::core::emt_registry(),
 // ulpdream::apps::app_registry(), ulpdream::mem::ber_model_registry()):
 // register a component under a name and every layer — campaign specs,
-// the campaign CLI and the Scenario builder — can select it exactly like
-// a built-in. See examples/custom_emt.cpp for an EMT defined and
+// the campaign CLI and the daemon — can select it exactly like a
+// built-in. See examples/custom_emt.cpp for an EMT defined and
 // registered entirely outside src/.
 
 // Core: EMT interface, registry-backed factory, adaptive policy, memory.
@@ -33,7 +33,6 @@
 // CampaignHandle).
 #include "ulpdream/campaign/columnar.hpp"
 #include "ulpdream/campaign/result_store.hpp"
-#include "ulpdream/campaign/scenario.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"
 #include "ulpdream/sim/policy_explorer.hpp"
@@ -47,8 +46,9 @@
 
 namespace ulpdream {
 
-/// The facade entry point: configure by name, run a campaign grid.
-using campaign::Scenario;
+/// A Monte-Carlo grid, named by registry names: submit it to a Session
+/// and take() its store.
+using campaign::CampaignSpec;
 using campaign::AggregateRow;
 using campaign::GroupBy;
 

@@ -1,11 +1,12 @@
 #pragma once
 // Internal (non-installed) aggregation fold shared by the in-memory
-// ResultStore::aggregate and the out-of-core ColumnarStore::aggregate.
-// Both walk samples in the canonical order — item index major, then app,
-// then EMT — and push them through this one folder, so the two paths are
+// ResultStore::aggregate (and the sweep points to_sweep_result reads off
+// its rows) and the out-of-core ColumnarStore::aggregate. Both walk
+// samples in the canonical order — item index major, then app, then EMT —
+// and push them through this one folder, so the two paths are
 // bit-identical by construction: same accumulator types, same operation
 // order, same row emission. Any change to the statistics happens here
-// once and both paths inherit it.
+// once and every summary inherits it.
 
 #include <cmath>
 #include <cstddef>
@@ -18,7 +19,7 @@
 
 namespace ulpdream::campaign::detail {
 
-/// Per-group fold state (same shape as the sweep's CellAccum).
+/// Per-group fold state.
 struct GroupAccum {
   util::RunningStats snr;
   util::QuantileSketch snr_quantiles;

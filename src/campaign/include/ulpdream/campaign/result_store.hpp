@@ -127,7 +127,8 @@ class ResultStore {
 
   /// Bridge to the policy explorer and the figure benches: the (record,
   /// app) slice of a complete store as a sim::SweepResult, one point per
-  /// (voltage, EMT) over the store's repetitions.
+  /// (voltage, EMT), voltage-major. Each point's statistics are those of
+  /// the matching aggregate() row (full GroupBy), plus the cell's BER.
   [[nodiscard]] sim::SweepResult to_sweep_result(std::size_t record_index,
                                                  std::size_t app_index) const;
 

@@ -1,13 +1,13 @@
 #pragma once
 // Asynchronous execution runtime — the one engine that runs every
-// Monte-Carlo grid (the campaign CLI, daemon and workers, the Scenario
-// facade and the figure benches). A Session is a long-lived object that
+// Monte-Carlo grid (the campaign CLI, daemon and workers, the figure
+// benches and the examples). A Session is a long-lived object that
 // owns one shared util::WorkPool; any number of campaigns are submitted
 // onto it concurrently and interleave at work-item granularity. Each
 // item draws one fault map at BER(V) from its own RNG stream and shares
 // it across every (app, EMT) pair — the paper's Sec. V fairness
 // protocol. submit() returns a CampaignHandle — a future-like job handle
-// with wait()/take(), live progress (items done, throughput),
+// with take(), live progress (items done, throughput),
 // cooperative item-granular cancellation, an observer that
 // streams each completed WorkItem's samples as it lands, and periodic
 // ResultStore checkpoint snapshots that a later submit(spec,
@@ -25,7 +25,7 @@
 //   auto a = session.submit(spec_a);
 //   auto b = session.submit(spec_b, opts);       // runs interleaved
 //   while (!a.progress().finished) { report(a.progress()); ... }
-//   ResultStore done = b.wait();
+//   ResultStore done = b.take();
 
 #include <cstddef>
 #include <functional>
@@ -82,7 +82,7 @@ struct Progress {
 /// threads, serialized by the job's lock (never concurrently). on_item
 /// receives the job's own handle — calling handle.cancel() there is the
 /// idiomatic, race-free "stop after N items" — but callbacks must not
-/// block on the handle (wait()/take()).
+/// block on the handle (take()).
 /// A contiguous slice [begin, end) of the canonical item expansion — the
 /// unit of distributed work leasing (serve::Daemon grants these).
 struct ItemRange {
@@ -125,14 +125,10 @@ class CampaignHandle {
   CampaignHandle() = default;
 
   /// Blocks until the job finishes (all items done, or cancelled with
-  /// in-flight items drained) and returns a copy of the store: complete
-  /// for an uncancelled single-shard run, partial otherwise — a partial
-  /// store checkpoints/resumes like any other. Rethrows a worker
-  /// exception.
-  [[nodiscard]] ResultStore wait() const;
-  /// wait(), then moves the store out of the runtime — the zero-copy
-  /// path for run-to-completion callers (Scenario::run, the benches and
-  /// the CLI). One-shot: afterwards the handle's store is empty
+  /// in-flight items drained) and moves the store out of the runtime:
+  /// complete for an uncancelled single-shard run, partial otherwise — a
+  /// partial store checkpoints/resumes like any other. Rethrows a worker
+  /// exception. One-shot: a second take() returns an empty store
   /// (progress counters remain).
   [[nodiscard]] ResultStore take() const;
   [[nodiscard]] Progress progress() const;
@@ -156,7 +152,7 @@ class Session {
       energy::SystemEnergyModel energy_model = energy::SystemEnergyModel(),
       unsigned threads = 0);
   /// Cancels outstanding jobs (in-flight items drain) and joins the
-  /// pool. Handles stay valid; their wait() returns the partial store.
+  /// pool. Handles stay valid; their take() returns the partial store.
   ~Session() = default;
 
   Session(const Session&) = delete;

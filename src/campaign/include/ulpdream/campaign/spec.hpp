@@ -52,7 +52,8 @@ struct CampaignSpec {
   /// Copy with empty axes replaced by the defaults above and
   /// repetitions clamped to >= 1. Throws std::invalid_argument when
   /// records x voltages x repetitions overflows std::size_t or exceeds
-  /// the largest item list expand() can allocate.
+  /// the largest item list expand() can allocate, and when fs_hz or
+  /// duration_s is not a finite positive number (naming the field).
   [[nodiscard]] CampaignSpec normalized() const;
 
   /// Inclusive voltage range helper, e.g. voltage_range(0.5, 0.9, 0.05).

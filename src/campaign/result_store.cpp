@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "aggregate_fold.hpp"
-#include "ulpdream/util/stats.hpp"
 #include "ulpdream/util/telemetry.hpp"
 
 namespace ulpdream::campaign {
@@ -17,11 +16,6 @@ namespace ulpdream::campaign {
 namespace {
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
-
-// The per-group fold state and the grouped fold itself live in
-// aggregate_fold.hpp, shared with the streaming columnar path so the two
-// formats aggregate bit-identically by construction.
-using detail::GroupAccum;
 
 }  // namespace
 
@@ -192,44 +186,41 @@ sim::SweepResult ResultStore::to_sweep_result(std::size_t record_index,
       app_index >= spec_.apps.size()) {
     throw std::invalid_argument("ResultStore::to_sweep_result: bad index");
   }
-  const std::size_t na = spec_.apps.size();
   const std::size_t ne = spec_.emts.size();
   const std::size_t nv = spec_.voltages.size();
-  const std::size_t reps = spec_.repetitions;
   const auto ber_model = mem::make_ber_model(spec_.ber_model);
 
+  // The full-GroupBy rows run record, app, EMT, voltage (minor); this
+  // (record, app) slice is contiguous, and a sweep lists it voltage-major.
+  const std::vector<AggregateRow> rows = aggregate(GroupBy{});
+  const std::size_t first = (record_index * spec_.apps.size() + app_index) *
+                            ne * nv;
   sim::SweepResult result;
   result.voltages = spec_.voltages;
   result.emts = spec_.emts;
   result.max_snr_db = max_snr_db(record_index, app_index);
-
+  result.points.reserve(nv * ne);
   for (std::size_t vi = 0; vi < nv; ++vi) {
     for (std::size_t ei = 0; ei < ne; ++ei) {
-      GroupAccum a;
-      for (std::size_t rep = 0; rep < reps; ++rep) {
-        const std::size_t item = (record_index * nv + vi) * reps + rep;
-        const std::size_t slot = find_slot(item);
-        a.add(samples_[slot * na * ne + app_index * ne + ei]);
-      }
+      const AggregateRow& row = rows[first + ei * nv + vi];
       sim::SweepPoint p;
-      p.app = spec_.apps[app_index];
-      p.emt = spec_.emts[ei];
-      p.voltage = spec_.voltages[vi];
+      p.app = row.app;
+      p.emt = row.emt;
+      p.voltage = row.voltage;
       p.ber = ber_model->ber(p.voltage);
-      p.snr_mean_db = a.snr.mean();
-      p.snr_stddev_db = a.snr.stddev();
-      p.snr_min_db = a.snr.min();
-      p.snr_p10_db = a.snr_quantiles.quantile(0.10);
-      p.energy_mean_j = a.energy.mean();
-      const double n = static_cast<double>(a.snr.count());
-      p.energy_mean.data_dynamic_j = a.energy_sum.data_dynamic_j / n;
-      p.energy_mean.side_dynamic_j = a.energy_sum.side_dynamic_j / n;
-      p.energy_mean.codec_j = a.energy_sum.codec_j / n;
-      p.energy_mean.data_leak_j = a.energy_sum.data_leak_j / n;
-      p.energy_mean.side_leak_j = a.energy_sum.side_leak_j / n;
-      p.corrected_words_mean = a.corrected.mean();
-      p.detected_uncorrectable_mean = a.detected.mean();
-      result.points.push_back(p);
+      p.snr_mean_db = row.snr_mean_db;
+      p.snr_stddev_db = row.snr_stddev_db;
+      p.snr_min_db = row.snr_min_db;
+      p.snr_p10_db = row.snr_p10_db;
+      p.energy_mean_j = row.energy_mean_j;
+      p.energy_mean.data_dynamic_j = row.data_dynamic_j;
+      p.energy_mean.side_dynamic_j = row.side_dynamic_j;
+      p.energy_mean.codec_j = row.codec_j;
+      p.energy_mean.data_leak_j = row.data_leak_j;
+      p.energy_mean.side_leak_j = row.side_leak_j;
+      p.corrected_words_mean = row.corrected_mean;
+      p.detected_uncorrectable_mean = row.detected_mean;
+      result.points.push_back(std::move(p));
     }
   }
   return result;

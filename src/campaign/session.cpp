@@ -174,13 +174,6 @@ detail::CampaignJob& checked(
 
 }  // namespace
 
-ResultStore CampaignHandle::wait() const {
-  detail::CampaignJob& job = checked(job_);
-  job.pool_job->wait();
-  const std::lock_guard lock(job.mutex);
-  return job.store;
-}
-
 ResultStore CampaignHandle::take() const {
   detail::CampaignJob& job = checked(job_);
   job.pool_job->wait();

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/rng.hpp"
@@ -88,6 +89,17 @@ CampaignSpec CampaignSpec::normalized() const {
   }
   if (out.records.empty()) out.records.push_back(RecordAxis{});
   if (out.repetitions == 0) out.repetitions = 1;
+  // Record generation sizes each record as fs_hz x duration_s samples;
+  // a NaN, infinite or non-positive factor gives no record to run on.
+  for (const auto& [field, value] : {std::pair{"fs_hz", out.fs_hz},
+                                     std::pair{"duration_s", out.duration_s}}) {
+    if (!(std::isfinite(value) && value > 0.0)) {
+      std::ostringstream os;
+      os << "CampaignSpec: " << field << " = " << value
+         << " is not a finite positive number";
+      throw std::invalid_argument(os.str());
+    }
+  }
   // A grid expand() cannot hold would surface only as bad_alloc or an
   // endless loop deep inside a run, so reject it here: the benches, the
   // CLI, the daemon and the workers all normalize first. A negative

@@ -2,7 +2,7 @@
 // Name-addressed EMT construction. The registry is the only interface:
 // built-ins register themselves on first access, user techniques register
 // from anywhere (an example, a test, a downstream project) and are then
-// selectable by name through campaign specs and the Scenario facade.
+// selectable by name through campaign specs, the CLI and the daemon.
 
 #include <memory>
 #include <string>

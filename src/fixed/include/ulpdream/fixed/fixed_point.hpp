@@ -1,38 +1,12 @@
 #pragma once
-// Generic signed fixed-point type. The paper's applications run on 16-bit
-// integer samples (MIT-BIH style) with Q1.15 filter coefficients; this
-// header provides the arithmetic substrate with explicit, saturating
-// semantics so precision-scaling behaviour is deterministic and testable.
+// Q1.15 coefficients and the rounding shift of the fixed-point DSP. The
+// paper's applications run on 16-bit integer samples (MIT-BIH style) with
+// Q1.15 filter coefficients; conversion saturates instead of wrapping, so
+// precision-scaling behaviour is deterministic and testable.
 
-#include <cmath>
-#include <compare>
 #include <cstdint>
-#include <limits>
-#include <type_traits>
 
 namespace ulpdream::fixed {
-
-namespace detail {
-template <int Bits>
-struct StorageFor {
-  static_assert(Bits > 0 && Bits <= 64, "unsupported fixed-point width");
-  using type = std::conditional_t<
-      (Bits <= 8), std::int8_t,
-      std::conditional_t<(Bits <= 16), std::int16_t,
-                         std::conditional_t<(Bits <= 32), std::int32_t,
-                                            std::int64_t>>>;
-};
-}  // namespace detail
-
-/// Saturates a wide intermediate to the representable range of `Narrow`.
-template <typename Narrow, typename Wide>
-[[nodiscard]] constexpr Narrow saturate_cast(Wide v) noexcept {
-  constexpr Wide lo = static_cast<Wide>(std::numeric_limits<Narrow>::min());
-  constexpr Wide hi = static_cast<Wide>(std::numeric_limits<Narrow>::max());
-  if (v < lo) return std::numeric_limits<Narrow>::min();
-  if (v > hi) return std::numeric_limits<Narrow>::max();
-  return static_cast<Narrow>(v);
-}
 
 /// Arithmetic shift right with round-half-away-from-zero; the rounding mode
 /// matters for DSP bias (plain truncation accumulates a DC error across
@@ -45,132 +19,36 @@ template <typename T>
   return static_cast<T>(-((-v + half) >> shift));
 }
 
-/// Signed fixed-point number with `IntBits` integer bits (including sign)
-/// and `FracBits` fractional bits. Total width IntBits+FracBits must fit a
-/// native integer. All arithmetic saturates instead of wrapping: biomedical
-/// pipelines must degrade gracefully, never alias across the sign boundary.
-template <int IntBits, int FracBits>
-class Fixed {
-  static_assert(IntBits >= 1, "need at least a sign bit");
-  static_assert(FracBits >= 0, "negative fractional width");
-  static_assert(IntBits + FracBits <= 32, "use a wider accumulator type");
-
+/// Q1.15: a sign bit and 15 fractional bits in 16 bits, the coefficient
+/// format of the DSP substrate (applied to samples by mul_q15).
+class Q15 {
  public:
-  static constexpr int kTotalBits = IntBits + FracBits;
-  static constexpr int kFracBits = FracBits;
-  using Storage = typename detail::StorageFor<kTotalBits>::type;
-  using Wide = std::int64_t;
+  static constexpr std::int16_t kRawMax = 32767;
+  static constexpr std::int16_t kRawMin = -32768;
 
-  static constexpr Storage kRawMax =
-      static_cast<Storage>((Wide{1} << (kTotalBits - 1)) - 1);
-  static constexpr Storage kRawMin =
-      static_cast<Storage>(-(Wide{1} << (kTotalBits - 1)));
-  static constexpr double kScale = static_cast<double>(Wide{1} << FracBits);
+  constexpr Q15() noexcept = default;
 
-  constexpr Fixed() noexcept = default;
-
-  /// Constructs from a raw integer representation (no scaling).
-  [[nodiscard]] static constexpr Fixed from_raw(Storage raw) noexcept {
-    Fixed f;
-    f.raw_ = clamp_raw(static_cast<Wide>(raw));
-    return f;
+  /// Constructs from a raw Q1.15 code (no scaling).
+  [[nodiscard]] static constexpr Q15 from_raw(std::int16_t raw) noexcept {
+    Q15 q;
+    q.raw_ = raw;
+    return q;
   }
 
-  /// Constructs from a double, rounding to nearest and saturating.
-  [[nodiscard]] static constexpr Fixed from_double(double v) noexcept {
-    Fixed f;
-    const double scaled = v * kScale;
-    // constexpr-friendly round-half-away-from-zero
+  /// Constructs from a double: v * 2^15 rounded half away from zero,
+  /// saturated to [kRawMin, kRawMax].
+  [[nodiscard]] static constexpr Q15 from_double(double v) noexcept {
+    const double scaled = v * 32768.0;
     const double r = scaled >= 0.0 ? scaled + 0.5 : scaled - 0.5;
-    if (r >= static_cast<double>(kRawMax)) {
-      f.raw_ = kRawMax;
-    } else if (r <= static_cast<double>(kRawMin)) {
-      f.raw_ = kRawMin;
-    } else {
-      f.raw_ = static_cast<Storage>(r);
-    }
-    return f;
+    if (r >= static_cast<double>(kRawMax)) return from_raw(kRawMax);
+    if (r <= static_cast<double>(kRawMin)) return from_raw(kRawMin);
+    return from_raw(static_cast<std::int16_t>(r));
   }
 
-  [[nodiscard]] static constexpr Fixed from_int(Wide v) noexcept {
-    Fixed f;
-    f.raw_ = clamp_raw(v << FracBits);
-    return f;
-  }
-
-  [[nodiscard]] constexpr Storage raw() const noexcept { return raw_; }
-  [[nodiscard]] constexpr double to_double() const noexcept {
-    return static_cast<double>(raw_) / kScale;
-  }
-  /// Integer part, truncated toward zero.
-  [[nodiscard]] constexpr Wide to_int() const noexcept {
-    return raw_ >= 0 ? (static_cast<Wide>(raw_) >> FracBits)
-                     : -((-static_cast<Wide>(raw_)) >> FracBits);
-  }
-
-  [[nodiscard]] static constexpr Fixed max() noexcept {
-    return from_raw(kRawMax);
-  }
-  [[nodiscard]] static constexpr Fixed min() noexcept {
-    return from_raw(kRawMin);
-  }
-  [[nodiscard]] static constexpr Fixed epsilon() noexcept {
-    return from_raw(1);
-  }
-
-  friend constexpr Fixed operator+(Fixed a, Fixed b) noexcept {
-    return from_wide(static_cast<Wide>(a.raw_) + b.raw_);
-  }
-  friend constexpr Fixed operator-(Fixed a, Fixed b) noexcept {
-    return from_wide(static_cast<Wide>(a.raw_) - b.raw_);
-  }
-  friend constexpr Fixed operator-(Fixed a) noexcept {
-    return from_wide(-static_cast<Wide>(a.raw_));
-  }
-  friend constexpr Fixed operator*(Fixed a, Fixed b) noexcept {
-    const Wide prod = static_cast<Wide>(a.raw_) * b.raw_;
-    return from_wide(rounded_shift_right(prod, FracBits));
-  }
-  friend constexpr Fixed operator/(Fixed a, Fixed b) noexcept {
-    if (b.raw_ == 0) return a.raw_ >= 0 ? max() : min();
-    const Wide num = static_cast<Wide>(a.raw_) << FracBits;
-    return from_wide(num / b.raw_);
-  }
-
-  constexpr Fixed& operator+=(Fixed o) noexcept { return *this = *this + o; }
-  constexpr Fixed& operator-=(Fixed o) noexcept { return *this = *this - o; }
-  constexpr Fixed& operator*=(Fixed o) noexcept { return *this = *this * o; }
-  constexpr Fixed& operator/=(Fixed o) noexcept { return *this = *this / o; }
-
-  friend constexpr auto operator<=>(Fixed a, Fixed b) noexcept {
-    return a.raw_ <=> b.raw_;
-  }
-  friend constexpr bool operator==(Fixed a, Fixed b) noexcept {
-    return a.raw_ == b.raw_;
-  }
-
-  [[nodiscard]] constexpr Fixed abs() const noexcept {
-    return raw_ >= 0 ? *this : -*this;
-  }
+  [[nodiscard]] constexpr std::int16_t raw() const noexcept { return raw_; }
 
  private:
-  [[nodiscard]] static constexpr Storage clamp_raw(Wide v) noexcept {
-    if (v > static_cast<Wide>(kRawMax)) return kRawMax;
-    if (v < static_cast<Wide>(kRawMin)) return kRawMin;
-    return static_cast<Storage>(v);
-  }
-  [[nodiscard]] static constexpr Fixed from_wide(Wide v) noexcept {
-    Fixed f;
-    f.raw_ = clamp_raw(v);
-    return f;
-  }
-
-  Storage raw_ = 0;
+  std::int16_t raw_ = 0;
 };
-
-/// Q1.15: the coefficient format used throughout the DSP substrate.
-using Q15 = Fixed<1, 15>;
-/// Q16.16: intermediate format for delineation thresholds.
-using Q16_16 = Fixed<16, 16>;
 
 }  // namespace ulpdream::fixed

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ulpdream/core/no_protection.hpp"
 #include "ulpdream/util/stats.hpp"
 
 namespace ulpdream::sim {
@@ -19,6 +20,7 @@ BitSignificanceResult run_bit_significance(
   }
   result.max_snr_db = max_stats.mean();
 
+  const core::NoProtection none;
   for (int polarity = 0; polarity < 2; ++polarity) {
     for (int bit = 0; bit < 16; ++bit) {
       const mem::FaultMap map = mem::FaultMap::stuck_bit(
@@ -27,7 +29,7 @@ BitSignificanceResult run_bit_significance(
       util::RunningStats stats;
       for (const auto& record : records) {
         const RunResult run = runner.run_once(
-            app, record, "none", &map, mem::VoltageWindow::kNominal);
+            app, record, none, &map, mem::VoltageWindow::kNominal);
         stats.add(run.snr_db);
       }
       result.snr_db[static_cast<std::size_t>(polarity)]

@@ -41,7 +41,10 @@ class ExperimentRunner {
 
   /// The SNR reference for (app, record): the app's double-precision
   /// golden model when it has one, otherwise the error-free fixed-point
-  /// run. Cached per (app kind, record name).
+  /// run. Cached per (app kind, record name). Throws
+  /// std::invalid_argument, naming the app, the record and both lengths,
+  /// when the record holds fewer than app.input_length() samples; so do
+  /// run_once() and max_snr_db(), which fetch it first.
   [[nodiscard]] const std::vector<double>& reference(
       const apps::BioApp& app, const ecg::Record& record);
 
@@ -63,12 +66,6 @@ class ExperimentRunner {
   [[nodiscard]] RunResult run_once(const apps::BioApp& app,
                                    const ecg::Record& record,
                                    const core::Emt& emt,
-                                   const mem::FaultMap* faults, double v);
-
-  /// Convenience: resolve the EMT by registry name and run.
-  [[nodiscard]] RunResult run_once(const apps::BioApp& app,
-                                   const ecg::Record& record,
-                                   const std::string& emt_name,
                                    const mem::FaultMap* faults, double v);
 
   /// Maximum SNR ("dashed line" of Fig. 4): error-free fixed-point run

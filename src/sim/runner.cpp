@@ -29,6 +29,15 @@ ExperimentRunner::Reference& ExperimentRunner::cached_reference(
   if (const auto it = cache_.find(key); it != cache_.end()) {
     return it->second;
   }
+  // Checked once per (app, record), before any app code reads the record:
+  // ideal_output() indexes the whole window unchecked.
+  if (record.samples.size() < app.input_length()) {
+    throw std::invalid_argument(
+        app.name() + ": record " + record.name + " holds " +
+        std::to_string(record.samples.size()) +
+        " samples, shorter than its " + std::to_string(app.input_length()) +
+        "-sample window");
+  }
   Reference reference;
   if (auto ideal = app.ideal_output(record)) {
     reference.values = std::move(*ideal);
@@ -109,14 +118,6 @@ RunResult ExperimentRunner::run_once(const apps::BioApp& app,
                  core::MemorySystem::make_codec_telemetry(emt_name)});
   }
   return result_at(run, emt, v);
-}
-
-RunResult ExperimentRunner::run_once(const apps::BioApp& app,
-                                     const ecg::Record& record,
-                                     const std::string& emt_name,
-                                     const mem::FaultMap* faults, double v) {
-  const auto emt = core::make_emt(emt_name);
-  return run_once(app, record, *emt, faults, v);
 }
 
 double ExperimentRunner::max_snr_db(const apps::BioApp& app,

@@ -28,12 +28,6 @@ std::string concat(Args&&... args) {
 }  // namespace detail
 
 template <typename... Args>
-void log_debug(Args&&... args) {
-  if (log_level() <= LogLevel::kDebug)
-    log_message(LogLevel::kDebug, detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
 void log_info(Args&&... args) {
   if (log_level() <= LogLevel::kInfo)
     log_message(LogLevel::kInfo, detail::concat(std::forward<Args>(args)...));
@@ -43,12 +37,6 @@ template <typename... Args>
 void log_warn(Args&&... args) {
   if (log_level() <= LogLevel::kWarn)
     log_message(LogLevel::kWarn, detail::concat(std::forward<Args>(args)...));
-}
-
-template <typename... Args>
-void log_error(Args&&... args) {
-  if (log_level() <= LogLevel::kError)
-    log_message(LogLevel::kError, detail::concat(std::forward<Args>(args)...));
 }
 
 }  // namespace ulpdream::util

@@ -3,8 +3,8 @@
 // A Registry<T> maps a stable name to a factory plus a Descriptor, so new
 // EMTs, applications and BER models can be added from *outside* src/ (an
 // example, a downstream project, a test) and then selected by name through
-// every layer: campaign specs, CLIs and the Scenario facade. The name is
-// a component's only identity. Descriptors carry the metadata a CLI or
+// every layer: campaign specs, CLIs and daemon queries. The name is a
+// component's only identity. Descriptors carry the metadata a CLI or
 // bench needs to enumerate and validate components *without*
 // instantiating them: a one-line doc string and capability labels (e.g.
 // "corrects-errors", "paper", "extended-tier").

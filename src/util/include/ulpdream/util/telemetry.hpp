@@ -3,8 +3,8 @@
 // independent halves sharing one design rule: when nothing is looking,
 // the instrumented code must run at full speed.
 //
-//  - Trace recorder: per-thread lock-free ring buffers of span/instant
-//    events with nanosecond timestamps, exported as Chrome trace-event
+//  - Trace recorder: per-thread lock-free ring buffers of span events
+//    with nanosecond timestamps, exported as Chrome trace-event
 //    JSON (load the file in Perfetto / chrome://tracing). Activation is
 //    explicit — trace::start(), the campaign CLI's --trace flag, or the
 //    ULPDREAM_TRACE=out.json environment variable (which also writes the
@@ -186,8 +186,8 @@ void reset();
 [[nodiscard]] std::size_t event_count();
 
 /// Writes every recorded event as Chrome trace-event JSON — one complete
-/// ("ph":"X") event per span, "ph":"i" per instant, plus thread-name
-/// metadata. Timestamps are microseconds since the process trace epoch.
+/// ("ph":"X") event per span, plus thread-name metadata and, when a full
+/// ring dropped events, one "telemetry.dropped_events" marker. Timestamps are microseconds since the process trace epoch.
 /// Loadable in Perfetto (ui.perfetto.dev) and chrome://tracing.
 void write_chrome_json(std::ostream& os);
 
@@ -202,9 +202,8 @@ void write_chrome_json(std::ostream& os);
 [[nodiscard]] const char* intern(const std::string& name);
 
 namespace detail {
-/// Slow paths, called only while tracing is enabled.
+/// Slow path, called only while tracing is enabled.
 void emit_span(const char* name, std::uint64_t start_ns) noexcept;
-void emit_instant(const char* name) noexcept;
 }  // namespace detail
 
 /// RAII span: records a begin timestamp at construction and emits one
@@ -229,11 +228,6 @@ class TraceSpan {
   const char* name_ = nullptr;
   std::uint64_t start_ = 0;
 };
-
-/// Zero-duration marker event.
-inline void trace_instant(const char* name) noexcept {
-  if (trace::enabled()) detail::emit_instant(name);
-}
 
 }  // namespace ulpdream::util::telemetry
 

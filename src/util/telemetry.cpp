@@ -538,12 +538,11 @@ MetricsSnapshot MetricsSnapshot::read_json(std::istream& is) {
 namespace {
 
 constexpr std::size_t kRingCapacity = 1 << 15;  ///< events per thread
-constexpr std::uint64_t kInstantDur = ~std::uint64_t{0};
 
 struct TraceEvent {
   const char* name;
   std::uint64_t ts_ns;
-  std::uint64_t dur_ns;  ///< kInstantDur marks an instant event
+  std::uint64_t dur_ns;
 };
 
 /// Single-producer ring: the owning thread writes the entry, then
@@ -693,15 +692,11 @@ void write_chrome_json(std::ostream& os) {
     os << ",\n{\"name\": ";
     json_escape(os, row.event.name);
     // Chrome trace timestamps are microseconds; fractional keeps the ns.
-    os << ", \"ph\": " << (row.event.dur_ns == kInstantDur ? "\"i\"" : "\"X\"")
-       << ", \"ts\": " << fmt_exact(static_cast<double>(row.event.ts_ns) / 1e3);
-    if (row.event.dur_ns == kInstantDur) {
-      os << ", \"s\": \"t\"";
-    } else {
-      os << ", \"dur\": "
-         << fmt_exact(static_cast<double>(row.event.dur_ns) / 1e3);
-    }
-    os << ", \"pid\": 1, \"tid\": " << row.tid << "}";
+    os << ", \"ph\": \"X\", \"ts\": "
+       << fmt_exact(static_cast<double>(row.event.ts_ns) / 1e3)
+       << ", \"dur\": "
+       << fmt_exact(static_cast<double>(row.event.dur_ns) / 1e3)
+       << ", \"pid\": 1, \"tid\": " << row.tid << "}";
   }
   if (dropped != 0) {
     os << ",\n"
@@ -718,10 +713,6 @@ namespace detail {
 
 void emit_span(const char* name, std::uint64_t start_ns) noexcept {
   ring().push({name, start_ns, now_ns() - start_ns});
-}
-
-void emit_instant(const char* name) noexcept {
-  ring().push({name, now_ns(), kInstantDur});
 }
 
 }  // namespace detail

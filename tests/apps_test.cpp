@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <ostream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -17,6 +19,7 @@
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/mem/ber_model.hpp"
 #include "ulpdream/metrics/quality.hpp"
+#include "ulpdream/sim/runner.hpp"
 #include "ulpdream/util/telemetry.hpp"
 
 namespace ulpdream::apps {
@@ -100,11 +103,35 @@ TEST(AppRuns, RecordTooShortThrows) {
   ecg::GeneratorConfig cfg;
   cfg.duration_s = 1.0;  // 250 samples, far below the 2048 window
   const ecg::Record tiny = ecg::generate_record(cfg);
+  const core::NoProtection none;
   for (const std::string& name : paper_app_names()) {
     const auto app = make_app(name);
     auto sys = make_clean_system();
     EXPECT_THROW((void)app->run(sys, tiny), std::invalid_argument)
         << app->name();
+    // The runner fetches the reference (the golden model reads the whole
+    // window) before any run: it must reject the record first, naming the
+    // app, the record and both lengths.
+    sim::ExperimentRunner runner;
+    const auto expect_rejected = [&](const char* call, const auto& fn) {
+      try {
+        fn();
+        ADD_FAILURE() << app->name() << ": " << call << " accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string what = e.what();
+        for (const std::string& part :
+             {app->name(), tiny.name, std::to_string(tiny.samples.size()),
+              std::to_string(app->input_length())}) {
+          EXPECT_NE(what.find(part), std::string::npos) << call << ": " << what;
+        }
+      }
+    };
+    expect_rejected("reference", [&] { (void)runner.reference(*app, tiny); });
+    expect_rejected("run_once", [&] {
+      (void)runner.run_once(*app, tiny, none, nullptr, 0.9);
+    });
+    expect_rejected("max_snr_db",
+                    [&] { (void)runner.max_snr_db(*app, tiny); });
   }
 }
 
@@ -443,12 +470,16 @@ TEST(DelineationApp, FindsAllFiveWaveTypes) {
   for (int c : counts) EXPECT_GT(c, 0);
 }
 
-/// An index into paper_app_names() or paper_emt_names(). gtest prints a
-/// one-byte struct as "1-byte object <NN>", which keeps the instance
-/// names stable.
+/// An index into paper_app_names() or, with `emt` set, paper_emt_names().
+/// Its PrintTo spells the name, which ctest takes as the instance's name.
 struct NameIndex {
   std::uint8_t index = 0;
+  bool emt = false;
 };
+
+void PrintTo(const NameIndex& n, std::ostream* os) {
+  *os << (n.emt ? core::paper_emt_names() : paper_app_names()).at(n.index);
+}
 
 class AppEmtMatrix
     : public ::testing::TestWithParam<std::tuple<NameIndex, NameIndex>> {};
@@ -473,7 +504,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(NameIndex{0}, NameIndex{1}, NameIndex{2},
                           NameIndex{3}, NameIndex{4}),
-        ::testing::Values(NameIndex{0}, NameIndex{1}, NameIndex{2})));
+        ::testing::Values(NameIndex{0, true}, NameIndex{1, true},
+                          NameIndex{2, true})));
 
 }  // namespace
 }  // namespace ulpdream::apps

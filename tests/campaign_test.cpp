@@ -4,9 +4,12 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"
+#include "ulpdream/mem/ber_model.hpp"
 #include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/util/rng.hpp"
 
@@ -160,6 +164,27 @@ TEST(CampaignSpec, NormalizeFillsDefaults) {
   EXPECT_EQ(spec.voltages.size(), 9u);
   EXPECT_EQ(spec.records.size(), 1u);
   EXPECT_GE(spec.repetitions, 1u);
+  EXPECT_EQ(spec.ber_model, "log-linear");
+
+  // The record geometry has no default to fall back on: a value that
+  // sizes no record is rejected, naming its field.
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::pair<const char*, double> bad_geometry[] = {
+      {"fs_hz", 0.0},        {"fs_hz", -250.0},   {"fs_hz", kNan},
+      {"fs_hz", kInf},       {"duration_s", 0.0}, {"duration_s", kNan}};
+  for (const auto& [field, value] : bad_geometry) {
+    SCOPED_TRACE(testing::Message() << field << " = " << value);
+    CampaignSpec bad;
+    (std::string(field) == "fs_hz" ? bad.fs_hz : bad.duration_s) = value;
+    try {
+      (void)bad.normalized();
+      ADD_FAILURE() << "no std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(CampaignSpec, RejectsGridsWhoseItemCountOverflows) {
@@ -209,7 +234,7 @@ TEST(CampaignSpec, ParsesAxisLists) {
   EXPECT_THROW((void)parse_pathology_list("flu"), std::invalid_argument);
 }
 
-TEST(CampaignEngine, BitIdenticalAcrossThreadCounts) {
+TEST(CampaignRun, BitIdenticalAcrossThreadCounts) {
   const CampaignSpec spec = tiny_spec();
   const auto baseline = run(spec, 1).aggregate();
   for (const unsigned threads : {4u, 8u}) {
@@ -222,7 +247,7 @@ TEST(CampaignEngine, BitIdenticalAcrossThreadCounts) {
 // collides for axes differing only in noise level; the session must rename
 // records to their (unique) axis label, or the runner's name-keyed
 // reference cache scores one record against the other's golden reference.
-TEST(CampaignEngine, RecordsDifferingOnlyInNoiseKeepTheirOwnReferences) {
+TEST(CampaignRun, RecordsDifferingOnlyInNoiseKeepTheirOwnReferences) {
   CampaignSpec spec;
   spec.apps = {"dwt"};
   spec.emts = {"none"};
@@ -245,7 +270,7 @@ TEST(CampaignEngine, RecordsDifferingOnlyInNoiseKeepTheirOwnReferences) {
   EXPECT_NE(store.max_snr_db(0, 0), store.max_snr_db(1, 0));
 }
 
-TEST(CampaignEngine, ShardSplitsMergeToTheFullStore) {
+TEST(CampaignRun, ShardSplitsMergeToTheFullStore) {
   const CampaignSpec spec = tiny_spec();
   const auto full = run(spec, 4).aggregate();
 
@@ -264,7 +289,7 @@ TEST(CampaignEngine, ShardSplitsMergeToTheFullStore) {
   }
 }
 
-TEST(CampaignEngine, RawStoreSaveLoadRoundTripsAcrossProcessesShape) {
+TEST(CampaignRun, RawStoreSaveLoadRoundTripsAcrossProcessesShape) {
   const CampaignSpec spec = tiny_spec();
   // Simulate the CLI's cross-process shard workflow: each shard saves its
   // raw store to a file; a fresh merge "process" reopens and merges.
@@ -550,6 +575,64 @@ TEST(ResultStore, BridgesToThePolicyExplorer) {
   const sim::PolicyResult policy = sim::explore_policy(sweep, 1.0);
   EXPECT_EQ(policy.points.size(), spec.emts.size());
   EXPECT_GT(policy.nominal_energy_j, 0.0);
+}
+
+TEST(ResultStore, SweepPointsAreTheGroupedAggregateRows) {
+  // Two records x two apps: every (record, app) slice sits elsewhere in
+  // the rows. Each sweep point, listed voltage-major, carries the
+  // statistics of the full-GroupBy row of its cell bit for bit.
+  const CampaignSpec spec = tiny_spec();
+  const ResultStore store = run(spec, 4);
+  const std::vector<AggregateRow> rows = store.aggregate();
+  const auto ber_model = mem::make_ber_model(spec.ber_model);
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  for (std::size_t ri = 0; ri < spec.records.size(); ++ri) {
+    for (std::size_t ai = 0; ai < spec.apps.size(); ++ai) {
+      const sim::SweepResult sweep = store.to_sweep_result(ri, ai);
+      ASSERT_EQ(sweep.points.size(), spec.voltages.size() * spec.emts.size());
+      std::size_t next = 0;
+      for (const double v : spec.voltages) {
+        for (const std::string& emt : spec.emts) {
+          SCOPED_TRACE(testing::Message() << spec.records[ri].label() << ' '
+                                          << spec.apps[ai] << ' ' << emt
+                                          << ' ' << v);
+          const sim::SweepPoint& p = sweep.points[next++];
+          const AggregateRow* row = nullptr;
+          for (const AggregateRow& r : rows) {
+            if (r.record == spec.records[ri].label() &&
+                r.app == spec.apps[ai] && r.emt == emt && r.voltage == v) {
+              row = &r;
+            }
+          }
+          ASSERT_NE(row, nullptr);
+          EXPECT_EQ(p.app, row->app);
+          EXPECT_EQ(p.emt, row->emt);
+          EXPECT_TRUE(same_bits(p.voltage, row->voltage));
+          EXPECT_TRUE(same_bits(p.ber, ber_model->ber(v)));
+          const std::pair<double, double> stats[] = {
+              {p.snr_mean_db, row->snr_mean_db},
+              {p.snr_stddev_db, row->snr_stddev_db},
+              {p.snr_min_db, row->snr_min_db},
+              {p.snr_p10_db, row->snr_p10_db},
+              {p.energy_mean_j, row->energy_mean_j},
+              {p.energy_mean.data_dynamic_j, row->data_dynamic_j},
+              {p.energy_mean.side_dynamic_j, row->side_dynamic_j},
+              {p.energy_mean.codec_j, row->codec_j},
+              {p.energy_mean.data_leak_j, row->data_leak_j},
+              {p.energy_mean.side_leak_j, row->side_leak_j},
+              {p.corrected_words_mean, row->corrected_mean},
+              {p.detected_uncorrectable_mean, row->detected_mean}};
+          for (std::size_t i = 0; i < std::size(stats); ++i) {
+            EXPECT_TRUE(same_bits(stats[i].first, stats[i].second))
+                << "statistic " << i << ": " << stats[i].first << " vs "
+                << stats[i].second;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

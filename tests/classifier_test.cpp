@@ -1,10 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "ulpdream/apps/classifier_app.hpp"
 #include "ulpdream/core/factory.hpp"
 #include "ulpdream/core/no_protection.hpp"
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/mem/ber_model.hpp"
+
+namespace ulpdream::ecg {
+
+// ADL finds a parameter's PrintTo in the parameter type's namespace (not
+// in an unnamed one): ctest names each ClassifierPathologySweep instance
+// after it.
+void PrintTo(Pathology p, std::ostream* os) { *os << pathology_name(p); }
+
+}  // namespace ulpdream::ecg
 
 namespace ulpdream::apps {
 namespace {

@@ -496,7 +496,7 @@ TEST(Protocol, MessagesRoundTripThroughTheWire) {
 // ---------------------------------------------------------------------------
 // The daemon coordinating its workers: leased execution, end to end.
 
-TEST(Coordinator, ThreeWorkersMergeByteIdenticalToSingleProcessRun) {
+TEST(LeasedDaemon, ThreeWorkersMergeByteIdenticalToSingleProcessRun) {
   const fs::path dir = scratch("three_workers");
   const CampaignSpec spec = small_spec(2016, 6);  // 12 items, 4 leases
   const std::string reference = columnar_bytes(spec, dir / "ref.ulpdcol");
@@ -530,7 +530,7 @@ TEST(Coordinator, ThreeWorkersMergeByteIdenticalToSingleProcessRun) {
             spec.item_count());
 }
 
-TEST(Coordinator, WorkerDeathMidLeaseIsReleasedAndMergeStaysByteIdentical) {
+TEST(LeasedDaemon, WorkerDeathMidLeaseIsReleasedAndMergeStaysByteIdentical) {
   const fs::path dir = scratch("mid_lease_death");
   const CampaignSpec spec = small_spec(99, 4);  // 8 items
   LeasingDaemon daemon(dir);
@@ -556,7 +556,7 @@ TEST(Coordinator, WorkerDeathMidLeaseIsReleasedAndMergeStaysByteIdentical) {
   EXPECT_EQ(survivor.error(), "");
 }
 
-TEST(Coordinator, WorkerDeathBetweenLeasesIsAbsorbed) {
+TEST(LeasedDaemon, WorkerDeathBetweenLeasesIsAbsorbed) {
   const fs::path dir = scratch("between_lease_death");
   const CampaignSpec spec = small_spec(7, 6);  // 12 items, 4 leases
   LeasingDaemon daemon(dir);
@@ -581,7 +581,7 @@ TEST(Coordinator, WorkerDeathBetweenLeasesIsAbsorbed) {
   EXPECT_EQ(survivor.report().leases_completed, 3u);
 }
 
-TEST(Coordinator, ProtocolVersionMismatchIsRejectedQuotingBothVersions) {
+TEST(LeasedDaemon, ProtocolVersionMismatchIsRejectedQuotingBothVersions) {
   const fs::path dir = scratch("version_reject");
   const CampaignSpec spec = small_spec(12, 2);
   LeasingDaemon daemon(dir);
@@ -617,7 +617,7 @@ TEST(Coordinator, ProtocolVersionMismatchIsRejectedQuotingBothVersions) {
   EXPECT_EQ(honest.error(), "");
 }
 
-TEST(Coordinator, StaleResultIsIngestedAndTheAnswerStaysByteIdentical) {
+TEST(LeasedDaemon, StaleResultIsIngestedAndTheAnswerStaysByteIdentical) {
   const fs::path dir = scratch("stale_result");
   const CampaignSpec spec = small_spec(41, 6);  // 12 items, 4 leases
   LeasingDaemon daemon(dir, /*lease_ttl_ms=*/1'000);
@@ -646,7 +646,7 @@ TEST(Coordinator, StaleResultIsIngestedAndTheAnswerStaysByteIdentical) {
   EXPECT_EQ(survivor.report().items_executed, spec.item_count() - 3);
 }
 
-TEST(Coordinator, LeasedGapFillExecutesOnlyTheGap) {
+TEST(LeasedDaemon, LeasedGapFillExecutesOnlyTheGap) {
   const fs::path dir = scratch("leased_gap");
   const CampaignSpec prefix = small_spec(43, 3, 1);
   const CampaignSpec superset = small_spec(43, 3, 3);
@@ -671,7 +671,7 @@ TEST(Coordinator, LeasedGapFillExecutesOnlyTheGap) {
   EXPECT_EQ(report.items_reused, prefix.item_count());
 }
 
-TEST(Coordinator, ClientDeathMidLeasedQueryCachesNothing) {
+TEST(LeasedDaemon, ClientDeathMidLeasedQueryCachesNothing) {
   const fs::path dir = scratch("client_death");
   const CampaignSpec spec = small_spec(47, 6);
   LeasingDaemon daemon(dir);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/ecg/generator.hpp"
@@ -10,6 +11,11 @@
 #include "ulpdream/ecg/rhythm.hpp"
 
 namespace ulpdream::ecg {
+
+// ADL finds a parameter's PrintTo in the parameter type's namespace (not
+// in an unnamed one): ctest names each PathologySweep instance after it.
+void PrintTo(Pathology p, std::ostream* os) { *os << pathology_name(p); }
+
 namespace {
 
 TEST(Pqrst, RWaveDominates) {

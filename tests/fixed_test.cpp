@@ -10,7 +10,11 @@ namespace {
 
 TEST(FixedPoint, RoundTripDouble) {
   const Q15 x = Q15::from_double(0.5);
-  EXPECT_NEAR(x.to_double(), 0.5, 1.0 / 32768.0);
+  EXPECT_EQ(x.raw(), 16384);
+  EXPECT_EQ(Q15::from_raw(x.raw()).raw(), x.raw());
+  // Half a code rounds away from zero on either side.
+  EXPECT_EQ(Q15::from_double(1.5 / 32768.0).raw(), 2);
+  EXPECT_EQ(Q15::from_double(-1.5 / 32768.0).raw(), -2);
 }
 
 TEST(FixedPoint, SaturatesOnOverflow) {
@@ -18,51 +22,6 @@ TEST(FixedPoint, SaturatesOnOverflow) {
   EXPECT_EQ(x.raw(), Q15::kRawMax);
   const Q15 y = Q15::from_double(-2.0);
   EXPECT_EQ(y.raw(), Q15::kRawMin);
-}
-
-TEST(FixedPoint, AdditionSaturates) {
-  const Q15 a = Q15::from_double(0.9);
-  const Q15 b = Q15::from_double(0.9);
-  EXPECT_EQ((a + b).raw(), Q15::kRawMax);
-}
-
-TEST(FixedPoint, MultiplicationIdentityLike) {
-  const Q15 almost_one = Q15::from_raw(Q15::kRawMax);
-  const Q15 half = Q15::from_double(0.5);
-  EXPECT_NEAR((almost_one * half).to_double(), 0.5, 2.0 / 32768.0);
-}
-
-TEST(FixedPoint, MultiplicationSigns) {
-  const Q15 a = Q15::from_double(-0.5);
-  const Q15 b = Q15::from_double(0.5);
-  EXPECT_NEAR((a * b).to_double(), -0.25, 2.0 / 32768.0);
-  EXPECT_NEAR((a * a).to_double(), 0.25, 2.0 / 32768.0);
-}
-
-TEST(FixedPoint, DivisionByZeroSaturates) {
-  const Q15 a = Q15::from_double(0.5);
-  EXPECT_EQ((a / Q15{}).raw(), Q15::kRawMax);
-  const Q15 neg = Q15::from_double(-0.5);
-  EXPECT_EQ((neg / Q15{}).raw(), Q15::kRawMin);
-}
-
-TEST(FixedPoint, ComparisonOperators) {
-  const Q15 a = Q15::from_double(0.25);
-  const Q15 b = Q15::from_double(0.75);
-  EXPECT_LT(a, b);
-  EXPECT_EQ(a, Q15::from_double(0.25));
-  EXPECT_GE(b, a);
-}
-
-TEST(FixedPoint, AbsOfNegative) {
-  const Q15 a = Q15::from_double(-0.3);
-  EXPECT_NEAR(a.abs().to_double(), 0.3, 1.0 / 32768.0);
-}
-
-TEST(FixedPoint, IntegerFormatRoundTrip) {
-  const Q16_16 v = Q16_16::from_int(1234);
-  EXPECT_EQ(v.to_int(), 1234);
-  EXPECT_DOUBLE_EQ(v.to_double(), 1234.0);
 }
 
 TEST(RoundedShift, RoundsHalfAwayFromZero) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "ulpdream/apps/app.hpp"
 #include "ulpdream/apps/dwt_app.hpp"
 #include "ulpdream/campaign/session.hpp"
@@ -132,9 +134,9 @@ TEST(Integration, SameFaultMapFairness) {
   const mem::FaultMap map = mem::FaultMap::random(
       mem::MemoryGeometry::kWords16, 22, 1e-4, rng);
   const sim::RunResult a =
-      runner.run_once(app, record(), "none", &map, 0.7);
+      runner.run_once(app, record(), *core::make_emt("none"), &map, 0.7);
   const sim::RunResult b =
-      runner.run_once(app, record(), "none", &map, 0.7);
+      runner.run_once(app, record(), *core::make_emt("none"), &map, 0.7);
   EXPECT_DOUBLE_EQ(a.snr_db, b.snr_db);  // deterministic replay
 }
 
@@ -167,7 +169,7 @@ TEST(Integration, AllAppsSurviveDeepVoltageWithDream) {
   for (const std::string& name : apps::paper_app_names()) {
     const auto app = apps::make_app(name);
     const sim::RunResult r =
-        runner.run_once(*app, record(), "dream", &map, 0.5);
+        runner.run_once(*app, record(), *core::make_emt("dream"), &map, 0.5);
     EXPECT_TRUE(std::isfinite(r.snr_db)) << app->name();
     EXPECT_GT(r.energy.total_j(), 0.0) << app->name();
   }

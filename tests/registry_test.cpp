@@ -1,13 +1,16 @@
 // Registry-based extension API: the Registry<T> template, the built-in
-// component registrations, the Scenario facade, and — the acceptance test
-// of the redesign — a user-defined EMT registered *in this test binary*
-// (outside src/) running through the campaign engine by name with the
-// engine's determinism guarantees intact.
+// component registrations, name resolution at Session::submit, and — the
+// acceptance test of the redesign — a user-defined EMT registered *in
+// this test binary* (outside src/) running through the campaign engine
+// by name with the engine's determinism guarantees intact.
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <ulpdream/ulpdream.hpp>
@@ -208,15 +211,15 @@ TEST(CustomEmt, RunsThroughCampaignEngineDeterministically) {
   spec.repetitions = 2;
   spec = spec.normalized();
 
-  const auto run_rows = [&spec](unsigned threads) {
+  const auto rows_at = [&spec](unsigned threads) {
     Session session(energy::SystemEnergyModel(), threads);
     return session.submit(spec).take().aggregate();
   };
-  const auto baseline = run_rows(1);
+  const auto baseline = rows_at(1);
   ASSERT_EQ(baseline.size(), 2u * 2u);
   for (const unsigned threads : {3u, 8u}) {
     SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    const auto rows = run_rows(threads);
+    const auto rows = rows_at(threads);
     ASSERT_EQ(rows.size(), baseline.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
       EXPECT_EQ(rows[i].emt, baseline[i].emt);
@@ -273,14 +276,13 @@ TEST(CustomEmt, WiderThanEccPayloadWidensTheFaultMap) {
   ASSERT_TRUE(registered);
   // Regression: the engine/sweeps used to hardcode the map width to ECC's
   // 22 bits, so any registered EMT with a wider payload threw mid-run.
-  const auto rows = Scenario()
-                        .app("dwt")
-                        .emt("none")
-                        .emt("wide24")
-                        .voltage(0.8)
-                        .repetitions(2)
-                        .threads(2)
-                        .run_rows();
+  CampaignSpec spec;
+  spec.apps = {"dwt"};
+  spec.emts = {"none", "wide24"};
+  spec.voltages = {0.8};
+  spec.repetitions = 2;
+  Session session(energy::SystemEnergyModel(), 2);
+  const auto rows = session.submit(spec).take().aggregate();
   ASSERT_EQ(rows.size(), 2u);
   for (const AggregateRow& row : rows) {
     EXPECT_TRUE(std::isfinite(row.snr_mean_db));
@@ -288,50 +290,35 @@ TEST(CustomEmt, WiderThanEccPayloadWidensTheFaultMap) {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario facade.
+// Name resolution and the policy explorer on campaign sweeps.
 
-TEST(Scenario, HappyPathRunsATinyGrid) {
-  const auto rows = Scenario()
-                        .app("dwt")
-                        .emt("none")
-                        .emt("dream")
-                        .voltage(0.7)
-                        .voltage(0.9)
-                        .record(ecg::Pathology::kNormalSinus, 1.0, 7)
-                        .repetitions(2)
-                        .threads(2)
-                        .run_rows();
-  ASSERT_EQ(rows.size(), 2u * 2u);  // emts x voltages
-  for (const AggregateRow& row : rows) {
-    EXPECT_EQ(row.app, "dwt");
-    EXPECT_EQ(row.n, 2u);
-    EXPECT_TRUE(std::isfinite(row.snr_mean_db));
-    EXPECT_GT(row.energy_mean_j, 0.0);
+TEST(ComponentRegistries, UnknownNamesFailAtSubmitListingValidNames) {
+  // Session::submit resolves every name on the calling thread, before any
+  // item runs, and the registry's error lists the valid names.
+  CampaignSpec fft;
+  fft.apps = {"fft"};
+  CampaignSpec weibull;
+  weibull.apps = {"dwt"};
+  weibull.ber_model = "weibull";
+  CampaignSpec raid5;
+  raid5.apps = {"dwt"};
+  raid5.emts = {"raid5"};
+  Session session(energy::SystemEnergyModel(), 1);
+  for (const auto& [spec, name] : {std::pair{fft, "fft"},
+                                   std::pair{weibull, "weibull"},
+                                   std::pair{raid5, "raid5"}}) {
+    try {
+      (void)session.submit(spec);
+      ADD_FAILURE() << name << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(name), std::string::npos) << what;
+      EXPECT_NE(what.find("valid:"), std::string::npos) << what;
+    }
   }
 }
 
-TEST(Scenario, DefaultsToThePaperGrid) {
-  const campaign::CampaignSpec spec = Scenario().build_spec();
-  EXPECT_EQ(spec.apps, apps::paper_app_names());
-  EXPECT_EQ(spec.emts, core::paper_emt_names());
-  EXPECT_EQ(spec.voltages.size(), 9u);
-  EXPECT_EQ(spec.ber_model, "log-linear");
-}
-
-TEST(Scenario, UnknownNamesFailAtBuildTimeListingValidNames) {
-  EXPECT_THROW((void)Scenario().app("fft").build_spec(),
-               std::invalid_argument);
-  EXPECT_THROW((void)Scenario().ber_model("weibull").build_spec(),
-               std::invalid_argument);
-  try {
-    (void)Scenario().emt("raid5").build_spec();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("valid:"), std::string::npos);
-  }
-}
-
-TEST(Scenario, PolicyRangesAreIndependentOfEmtListOrder) {
+TEST(PolicyExplorer, PolicyRangesAreIndependentOfEmtListOrder) {
   // The triggering-range ladder is derived from the voltage floors, not
   // from the order the config happened to list the EMTs.
   const auto sweep_for = [](std::vector<std::string> emts) {
@@ -360,7 +347,7 @@ TEST(Scenario, PolicyRangesAreIndependentOfEmtListOrder) {
   }
 }
 
-TEST(Scenario, PolicyTopBandBelongsToNoneEvenAgainstHigherFloors) {
+TEST(PolicyExplorer, PolicyTopBandBelongsToNoneEvenAgainstHigherFloors) {
   // A technique feasible only near nominal voltage must not own the top
   // band when unprotected operation suffices there.
   sim::SweepResult sweep;
@@ -383,20 +370,6 @@ TEST(Scenario, PolicyTopBandBelongsToNoneEvenAgainstHigherFloors) {
   ASSERT_FALSE(policy.policy.ranges().empty());
   EXPECT_EQ(policy.policy.ranges().back().emt, "none");
   EXPECT_EQ(policy.policy.select(0.95), "none");
-}
-
-TEST(Scenario, BridgesToSweepAndPolicyExplorer) {
-  const campaign::ResultStore store = Scenario()
-                                          .app("dwt")
-                                          .voltages(0.6, 0.9, 0.1)
-                                          .repetitions(3)
-                                          .threads(2)
-                                          .run();
-  const sim::SweepResult sweep = store.to_sweep_result(0, 0);
-  EXPECT_EQ(sweep.points.size(), 4u * 3u);
-  const sim::PolicyResult policy = sim::explore_policy(sweep, 1.0);
-  EXPECT_EQ(policy.points.size(), 3u);
-  EXPECT_GT(policy.nominal_energy_j, 0.0);
 }
 
 }  // namespace

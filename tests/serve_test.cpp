@@ -20,9 +20,11 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "ulpdream/campaign/columnar.hpp"
@@ -543,13 +545,32 @@ TEST(ServeDaemon, BadSpecAnswersErrorAndTheConnectionSurvives) {
         << e.what();
   }
 
+  // A 1 s record (250 samples) is shorter than dwt's 2048-sample window,
+  // and a NaN duration sizes no record at all: both are rejected before
+  // any app code reads a sample.
+  const std::pair<double, const char*> short_records[] = {
+      {1.0, "window"},
+      {std::numeric_limits<double>::quiet_NaN(), "duration_s"}};
+  for (const auto& [duration_s, reason] : short_records) {
+    CampaignSpec short_record = small_spec(34);
+    short_record.duration_s = duration_s;
+    try {
+      (void)client.query(short_record);
+      FAIL() << "duration_s = " << duration_s
+             << " must be answered with an Error frame";
+    } catch (const QueryError& e) {
+      EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+          << e.what();
+    }
+  }
+
   // Same connection, valid spec: still served.
   const Result ok = client.query(small_spec(34));
   EXPECT_EQ(ok.status, CacheStatus::kCold);
 
   const Daemon::Report& report = fixture.stop();
-  EXPECT_EQ(report.errors, 2u);
-  EXPECT_EQ(report.queries, 3u);
+  EXPECT_EQ(report.errors, 4u);
+  EXPECT_EQ(report.queries, 5u);
 }
 
 TEST(ServeDaemon, VersionMismatchIsRejectedQuotingBothNumbers) {

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "ulpdream/campaign/columnar.hpp"
-#include "ulpdream/campaign/scenario.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/util/simd.hpp"
 
@@ -95,7 +94,7 @@ TEST(Session, ConcurrentSubmitsMatchSerialRunsBitIdentically) {
   }
   for (std::size_t i = 0; i < specs.size(); ++i) {
     SCOPED_TRACE(testing::Message() << "campaign " << i);
-    const ResultStore store = handles[i].wait();
+    const ResultStore store = handles[i].take();
     EXPECT_TRUE(store.complete());
     EXPECT_EQ(save_bytes(store), reference_bytes(specs[i]));
   }
@@ -115,7 +114,7 @@ TEST(Session, ThreadCountNeverChangesTheStore) {
     for (const unsigned threads : {1u, 4u, 8u, 16u}) {
       SCOPED_TRACE(testing::Message() << "threads=" << threads);
       Session session(energy::SystemEnergyModel(), threads);
-      EXPECT_EQ(save_bytes(session.submit(spec).wait()), reference);
+      EXPECT_EQ(save_bytes(session.submit(spec).take()), reference);
     }
   }
 }
@@ -137,8 +136,8 @@ TEST(Session, ShardsSubmittedConcurrentlyMergeToTheFullStore) {
   CampaignHandle h1 = session.submit(spec, shard1);
 
   ResultStore merged(spec);
-  merged.merge(h0.wait());
-  merged.merge(h1.wait());
+  merged.merge(h0.take());
+  merged.merge(h1.take());
   ASSERT_TRUE(merged.complete());
   EXPECT_EQ(save_bytes(merged), reference_bytes(spec));
 }
@@ -158,7 +157,7 @@ TEST(Session, CancelIsItemGranularAndResumableToTheIdenticalStore) {
     if (++streamed == 1) h.cancel();
   };
   const CampaignHandle handle = session.submit(spec, options);
-  const ResultStore partial = handle.wait();
+  const ResultStore partial = handle.take();
 
   EXPECT_TRUE(handle.progress().cancelled);
   EXPECT_GE(partial.items_done(), 1u);
@@ -171,7 +170,7 @@ TEST(Session, CancelIsItemGranularAndResumableToTheIdenticalStore) {
   Session fresh(energy::SystemEnergyModel(), 4);
   SubmitOptions resume;
   resume.resume_from = &partial;
-  const ResultStore completed = fresh.submit(spec, resume).wait();
+  const ResultStore completed = fresh.submit(spec, resume).take();
   ASSERT_TRUE(completed.complete());
   EXPECT_EQ(save_bytes(completed), reference);
 }
@@ -190,7 +189,7 @@ TEST(Session, EveryCheckpointResumesToTheIdenticalStore) {
     options.on_checkpoint = [&](const ResultStore& snapshot) {
       checkpoints.push_back(save_bytes(snapshot));
     };
-    const ResultStore store = session.submit(spec, options).wait();
+    const ResultStore store = session.submit(spec, options).take();
     EXPECT_EQ(save_bytes(store), reference);
   }
   ASSERT_EQ(checkpoints.size(), spec.item_count());
@@ -207,7 +206,7 @@ TEST(Session, EveryCheckpointResumesToTheIdenticalStore) {
     SubmitOptions resume;
     resume.resume_from = &snapshot;
     const CampaignHandle handle = session.submit(spec, resume);
-    const ResultStore completed = handle.wait();
+    const ResultStore completed = handle.take();
     ASSERT_TRUE(completed.complete());
     EXPECT_EQ(save_bytes(completed), reference);
     // The resumed run executed only the missing items.
@@ -238,7 +237,7 @@ TEST(Session, ColumnarCheckpointResumesToTheIdenticalStore) {
       snapshot.save_columnar(path);
       checkpoint_paths.push_back(path);
     };
-    const ResultStore store = session.submit(spec, options).wait();
+    const ResultStore store = session.submit(spec, options).take();
     EXPECT_EQ(save_bytes(store), reference);
   }
   ASSERT_EQ(checkpoint_paths.size(), spec.item_count());
@@ -254,7 +253,7 @@ TEST(Session, ColumnarCheckpointResumesToTheIdenticalStore) {
     SubmitOptions resume;
     resume.resume_from = &snapshot;
     const CampaignHandle handle = session.submit(spec, resume);
-    const ResultStore completed = handle.wait();
+    const ResultStore completed = handle.take();
     ASSERT_TRUE(completed.complete());
     EXPECT_EQ(save_bytes(completed), reference);
     EXPECT_EQ(handle.progress().items_resumed, at + 1);
@@ -311,7 +310,7 @@ TEST(Session, ObserverStreamsEveryItemExactlyOnceWithItsExactSamples) {
             .second;
     EXPECT_TRUE(fresh) << "item " << item.index << " streamed twice";
   };
-  const ResultStore store = session.submit(spec, options).wait();
+  const ResultStore store = session.submit(spec, options).take();
 
   // Complete: every item streamed exactly once...
   ASSERT_EQ(streamed.size(), spec.item_count());
@@ -338,7 +337,7 @@ TEST(Session, SerialObserverSeesCanonicalItemOrder) {
                         std::span<const Sample>) {
     order.push_back(item.index);
   };
-  (void)session.submit(spec, options).wait();
+  (void)session.submit(spec, options).take();
   ASSERT_EQ(order.size(), spec.item_count());
   for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
 }
@@ -366,7 +365,7 @@ TEST(Session, ProgressReportsCompletion) {
   const CampaignSpec spec = small_spec(2016);
   Session session(energy::SystemEnergyModel(), 3);
   CampaignHandle handle = session.submit(spec);
-  (void)handle.wait();
+  (void)handle.take();
 
   const Progress p = handle.progress();
   EXPECT_TRUE(p.finished);
@@ -382,27 +381,11 @@ TEST(Session, TakeMovesTheStoreOutOnce) {
   const CampaignSpec spec = small_spec(2016, 2);
   Session session(energy::SystemEnergyModel(), 2);
   CampaignHandle handle = session.submit(spec);
-  EXPECT_TRUE(handle.wait().complete());
 
   // take() moves the store out of the runtime exactly once.
   const ResultStore taken = handle.take();
   EXPECT_TRUE(taken.complete());
-  EXPECT_EQ(handle.wait().items_done(), 0u);
-}
-
-TEST(Session, ScenarioSubmitsOntoAnAttachedSession) {
-  Session session(energy::SystemEnergyModel(), 2);
-  Scenario scenario;
-  scenario.app("dwt").emt("none").voltage(0.8).repetitions(2).seed(5)
-      .session(session);
-  const CampaignHandle handle = scenario.submit();
-  const ResultStore store = handle.wait();
-  EXPECT_TRUE(store.complete());
-  // The blocking facade paths agree with the async one.
-  EXPECT_EQ(save_bytes(scenario.run()), save_bytes(store));
-  EXPECT_EQ(save_bytes(store), reference_bytes(scenario.build_spec()));
-
-  EXPECT_THROW((void)Scenario().app("dwt").submit(), std::logic_error);
+  EXPECT_EQ(handle.take().items_done(), 0u);
 }
 
 TEST(Session, ScalarTierReproducesTheDetectedTierEndToEnd) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <ostream>
 
 #include "ulpdream/signal/buffer.hpp"
 #include "ulpdream/signal/morphology.hpp"
@@ -9,6 +10,13 @@
 #include "ulpdream/util/rng.hpp"
 
 namespace ulpdream::signal {
+
+// ADL finds a parameter's PrintTo in the parameter type's namespace (not
+// in an unnamed one): ctest names each DwtLevelSweep instance after it.
+void PrintTo(WaveletFamily family, std::ostream* os) {
+  *os << wavelet_bank(family).name;
+}
+
 namespace {
 
 fixed::SampleVec sine_wave(std::size_t n, double cycles, double amp) {

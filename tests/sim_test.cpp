@@ -30,7 +30,7 @@ TEST(Runner, CleanRunHitsMaxSnr) {
   ExperimentRunner runner;
   const apps::DwtApp app;
   const RunResult clean = runner.run_once(
-      app, test_record(), "none", nullptr, 0.9);
+      app, test_record(), *core::make_emt("none"), nullptr, 0.9);
   EXPECT_NEAR(clean.snr_db, runner.max_snr_db(app, test_record()), 1e-9);
   EXPECT_GT(clean.snr_db, 40.0);  // quantization-limited, finite
   EXPECT_LT(clean.snr_db, metrics::kSnrCeilingDb);
@@ -42,7 +42,7 @@ TEST(Runner, FaultsReduceSnr) {
   const mem::FaultMap map = mem::FaultMap::stuck_bit(
       mem::MemoryGeometry::kWords16, 16, 14, true);
   const RunResult dirty =
-      runner.run_once(app, test_record(), "none", &map, 0.9);
+      runner.run_once(app, test_record(), *core::make_emt("none"), &map, 0.9);
   EXPECT_LT(dirty.snr_db, runner.max_snr_db(app, test_record()) - 10.0);
 }
 
@@ -50,7 +50,7 @@ TEST(Runner, EnergyAndAccessesPopulated) {
   ExperimentRunner runner;
   const apps::DwtApp app;
   const RunResult r = runner.run_once(app, test_record(),
-                                      "dream", nullptr, 0.7);
+                                      *core::make_emt("dream"), nullptr, 0.7);
   EXPECT_GT(r.data_accesses, 0u);
   EXPECT_GT(r.side_accesses, 0u);
   EXPECT_EQ(r.cycles, 2 * r.data_accesses);
@@ -63,9 +63,9 @@ TEST(Runner, DreamCorrectsStuckMsbFault) {
   const mem::FaultMap map = mem::FaultMap::stuck_bit(
       mem::MemoryGeometry::kWords16, 16, 14, true);
   const RunResult none_r =
-      runner.run_once(app, test_record(), "none", &map, 0.9);
+      runner.run_once(app, test_record(), *core::make_emt("none"), &map, 0.9);
   const RunResult dream_r =
-      runner.run_once(app, test_record(), "dream", &map, 0.9);
+      runner.run_once(app, test_record(), *core::make_emt("dream"), &map, 0.9);
   EXPECT_GT(dream_r.snr_db, none_r.snr_db + 20.0);
   EXPECT_GT(dream_r.counters.corrected_words, 0u);
 }

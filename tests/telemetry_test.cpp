@@ -345,7 +345,6 @@ TEST(Trace, DisabledByDefaultAndSpansCostNothing) {
   ASSERT_FALSE(trace::enabled());
   {
     ULPDREAM_TRACE_SPAN("never.recorded");
-    trace_instant("also.never");
   }
   EXPECT_EQ(trace::event_count(), 0u);
 }
@@ -360,15 +359,13 @@ TEST(Trace, ConcurrentSpansFromEightThreadsExportWellFormedChromeJson) {
     threads.emplace_back([] {
       for (int i = 0; i < kSpansPerThread; ++i) {
         ULPDREAM_TRACE_SPAN("worker.span");
-        trace_instant("worker.tick");
       }
     });
   }
   for (auto& t : threads) t.join();
   trace::stop();
 
-  EXPECT_EQ(trace::event_count(),
-            std::size_t{kThreads} * kSpansPerThread * 2);
+  EXPECT_EQ(trace::event_count(), std::size_t{kThreads} * kSpansPerThread);
   std::ostringstream os;
   trace::write_chrome_json(os);
   const std::string json = os.str();
@@ -377,8 +374,7 @@ TEST(Trace, ConcurrentSpansFromEightThreadsExportWellFormedChromeJson) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_EQ(count_occurrences(json, "\"ph\": \"X\""),
             std::size_t{kThreads} * kSpansPerThread);
-  EXPECT_EQ(count_occurrences(json, "\"ph\": \"i\""),
-            std::size_t{kThreads} * kSpansPerThread);
+  EXPECT_EQ(count_occurrences(json, "\"ph\": \"i\""), 0u);
   // Per-thread metadata rows, one per ring that recorded.
   EXPECT_GE(count_occurrences(json, "\"thread_name\""),
             std::size_t{kThreads});
@@ -415,7 +411,7 @@ std::string run_store_bytes(const campaign::CampaignSpec& spec,
   campaign::SubmitOptions options;
   options.shard = shard;
   const campaign::ResultStore store =
-      session.submit(spec, options).wait();
+      session.submit(spec, options).take();
   // Staged through a temp file unique per process (ctest -j runs every
   // test as its own process) and per call.
   static std::atomic<std::uint64_t> sequence{0};
@@ -477,21 +473,21 @@ TEST(NonInterference, HalfRunSnapshotsMergeToTheFullRunSnapshot) {
   MetricsSnapshot full, half0, half1;
   {
     campaign::Session session(energy::SystemEnergyModel(), 2);
-    (void)session.submit(spec).wait();
+    (void)session.submit(spec).take();
     full = session.telemetry();
   }
   {
     campaign::Session session(energy::SystemEnergyModel(), 2);
     campaign::SubmitOptions options;
     options.shard = campaign::Shard{0, 2};
-    (void)session.submit(spec, options).wait();
+    (void)session.submit(spec, options).take();
     half0 = session.telemetry();
   }
   {
     campaign::Session session(energy::SystemEnergyModel(), 2);
     campaign::SubmitOptions options;
     options.shard = campaign::Shard{1, 2};
-    (void)session.submit(spec, options).wait();
+    (void)session.submit(spec, options).take();
     half1 = session.telemetry();
   }
   set_hot_timing(false);
