@@ -423,15 +423,19 @@ void BM_ProtectedBufferBlockAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_ProtectedBufferBlockAccess);
 
+/// One paper-geometry map at the log-linear BER of the argument's
+/// voltage in centivolts: 0.50 V places ~7,200 faults and 0.90 V almost
+/// none, so the per-fault and the fixed cost show apart.
 void BM_FaultMapGeneration(benchmark::State& state) {
   util::Xoshiro256 rng(2);
-  const double ber = 1e-3;
+  const double ber =
+      mem::LogLinearBerModel().ber(static_cast<double>(state.range(0)) / 100.0);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
         mem::FaultMap::random(mem::MemoryGeometry::kWords16, 22, ber, rng));
   }
 }
-BENCHMARK(BM_FaultMapGeneration);
+BENCHMARK(BM_FaultMapGeneration)->Arg(50)->Arg(55)->Arg(60)->Arg(70)->Arg(90);
 
 void BM_DwtMulti2048(benchmark::State& state) {
   const ecg::Record rec = ecg::make_default_record(1);

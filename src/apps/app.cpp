@@ -1,6 +1,7 @@
 #include "ulpdream/apps/app.hpp"
 
 #include <span>
+#include <stdexcept>
 
 #include "ulpdream/apps/classifier_app.hpp"
 #include "ulpdream/apps/cs_app.hpp"
@@ -45,6 +46,16 @@ util::Registry<BioApp>& app_registry() {
   }();
   (void)built_ins;
   return registry;
+}
+
+void require_window(const BioApp& app, const std::string& record_name,
+                    std::size_t samples) {
+  if (samples < app.input_length()) {
+    throw std::invalid_argument(
+        app.name() + ": record " + record_name + " holds " +
+        std::to_string(samples) + " samples, shorter than its " +
+        std::to_string(app.input_length()) + "-sample window");
+  }
 }
 
 std::unique_ptr<BioApp> make_app(const std::string& name) {

@@ -72,6 +72,12 @@ void load_input(core::ProtectedBuffer& buf, const fixed::SampleVec& samples,
 [[nodiscard]] std::vector<double> read_output_f64(
     const core::ProtectedBuffer& buf, std::size_t n);
 
+/// Throws std::invalid_argument, naming the app, the record and both
+/// lengths, when a record of `samples` samples is shorter than the app's
+/// input_length() window.
+void require_window(const BioApp& app, const std::string& record_name,
+                    std::size_t samples);
+
 /// The process-wide application registry. Built-ins (the paper's five
 /// case studies plus the heartbeat-classifier extension) register on
 /// first access, in presentation order; register_factory() adds user

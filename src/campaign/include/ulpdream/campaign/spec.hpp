@@ -11,6 +11,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -86,6 +87,20 @@ struct CampaignSpec {
   /// stable filesystem-safe key for cache-directory store names.
   [[nodiscard]] std::string fingerprint_hash() const;
 };
+
+/// The components a spec names, resolved by registry name.
+struct CampaignComponents {
+  std::vector<std::unique_ptr<apps::BioApp>> apps;  ///< parallel to spec.apps
+  std::vector<std::unique_ptr<core::Emt>> emts;     ///< parallel to spec.emts
+  std::unique_ptr<mem::BerModel> ber_model;
+};
+
+/// Resolves every app, EMT and BER-model name of a normalized spec, then
+/// checks that each record (fs_hz x duration_s samples) holds every
+/// app's window: the checks Session::submit makes before any item runs,
+/// and the query daemon before it leases a grid to workers. Throws
+/// std::invalid_argument naming the first failure.
+[[nodiscard]] CampaignComponents resolve_components(const CampaignSpec& spec);
 
 /// One schedulable unit: one Monte-Carlo fault map at one (record,
 /// voltage) point, evaluated for every (app, EMT) pair of the spec.

@@ -31,9 +31,7 @@ struct CampaignJob {
   std::size_t shard_total = 0;  ///< items in the shard slice
   std::size_t resumed = 0;      ///< shard items adopted from resume_from
   std::vector<ecg::Record> records;
-  std::vector<std::unique_ptr<apps::BioApp>> app_objs;
-  std::vector<std::unique_ptr<core::Emt>> emt_objs;
-  std::unique_ptr<mem::BerModel> ber_model;
+  CampaignComponents components;
   int map_bits = 0;
   std::size_t checkpoint_every = 0;
   std::function<void(const CampaignHandle&, const WorkItem&,
@@ -43,7 +41,7 @@ struct CampaignJob {
   Clock::time_point start{};
   /// Per-EMT run_once latency histograms ("session.run_ns.<emt>"), and
   /// matching interned trace-span names — resolved once at submit,
-  /// parallel to emt_objs.
+  /// parallel to components.emts.
   std::vector<util::telemetry::Histogram> emt_run_ns;
   std::vector<const char*> emt_span_names;
 
@@ -89,13 +87,13 @@ void run_item(sim::ExperimentRunner& runner, const CampaignJob& job,
 
   util::Xoshiro256 rng(item.seed);
   const mem::FaultMap map = mem::FaultMap::random(
-      mem::MemoryGeometry::kWords16, job.map_bits, job.ber_model->ber(v),
-      rng);
+      mem::MemoryGeometry::kWords16, job.map_bits,
+      job.components.ber_model->ber(v), rng);
 
   samples.clear();
-  for (const auto& app : job.app_objs) {
-    for (std::size_t ei = 0; ei < job.emt_objs.size(); ++ei) {
-      const auto& emt = job.emt_objs[ei];
+  for (const auto& app : job.components.apps) {
+    for (std::size_t ei = 0; ei < job.components.emts.size(); ++ei) {
+      const auto& emt = job.components.emts[ei];
       const std::uint64_t t0 = util::telemetry::now_ns();
       const util::telemetry::TraceSpan span(job.emt_span_names[ei]);
       const sim::RunResult r = runner.run_once(*app, record, *emt, &map, v);
@@ -300,26 +298,20 @@ CampaignHandle Session::submit(const CampaignSpec& base_spec,
     job->records.push_back(ecg::generate_record(gen));
     job->records.back().name = axis.label();
   }
-  job->app_objs.reserve(job->spec.apps.size());
-  for (const std::string& name : job->spec.apps) {
-    job->app_objs.push_back(apps::make_app(name));
-  }
-  job->emt_objs.reserve(job->spec.emts.size());
+  job->components = resolve_components(job->spec);
   job->emt_run_ns.reserve(job->spec.emts.size());
   job->emt_span_names.reserve(job->spec.emts.size());
   for (const std::string& name : job->spec.emts) {
-    job->emt_objs.push_back(core::make_emt(name));
     job->emt_run_ns.emplace_back("session.run_ns." + name);
     job->emt_span_names.push_back(tel::intern("run." + name));
   }
-  job->ber_model = mem::make_ber_model(job->spec.ber_model);
 
   // Maps are generated at the campaign's widest payload so the same cell
   // fault locations apply to every EMT (narrower payloads simply never
   // touch the high columns) — at least ECC's 22 bits, so the built-in
   // grids keep their historical maps.
   job->map_bits = core::EccSecDed::kPayloadBits;
-  for (const auto& emt : job->emt_objs) {
+  for (const auto& emt : job->components.emts) {
     job->map_bits = std::max(job->map_bits, emt->payload_bits());
   }
 
@@ -330,9 +322,10 @@ CampaignHandle Session::submit(const CampaignSpec& base_spec,
   // copy of it.
   sim::ExperimentRunner warmed(energy_model_);
   for (std::size_t ri = 0; ri < job->records.size(); ++ri) {
-    for (std::size_t ai = 0; ai < job->app_objs.size(); ++ai) {
+    for (std::size_t ai = 0; ai < job->components.apps.size(); ++ai) {
       job->store.set_max_snr(
-          ri, ai, warmed.max_snr_db(*job->app_objs[ai], job->records[ri]));
+          ri, ai,
+          warmed.max_snr_db(*job->components.apps[ai], job->records[ri]));
     }
   }
 

@@ -137,6 +137,27 @@ std::vector<double> CampaignSpec::voltage_range(double vmin, double vmax,
   return out;
 }
 
+CampaignComponents resolve_components(const CampaignSpec& spec) {
+  CampaignComponents out;
+  out.apps.reserve(spec.apps.size());
+  for (const std::string& name : spec.apps) {
+    out.apps.push_back(apps::make_app(name));
+  }
+  out.emts.reserve(spec.emts.size());
+  for (const std::string& name : spec.emts) {
+    out.emts.push_back(core::make_emt(name));
+  }
+  out.ber_model = mem::make_ber_model(spec.ber_model);
+  // The length ecg::generate_record gives every record of the spec.
+  const auto samples = static_cast<std::size_t>(spec.duration_s * spec.fs_hz);
+  for (const RecordAxis& axis : spec.records) {
+    for (const auto& app : out.apps) {
+      apps::require_window(*app, axis.label(), samples);
+    }
+  }
+  return out;
+}
+
 std::size_t CampaignSpec::item_count() const {
   return records.size() * voltages.size() * repetitions;
 }

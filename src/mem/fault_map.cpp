@@ -4,13 +4,24 @@
 #include <bit>
 #include <limits>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 namespace ulpdream::mem {
 
 namespace {
+
 const WordFaults kCleanWord{};
+
+/// random()'s per-thread placement bitmaps, one bit per cell, and one
+/// dirty bit per 64-cell slot. All zero whenever no call is running; a
+/// call's fold zeroes every slot it touched.
+struct GeneratorScratch {
+  std::vector<std::uint64_t> placed;  ///< cell holds a fault
+  std::vector<std::uint64_t> high;    ///< the fault is stuck at 1
+  std::vector<std::uint64_t> dirty;   ///< slot has a placed cell
+};
+thread_local GeneratorScratch generator_scratch;
+
 }  // namespace
 
 FaultMap::FaultMap(std::size_t words, int bits_per_word)
@@ -73,36 +84,75 @@ FaultMap FaultMap::random(std::size_t words, int bits_per_word, double ber,
       static_cast<std::uint64_t>(words) * static_cast<std::uint64_t>(bits_per_word);
   std::uint64_t fault_target = rng.binomial(cells, ber);
   if (fault_target > cells) fault_target = cells;
+  if (fault_target == 0) return map;
 
-  // Place faults at distinct cells. For the BER range we sweep the target
-  // is a small fraction of the cell count, so rejection sampling on a hash
-  // set terminates quickly. The RNG consumption order is load-bearing: it
-  // must not depend on the storage layout, so placements accumulate in a
-  // hash map and are sorted into the sparse arrays afterwards.
-  std::unordered_set<std::uint64_t> placed;
-  placed.reserve(static_cast<std::size_t>(fault_target) * 2);
-  std::unordered_map<std::uint32_t, WordFaults> by_word;
-  by_word.reserve(static_cast<std::size_t>(fault_target) * 2);
-  while (placed.size() < fault_target) {
+  // Every allocation comes first, so a throw leaves the scratch all zero:
+  // the scratch grows to this geometry, and the map reserves one entry
+  // per fault, capped at one per word.
+  GeneratorScratch& scratch = generator_scratch;
+  const std::size_t slots = static_cast<std::size_t>((cells + 63) / 64);
+  const std::size_t dirty_words = (slots + 63) / 64;
+  if (scratch.placed.size() < slots) scratch.placed.resize(slots);
+  if (scratch.high.size() < slots) scratch.high.resize(slots);
+  if (scratch.dirty.size() < dirty_words) scratch.dirty.resize(dirty_words);
+  const std::size_t max_entries = static_cast<std::size_t>(
+      std::min<std::uint64_t>(fault_target, words));
+  map.index_.reserve(max_entries);
+  map.faults_.reserve(max_entries);
+
+  // Place faults at distinct cells by rejection, numbered word-major
+  // (cell = word * bits_per_word + bit). The RNG draws are load-bearing:
+  // one bounded() per attempt, then one bernoulli() per accepted cell for
+  // its stuck value. The value bit is set without a branch, because the
+  // fair coin defeats the branch predictor.
+  std::uint64_t* const placed = scratch.placed.data();
+  std::uint64_t* const high = scratch.high.data();
+  std::uint64_t* const dirty = scratch.dirty.data();
+  for (std::uint64_t faults = 0; faults < fault_target;) {
     const std::uint64_t cell = rng.bounded(cells);
-    if (!placed.insert(cell).second) continue;
-    const auto word = static_cast<std::uint32_t>(
-        cell / static_cast<std::uint64_t>(bits_per_word));
-    const auto bit = static_cast<int>(cell % static_cast<std::uint64_t>(bits_per_word));
-    const std::uint32_t bitmask = 1u << bit;
-    WordFaults& wf = by_word[word];
-    wf.mask |= bitmask;
-    if (rng.bernoulli(0.5)) {
-      wf.value |= bitmask;
-    }
+    const std::size_t slot = static_cast<std::size_t>(cell >> 6);
+    const std::uint64_t bit = std::uint64_t{1} << (cell & 63);
+    if ((placed[slot] & bit) != 0) continue;
+    placed[slot] |= bit;
+    high[slot] |= bit & (0 - static_cast<std::uint64_t>(rng.bernoulli(0.5)));
+    dirty[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    ++faults;
   }
 
-  map.index_.reserve(by_word.size());
-  for (const auto& [word, wf] : by_word) map.index_.push_back(word);
-  std::sort(map.index_.begin(), map.index_.end());
-  map.faults_.reserve(by_word.size());
-  for (const std::uint32_t word : map.index_) {
-    map.faults_.push_back(by_word[word]);
+  // Fold the touched slots in ascending order, so the faulty words come
+  // out sorted, and zero each one behind the read. A word straddling two
+  // slots continues the entry its first slot started.
+  const auto bits = static_cast<unsigned>(bits_per_word);
+  for (std::size_t d = 0; d < dirty_words; ++d) {
+    for (std::uint64_t touched = std::exchange(dirty[d], 0); touched != 0;
+         touched &= touched - 1) {
+      const std::size_t slot = d * 64 + static_cast<std::size_t>(
+                                            std::countr_zero(touched));
+      std::uint64_t mask = std::exchange(placed[slot], 0);
+      std::uint64_t value = std::exchange(high[slot], 0);
+      const std::uint64_t first_cell = std::uint64_t{slot} * 64;
+      auto word = static_cast<std::uint32_t>(first_cell / bits);
+      auto shift = static_cast<unsigned>(first_cell % bits);
+      for (; mask != 0; ++word, shift = 0) {
+        // Slot bits [0, take) are cells [shift, bits) of `word`.
+        const unsigned take = bits - shift;
+        const std::uint64_t low = (std::uint64_t{1} << take) - 1;
+        const auto word_mask =
+            static_cast<std::uint32_t>((mask & low) << shift);
+        const auto word_value =
+            static_cast<std::uint32_t>((value & low) << shift);
+        mask >>= take;
+        value >>= take;
+        if (word_mask == 0) continue;
+        if (!map.index_.empty() && map.index_.back() == word) {
+          map.faults_.back().mask |= word_mask;
+          map.faults_.back().value |= word_value;
+        } else {
+          map.index_.push_back(word);
+          map.faults_.push_back(WordFaults{word_mask, word_value});
+        }
+      }
+    }
   }
   map.rebuild_accelerators();
   return map;

@@ -17,7 +17,8 @@
 // per kChunkWords-word chunk, so clean words are rejected with a single
 // bit test on the memory read path) and per-chunk slot offsets (so a hit
 // scans at most one chunk's entries). Map memory therefore scales with the
-// fault count, not the geometry.
+// fault count, not the geometry. Only random()'s placement scratch scales
+// with the geometry: one bit per cell, twice, kept per thread and reused.
 
 #include <algorithm>
 #include <cstddef>
@@ -52,7 +53,14 @@ class FaultMap {
   /// with probability `ber` (sampled via a binomial draw of the total
   /// fault count followed by uniform placement, which is exact and much
   /// faster than per-cell Bernoulli at our sizes). Stuck values are
-  /// fair-coin 0/1.
+  /// fair-coin 0/1. The map is a pure function of the arguments and the
+  /// RNG state, and so is the number of draws it takes.
+  ///
+  /// Faults are placed on the calling thread's scratch bitmaps, which
+  /// grow to the largest geometry the thread has drawn and are reused:
+  /// 2 x words*bits/8 bytes per thread (90 KB at the paper's 16384 x 22),
+  /// plus one bit per 64 cells. A call that does not grow them allocates
+  /// only the map's own arrays.
   [[nodiscard]] static FaultMap random(std::size_t words, int bits_per_word,
                                        double ber, util::Xoshiro256& rng);
 

@@ -529,6 +529,10 @@ Result Daemon::answer(const Query& query, Conn& conn) {
   campaign::ResultStore store;
   std::string merged;
   if (leased) {
+    // A worker's submit would throw on a spec it cannot run and the
+    // lease would be re-leased forever: make the same checks here, so
+    // the client gets the local path's Error frame.
+    (void)campaign::resolve_components(spec);
     merged = execute_leased(spec, adopted, conn);
   } else {
     store = execute_local(spec, have_donor ? &adopted : nullptr, conn);

@@ -31,13 +31,7 @@ ExperimentRunner::Reference& ExperimentRunner::cached_reference(
   }
   // Checked once per (app, record), before any app code reads the record:
   // ideal_output() indexes the whole window unchecked.
-  if (record.samples.size() < app.input_length()) {
-    throw std::invalid_argument(
-        app.name() + ": record " + record.name + " holds " +
-        std::to_string(record.samples.size()) +
-        " samples, shorter than its " + std::to_string(app.input_length()) +
-        "-sample window");
-  }
+  apps::require_window(app, record.name, record.samples.size());
   Reference reference;
   if (auto ideal = app.ideal_output(record)) {
     reference.values = std::move(*ideal);

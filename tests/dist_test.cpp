@@ -6,7 +6,8 @@
 // the real serve::Worker; faults come from a frame-level peer (Peer
 // below) on the daemon's Unix socket that stops at an exact point, and
 // every test waits on daemon state (serve.workers_attached,
-// serve.leases_expired, ...), never on time. The malformed-frame matrix
+// serve.leases_expired, ...), never on time; a time bound serves only to
+// turn a hung query into a failure. The malformed-frame matrix
 // pins the error taxonomy: transport-level garbage is a util::FrameError
 // of the exact kind, payload-level garbage is a ProtocolError, and both
 // name the peer.
@@ -669,6 +670,59 @@ TEST(LeasedDaemon, LeasedGapFillExecutesOnlyTheGap) {
             superset.item_count() - prefix.item_count());
   EXPECT_EQ(report.gap_fills, 1u);
   EXPECT_EQ(report.items_reused, prefix.item_count());
+}
+
+TEST(LeasedDaemon, BadSpecAnswersErrorWithWorkersAttached) {
+  const fs::path dir = scratch("bad_spec");
+  LeasingDaemon daemon(dir);
+  WorkerThread worker(daemon.endpoint(), "w");
+  daemon.await_workers(1);
+
+  // A spec no worker can run must be refused before it is leased: a
+  // worker would throw on it, and its lease would be re-leased until the
+  // daemon stops. The wait is bounded so a hang fails here instead.
+  Client client = Client::connect(daemon.endpoint());
+  bool hung = false;
+  const auto refusal = [&](const CampaignSpec& spec) -> std::string {
+    auto answer = std::async(std::launch::async, [&client, spec] {
+      try {
+        (void)client.query(spec);
+      } catch (const QueryError& e) {
+        return std::string(e.what());
+      }
+      return std::string("answered without an Error frame");
+    });
+    if (answer.wait_for(std::chrono::seconds(10)) !=
+        std::future_status::ready) {
+      hung = true;
+      daemon.stop();  // the grid fails for want of workers, so get() returns
+    }
+    return answer.get();
+  };
+  CampaignSpec bad_app = small_spec(3, 2);
+  bad_app.apps = {"no_such_app"};
+  const std::string app_error = refusal(bad_app);
+  ASSERT_FALSE(hung) << "no answer within 10 s; then: " << app_error;
+  EXPECT_NE(app_error.find("unknown app: no_such_app"), std::string::npos)
+      << app_error;
+  CampaignSpec short_record = small_spec(3, 2);
+  short_record.duration_s = 1.0;
+  const std::string window_error = refusal(short_record);
+  ASSERT_FALSE(hung) << "no answer within 10 s; then: " << window_error;
+  EXPECT_NE(window_error.find("holds 250 samples, shorter than its "
+                              "2048-sample window"),
+            std::string::npos)
+      << window_error;
+
+  // The connection and the worker are still good: a valid query runs
+  // through the worker.
+  const CampaignSpec spec = small_spec(3, 2);
+  EXPECT_EQ(as_text(client.query(spec).store_bytes),
+            columnar_bytes(spec, dir / "ref.ulpdcol"));
+  daemon.stop();
+  worker.join();
+  EXPECT_EQ(worker.error(), "");
+  EXPECT_EQ(worker.report().items_executed, spec.item_count());
 }
 
 TEST(LeasedDaemon, ClientDeathMidLeasedQueryCachesNothing) {
