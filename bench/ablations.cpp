@@ -64,18 +64,19 @@ void ablation_d2_ber_model(campaign::Session& session, std::size_t runs) {
   spec.repetitions = runs;
 
   spec.ber_model = "log-linear";
-  const sim::SweepResult log_res =
-      session.submit(spec).take().to_sweep_result(0, 0);
+  const std::vector<campaign::AggregateRow> log_rows =
+      session.submit(spec).take().aggregate();
   spec.ber_model = "probit";
-  const sim::SweepResult probit_res =
-      session.submit(spec).take().to_sweep_result(0, 0);
+  const std::vector<campaign::AggregateRow> probit_rows =
+      session.submit(spec).take().aggregate();
 
+  const auto snr = [](const std::vector<campaign::AggregateRow>& rows,
+                      double v) {
+    return util::fmt(campaign::find_row(rows, "dream", v)->snr_mean_db, 1);
+  };
   for (auto it = spec.voltages.rbegin(); it != spec.voltages.rend(); ++it) {
     table.add_row(
-        {util::fmt(*it, 2),
-         util::fmt(log_res.find("dream", *it)->snr_mean_db, 1),
-         util::fmt(probit_res.find("dream", *it)->snr_mean_db,
-                   1)});
+        {util::fmt(*it, 2), snr(log_rows, *it), snr(probit_rows, *it)});
   }
   table.print(std::cout);
   std::cout << "  (both families must be monotone with the same knee"

@@ -34,8 +34,8 @@ int main(int argc, char** argv) {
   std::cerr << "[deep] sweeping DWT at deep voltages, " << spec.repetitions
             << " runs/point on up to " << session.threads()
             << " threads...\n";
-  const sim::SweepResult res =
-      session.submit(spec).take().to_sweep_result(0, 0);
+  const std::vector<campaign::AggregateRow> rows =
+      session.submit(spec).take().aggregate();
 
   // Header follows the sweep's EMT list — emt_names() is open-ended, so
   // any technique registered into this binary gets its own column.
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   for (auto it = spec.voltages.rbegin(); it != spec.voltages.rend(); ++it) {
     std::vector<std::string> row = {util::fmt(*it, 2)};
     for (const std::string& emt : spec.emts) {
-      const sim::SweepPoint* p = res.find(emt, *it);
+      const campaign::AggregateRow* p = campaign::find_row(rows, emt, *it);
       row.push_back(p ? util::fmt(p->snr_mean_db, 1) : "-");
     }
     table.add_row(row);
@@ -63,7 +63,7 @@ int main(int argc, char** argv) {
   for (auto it = spec.voltages.rbegin(); it != spec.voltages.rend(); ++it) {
     std::vector<std::string> row = {util::fmt(*it, 2)};
     for (const std::string& emt : spec.emts) {
-      const sim::SweepPoint* p = res.find(emt, *it);
+      const campaign::AggregateRow* p = campaign::find_row(rows, emt, *it);
       row.push_back(p ? util::fmt(p->energy_mean_j * 1e6, 4) : "-");
     }
     energy.add_row(row);
@@ -102,11 +102,12 @@ int main(int argc, char** argv) {
   }
   qual.print(std::cout);
 
-  const double hybrid_050 =
-      res.find("dream_secded", 0.50)->snr_mean_db;
-  const double dream_050 = res.find("dream", 0.50)->snr_mean_db;
-  const double ecc_050 =
-      res.find("ecc_secded", 0.50)->snr_mean_db;
+  const auto snr_050 = [&](const char* emt) {
+    return campaign::find_row(rows, emt, 0.50)->snr_mean_db;
+  };
+  const double hybrid_050 = snr_050("dream_secded");
+  const double dream_050 = snr_050("dream");
+  const double ecc_050 = snr_050("ecc_secded");
   std::cout << "\nShape checks:\n";
   std::cout << "  hybrid beats DREAM at 0.50 V: "
             << (hybrid_050 > dream_050 ? "PASS" : "FAIL") << '\n';

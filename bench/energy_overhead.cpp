@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
   std::cerr << "[energy] " << spec.apps.size() << " apps on up to "
             << session.threads() << " threads...\n";
   const campaign::ResultStore store = session.submit(spec).take();
+  const std::vector<campaign::AggregateRow> rows = store.aggregate();
 
   double grand_none = 0.0;
   double grand_dream = 0.0;
@@ -36,7 +37,10 @@ int main(int argc, char** argv) {
 
   for (std::size_t ai = 0; ai < spec.apps.size(); ++ai) {
     const std::string& app = spec.apps[ai];
-    const sim::SweepResult res = store.to_sweep_result(0, ai);
+    const auto slice = campaign::app_slice(spec, rows, 0, ai);
+    const auto energy_uj = [&](const char* emt, double v) {
+      return campaign::find_row(slice, emt, v)->energy_mean_j * 1e6;
+    };
 
     util::Table table(std::string("Sec. VI-B - energy per run [uJ], app = ") +
                       app);
@@ -47,12 +51,9 @@ int main(int argc, char** argv) {
     double sum_ecc = 0.0;
     for (auto it = spec.voltages.rbegin(); it != spec.voltages.rend(); ++it) {
       const double v = *it;
-      const double e_none =
-          res.find("none", v)->energy_mean_j * 1e6;
-      const double e_dream =
-          res.find("dream", v)->energy_mean_j * 1e6;
-      const double e_ecc =
-          res.find("ecc_secded", v)->energy_mean_j * 1e6;
+      const double e_none = energy_uj("none", v);
+      const double e_dream = energy_uj("dream", v);
+      const double e_ecc = energy_uj("ecc_secded", v);
       sum_none += e_none;
       sum_dream += e_dream;
       sum_ecc += e_ecc;

@@ -5,6 +5,7 @@
 // the error-free (quantization/lossy-limited) maximum SNR.
 
 #include <iostream>
+#include <span>
 
 #include "ulpdream/apps/app.hpp"
 #include "ulpdream/campaign/session.hpp"
@@ -35,9 +36,10 @@ int main(int argc, char** argv) {
             << " apps x " << spec.emts.size() << " EMTs on up to "
             << session.threads() << " threads...\n";
   const campaign::ResultStore store = session.submit(spec).take();
-  std::vector<sim::SweepResult> results;
+  const std::vector<campaign::AggregateRow> rows = store.aggregate();
+  std::vector<std::span<const campaign::AggregateRow>> slices;
   for (std::size_t ai = 0; ai < spec.apps.size(); ++ai) {
-    results.push_back(store.to_sweep_result(0, ai));
+    slices.push_back(campaign::app_slice(spec, rows, 0, ai));
   }
 
   const char* panel_names[] = {"(a) No protection", "(b) DREAM",
@@ -46,15 +48,14 @@ int main(int argc, char** argv) {
     util::Table table(std::string("Fig. 4 ") + panel_names[ei] +
                       " - mean SNR [dB] vs supply voltage");
     std::vector<std::string> header = {"V"};
-    for (const auto& r : results) {
-      header.push_back(r.points.front().app);
-    }
+    header.insert(header.end(), spec.apps.begin(), spec.apps.end());
     table.set_header(header);
     for (auto v_it = spec.voltages.rbegin(); v_it != spec.voltages.rend();
          ++v_it) {
       std::vector<std::string> row = {util::fmt(*v_it, 2)};
-      for (const auto& r : results) {
-        const sim::SweepPoint* p = r.find(spec.emts[ei], *v_it);
+      for (const auto& slice : slices) {
+        const campaign::AggregateRow* p =
+            campaign::find_row(slice, spec.emts[ei], *v_it);
         row.push_back(p ? util::fmt(p->snr_mean_db, 1) : "-");
       }
       table.add_row(row);
@@ -66,9 +67,8 @@ int main(int argc, char** argv) {
 
   util::Table dashed("Fig. 4 dashed lines - max SNR (error-free) [dB]");
   dashed.set_header({"app", "max_snr_db"});
-  for (const auto& r : results) {
-    dashed.add_row({r.points.front().app,
-                    util::fmt(r.max_snr_db, 1)});
+  for (std::size_t ai = 0; ai < spec.apps.size(); ++ai) {
+    dashed.add_row({spec.apps[ai], util::fmt(store.max_snr_db(0, ai), 1)});
   }
   dashed.print(std::cout);
 
@@ -93,15 +93,15 @@ int main(int argc, char** argv) {
 
   // Paper shape checks.
   std::cout << "\nShape checks (dwt):\n";
-  const sim::SweepResult& dwt = results[0];
-  const double none_065 = dwt.find("none", 0.65)->snr_mean_db;
-  const double dream_065 = dwt.find("dream", 0.65)->snr_mean_db;
-  const double ecc_060 =
-      dwt.find("ecc_secded", 0.60)->snr_mean_db;
-  const double dream_060 = dwt.find("dream", 0.60)->snr_mean_db;
-  const double ecc_050 =
-      dwt.find("ecc_secded", 0.50)->snr_mean_db;
-  const double dream_050 = dwt.find("dream", 0.50)->snr_mean_db;
+  const auto dwt = [&](const char* emt, double v) {
+    return campaign::find_row(slices[0], emt, v)->snr_mean_db;
+  };
+  const double none_065 = dwt("none", 0.65);
+  const double dream_065 = dwt("dream", 0.65);
+  const double ecc_060 = dwt("ecc_secded", 0.60);
+  const double dream_060 = dwt("dream", 0.60);
+  const double ecc_050 = dwt("ecc_secded", 0.50);
+  const double dream_050 = dwt("dream", 0.50);
   std::cout << "  protection helps at 0.65 V: "
             << (dream_065 > none_065 + 3.0 ? "PASS" : "FAIL") << '\n';
   std::cout << "  ECC competitive in 0.55-0.65 V band: "

@@ -51,8 +51,9 @@ int main() {
   util::Table codec("Codec energy model (per operation)");
   codec.set_header({"emt", "encode_pJ", "decode_pJ"});
   for (const std::string& name : core::paper_emt_names()) {
-    const auto e = energy::codec_energy(*core::make_emt(name));
-    codec.add_row({name, util::fmt(e.encode_pj, 2), util::fmt(e.decode_pj, 2)});
+    const auto emt = core::make_emt(name);
+    codec.add_row({name, util::fmt(emt->encode_energy_pj(), 2),
+                   util::fmt(emt->decode_energy_pj(), 2)});
   }
   codec.print(std::cout);
 

@@ -17,6 +17,8 @@
 // drags a file copy into the hot path) fails the build, not just a
 // dashboard.
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -67,7 +69,8 @@ int main(int argc, char** argv) {
       std::max<long long>(1, cli.get_int("warm-queries", 16)));
   const double assert_speedup = cli.get_double("assert-speedup", 0.0);
 
-  const fs::path dir = fs::temp_directory_path() / "ulpd_serve_bench";
+  const fs::path dir = fs::temp_directory_path() /
+                       ("ulpd_serve_bench_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
 

@@ -149,8 +149,7 @@ Execution (campaign::Session):
 
 Observability (util::telemetry; see README "Observability"):
   --trace PATH         record spans on all workers and write Chrome
-                       trace-event JSON at exit (open in Perfetto);
-                       the ULPDREAM_TRACE=PATH env does the same
+                       trace-event JSON at exit (open in Perfetto)
   --metrics-out PATH   write the session's MetricsSnapshot JSON at exit
                        (also enables the gated hot-path latency histograms)
   --metrics-every N    log a one-line metrics summary to stderr every N

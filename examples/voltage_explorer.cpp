@@ -17,8 +17,8 @@
 #include <iostream>
 #include <string>
 
+#include "ulpdream/campaign/policy_explorer.hpp"
 #include "ulpdream/campaign/session.hpp"
-#include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/util/cli.hpp"
 #include "ulpdream/util/table.hpp"
 
@@ -61,11 +61,12 @@ int main(int argc, char** argv) {
 
   const double tolerance = cli.get_double("tolerance-db", 1.0);
   for (std::size_t ai = 0; ai < spec.apps.size(); ++ai) {
-    const sim::SweepResult res = store.to_sweep_result(0, ai);
+    const double max_snr = store.max_snr_db(0, ai);
     std::cout << "\n" << spec.apps[ai]
-              << " (max SNR error-free: " << util::fmt(res.max_snr_db, 1)
+              << " (max SNR error-free: " << util::fmt(max_snr, 1)
               << " dB), with a -" << tolerance << " dB tolerance:\n";
-    const sim::PolicyResult policy = sim::explore_policy(res, tolerance);
+    const campaign::PolicyResult policy = campaign::explore_policy(
+        campaign::app_slice(store.spec(), rows, 0, ai), max_snr, tolerance);
     for (const auto& p : policy.points) {
       if (!p.feasible) {
         std::cout << "  " << p.emt << ": infeasible\n";

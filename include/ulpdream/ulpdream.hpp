@@ -32,10 +32,10 @@
 // store files, and the asynchronous execution runtime (Session /
 // CampaignHandle).
 #include "ulpdream/campaign/columnar.hpp"
+#include "ulpdream/campaign/policy_explorer.hpp"
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"
-#include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/sim/runner.hpp"
 
 // Metrics and shared utilities.

@@ -1,9 +1,8 @@
 #pragma once
 // Internal (non-installed) aggregation fold shared by the in-memory
-// ResultStore::aggregate (and the sweep points to_sweep_result reads off
-// its rows) and the out-of-core ColumnarStore::aggregate. Both walk
-// samples in the canonical order — item index major, then app, then EMT —
-// and push them through this one folder, so the two paths are
+// ResultStore::aggregate and the out-of-core ColumnarStore::aggregate.
+// Both walk samples in the canonical order — item index major, then app,
+// then EMT — and push them through this one folder, so the two paths are
 // bit-identical by construction: same accumulator types, same operation
 // order, same row emission. Any change to the statistics happens here
 // once and every summary inherits it.

@@ -473,32 +473,6 @@ void ColumnarStore::samples_at(std::size_t sorted_pos,
   }
 }
 
-bool ColumnarStore::item_done(std::size_t item_index) const {
-  // Binary search over the on-disk sorted item column.
-  std::uint64_t lo = 0;
-  std::uint64_t hi = n_index_;
-  while (lo < hi) {
-    const std::uint64_t mid = lo + (hi - lo) / 2;
-    const std::uint64_t item = u64_at(columns_[0].offset + 8 * mid);
-    if (item < item_index) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo == n_index_ ||
-      u64_at(columns_[0].offset + 8 * lo) != item_index) {
-    return false;
-  }
-  const std::uint64_t slot = u64_at(columns_[1].offset + 8 * lo);
-  return reader_.pod_at<std::uint8_t>(columns_[2].offset + slot) != 0;
-}
-
-double ColumnarStore::max_snr_db(std::size_t record_index,
-                                 std::size_t app_index) const {
-  return max_snr_.at(record_index * spec_.apps.size() + app_index);
-}
-
 std::vector<AggregateRow> ColumnarStore::aggregate(
     const GroupBy& group) const {
   ULPDREAM_TRACE_SPAN("store.aggregate_columnar");

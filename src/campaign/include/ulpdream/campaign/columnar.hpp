@@ -96,9 +96,6 @@ class ColumnarStore {
   [[nodiscard]] bool complete() const noexcept {
     return items_done_ == spec_.item_count();
   }
-  [[nodiscard]] bool item_done(std::size_t item_index) const;
-  [[nodiscard]] double max_snr_db(std::size_t record_index,
-                                  std::size_t app_index) const;
 
   /// Streaming grouped aggregation: folds column slices in canonical item
   /// order through the same folder as ResultStore::aggregate — the rows
@@ -114,8 +111,8 @@ class ColumnarStore {
   void samples_at(std::size_t sorted_pos, std::vector<Sample>& out) const;
 
   /// Copies the whole store into a heap ResultStore — the bridge back to
-  /// every in-memory consumer (resume_from, to_sweep_result, in-memory
-  /// merge). Deliberately the only operation that materializes samples.
+  /// every in-memory consumer (resume_from, in-memory merge).
+  /// Deliberately the only operation that materializes samples.
   [[nodiscard]] ResultStore materialize() const;
 
   /// Folds shard files by append: validates every input against `spec`,

@@ -1,49 +1,19 @@
 #pragma once
 // Sec. VI-C experiment: quality-constrained voltage/EMT policy search.
-// Given an application's sweep results and an output-degradation tolerance
-// (the paper uses -1 dB for DWT), find for each EMT the deepest voltage
-// whose mean SNR still meets the requirement, derive the triggering ranges
-// and the energy saved at each range's floor relative to nominal-voltage
-// unprotected operation.
+// Given one application's aggregate rows and an output-degradation
+// tolerance (the paper uses -1 dB for DWT), find for each EMT the deepest
+// voltage whose mean SNR still meets the requirement, derive the
+// triggering ranges and the energy saved at each range's floor relative
+// to nominal-voltage unprotected operation.
 
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/core/adaptive.hpp"
-#include "ulpdream/energy/energy_model.hpp"
 
-namespace ulpdream::sim {
-
-/// Monte-Carlo statistics of one (app, EMT, voltage) cell.
-struct SweepPoint {
-  std::string app;  ///< registry names
-  std::string emt;
-  double voltage = 0.0;
-  double ber = 0.0;
-  double snr_mean_db = 0.0;
-  double snr_stddev_db = 0.0;
-  double snr_min_db = 0.0;
-  /// 10th-percentile SNR across the Monte-Carlo runs: the "reliable
-  /// medical output" statistic (90% of runs do at least this well).
-  double snr_p10_db = 0.0;
-  double energy_mean_j = 0.0;
-  energy::EnergyBreakdown energy_mean{};
-  double corrected_words_mean = 0.0;
-  double detected_uncorrectable_mean = 0.0;
-};
-
-/// One application's voltage sweep — the explorer's input, usually a
-/// (record, app) slice of a campaign store
-/// (campaign::ResultStore::to_sweep_result).
-struct SweepResult {
-  std::vector<double> voltages;
-  std::vector<std::string> emts;  ///< registry names
-  double max_snr_db = 0.0;  ///< per-app dashed line (clean fixed vs golden)
-  std::vector<SweepPoint> points;
-
-  [[nodiscard]] const SweepPoint* find(std::string_view emt, double v) const;
-};
+namespace ulpdream::campaign {
 
 struct EmtOperatingPoint {
   std::string emt;  ///< registry name
@@ -78,11 +48,16 @@ enum class QualityCriterion { kRelativeDrop, kAbsoluteSnr };
 ///    statistic that reproduces the paper's range ordering robustly.
 enum class QualityStatistic { kMean, kP10 };
 
-/// Derives the policy from a completed sweep. The sweep must contain the
-/// kNone EMT at nominal voltage (used as the savings baseline).
+/// Derives the policy from one application's rows, usually a (record,
+/// app) slice of full-GroupBy aggregate() rows (app_slice), and that
+/// slice's error-free ceiling (ResultStore::max_snr_db). EMTs are taken
+/// in row order, voltages from the rows. The rows must hold the "none"
+/// EMT at nominal voltage (the savings baseline); std::invalid_argument
+/// otherwise.
 [[nodiscard]] PolicyResult explore_policy(
-    const SweepResult& sweep, double threshold_db,
+    std::span<const AggregateRow> rows, double max_snr_db,
+    double threshold_db,
     QualityCriterion criterion = QualityCriterion::kRelativeDrop,
     QualityStatistic statistic = QualityStatistic::kMean);
 
-}  // namespace ulpdream::sim
+}  // namespace ulpdream::campaign

@@ -9,8 +9,9 @@
 //    order threads produced them, making every derived statistic
 //    bit-identical for any thread count or shard split.
 // Aggregates export as machine-readable CSV/JSON (loss-free round trip
-// via shortest-round-trip doubles) and bridge into sim::SweepResult so
-// the Sec. VI-C policy explorer runs unchanged on campaign output.
+// via shortest-round-trip doubles). The figure benches and the Sec. VI-C
+// policy explorer read the full-GroupBy rows of one (record, app) slice
+// (app_slice, find_row).
 //
 // Storage is sparse and index-keyed: a store holds (item app-x-EMT
 // sample slices) only for the items it has slots for — a sorted item-index
@@ -25,11 +26,11 @@
 #include <iosfwd>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ulpdream/campaign/spec.hpp"
 #include "ulpdream/energy/energy_model.hpp"
-#include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/util/table.hpp"
 
 namespace ulpdream::campaign {
@@ -125,13 +126,6 @@ class ResultStore {
   [[nodiscard]] std::vector<AggregateRow> aggregate(
       const GroupBy& group = GroupBy{}) const;
 
-  /// Bridge to the policy explorer and the figure benches: the (record,
-  /// app) slice of a complete store as a sim::SweepResult, one point per
-  /// (voltage, EMT), voltage-major. Each point's statistics are those of
-  /// the matching aggregate() row (full GroupBy), plus the cell's BER.
-  [[nodiscard]] sim::SweepResult to_sweep_result(std::size_t record_index,
-                                                 std::size_t app_index) const;
-
   /// Raw-store persistence, the cross-process sharding and checkpoint
   /// path (format in columnar.hpp): done items' samples as fixed-width
   /// little-endian columns behind a header + sorted index. The file is
@@ -174,6 +168,21 @@ class ResultStore {
   std::vector<Sample> samples_;  ///< slot-major, then app-major, EMT-minor
   std::vector<double> max_snr_;  ///< record-major x apps, NaN until set
 };
+
+/// The (record, app) slice of the full-GroupBy aggregate() rows of a grid
+/// with this (normalized) spec: one row per (EMT, voltage), EMT-major with
+/// voltage varying fastest, as aggregate() lists them. Throws
+/// std::invalid_argument when `rows` is not the full grid or an index is
+/// out of range.
+[[nodiscard]] std::span<const AggregateRow> app_slice(
+    const CampaignSpec& spec, std::span<const AggregateRow> rows,
+    std::size_t record_index, std::size_t app_index);
+
+/// The row of (emt, voltage) in `rows`, voltages matched within 1e-6 V;
+/// nullptr when the cell is missing.
+[[nodiscard]] const AggregateRow* find_row(std::span<const AggregateRow> rows,
+                                           std::string_view emt,
+                                           double voltage);
 
 /// Aggregate-row serialization. Column order is fixed and documented by
 /// aggregate_csv_header(); doubles use shortest-round-trip formatting so

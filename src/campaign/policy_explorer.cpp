@@ -1,46 +1,49 @@
-#include "ulpdream/sim/policy_explorer.hpp"
+#include "ulpdream/campaign/policy_explorer.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
+#include <string_view>
 
 #include "ulpdream/mem/ber_model.hpp"
 
-namespace ulpdream::sim {
+namespace ulpdream::campaign {
 
-const SweepPoint* SweepResult::find(std::string_view emt, double v) const {
-  for (const auto& p : points) {
-    if (p.emt == emt && std::fabs(p.voltage - v) < 1e-6) return &p;
-  }
-  return nullptr;
-}
-
-PolicyResult explore_policy(const SweepResult& sweep, double threshold_db,
+PolicyResult explore_policy(std::span<const AggregateRow> rows,
+                            double max_snr_db, double threshold_db,
                             QualityCriterion criterion,
                             QualityStatistic statistic) {
   PolicyResult result;
   result.tolerance_db = threshold_db;
   result.required_snr_db = criterion == QualityCriterion::kRelativeDrop
-                               ? sweep.max_snr_db - threshold_db
+                               ? max_snr_db - threshold_db
                                : threshold_db;
-  const auto quality = [statistic](const SweepPoint& p) {
-    return statistic == QualityStatistic::kMean ? p.snr_mean_db
-                                                : p.snr_p10_db;
+  const auto quality = [statistic](const AggregateRow& r) {
+    return statistic == QualityStatistic::kMean ? r.snr_mean_db
+                                                : r.snr_p10_db;
   };
 
-  const SweepPoint* nominal =
-      sweep.find("none", mem::VoltageWindow::kNominal);
+  const AggregateRow* nominal =
+      find_row(rows, "none", mem::VoltageWindow::kNominal);
   if (nominal == nullptr) {
     throw std::invalid_argument(
-        "explore_policy: sweep lacks the nominal unprotected point");
+        "explore_policy: rows lack the nominal unprotected point");
   }
   result.nominal_energy_j = nominal->energy_mean_j;
 
-  // Sorted voltage grid (ascending).
-  std::vector<double> voltages = sweep.voltages;
+  // EMTs in row order; the voltage grid sorted ascending.
+  std::vector<std::string_view> emts;
+  std::vector<double> voltages;
+  for (const AggregateRow& r : rows) {
+    if (std::find(emts.begin(), emts.end(), r.emt) == emts.end()) {
+      emts.push_back(r.emt);
+    }
+    voltages.push_back(r.voltage);
+  }
   std::sort(voltages.begin(), voltages.end());
+  voltages.erase(std::unique(voltages.begin(), voltages.end()),
+                 voltages.end());
 
-  for (const std::string& emt : sweep.emts) {
+  for (const std::string_view emt : emts) {
     EmtOperatingPoint op;
     op.emt = emt;
     // Deepest voltage such that SNR stays within tolerance at that point
@@ -48,7 +51,7 @@ PolicyResult explore_policy(const SweepResult& sweep, double threshold_db,
     // voltage through the range).
     bool all_above = true;
     for (auto it = voltages.rbegin(); it != voltages.rend(); ++it) {
-      const SweepPoint* p = sweep.find(emt, *it);
+      const AggregateRow* p = find_row(rows, emt, *it);
       if (p == nullptr) continue;
       all_above = all_above && (quality(*p) >= result.required_snr_db);
       if (all_above) {
@@ -70,9 +73,9 @@ PolicyResult explore_policy(const SweepResult& sweep, double threshold_db,
   // Derive the triggering ranges: each EMT covers from its floor up to
   // the floor of the next-weaker technique. "Weaker" is defined by the
   // data — shallower voltage floor (none → dream → ecc on the paper's
-  // grids) — so the ladder is independent of the order the sweep
-  // happened to list the EMTs. When two techniques reach the same floor,
-  // the cheaper one at that floor owns the band (the policy minimizes
+  // grids) — so the ladder is independent of the order the rows happen
+  // to list the EMTs. When two techniques reach the same floor, the
+  // cheaper one at that floor owns the band (the policy minimizes
   // protection overhead); the name is the last-resort determinism tie.
   std::vector<const EmtOperatingPoint*> ladder;
   for (const auto& p : result.points) {
@@ -108,4 +111,4 @@ PolicyResult explore_policy(const SweepResult& sweep, double threshold_db,
   return result;
 }
 
-}  // namespace ulpdream::sim
+}  // namespace ulpdream::campaign

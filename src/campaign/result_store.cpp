@@ -177,53 +177,28 @@ std::vector<AggregateRow> ResultStore::aggregate(const GroupBy& group) const {
   return folder.rows();
 }
 
-sim::SweepResult ResultStore::to_sweep_result(std::size_t record_index,
-                                              std::size_t app_index) const {
-  if (!complete()) {
-    throw std::logic_error("ResultStore::to_sweep_result: store incomplete");
+std::span<const AggregateRow> app_slice(const CampaignSpec& spec,
+                                        std::span<const AggregateRow> rows,
+                                        std::size_t record_index,
+                                        std::size_t app_index) {
+  if (rows.size() != spec.cell_count() ||
+      record_index >= spec.records.size() || app_index >= spec.apps.size()) {
+    throw std::invalid_argument(
+        "app_slice: rows are not the full grid, or a bad index");
   }
-  if (record_index >= spec_.records.size() ||
-      app_index >= spec_.apps.size()) {
-    throw std::invalid_argument("ResultStore::to_sweep_result: bad index");
-  }
-  const std::size_t ne = spec_.emts.size();
-  const std::size_t nv = spec_.voltages.size();
-  const auto ber_model = mem::make_ber_model(spec_.ber_model);
+  // The full-GroupBy rows run record, app, EMT, voltage (minor), so this
+  // (record, app) slice is contiguous.
+  const std::size_t size = spec.emts.size() * spec.voltages.size();
+  return rows.subspan((record_index * spec.apps.size() + app_index) * size,
+                      size);
+}
 
-  // The full-GroupBy rows run record, app, EMT, voltage (minor); this
-  // (record, app) slice is contiguous, and a sweep lists it voltage-major.
-  const std::vector<AggregateRow> rows = aggregate(GroupBy{});
-  const std::size_t first = (record_index * spec_.apps.size() + app_index) *
-                            ne * nv;
-  sim::SweepResult result;
-  result.voltages = spec_.voltages;
-  result.emts = spec_.emts;
-  result.max_snr_db = max_snr_db(record_index, app_index);
-  result.points.reserve(nv * ne);
-  for (std::size_t vi = 0; vi < nv; ++vi) {
-    for (std::size_t ei = 0; ei < ne; ++ei) {
-      const AggregateRow& row = rows[first + ei * nv + vi];
-      sim::SweepPoint p;
-      p.app = row.app;
-      p.emt = row.emt;
-      p.voltage = row.voltage;
-      p.ber = ber_model->ber(p.voltage);
-      p.snr_mean_db = row.snr_mean_db;
-      p.snr_stddev_db = row.snr_stddev_db;
-      p.snr_min_db = row.snr_min_db;
-      p.snr_p10_db = row.snr_p10_db;
-      p.energy_mean_j = row.energy_mean_j;
-      p.energy_mean.data_dynamic_j = row.data_dynamic_j;
-      p.energy_mean.side_dynamic_j = row.side_dynamic_j;
-      p.energy_mean.codec_j = row.codec_j;
-      p.energy_mean.data_leak_j = row.data_leak_j;
-      p.energy_mean.side_leak_j = row.side_leak_j;
-      p.corrected_words_mean = row.corrected_mean;
-      p.detected_uncorrectable_mean = row.detected_mean;
-      result.points.push_back(std::move(p));
-    }
+const AggregateRow* find_row(std::span<const AggregateRow> rows,
+                             std::string_view emt, double voltage) {
+  for (const AggregateRow& r : rows) {
+    if (r.emt == emt && std::fabs(r.voltage - voltage) < 1e-6) return &r;
   }
-  return result;
+  return nullptr;
 }
 
 // ---------------------------------------------------------------------------

@@ -71,6 +71,26 @@ std::vector<std::string> parse_name_list(const std::string& list,
   return out;
 }
 
+/// The one body of fingerprint() and axes_fingerprint(), which differ
+/// only in the records section.
+std::string fingerprint_text(const CampaignSpec& s, bool with_records) {
+  std::ostringstream os;
+  os << "apps:";
+  for (const auto& a : s.apps) os << ' ' << a;
+  os << "|emts:";
+  for (const auto& e : s.emts) os << ' ' << e;
+  os << "|voltages:";
+  for (double v : s.voltages) os << ' ' << util::fmt_exact(v);
+  if (with_records) {
+    os << "|records:";
+    for (const auto& r : s.records) os << ' ' << r.label();
+  }
+  os << "|reps:" << s.repetitions << "|seed:" << s.seed
+     << "|ber:" << s.ber_model << "|fs:" << util::fmt_exact(s.fs_hz)
+     << "|dur:" << util::fmt_exact(s.duration_s);
+  return os.str();
+}
+
 }  // namespace
 
 std::string RecordAxis::label() const {
@@ -167,33 +187,11 @@ std::size_t CampaignSpec::cell_count() const {
 }
 
 std::string CampaignSpec::fingerprint() const {
-  std::ostringstream os;
-  os << "apps:";
-  for (const auto& a : apps) os << ' ' << a;
-  os << "|emts:";
-  for (const auto& e : emts) os << ' ' << e;
-  os << "|voltages:";
-  for (double v : voltages) os << ' ' << util::fmt_exact(v);
-  os << "|records:";
-  for (const auto& r : records) os << ' ' << r.label();
-  os << "|reps:" << repetitions << "|seed:" << seed
-     << "|ber:" << ber_model << "|fs:" << util::fmt_exact(fs_hz)
-     << "|dur:" << util::fmt_exact(duration_s);
-  return os.str();
+  return fingerprint_text(*this, /*with_records=*/true);
 }
 
 std::string CampaignSpec::axes_fingerprint() const {
-  std::ostringstream os;
-  os << "apps:";
-  for (const auto& a : apps) os << ' ' << a;
-  os << "|emts:";
-  for (const auto& e : emts) os << ' ' << e;
-  os << "|voltages:";
-  for (double v : voltages) os << ' ' << util::fmt_exact(v);
-  os << "|reps:" << repetitions << "|seed:" << seed
-     << "|ber:" << ber_model << "|fs:" << util::fmt_exact(fs_hz)
-     << "|dur:" << util::fmt_exact(duration_s);
-  return os.str();
+  return fingerprint_text(*this, /*with_records=*/false);
 }
 
 std::string CampaignSpec::fingerprint_hash() const {

@@ -27,8 +27,6 @@ struct CodecCounters {
   std::uint64_t decodes = 0;
   std::uint64_t corrected_words = 0;        ///< decode changed >= 1 bit
   std::uint64_t detected_uncorrectable = 0; ///< flagged but not fixed (ECC DED)
-
-  void reset() { *this = CodecCounters{}; }
 };
 
 /// Per-word outcome bits of Emt::decode_block(): 0 for a plain decode,

@@ -77,8 +77,6 @@ class MemorySystem {
     return counters_;
   }
 
-  void reset_stats();
-
   /// Batched data path: encodes and writes `src.size()` samples starting
   /// at data-array address `addr` (and the matching side words when the
   /// EMT keeps any), then decodes the written words into the shadow.

@@ -80,12 +80,6 @@ void MemorySystem::mark_all_stale() {
   std::fill(outcome_.begin(), outcome_.end(), kStale);
 }
 
-void MemorySystem::reset_stats() {
-  data_.reset_stats();
-  if (safe_) safe_->reset_stats();
-  counters_.reset();
-}
-
 std::size_t MemorySystem::allocate(std::size_t words) {
   if (words > data_.words() - next_free_) {
     throw std::bad_alloc();  // exceeds the device's 32 kB data memory

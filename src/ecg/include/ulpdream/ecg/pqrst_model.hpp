@@ -6,8 +6,6 @@
 // exactly, which also gives the delineator ground truth for free.
 
 #include <array>
-#include <cstddef>
-#include <vector>
 
 namespace ulpdream::ecg {
 
@@ -39,9 +37,5 @@ struct BeatMorphology {
 
 /// Morphology with fibrillatory baseline instead of a P wave.
 [[nodiscard]] BeatMorphology afib_morphology();
-
-/// Sampled waveform of a single beat of `samples` points (one RR interval).
-[[nodiscard]] std::vector<double> render_beat(const BeatMorphology& m,
-                                              std::size_t samples);
 
 }  // namespace ulpdream::ecg

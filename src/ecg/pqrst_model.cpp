@@ -51,13 +51,4 @@ BeatMorphology afib_morphology() {
   return m;
 }
 
-std::vector<double> render_beat(const BeatMorphology& m, std::size_t samples) {
-  std::vector<double> out(samples, 0.0);
-  for (std::size_t i = 0; i < samples; ++i) {
-    out[i] = m.value_at(static_cast<double>(i) /
-                        static_cast<double>(samples));
-  }
-  return out;
-}
-
 }  // namespace ulpdream::ecg

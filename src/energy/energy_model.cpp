@@ -22,10 +22,6 @@ double MemoryEnergyParams::leak_power_w(double v, int bits, std::size_t words,
   return cells * leak_w_per_bit_nominal * v_scale * factor;
 }
 
-CodecEnergyParams codec_energy(const core::Emt& emt) {
-  return {emt.encode_energy_pj(), emt.decode_energy_pj()};
-}
-
 EnergyBreakdown SystemEnergyModel::compute(const core::Emt& emt, double v,
                                            const mem::AccessStats& data_stats,
                                            const mem::AccessStats* side_stats,
@@ -48,10 +44,10 @@ EnergyBreakdown SystemEnergyModel::compute(const core::Emt& emt, double v,
         t_run;
   }
 
-  const CodecEnergyParams codec = codec_energy(emt);
-  out.codec_j = (static_cast<double>(data_stats.writes) * codec.encode_pj +
-                 static_cast<double>(data_stats.reads) * codec.decode_pj) *
-                1e-12;
+  out.codec_j =
+      (static_cast<double>(data_stats.writes) * emt.encode_energy_pj() +
+       static_cast<double>(data_stats.reads) * emt.decode_energy_pj()) *
+      1e-12;
   return out;
 }
 

@@ -39,17 +39,6 @@ struct MemoryEnergyParams {
                                     bool small_array) const;
 };
 
-/// Encoder/decoder per-operation energy (logic domain, voltage-invariant in
-/// this model because the codec must stay at a safe voltage to function).
-/// The values live on the Emt interface (encode_energy_pj/decode_energy_pj)
-/// so user-registered techniques carry their own.
-struct CodecEnergyParams {
-  double encode_pj = 0.0;
-  double decode_pj = 0.0;
-};
-
-[[nodiscard]] CodecEnergyParams codec_energy(const core::Emt& emt);
-
 struct EnergyBreakdown {
   double data_dynamic_j = 0.0;
   double side_dynamic_j = 0.0;

@@ -15,8 +15,6 @@ class Matrix {
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
 
-  [[nodiscard]] static Matrix identity(std::size_t n);
-
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }
   [[nodiscard]] std::size_t cols() const noexcept { return cols_; }
 
@@ -41,12 +39,6 @@ class Matrix {
   /// y = A^T * v without materializing the transpose.
   [[nodiscard]] std::vector<double> multiply_transposed(
       const std::vector<double>& v) const;
-
-  /// Extracts the given column.
-  [[nodiscard]] std::vector<double> column(std::size_t c) const;
-
-  /// Frobenius norm.
-  [[nodiscard]] double norm() const;
 
  private:
   std::size_t rows_ = 0;

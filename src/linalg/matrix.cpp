@@ -5,12 +5,6 @@
 
 namespace ulpdream::linalg {
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n);
-  for (std::size_t i = 0; i < n; ++i) m.at(i, i) = 1.0;
-  return m;
-}
-
 Matrix Matrix::transpose() const {
   Matrix t(cols_, rows_);
   for (std::size_t r = 0; r < rows_; ++r) {
@@ -85,19 +79,6 @@ std::vector<double> Matrix::multiply_transposed(
     for (std::size_t c = 0; c < cols_; ++c) o[c] += s[i] * rows[i][c];
   }
   return out;
-}
-
-std::vector<double> Matrix::column(std::size_t c) const {
-  if (c >= cols_) throw std::out_of_range("Matrix::column");
-  std::vector<double> out(rows_);
-  for (std::size_t r = 0; r < rows_; ++r) out[r] = at(r, c);
-  return out;
-}
-
-double Matrix::norm() const {
-  double acc = 0.0;
-  for (double x : data_) acc += x * x;
-  return std::sqrt(acc);
 }
 
 double dot(const std::vector<double>& a, const std::vector<double>& b) {

@@ -114,7 +114,6 @@ class FaultyMemory {
   }
 
   [[nodiscard]] const AccessStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
  private:
   /// Shared body of the 32/16-bit block writes (memory.cpp).
@@ -162,7 +161,6 @@ class SafeMemory {
   }
 
   [[nodiscard]] const AccessStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = {}; }
 
  private:
   int width_;

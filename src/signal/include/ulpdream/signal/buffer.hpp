@@ -133,9 +133,6 @@ class VecBuffer {
     store(i, dst);
   }
 
-  [[nodiscard]] const fixed::SampleVec& vec() const noexcept { return data_; }
-  [[nodiscard]] fixed::SampleVec& vec() noexcept { return data_; }
-
  private:
   fixed::SampleVec data_;
 };

@@ -42,12 +42,7 @@ class Cli {
     return out;
   }
 
-  [[nodiscard]] const std::string& program() const noexcept {
-    return program_;
-  }
-
  private:
-  std::string program_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

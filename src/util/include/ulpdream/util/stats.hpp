@@ -20,8 +20,6 @@ class RunningStats {
   [[nodiscard]] double min() const noexcept { return n_ ? min_ : 0.0; }
   [[nodiscard]] double max() const noexcept { return n_ ? max_ : 0.0; }
 
-  void merge(const RunningStats& other) noexcept;
-
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;

@@ -6,12 +6,11 @@
 //  - Trace recorder: per-thread lock-free ring buffers of span events
 //    with nanosecond timestamps, exported as Chrome trace-event
 //    JSON (load the file in Perfetto / chrome://tracing). Activation is
-//    explicit — trace::start(), the campaign CLI's --trace flag, or the
-//    ULPDREAM_TRACE=out.json environment variable (which also writes the
-//    file at process exit). While tracing is off, an instrumented scope
-//    costs a single relaxed atomic load; there is no locking anywhere on
-//    the producer path even while tracing is on (a full ring drops the
-//    event and counts the drop rather than block a worker).
+//    explicit — trace::start() or the campaign CLI's --trace flag. While
+//    tracing is off, an instrumented scope costs a single relaxed atomic
+//    load; there is no locking anywhere on the producer path even while
+//    tracing is on (a full ring drops the event and counts the drop
+//    rather than block a worker).
 //
 //  - Metrics registry: named counters, gauges and fixed log-bucket
 //    histograms, sharded per thread (an update is one relaxed fetch_add

@@ -47,13 +47,10 @@ class WorkPool {
   WorkPool& operator=(const WorkPool&) = delete;
 
   /// Enqueues a job of `count` independent indices. Returns immediately;
-  /// the handle observes and controls the job.
-  [[nodiscard]] std::shared_ptr<Job> submit(std::size_t count,
-                                            WorkerFactory factory);
-
-  /// submit(), but workers leave the job untouched until Job::start() is
-  /// called — for callers that must publish the handle (e.g. into
-  /// callback-visible state) before the first index can possibly run.
+  /// the handle observes and controls the job. Workers leave the job
+  /// untouched until Job::start() is called, so a caller can publish the
+  /// handle (e.g. into callback-visible state) before the first index can
+  /// possibly run.
   [[nodiscard]] std::shared_ptr<Job> submit_deferred(std::size_t count,
                                                      WorkerFactory factory);
 

@@ -5,9 +5,7 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <deque>
-#include <fstream>
 #include <istream>
 #include <iterator>
 #include <memory>
@@ -716,36 +714,5 @@ void emit_span(const char* name, std::uint64_t start_ns) noexcept {
 }
 
 }  // namespace detail
-
-// ---------------------------------------------------------------------------
-// ULPDREAM_TRACE=out.json: arm tracing at load time, write at exit.
-
-namespace {
-
-std::string& env_trace_path() {
-  static std::string* path = new std::string();
-  return *path;
-}
-
-void flush_env_trace() {
-  trace::stop();
-  std::ofstream os(env_trace_path());
-  if (os) trace::write_chrome_json(os);
-}
-
-struct EnvTraceInit {
-  EnvTraceInit() {
-    if (const char* p = std::getenv("ULPDREAM_TRACE");
-        p != nullptr && *p != '\0') {
-      env_trace_path() = p;
-      trace::start();
-      std::atexit(flush_env_trace);
-    }
-  }
-};
-
-const EnvTraceInit g_env_trace_init;
-
-}  // namespace
 
 }  // namespace ulpdream::util::telemetry

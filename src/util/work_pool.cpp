@@ -154,13 +154,6 @@ WorkPool::~WorkPool() {
   for (std::thread& t : workers_) t.join();
 }
 
-std::shared_ptr<WorkPool::Job> WorkPool::submit(std::size_t count,
-                                                WorkerFactory factory) {
-  std::shared_ptr<Job> job = submit_deferred(count, std::move(factory));
-  job->start();
-  return job;
-}
-
 std::shared_ptr<WorkPool::Job> WorkPool::submit_deferred(
     std::size_t count, WorkerFactory factory) {
   // make_shared needs a public ctor; the private one keeps Job creation

@@ -4,10 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <filesystem>
-#include <iterator>
 #include <limits>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -15,11 +14,10 @@
 #include <vector>
 
 #include "ulpdream/campaign/columnar.hpp"
+#include "ulpdream/campaign/policy_explorer.hpp"
 #include "ulpdream/campaign/result_store.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/campaign/spec.hpp"
-#include "ulpdream/mem/ber_model.hpp"
-#include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/util/rng.hpp"
 
 namespace ulpdream::campaign {
@@ -364,7 +362,6 @@ TEST(ResultStore, AggregateRequiresCompleteStore) {
   const CampaignSpec spec = tiny_spec();
   const ResultStore partial = run(spec, 2, Shard{0, 2});
   EXPECT_THROW((void)partial.aggregate(), std::logic_error);
-  EXPECT_THROW((void)partial.to_sweep_result(0, 0), std::logic_error);
 }
 
 TEST(ResultStore, GroupByMarginalizesUngroupedAxes) {
@@ -565,74 +562,52 @@ TEST(ResultStore, BridgesToThePolicyExplorer) {
   spec.voltages = {0.6, 0.7, 0.8, 0.9};  // policy needs the nominal point
   spec = spec.normalized();
   const ResultStore store = run(spec, 4);
+  const std::vector<AggregateRow> rows = store.aggregate();
 
-  const sim::SweepResult sweep = store.to_sweep_result(0, 0);
-  EXPECT_EQ(sweep.points.size(), spec.voltages.size() * spec.emts.size());
-  EXPECT_EQ(sweep.max_snr_db, store.max_snr_db(0, 0));
-  ASSERT_NE(sweep.find("dream", 0.8), nullptr);
-  EXPECT_EQ(sweep.find("dream", 0.8)->app, "dwt");
+  const std::span<const AggregateRow> slice = app_slice(spec, rows, 1, 0);
+  EXPECT_EQ(slice.size(), spec.voltages.size() * spec.emts.size());
+  ASSERT_NE(find_row(slice, "dream", 0.8), nullptr);
+  EXPECT_EQ(find_row(slice, "dream", 0.8)->app, "dwt");
+  EXPECT_EQ(find_row(slice, "dream", 0.8)->record, spec.records[1].label());
+  EXPECT_EQ(find_row(slice, "dream", 0.75), nullptr);
 
-  const sim::PolicyResult policy = sim::explore_policy(sweep, 1.0);
+  const PolicyResult policy =
+      explore_policy(slice, store.max_snr_db(1, 0), 1.0);
   EXPECT_EQ(policy.points.size(), spec.emts.size());
   EXPECT_GT(policy.nominal_energy_j, 0.0);
+  EXPECT_DOUBLE_EQ(policy.required_snr_db, store.max_snr_db(1, 0) - 1.0);
 }
 
-TEST(ResultStore, SweepPointsAreTheGroupedAggregateRows) {
-  // Two records x two apps: every (record, app) slice sits elsewhere in
-  // the rows. Each sweep point, listed voltage-major, carries the
-  // statistics of the full-GroupBy row of its cell bit for bit.
+TEST(ResultStore, AppSliceIsTheRecordAppBlockOfTheRows) {
+  // Two records x two apps: each (record, app) slice of the full-GroupBy
+  // rows holds that record's and app's cells, EMT-major with the voltage
+  // varying fastest. A partial row list or a bad index is rejected.
   const CampaignSpec spec = tiny_spec();
-  const ResultStore store = run(spec, 4);
-  const std::vector<AggregateRow> rows = store.aggregate();
-  const auto ber_model = mem::make_ber_model(spec.ber_model);
-  const auto same_bits = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof a) == 0;
-  };
+  const std::vector<AggregateRow> rows = run(spec, 4).aggregate();
   for (std::size_t ri = 0; ri < spec.records.size(); ++ri) {
     for (std::size_t ai = 0; ai < spec.apps.size(); ++ai) {
-      const sim::SweepResult sweep = store.to_sweep_result(ri, ai);
-      ASSERT_EQ(sweep.points.size(), spec.voltages.size() * spec.emts.size());
+      const std::span<const AggregateRow> slice = app_slice(spec, rows, ri, ai);
+      ASSERT_EQ(slice.size(), spec.emts.size() * spec.voltages.size());
       std::size_t next = 0;
-      for (const double v : spec.voltages) {
-        for (const std::string& emt : spec.emts) {
-          SCOPED_TRACE(testing::Message() << spec.records[ri].label() << ' '
-                                          << spec.apps[ai] << ' ' << emt
-                                          << ' ' << v);
-          const sim::SweepPoint& p = sweep.points[next++];
-          const AggregateRow* row = nullptr;
-          for (const AggregateRow& r : rows) {
-            if (r.record == spec.records[ri].label() &&
-                r.app == spec.apps[ai] && r.emt == emt && r.voltage == v) {
-              row = &r;
-            }
-          }
-          ASSERT_NE(row, nullptr);
-          EXPECT_EQ(p.app, row->app);
-          EXPECT_EQ(p.emt, row->emt);
-          EXPECT_TRUE(same_bits(p.voltage, row->voltage));
-          EXPECT_TRUE(same_bits(p.ber, ber_model->ber(v)));
-          const std::pair<double, double> stats[] = {
-              {p.snr_mean_db, row->snr_mean_db},
-              {p.snr_stddev_db, row->snr_stddev_db},
-              {p.snr_min_db, row->snr_min_db},
-              {p.snr_p10_db, row->snr_p10_db},
-              {p.energy_mean_j, row->energy_mean_j},
-              {p.energy_mean.data_dynamic_j, row->data_dynamic_j},
-              {p.energy_mean.side_dynamic_j, row->side_dynamic_j},
-              {p.energy_mean.codec_j, row->codec_j},
-              {p.energy_mean.data_leak_j, row->data_leak_j},
-              {p.energy_mean.side_leak_j, row->side_leak_j},
-              {p.corrected_words_mean, row->corrected_mean},
-              {p.detected_uncorrectable_mean, row->detected_mean}};
-          for (std::size_t i = 0; i < std::size(stats); ++i) {
-            EXPECT_TRUE(same_bits(stats[i].first, stats[i].second))
-                << "statistic " << i << ": " << stats[i].first << " vs "
-                << stats[i].second;
-          }
+      for (const std::string& emt : spec.emts) {
+        for (const double v : spec.voltages) {
+          const AggregateRow& row = slice[next++];
+          EXPECT_EQ(row.record, spec.records[ri].label());
+          EXPECT_EQ(row.app, spec.apps[ai]);
+          EXPECT_EQ(row.emt, emt);
+          EXPECT_EQ(row.voltage, v);
+          EXPECT_EQ(find_row(slice, emt, v), &row);
         }
       }
     }
   }
+  const std::span<const AggregateRow> all(rows);
+  EXPECT_THROW((void)app_slice(spec, all.first(rows.size() - 1), 0, 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)app_slice(spec, rows, spec.records.size(), 0),
+               std::invalid_argument);
+  EXPECT_THROW((void)app_slice(spec, rows, 0, spec.apps.size()),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -201,17 +201,5 @@ TEST(ProtectedBuffer, CodecCountersAccumulateInSystem) {
   EXPECT_EQ(system.counters().corrected_words, 1u);
 }
 
-TEST(MemorySystem, StatsResetClearsEverything) {
-  const auto dream = make_emt("dream");
-  MemorySystem system(*dream, 64);
-  auto buf = ProtectedBuffer::allocate(system, 8);
-  buf.set(0, 5);
-  (void)buf.get(0);
-  system.reset_stats();
-  EXPECT_EQ(system.data().stats().total(), 0u);
-  EXPECT_EQ(system.safe()->stats().total(), 0u);
-  EXPECT_EQ(system.counters().decodes, 0u);
-}
-
 }  // namespace
 }  // namespace ulpdream::core

@@ -13,6 +13,7 @@
 // name the peer.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <cstdint>
@@ -77,9 +78,11 @@ std::string as_text(const std::vector<std::uint8_t>& bytes) {
   return std::string(bytes.begin(), bytes.end());
 }
 
-/// Fresh scratch directory per test (cache, socket, outputs).
+/// Fresh scratch directory per test (cache, socket, outputs), unique per
+/// process: two runs of one case at once must not share it.
 fs::path scratch(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("ulpd_dist_" + name);
+  const fs::path dir = fs::temp_directory_path() /
+                       ("ulpd_dist_" + name + "_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

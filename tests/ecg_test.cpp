@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <ostream>
+#include <vector>
 
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/ecg/generator.hpp"
@@ -20,7 +21,11 @@ namespace {
 
 TEST(Pqrst, RWaveDominates) {
   const BeatMorphology m = normal_morphology();
-  const std::vector<double> beat = render_beat(m, 250);
+  // One RR interval sampled at 250 points.
+  std::vector<double> beat(250);
+  for (std::size_t i = 0; i < beat.size(); ++i) {
+    beat[i] = m.value_at(static_cast<double>(i) / 250.0);
+  }
   const auto max_it = std::max_element(beat.begin(), beat.end());
   const double r_pos = static_cast<double>(max_it - beat.begin()) / 250.0;
   EXPECT_NEAR(r_pos, m.waves[2].center_frac, 0.02);

@@ -55,14 +55,14 @@ TEST(MemoryEnergyParams, NominalLeakageMatchesCalibration) {
 }
 
 TEST(CodecEnergy, OrderingNoneDreamEcc) {
-  const auto none = codec_energy(*core::make_emt("none"));
-  const auto dream = codec_energy(*core::make_emt("dream"));
-  const auto ecc = codec_energy(*core::make_emt("ecc_secded"));
-  EXPECT_EQ(none.encode_pj, 0.0);
-  EXPECT_EQ(none.decode_pj, 0.0);
-  EXPECT_GT(dream.decode_pj, 0.0);
-  EXPECT_GT(ecc.encode_pj, dream.encode_pj);
-  EXPECT_GT(ecc.decode_pj, dream.decode_pj);
+  const auto none = core::make_emt("none");
+  const auto dream = core::make_emt("dream");
+  const auto ecc = core::make_emt("ecc_secded");
+  EXPECT_EQ(none->encode_energy_pj(), 0.0);
+  EXPECT_EQ(none->decode_energy_pj(), 0.0);
+  EXPECT_GT(dream->decode_energy_pj(), 0.0);
+  EXPECT_GT(ecc->encode_energy_pj(), dream->encode_energy_pj());
+  EXPECT_GT(ecc->decode_energy_pj(), dream->decode_energy_pj());
 }
 
 TEST(SystemEnergyModel, BreakdownComponentsPopulated) {

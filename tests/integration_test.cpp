@@ -5,12 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "ulpdream/apps/app.hpp"
 #include "ulpdream/apps/dwt_app.hpp"
+#include "ulpdream/campaign/policy_explorer.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/ecg/database.hpp"
-#include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/sim/runner.hpp"
 
 namespace ulpdream {
@@ -23,7 +24,7 @@ const ecg::Record& record() {
 
 /// DWT x the paper EMTs over the full voltage window on record(), with
 /// `runs` fault maps per point, run on a campaign Session.
-sim::SweepResult dwt_sweep(std::size_t runs) {
+campaign::ResultStore dwt_sweep(std::size_t runs) {
   campaign::CampaignSpec spec;
   spec.apps = {"dwt"};
   spec.emts = core::paper_emt_names();
@@ -33,17 +34,23 @@ sim::SweepResult dwt_sweep(std::size_t runs) {
   spec.repetitions = runs;
   spec.seed = 7;
   campaign::Session session(energy::SystemEnergyModel(), 2);
-  return session.submit(spec).take().to_sweep_result(0, 0);
+  return session.submit(spec).take();
+}
+
+/// Mean SNR of (emt, v) in a dwt_sweep's rows, which hold every cell.
+double snr(const std::vector<campaign::AggregateRow>& rows, const char* emt,
+           double v) {
+  return campaign::find_row(rows, emt, v)->snr_mean_db;
 }
 
 TEST(Integration, ProtectionHelpsAtMidVoltages) {
   // Fig. 4 headline: in the 0.6-0.7 V band both EMTs massively outperform
   // no protection.
-  const sim::SweepResult res = dwt_sweep(8);
+  const auto rows = dwt_sweep(8).aggregate();
   for (const double v : {0.6, 0.65, 0.7}) {
-    const double none = res.find("none", v)->snr_mean_db;
-    const double dream = res.find("dream", v)->snr_mean_db;
-    const double ecc = res.find("ecc_secded", v)->snr_mean_db;
+    const double none = snr(rows, "none", v);
+    const double dream = snr(rows, "dream", v);
+    const double ecc = snr(rows, "ecc_secded", v);
     EXPECT_GT(dream, none + 3.0) << "v=" << v;
     EXPECT_GT(ecc, none + 3.0) << "v=" << v;
   }
@@ -53,15 +60,13 @@ TEST(Integration, EccWinsMidRangeDreamWinsDeep) {
   // Paper Sec. VI-A: ECC slightly better in 0.55-0.65 V; below 0.55 V it
   // detects-but-not-corrects multi-bit words while DREAM keeps fixing
   // MSB runs. At the deepest point DREAM must not lose to ECC.
-  const sim::SweepResult res = dwt_sweep(16);
-  const double dream_050 = res.find("dream", 0.5)->snr_mean_db;
-  const double ecc_050 =
-      res.find("ecc_secded", 0.5)->snr_mean_db;
+  const auto rows = dwt_sweep(16).aggregate();
+  const double dream_050 = snr(rows, "dream", 0.5);
+  const double ecc_050 = snr(rows, "ecc_secded", 0.5);
   EXPECT_GE(dream_050, ecc_050 - 1.0);
 
-  const double dream_065 = res.find("dream", 0.65)->snr_mean_db;
-  const double ecc_065 =
-      res.find("ecc_secded", 0.65)->snr_mean_db;
+  const double dream_065 = snr(rows, "dream", 0.65);
+  const double ecc_065 = snr(rows, "ecc_secded", 0.65);
   // Mid-range: ECC at least competitive (corrects any single-bit error,
   // DREAM only sign-run errors).
   EXPECT_GE(ecc_065, dream_065 - 3.0);
@@ -70,14 +75,18 @@ TEST(Integration, EccWinsMidRangeDreamWinsDeep) {
 TEST(Integration, EnergyOverheadHeadline) {
   // Sec. VI-B: ~55% (ECC) vs ~34% (DREAM) average energy overhead — the
   // 21% headline saving. Reproduced on a real application access trace.
-  const sim::SweepResult res = dwt_sweep(2);
+  const campaign::ResultStore store = dwt_sweep(2);
+  const auto rows = store.aggregate();
+  const auto energy = [&](const char* emt, double v) {
+    return campaign::find_row(rows, emt, v)->energy_mean_j;
+  };
   double sum_none = 0.0;
   double sum_dream = 0.0;
   double sum_ecc = 0.0;
-  for (const double v : res.voltages) {
-    sum_none += res.find("none", v)->energy_mean_j;
-    sum_dream += res.find("dream", v)->energy_mean_j;
-    sum_ecc += res.find("ecc_secded", v)->energy_mean_j;
+  for (const double v : store.spec().voltages) {
+    sum_none += energy("none", v);
+    sum_dream += energy("dream", v);
+    sum_ecc += energy("ecc_secded", v);
   }
   const double dream_overhead = sum_dream / sum_none - 1.0;
   const double ecc_overhead = sum_ecc / sum_none - 1.0;
@@ -90,10 +99,11 @@ TEST(Integration, PolicySavingsOrdering) {
   // Sec. VI-C: under the clinical quality requirement, protection unlocks
   // deeper voltages whose net savings beat unprotected operation even
   // after paying the EMT overhead.
-  const sim::SweepResult sweep = dwt_sweep(12);
-  const sim::PolicyResult policy =
-      sim::explore_policy(sweep, 40.0, sim::QualityCriterion::kAbsoluteSnr,
-                          sim::QualityStatistic::kP10);
+  const campaign::ResultStore store = dwt_sweep(12);
+  const campaign::PolicyResult policy = campaign::explore_policy(
+      store.aggregate(), store.max_snr_db(0, 0), 40.0,
+      campaign::QualityCriterion::kAbsoluteSnr,
+      campaign::QualityStatistic::kP10);
 
   double s_none = -1.0;
   double s_dream = -1.0;

@@ -321,7 +321,7 @@ TEST(ComponentRegistries, UnknownNamesFailAtSubmitListingValidNames) {
 TEST(PolicyExplorer, PolicyRangesAreIndependentOfEmtListOrder) {
   // The triggering-range ladder is derived from the voltage floors, not
   // from the order the config happened to list the EMTs.
-  const auto sweep_for = [](std::vector<std::string> emts) {
+  const auto policy_for = [](std::vector<std::string> emts) {
     campaign::CampaignSpec spec;
     spec.apps = {"dwt"};
     spec.emts = std::move(emts);
@@ -330,12 +330,14 @@ TEST(PolicyExplorer, PolicyRangesAreIndependentOfEmtListOrder) {
         campaign::RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 7}};
     spec.repetitions = 4;
     Session session(energy::SystemEnergyModel(), 2);
-    return session.submit(spec).take().to_sweep_result(0, 0);
+    const campaign::ResultStore store = session.submit(spec).take();
+    return campaign::explore_policy(store.aggregate(), store.max_snr_db(0, 0),
+                                    1.0);
   };
-  const sim::PolicyResult forward =
-      sim::explore_policy(sweep_for({"none", "dream", "ecc_secded"}), 1.0);
-  const sim::PolicyResult reversed =
-      sim::explore_policy(sweep_for({"ecc_secded", "dream", "none"}), 1.0);
+  const campaign::PolicyResult forward =
+      policy_for({"none", "dream", "ecc_secded"});
+  const campaign::PolicyResult reversed =
+      policy_for({"ecc_secded", "dream", "none"});
   ASSERT_EQ(forward.policy.ranges().size(), reversed.policy.ranges().size());
   for (std::size_t i = 0; i < forward.policy.ranges().size(); ++i) {
     EXPECT_EQ(forward.policy.ranges()[i].emt,
@@ -350,23 +352,20 @@ TEST(PolicyExplorer, PolicyRangesAreIndependentOfEmtListOrder) {
 TEST(PolicyExplorer, PolicyTopBandBelongsToNoneEvenAgainstHigherFloors) {
   // A technique feasible only near nominal voltage must not own the top
   // band when unprotected operation suffices there.
-  sim::SweepResult sweep;
-  sweep.voltages = {0.85, 0.9};
-  sweep.emts = {"none", "lossy"};
-  sweep.max_snr_db = 60.0;
-  const auto point = [](const char* emt, double v, double snr, double e) {
-    sim::SweepPoint p;
-    p.emt = emt;
-    p.voltage = v;
-    p.snr_mean_db = snr;
-    p.energy_mean_j = e;
-    return p;
+  const auto cell = [](const char* emt, double v, double snr, double e) {
+    AggregateRow row;
+    row.emt = emt;
+    row.voltage = v;
+    row.snr_mean_db = snr;
+    row.energy_mean_j = e;
+    return row;
   };
-  sweep.points = {point("none", 0.9, 60.0, 1.0),
-                  point("none", 0.85, 59.5, 0.9),
-                  point("lossy", 0.9, 59.2, 2.0),
-                  point("lossy", 0.85, 50.0, 1.8)};
-  const sim::PolicyResult policy = sim::explore_policy(sweep, 1.0);
+  const std::vector<AggregateRow> rows = {cell("none", 0.9, 60.0, 1.0),
+                                          cell("none", 0.85, 59.5, 0.9),
+                                          cell("lossy", 0.9, 59.2, 2.0),
+                                          cell("lossy", 0.85, 50.0, 1.8)};
+  const campaign::PolicyResult policy =
+      campaign::explore_policy(rows, /*max_snr_db=*/60.0, 1.0);
   ASSERT_FALSE(policy.policy.ranges().empty());
   EXPECT_EQ(policy.policy.ranges().back().emt, "none");
   EXPECT_EQ(policy.policy.select(0.95), "none");

@@ -12,6 +12,7 @@
 // where it appears).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -74,9 +75,12 @@ std::string as_text(const std::vector<std::uint8_t>& bytes) {
   return std::string(bytes.begin(), bytes.end());
 }
 
-/// Fresh scratch directory per test (cache dir + socket + outputs).
+/// Fresh scratch directory per test (cache dir + socket + outputs), unique
+/// per process: two runs of one case at once must not share it.
 fs::path scratch(const std::string& name) {
-  const fs::path dir = fs::temp_directory_path() / ("ulpd_serve_" + name);
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("ulpd_serve_" + name + "_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

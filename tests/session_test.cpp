@@ -223,7 +223,8 @@ TEST(Session, ColumnarCheckpointResumesToTheIdenticalStore) {
   const std::string reference = reference_bytes(spec);
 
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ulpdream_columnar_ckpt";
+      std::filesystem::temp_directory_path() /
+      ("ulpdream_columnar_ckpt_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   std::vector<std::string> checkpoint_paths;
   {
@@ -268,7 +269,8 @@ TEST(Session, SaveAtomicPublishesTheExactByteStreamAndCleansItsStaging) {
   const std::string reference = save_bytes(store);
 
   const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "ulpdream_session_test";
+      std::filesystem::temp_directory_path() /
+      ("ulpdream_session_test_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   const std::filesystem::path path = dir / "run.ulpdcol";
 

@@ -2,18 +2,19 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ulpdream/apps/dwt_app.hpp"
+#include "ulpdream/campaign/policy_explorer.hpp"
 #include "ulpdream/campaign/session.hpp"
 #include "ulpdream/core/ecc_secded.hpp"
 #include "ulpdream/metrics/quality.hpp"
 #include "ulpdream/ecg/database.hpp"
 #include "ulpdream/sim/bit_significance.hpp"
-#include "ulpdream/sim/policy_explorer.hpp"
 #include "ulpdream/sim/runner.hpp"
 #include "ulpdream/util/rng.hpp"
 #include "ulpdream/util/telemetry.hpp"
@@ -315,10 +316,24 @@ TEST(CleanRunReuse, RunPastTheFootprintBreaksTheContract) {
 }
 
 /// Voltage sweep of `app_names` x the paper EMTs on test_record(), run
-/// on a campaign Session: one SweepResult per app, in order.
-std::vector<SweepResult> sweep(const std::vector<std::string>& app_names,
-                               std::vector<double> voltages,
-                               std::size_t runs) {
+/// on a campaign Session: the store and its full-GroupBy aggregate rows.
+struct Sweep {
+  campaign::ResultStore store;
+  std::vector<campaign::AggregateRow> rows;
+
+  /// The rows of app `ai`, EMT-major.
+  [[nodiscard]] std::span<const campaign::AggregateRow> app(
+      std::size_t ai) const {
+    return campaign::app_slice(store.spec(), rows, 0, ai);
+  }
+  [[nodiscard]] const campaign::AggregateRow* find(const std::string& emt,
+                                                   double v) const {
+    return campaign::find_row(app(0), emt, v);
+  }
+};
+
+Sweep sweep(const std::vector<std::string>& app_names,
+            std::vector<double> voltages, std::size_t runs) {
   campaign::CampaignSpec spec;
   spec.apps = app_names;
   spec.emts = core::paper_emt_names();
@@ -327,30 +342,25 @@ std::vector<SweepResult> sweep(const std::vector<std::string>& app_names,
       campaign::RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 29}};
   spec.repetitions = runs;
   campaign::Session session(energy::SystemEnergyModel(), 2);
-  const campaign::ResultStore store = session.submit(spec).take();
-  std::vector<SweepResult> out;
-  for (std::size_t ai = 0; ai < app_names.size(); ++ai) {
-    out.push_back(store.to_sweep_result(0, ai));
-  }
-  return out;
+  campaign::ResultStore store = session.submit(spec).take();
+  std::vector<campaign::AggregateRow> rows = store.aggregate();
+  return Sweep{std::move(store), std::move(rows)};
 }
 
-SweepResult tiny_sweep() {
-  return sweep({"dwt"}, {0.5, 0.7, 0.9}, 4).front();
-}
+Sweep tiny_sweep() { return sweep({"dwt"}, {0.5, 0.7, 0.9}, 4); }
 
 TEST(VoltageSweep, ProducesAllPoints) {
-  const SweepResult res = tiny_sweep();
-  EXPECT_EQ(res.points.size(), 3u * 3u);
+  const Sweep res = tiny_sweep();
+  EXPECT_EQ(res.app(0).size(), 3u * 3u);
   EXPECT_NE(res.find("dream", 0.7), nullptr);
   EXPECT_EQ(res.find("dream", 0.62), nullptr);
 }
 
 TEST(VoltageSweep, SnrDegradesAsVoltageDrops) {
-  const SweepResult res = tiny_sweep();
+  const Sweep res = tiny_sweep();
   for (const std::string& emt : core::paper_emt_names()) {
-    const SweepPoint* hi = res.find(emt, 0.9);
-    const SweepPoint* lo = res.find(emt, 0.5);
+    const campaign::AggregateRow* hi = res.find(emt, 0.9);
+    const campaign::AggregateRow* lo = res.find(emt, 0.5);
     ASSERT_NE(hi, nullptr);
     ASSERT_NE(lo, nullptr);
     EXPECT_GT(hi->snr_mean_db, lo->snr_mean_db);
@@ -358,16 +368,16 @@ TEST(VoltageSweep, SnrDegradesAsVoltageDrops) {
 }
 
 TEST(VoltageSweep, NominalVoltageIsErrorFree) {
-  const SweepResult res = tiny_sweep();
-  const SweepPoint* p = res.find("none", 0.9);
+  const Sweep res = tiny_sweep();
+  const campaign::AggregateRow* p = res.find("none", 0.9);
   ASSERT_NE(p, nullptr);
   // BER(0.9) = 1e-9 on ~360k cells: fault-free with overwhelming
   // probability, so mean SNR equals the max-SNR dashed line.
-  EXPECT_NEAR(p->snr_mean_db, res.max_snr_db, 0.5);
+  EXPECT_NEAR(p->snr_mean_db, res.store.max_snr_db(0, 0), 0.5);
 }
 
 TEST(VoltageSweep, EnergyOrderingNoneDreamEcc) {
-  const SweepResult res = tiny_sweep();
+  const Sweep res = tiny_sweep();
   for (const double v : {0.5, 0.7, 0.9}) {
     const double e_none = res.find("none", v)->energy_mean_j;
     const double e_dream = res.find("dream", v)->energy_mean_j;
@@ -378,19 +388,22 @@ TEST(VoltageSweep, EnergyOrderingNoneDreamEcc) {
 }
 
 TEST(VoltageSweep, MultiAppSharesConfig) {
-  const auto results = sweep({"dwt", "morph_filter"}, {0.5, 0.7, 0.9}, 4);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0].points.front().app, "dwt");
-  EXPECT_EQ(results[1].points.front().app, "morph_filter");
+  const Sweep res = sweep({"dwt", "morph_filter"}, {0.5, 0.7, 0.9}, 4);
+  ASSERT_EQ(res.rows.size(), 2u * 3u * 3u);
+  EXPECT_EQ(res.app(0).front().app, "dwt");
+  EXPECT_EQ(res.app(1).front().app, "morph_filter");
 }
 
 TEST(PolicyExplorer, DerivesFeasiblePolicy) {
-  const SweepResult dwt =
-      sweep({"dwt"}, {0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9}, 12)
-          .front();
+  using campaign::EmtOperatingPoint;
+  using campaign::PolicyResult;
+  const Sweep dwt =
+      sweep({"dwt"}, {0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9}, 12);
+  const double max_snr = dwt.store.max_snr_db(0, 0);
 
   // Relative criterion (the paper's -1 dB form): sanity of the structure.
-  const PolicyResult relative = explore_policy(dwt, 1.0);
+  const PolicyResult relative =
+      campaign::explore_policy(dwt.app(0), max_snr, 1.0);
   EXPECT_GT(relative.nominal_energy_j, 0.0);
   ASSERT_EQ(relative.points.size(), 3u);
   for (const auto& p : relative.points) {
@@ -410,9 +423,9 @@ TEST(PolicyExplorer, DerivesFeasiblePolicy) {
   // Absolute clinical criterion (40 dB on the P10 reliability statistic):
   // protection must unlock deeper floors AND larger net savings despite
   // its energy overhead.
-  const PolicyResult absolute =
-      explore_policy(dwt, 40.0, QualityCriterion::kAbsoluteSnr,
-                     QualityStatistic::kP10);
+  const PolicyResult absolute = campaign::explore_policy(
+      dwt.app(0), max_snr, 40.0, campaign::QualityCriterion::kAbsoluteSnr,
+      campaign::QualityStatistic::kP10);
   EXPECT_DOUBLE_EQ(absolute.required_snr_db, 40.0);
   // Protection unlocks deeper voltage floors than unprotected operation
   // (paper Sec. VI-C range structure), with positive net savings.
@@ -425,10 +438,16 @@ TEST(PolicyExplorer, DerivesFeasiblePolicy) {
 }
 
 TEST(PolicyExplorer, RequiresNominalPoint) {
-  SweepResult empty;
-  empty.voltages = {0.5};
-  empty.emts = core::paper_emt_names();
-  EXPECT_THROW(explore_policy(empty, 1.0), std::invalid_argument);
+  // Every paper EMT at 0.5 V, and no unprotected row at nominal voltage.
+  std::vector<campaign::AggregateRow> rows;
+  for (const std::string& emt : core::paper_emt_names()) {
+    campaign::AggregateRow row;
+    row.emt = emt;
+    row.voltage = 0.5;
+    rows.push_back(row);
+  }
+  EXPECT_THROW((void)campaign::explore_policy(rows, 60.0, 1.0),
+               std::invalid_argument);
 }
 
 }  // namespace

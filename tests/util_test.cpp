@@ -219,23 +219,6 @@ TEST(RunningStats, SingleSampleVarianceZero) {
   EXPECT_EQ(s.variance(), 0.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats a;
-  RunningStats b;
-  RunningStats all;
-  for (int i = 0; i < 50; ++i) {
-    const double x = std::sin(i * 0.7) * 10.0;
-    (i % 2 == 0 ? a : b).add(x);
-    all.add(x);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
 TEST(QuantileSketch, MedianOfKnownData) {
   QuantileSketch q;
   for (int i = 1; i <= 101; ++i) q.add(static_cast<double>(i));
@@ -380,6 +363,14 @@ TEST(Cli, NumericFlagsParseTheWholeValue) {
   }
 }
 
+/// A job submitted and started at once.
+std::shared_ptr<WorkPool::Job> start_job(WorkPool& pool, std::size_t count,
+                                         WorkPool::WorkerFactory factory) {
+  auto job = pool.submit_deferred(count, std::move(factory));
+  job->start();
+  return job;
+}
+
 TEST(WorkPool, RunsEveryIndexExactlyOnceAcrossConcurrentJobs) {
   WorkPool pool(4);
   EXPECT_EQ(pool.threads(), 4u);
@@ -387,10 +378,10 @@ TEST(WorkPool, RunsEveryIndexExactlyOnceAcrossConcurrentJobs) {
   constexpr std::size_t kCount = 64;
   std::vector<std::atomic<int>> hits_a(kCount);
   std::vector<std::atomic<int>> hits_b(kCount);
-  auto job_a = pool.submit(kCount, [&] {
+  auto job_a = start_job(pool, kCount, [&] {
     return [&](std::size_t i) { ++hits_a[i]; };
   });
-  auto job_b = pool.submit(kCount, [&] {
+  auto job_b = start_job(pool, kCount, [&] {
     return [&](std::size_t i) { ++hits_b[i]; };
   });
   job_b->wait();
@@ -407,7 +398,7 @@ TEST(WorkPool, CancelDropsUnclaimedIndicesButDrainsInFlightOnes) {
   WorkPool pool(2);
   std::atomic<std::size_t> started{0};
   std::atomic<std::size_t> completed{0};
-  auto job = pool.submit(1000, [&] {
+  auto job = start_job(pool, 1000, [&] {
     return [&](std::size_t) {
       ++started;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
@@ -426,7 +417,7 @@ TEST(WorkPool, CancelDropsUnclaimedIndicesButDrainsInFlightOnes) {
 
 TEST(WorkPool, WaitRethrowsTheFirstWorkerError) {
   WorkPool pool(3);
-  auto job = pool.submit(100, [&] {
+  auto job = start_job(pool, 100, [&] {
     return [&](std::size_t i) {
       if (i == 7) throw std::runtime_error("boom at 7");
     };
@@ -452,7 +443,7 @@ TEST(WorkPool, DeferredJobsRunOnlyAfterStart) {
 
 TEST(WorkPool, EmptyJobFinishesImmediately) {
   WorkPool pool(2);
-  auto job = pool.submit(0, [] { return [](std::size_t) {}; });
+  auto job = start_job(pool, 0, [] { return [](std::size_t) {}; });
   EXPECT_TRUE(job->finished());
   job->wait();
   EXPECT_EQ(job->done(), 0u);
@@ -462,7 +453,7 @@ TEST(WorkPool, HandlesStayValidAfterThePoolIsDestroyed) {
   std::shared_ptr<WorkPool::Job> job;
   {
     WorkPool pool(2);
-    job = pool.submit(8, [] { return [](std::size_t) {}; });
+    job = start_job(pool, 8, [] { return [](std::size_t) {}; });
     // The pool's destructor drains whatever it accepted.
   }
   job->wait();
@@ -474,7 +465,7 @@ TEST(WorkPool, IdleWorkersParkWithoutBurningCpu) {
   WorkPool pool(kThreads);
   // Exercise the pool once so every worker has claimed work and settled
   // back into the idle path before we start measuring.
-  pool.submit(2 * kThreads, [] { return [](std::size_t) {}; })->wait();
+  start_job(pool, 2 * kThreads, [] { return [](std::size_t) {}; })->wait();
 
   const auto parked = [] {
     const auto gauges = telemetry::snapshot().gauges;
@@ -517,7 +508,7 @@ TEST(WorkPool, IdleWorkersParkWithoutBurningCpu) {
 
   // Parked workers must still wake for fresh work.
   std::atomic<int> ran{0};
-  pool.submit(kThreads, [&] {
+  start_job(pool, kThreads, [&] {
         return [&](std::size_t) { ++ran; };
       })->wait();
   EXPECT_EQ(ran.load(), static_cast<int>(kThreads));
@@ -545,7 +536,9 @@ TEST(Socket, WriteToDeadPeerThrowsSocketErrorInsteadOfSigpipeDeath) {
 TEST(Listener, BindsOverAStaleUnixSocketFile) {
   namespace fs = std::filesystem;
   const std::string path =
-      (fs::temp_directory_path() / "ulpd_util_stale.sock").string();
+      (fs::temp_directory_path() /
+       ("ulpd_util_stale_" + std::to_string(::getpid()) + ".sock"))
+          .string();
   fs::remove(path);
   // Fabricate the crash leftover: a bound socket whose owner is gone —
   // the file stays behind and a naive bind() would fail EADDRINUSE.
