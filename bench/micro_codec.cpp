@@ -6,13 +6,15 @@
 //  - --datapath: self-timed scalar-vs-block data-path comparison on the
 //    paper's 32 kB geometry — full-buffer write+read sweeps through
 //    ProtectedBuffer, word-at-a-time vs the span-based block API, for
-//    every EMT at a chosen supply voltage. Verifies the two paths are
-//    bit-identical (decoded words, CodecCounters, AccessStats) to each
-//    other and to a shadow-free word-at-a-time oracle, and emits
-//    machine-readable JSON (stdout, or --json FILE with a human summary
-//    on stdout). CI runs this as the perf-trajectory smoke step.
+//    every EMT at a chosen supply voltage, each with the address
+//    scrambler on and off (the campaigns run unscrambled). Verifies the
+//    two paths are bit-identical (decoded words, CodecCounters,
+//    AccessStats) to each other and to a shadow-free word-at-a-time
+//    oracle, and emits machine-readable JSON (stdout, or --json FILE with
+//    a human summary on stdout). CI runs this as the perf-trajectory
+//    smoke step, at 0.8 V and at 0.55 V.
 //
-//    Example: micro_codec --datapath --volt 0.8 --json BENCH_datapath.json
+//    Example: micro_codec --datapath --volt 0.55 --json BENCH_datapath.json
 
 #include <chrono>
 #include <cstdio>
@@ -59,6 +61,7 @@ constexpr std::uint64_t kScramblerSeed = 0xDA7A9A7Bu;
 
 struct DatapathRow {
   std::string emt;
+  bool scrambled = false;
   double scalar_maccess_s = 0.0;
   double block_maccess_s = 0.0;
   double speedup = 0.0;
@@ -104,9 +107,10 @@ bool counters_equal(const core::CodecCounters& a,
 /// writes into a bare data/side memory pair, read back word by word with
 /// FaultyMemory::read + SafeMemory::read + Emt::decode. Both MemorySystem
 /// sweeps read the shadow, so without the third they would only compare
-/// the shadow with itself.
+/// the shadow with itself. `scrambler` is the address scrambler's seed
+/// (0: unscrambled) on all three.
 bool paths_identical(const core::Emt& emt, const mem::FaultMap& map,
-                     const fixed::SampleVec& src) {
+                     const fixed::SampleVec& src, std::uint64_t scrambler) {
   fixed::SampleVec scalar_out(src.size());
   fixed::SampleVec block_out(src.size());
   fixed::SampleVec oracle_out(src.size());
@@ -123,7 +127,7 @@ bool paths_identical(const core::Emt& emt, const mem::FaultMap& map,
   {
     core::MemorySystem system(emt, src.size());
     system.attach_faults(&map);
-    system.set_scrambler(kScramblerSeed);
+    system.set_scrambler(scrambler);
     auto buf = core::ProtectedBuffer::allocate(system, src.size());
     for (std::size_t i = 0; i < src.size(); ++i) buf.set(i, src[i]);
     for (std::size_t i = 0; i < src.size(); ++i) scalar_out[i] = buf.get(i);
@@ -134,7 +138,7 @@ bool paths_identical(const core::Emt& emt, const mem::FaultMap& map,
   {
     core::MemorySystem system(emt, src.size());
     system.attach_faults(&map);
-    system.set_scrambler(kScramblerSeed);
+    system.set_scrambler(scrambler);
     auto buf = core::ProtectedBuffer::allocate(system, src.size());
     buf.load(0, std::span<const fixed::Sample>(src.data(), src.size()));
     buf.store(0, std::span<fixed::Sample>(block_out.data(), block_out.size()));
@@ -147,7 +151,7 @@ bool paths_identical(const core::Emt& emt, const mem::FaultMap& map,
     std::optional<mem::SafeMemory> side;
     if (emt.safe_bits() > 0) side.emplace(src.size(), emt.safe_bits());
     data.attach_faults(&map);
-    data.set_scrambler(kScramblerSeed);
+    data.set_scrambler(scrambler);
     for (std::size_t i = 0; i < src.size(); ++i) {
       data.write(i, emt.encode_payload(src[i]));
       if (side) side->write(i, emt.encode_safe(src[i]));
@@ -238,7 +242,8 @@ void write_json(std::ostream& os, double volt, double ber, std::size_t words,
   os << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const DatapathRow& r = rows[i];
-    os << "    {\"emt\": \"" << r.emt << "\", \"scalar_maccess_s\": "
+    os << "    {\"emt\": \"" << r.emt << "\", \"scrambled\": "
+       << (r.scrambled ? "true" : "false") << ", \"scalar_maccess_s\": "
        << r.scalar_maccess_s << ", \"block_maccess_s\": " << r.block_maccess_s
        << ", \"speedup\": " << r.speedup
        << ", \"identical\": " << (r.identical ? "true" : "false")
@@ -248,6 +253,47 @@ void write_json(std::ostream& os, double volt, double ber, std::size_t words,
   }
   os << "  ]\n";
   os << "}\n";
+}
+
+/// One JSON row: `emt`'s scalar and block sweeps over `src`, with the
+/// address scrambler seeded by `scrambler` (0: unscrambled), timed and
+/// identity-checked.
+DatapathRow time_datapath(const core::Emt& emt, const mem::FaultMap& map,
+                          const fixed::SampleVec& src, std::uint64_t scrambler,
+                          double min_seconds) {
+  const std::size_t words = src.size();
+  DatapathRow row;
+  row.emt = emt.name();
+  row.scrambled = scrambler != 0;
+  row.identical = paths_identical(emt, map, src, scrambler);
+
+  core::MemorySystem system(emt, words);
+  system.attach_faults(&map);
+  system.set_scrambler(scrambler);
+  auto buf = core::ProtectedBuffer::allocate(system, words);
+  fixed::SampleVec dst(words);
+
+  row.scalar_maccess_s =
+      time_pass([&] { return scalar_pass(buf, src); }, words, min_seconds,
+                row.scalar_checksum) /
+      1e6;
+  row.block_maccess_s =
+      time_pass([&] { return block_pass(buf, src, dst); }, words, min_seconds,
+                row.block_checksum) /
+      1e6;
+  row.speedup = row.block_maccess_s / row.scalar_maccess_s;
+  // Both sweeps decode the same stored data, so the checksums must
+  // agree — a cheap second witness alongside paths_identical().
+  row.identical = row.identical && row.scalar_checksum == row.block_checksum;
+
+  std::fprintf(stderr,
+               "datapath %-12s %-11s scalar %8.2f Macc/s  block %8.2f "
+               "Macc/s  speedup %.2fx  identical=%s  checksum=%llu\n",
+               row.emt.c_str(), row.scrambled ? "scrambled" : "unscrambled",
+               row.scalar_maccess_s, row.block_maccess_s, row.speedup,
+               row.identical ? "yes" : "NO",
+               static_cast<unsigned long long>(row.block_checksum));
+  return row;
 }
 
 int run_datapath(const util::Cli& cli) {
@@ -277,42 +323,16 @@ int run_datapath(const util::Cli& cli) {
   const mem::FaultMap map = mem::FaultMap::random(
       words, core::EccSecDed::kPayloadBits, ber, rng);
 
+  // Each EMT on both layouts: scrambled, and unscrambled as a campaign
+  // runs it, whose block read patches a window from the map's entries.
   std::vector<DatapathRow> rows;
   bool all_identical = true;
   for (const std::string& name : core::emt_names()) {
-    const auto emt = core::make_emt(name);
-    DatapathRow row;
-    row.emt = emt->name();
-    row.identical = paths_identical(*emt, map, src);
-    all_identical = all_identical && row.identical;
-
-    core::MemorySystem system(*emt, words);
-    system.attach_faults(&map);
-    system.set_scrambler(kScramblerSeed);
-    auto buf = core::ProtectedBuffer::allocate(system, words);
-    fixed::SampleVec dst(words);
-
-    row.scalar_maccess_s =
-        time_pass([&] { return scalar_pass(buf, src); }, words, min_seconds,
-                  row.scalar_checksum) /
-        1e6;
-    row.block_maccess_s =
-        time_pass([&] { return block_pass(buf, src, dst); }, words,
-                  min_seconds, row.block_checksum) /
-        1e6;
-    row.speedup = row.block_maccess_s / row.scalar_maccess_s;
-    // Both sweeps decode the same stored data, so the checksums must
-    // agree — a cheap second witness alongside paths_identical().
-    row.identical = row.identical && row.scalar_checksum == row.block_checksum;
-    all_identical = all_identical && row.identical;
-    rows.push_back(row);
-
-    std::fprintf(stderr,
-                 "datapath %-12s scalar %8.2f Macc/s  block %8.2f Macc/s  "
-                 "speedup %.2fx  identical=%s  checksum=%llu\n",
-                 row.emt.c_str(), row.scalar_maccess_s, row.block_maccess_s,
-                 row.speedup, row.identical ? "yes" : "NO",
-                 static_cast<unsigned long long>(row.block_checksum));
+    for (const std::uint64_t scrambler : {kScramblerSeed, std::uint64_t{0}}) {
+      rows.push_back(time_datapath(*core::make_emt(name), map, src, scrambler,
+                                   min_seconds));
+      all_identical = all_identical && rows.back().identical;
+    }
   }
 
   const std::string json_path = cli.get("json", "");

@@ -178,8 +178,8 @@ class ResultStore {
     const CampaignSpec& spec, std::span<const AggregateRow> rows,
     std::size_t record_index, std::size_t app_index);
 
-/// The row of (emt, voltage) in `rows`, voltages matched within 1e-6 V;
-/// nullptr when the cell is missing.
+/// The row of (emt, voltage) in `rows`, voltages matched within
+/// kVoltageResolution; nullptr when the cell is missing.
 [[nodiscard]] const AggregateRow* find_row(std::span<const AggregateRow> rows,
                                            std::string_view emt,
                                            double voltage);

@@ -22,6 +22,11 @@
 
 namespace ulpdream::campaign {
 
+/// Two voltages closer than this are one grid point: find_row() matches
+/// a voltage within it, so CampaignSpec::normalized() rejects a voltage
+/// axis holding two such values.
+inline constexpr double kVoltageResolution = 1e-6;
+
 /// One point on the record axis: a synthetic patient trace identified by
 /// pathology, an overall noise scale (multiplies every NoiseParams
 /// amplitude — the "noise level" axis), and a generator seed.
@@ -53,11 +58,18 @@ struct CampaignSpec {
   /// Copy with empty axes replaced by the defaults above and
   /// repetitions clamped to >= 1. Throws std::invalid_argument when
   /// records x voltages x repetitions overflows std::size_t or exceeds
-  /// the largest item list expand() can allocate, and when fs_hz or
-  /// duration_s is not a finite positive number (naming the field).
+  /// the largest item list expand() can allocate, when fs_hz or
+  /// duration_s is not a finite positive number (naming the field), when
+  /// a voltage or a record's noise_scale is not finite, and when an
+  /// axis repeats a value: an app, an EMT or a record label twice, or
+  /// two voltages closer than kVoltageResolution. Each message names the
+  /// axis and the value.
   [[nodiscard]] CampaignSpec normalized() const;
 
-  /// Inclusive voltage range helper, e.g. voltage_range(0.5, 0.9, 0.05).
+  /// Inclusive voltage range helper, e.g. voltage_range(0.5, 0.9, 0.05),
+  /// each point snapped to 1e-6 V. Throws std::invalid_argument naming a
+  /// non-finite vmin, vmax or step, unless step > 0 and vmax >= vmin, and
+  /// when the range has more points than a vector can hold.
   [[nodiscard]] static std::vector<double> voltage_range(double vmin,
                                                          double vmax,
                                                          double step);

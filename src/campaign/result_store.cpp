@@ -196,7 +196,9 @@ std::span<const AggregateRow> app_slice(const CampaignSpec& spec,
 const AggregateRow* find_row(std::span<const AggregateRow> rows,
                              std::string_view emt, double voltage) {
   for (const AggregateRow& r : rows) {
-    if (r.emt == emt && std::fabs(r.voltage - voltage) < 1e-6) return &r;
+    if (r.emt == emt && std::fabs(r.voltage - voltage) < kVoltageResolution) {
+      return &r;
+    }
   }
   return nullptr;
 }

@@ -1,5 +1,6 @@
 #include "ulpdream/campaign/spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -91,6 +92,26 @@ std::string fingerprint_text(const CampaignSpec& s, bool with_records) {
   return os.str();
 }
 
+/// Throws unless `value` is finite, naming it as `what`.
+void require_finite(const std::string& what, double value) {
+  if (!std::isfinite(value)) {
+    throw std::invalid_argument(what + " = " + util::fmt_exact(value) +
+                                " is not finite");
+  }
+}
+
+/// Throws naming the axis and the value when `values` repeats one: a
+/// grid row is keyed by its axis values, so a repeat gives two rows
+/// one key.
+void require_distinct(std::vector<std::string> values, const char* axis) {
+  std::sort(values.begin(), values.end());
+  const auto twin = std::adjacent_find(values.begin(), values.end());
+  if (twin != values.end()) {
+    throw std::invalid_argument(std::string("CampaignSpec: ") + axis + " '" +
+                                *twin + "' is repeated");
+  }
+}
+
 }  // namespace
 
 std::string RecordAxis::label() const {
@@ -120,6 +141,34 @@ CampaignSpec CampaignSpec::normalized() const {
       throw std::invalid_argument(os.str());
     }
   }
+  // A non-finite voltage has no BER to draw faults from, and a
+  // non-finite noise scale no trace.
+  for (const double v : out.voltages) {
+    require_finite("CampaignSpec: voltage", v);
+  }
+  for (const RecordAxis& r : out.records) {
+    require_finite("CampaignSpec: noise_scale of record " + r.label(),
+                   r.noise_scale);
+  }
+  require_distinct(out.apps, "app");
+  require_distinct(out.emts, "emt");
+  std::vector<std::string> labels;
+  labels.reserve(out.records.size());
+  for (const RecordAxis& r : out.records) labels.push_back(r.label());
+  require_distinct(std::move(labels), "record");
+  std::vector<double> sorted = out.voltages;
+  std::sort(sorted.begin(), sorted.end());
+  for (std::size_t i = 1; i < sorted.size(); ++i) {
+    if (sorted[i] - sorted[i - 1] < kVoltageResolution) {
+      throw std::invalid_argument(
+          "CampaignSpec: voltage '" + util::fmt_exact(sorted[i - 1]) +
+          "' is repeated" +
+          (sorted[i] == sorted[i - 1]
+               ? std::string()
+               : " (as " + util::fmt_exact(sorted[i]) + ", closer than " +
+                     util::fmt_exact(kVoltageResolution) + " V)"));
+    }
+  }
   // A grid expand() cannot hold would surface only as bad_alloc or an
   // endless loop deep inside a run, so reject it here: the benches, the
   // CLI, the daemon and the workers all normalize first. A negative
@@ -140,11 +189,22 @@ CampaignSpec CampaignSpec::normalized() const {
 
 std::vector<double> CampaignSpec::voltage_range(double vmin, double vmax,
                                                 double step) {
+  require_finite("voltage_range: vmin", vmin);
+  require_finite("voltage_range: vmax", vmax);
+  require_finite("voltage_range: step", step);
   if (step <= 0.0 || vmax < vmin) {
     throw std::invalid_argument("voltage_range: need step > 0, vmax >= vmin");
   }
-  const auto count =
-      static_cast<std::size_t>((vmax - vmin) / step + 1e-9) + 1;
+  // Finite bounds can still ask for more points than a size_t counts
+  // ((vmax - vmin) / step overflows to infinity), and casting that is
+  // undefined.
+  const double steps = (vmax - vmin) / step + 1e-9;
+  if (!(steps < static_cast<double>(std::vector<double>().max_size()))) {
+    throw std::invalid_argument(
+        "voltage_range: (vmax - vmin) / step = " + util::fmt_exact(steps) +
+        " grid points is more than a grid can hold");
+  }
+  const auto count = static_cast<std::size_t>(steps) + 1;
   std::vector<double> out;
   out.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {

@@ -32,22 +32,42 @@ FaultMap::FaultMap(std::size_t words, int bits_per_word)
   if (words > std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument("FaultMap: word count exceeds index range");
   }
-  rebuild_accelerators();
+  rebuild_chunk_start();
 }
 
-void FaultMap::rebuild_accelerators() {
+void FaultMap::rebuild_chunk_start() {
   const std::size_t chunks = (words_ + kChunkWords - 1) / kChunkWords;
-  coarse_.assign((chunks + 63) / 64 + 1, 0);  // +1: lookup never reads OOB
   chunk_start_.assign(chunks + 1, 0);
   std::size_t slot = 0;
   for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
     chunk_start_[chunk] = static_cast<std::uint32_t>(slot);
     const std::size_t end_word = (chunk + 1) * kChunkWords;
-    const std::size_t begin = slot;
     while (slot < index_.size() && index_[slot] < end_word) ++slot;
-    if (slot != begin) coarse_[chunk >> 6] |= std::uint64_t{1} << (chunk & 63);
   }
   chunk_start_[chunks] = static_cast<std::uint32_t>(slot);
+}
+
+FaultMap::EntryRange FaultMap::entries(std::size_t first,
+                                       std::size_t n) const noexcept {
+  if (first >= words_ || n == 0) return {};
+  const std::size_t end = first + std::min(n, words_ - first);
+  // Every entry between the window's first and last chunk lies inside
+  // it; only those two chunks can hold entries outside the window.
+  const std::size_t head = first / kChunkWords;
+  const std::size_t tail = (end - 1) / kChunkWords;
+  const std::uint32_t* const index = index_.data();
+  const std::uint32_t* const lo =
+      std::lower_bound(index + chunk_start_[head],
+                       index + chunk_start_[head + 1],
+                       static_cast<std::uint32_t>(first));
+  const std::uint32_t* const hi =
+      std::lower_bound(index + chunk_start_[tail],
+                       index + chunk_start_[tail + 1],
+                       static_cast<std::uint32_t>(end));
+  const auto begin = static_cast<std::size_t>(lo - index);
+  const auto count = static_cast<std::size_t>(hi - lo);
+  return {std::span<const std::uint32_t>(lo, count),
+          std::span<const WordFaults>(faults_.data() + begin, count)};
 }
 
 const WordFaults& FaultMap::at(std::size_t word) const {
@@ -68,7 +88,6 @@ WordFaults& FaultMap::edit(std::size_t word) {
     faults_.insert(faults_.begin() + static_cast<std::ptrdiff_t>(slot),
                    WordFaults{});
     const std::size_t chunk = word / kChunkWords;
-    coarse_[chunk >> 6] |= std::uint64_t{1} << (chunk & 63);
     for (std::size_t c = chunk + 1; c < chunk_start_.size(); ++c) {
       ++chunk_start_[c];
     }
@@ -154,7 +173,7 @@ FaultMap FaultMap::random(std::size_t words, int bits_per_word, double ber,
       }
     }
   }
-  map.rebuild_accelerators();
+  map.rebuild_chunk_start();
   return map;
 }
 
@@ -170,7 +189,7 @@ FaultMap FaultMap::stuck_bit(std::size_t words, int bits_per_word, int bit,
     map.index_[w] = static_cast<std::uint32_t>(w);
   }
   map.faults_.assign(words, WordFaults{bitmask, value ? bitmask : 0u});
-  map.rebuild_accelerators();
+  map.rebuild_chunk_start();
   return map;
 }
 

@@ -12,17 +12,20 @@
 //
 // Storage is sparse: at the BERs the paper sweeps (>= ~0.7 V) well over
 // 99% of words carry no fault, so the map keeps only the faulty words — a
-// sorted word-index array with a parallel WordFaults array — plus two
-// coarse geometry-sized-but-tiny accelerators: a presence bitmap (one bit
-// per kChunkWords-word chunk, so clean words are rejected with a single
-// bit test on the memory read path) and per-chunk slot offsets (so a hit
-// scans at most one chunk's entries). Map memory therefore scales with the
-// fault count, not the geometry. Only random()'s placement scratch scales
-// with the geometry: one bit per cell, twice, kept per thread and reused.
+// sorted word-index array with a parallel WordFaults array — plus one
+// small accelerator: per-chunk slot offsets (one per kChunkWords-word
+// chunk). They locate the entries of any window of words in O(1), so the
+// memory's block read copies the window and then patches it in one
+// ascending pass over those entries (entries()), and a one-word lookup()
+// rejects a clean chunk by comparing two offsets and scans at most one
+// chunk's entries. Map memory therefore scales with the fault count, not
+// the geometry. Only random()'s placement scratch scales with the
+// geometry: one bit per cell, twice, kept per thread and reused.
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ulpdream/util/rng.hpp"
@@ -43,8 +46,15 @@ struct WordFaults {
 
 class FaultMap {
  public:
-  /// Words covered by one presence bit of the coarse bitmap.
+  /// Words covered by one chunk's slot offset.
   static constexpr std::size_t kChunkWords = 64;
+
+  /// The entries of a window of words, ascending by word: words[k]
+  /// carries faults[k].
+  struct EntryRange {
+    std::span<const std::uint32_t> words;
+    std::span<const WordFaults> faults;
+  };
 
   FaultMap() = default;
   FaultMap(std::size_t words, int bits_per_word);
@@ -73,8 +83,8 @@ class FaultMap {
   [[nodiscard]] int bits_per_word() const noexcept { return bits_; }
 
   /// Reference lookup path: bounds-checked plain binary search over the
-  /// sparse index (deliberately independent of the coarse accelerators so
-  /// the two paths can be differentially tested). Clean words return a
+  /// sparse index (deliberately independent of the chunk offsets so the
+  /// paths can be differentially tested). Clean words return a
   /// shared all-zero WordFaults. Never inserts — on a non-const map an
   /// `at()` call is still a pure read, so the block read path cannot grow
   /// the map behind the reader's back.
@@ -83,23 +93,30 @@ class FaultMap {
   /// allocate: inserts a (clean) entry for `word` on demand.
   [[nodiscard]] WordFaults& edit(std::size_t word);
 
-  /// Hot-path lookup used by the memory read loop: coarse presence bitmap
-  /// first (the overwhelmingly common clean-chunk case costs one bit
-  /// test), then a bounded scan of the word's chunk. Returns nullptr for
-  /// clean words.
+  /// One-word lookup, for reads that do not visit words in ascending
+  /// order (the scrambled block read, the word accessors): a clean chunk
+  /// (equal offsets, the overwhelmingly common case) is rejected at once,
+  /// else a bounded search of the word's chunk. Returns nullptr for clean
+  /// words.
   [[nodiscard]] const WordFaults* lookup(std::size_t word) const noexcept {
     if (word >= words_) return nullptr;
     const std::size_t chunk = word / kChunkWords;
-    if ((coarse_[chunk >> 6] & (std::uint64_t{1} << (chunk & 63))) == 0) {
-      return nullptr;
-    }
     const std::uint32_t* const lo = index_.data() + chunk_start_[chunk];
     const std::uint32_t* const hi = index_.data() + chunk_start_[chunk + 1];
+    if (lo == hi) return nullptr;
     const std::uint32_t* const it =
         std::lower_bound(lo, hi, static_cast<std::uint32_t>(word));
     if (it == hi || *it != word) return nullptr;
     return &faults_[static_cast<std::size_t>(it - index_.data())];
   }
+
+  /// The entries of the words in [first, first + n) that lie below
+  /// words(): exactly the words of that window lookup() finds, in
+  /// ascending order, for reads that patch a window in one pass. The
+  /// chunk offsets locate them; only the window's first and last chunks
+  /// are searched for its edges.
+  [[nodiscard]] EntryRange entries(std::size_t first,
+                                   std::size_t n) const noexcept;
 
   /// Number of words holding at least one entry (faulty or inserted).
   [[nodiscard]] std::size_t entry_count() const noexcept {
@@ -115,25 +132,17 @@ class FaultMap {
     return index_.empty() || index_.front() >= words;
   }
 
-  /// True when the kChunkWords-word chunk holding `word`..`word+63` has no
-  /// entries — the block read path wide-copies such runs without per-word
-  /// lookups.
-  [[nodiscard]] bool chunk_clean(std::size_t chunk) const noexcept {
-    return (coarse_[chunk >> 6] & (std::uint64_t{1} << (chunk & 63))) == 0;
-  }
-
   /// Total number of stuck cells in the map.
   [[nodiscard]] std::size_t fault_count() const noexcept;
 
  private:
-  /// Recomputes coarse_ and chunk_start_ from the sorted index_.
-  void rebuild_accelerators();
+  /// Recomputes chunk_start_ from the sorted index_.
+  void rebuild_chunk_start();
 
   int bits_ = 0;
   std::size_t words_ = 0;
   std::vector<std::uint32_t> index_;      ///< sorted faulty-word indices
   std::vector<WordFaults> faults_;        ///< parallel to index_
-  std::vector<std::uint64_t> coarse_;     ///< presence bit per word chunk
   std::vector<std::uint32_t> chunk_start_;  ///< slot range per chunk, +1 end
 };
 

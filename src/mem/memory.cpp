@@ -136,9 +136,11 @@ std::uint32_t FaultyMemory::read(std::size_t addr) const {
 // cross-TU call, the bounds check and the 64-bit division behind the
 // affine scrambler (consecutive logical words step their row by the
 // multiplier, so one compare-and-subtract replaces the modulo). On top of
-// that, unscrambled runs move data with wide copies (skipping per-word
-// fault lookups for chunks the presence bitmap marks clean). Addresses,
-// stored bits and stats match the scalar loop exactly on every path.
+// that, unscrambled runs move data with wide copies, and an unscrambled
+// read patches its window in one ascending pass over the fault map's
+// entries there (FaultMap::entries) instead of a lookup per word.
+// Addresses, stored bits and stats match the scalar loop exactly on every
+// path.
 
 template <typename Word>
 void FaultyMemory::write_block_impl(std::size_t addr, const Word* src,
@@ -180,49 +182,38 @@ std::size_t FaultyMemory::peek_block(std::size_t addr,
   }
   std::fill(patched.begin(), patched.end(), std::uint8_t{0});
   std::uint8_t* const flags = patched.empty() ? nullptr : patched.data();
-  const FaultMap* const faults =
-      faults_ != nullptr && faults_->entry_count() != 0 ? faults_ : nullptr;
   const std::uint32_t wm = width_mask_;
-  std::size_t hits = 0;
-  // Word i of the run, stored in physical row `phys`.
-  const auto load = [&](std::size_t i, std::size_t phys) {
-    std::uint32_t bits = store_[phys];
-    if (const WordFaults* f = faults->lookup(phys)) {
-      bits = f->apply(bits);
-      ++hits;
+  if (!scrambled()) {
+    // One masked copy of the window, then one pass over the map entries
+    // whose words lie in it: the words lookup() would find, in order.
+    const std::uint32_t* const src = store_.data() + addr;
+    for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] & wm;
+    if (faults_ == nullptr) return 0;
+    const FaultMap::EntryRange faulty = faults_->entries(addr, n);
+    for (std::size_t k = 0; k < faulty.words.size(); ++k) {
+      const std::size_t i = faulty.words[k] - addr;
+      dst[i] = faulty.faults[k].apply(src[i]) & wm;
       if (flags != nullptr) flags[i] = 1;
     }
-    dst[i] = bits & wm;
-  };
-  if (!scrambled()) {
-    const std::uint32_t* const src = store_.data() + addr;
-    if (faults == nullptr) {
-      for (std::size_t i = 0; i < n; ++i) dst[i] = src[i] & wm;
-      return 0;
-    }
-    // Walk chunk by chunk: one presence bit decides between a wide copy
-    // and the per-word lookup loop.
-    std::size_t i = 0;
-    while (i < n) {
-      const std::size_t chunk = (addr + i) / FaultMap::kChunkWords;
-      const std::size_t run_end = std::min<std::size_t>(
-          n, (chunk + 1) * FaultMap::kChunkWords - addr);
-      if (faults->chunk_clean(chunk)) {
-        for (; i < run_end; ++i) dst[i] = src[i] & wm;
-      } else {
-        for (; i < run_end; ++i) load(i, addr + i);
-      }
-    }
-    return hits;
+    return faulty.words.size();
   }
+  // Scrambled rows are not visited in ascending order: look each one up.
+  const FaultMap* const faults =
+      faults_ != nullptr && faults_->entry_count() != 0 ? faults_ : nullptr;
+  std::size_t hits = 0;
   const std::uint64_t words = store_.size();
   std::uint64_t phys = affine_mod(addr, scramble_mul_, scramble_add_, words);
   for (std::size_t i = 0; i < n; ++i) {
-    if (faults == nullptr) {
-      dst[i] = store_[static_cast<std::size_t>(phys)] & wm;
-    } else {
-      load(i, static_cast<std::size_t>(phys));
+    const auto row = static_cast<std::size_t>(phys);
+    std::uint32_t bits = store_[row];
+    if (faults != nullptr) {
+      if (const WordFaults* f = faults->lookup(row)) {
+        bits = f->apply(bits);
+        ++hits;
+        if (flags != nullptr) flags[i] = 1;
+      }
     }
+    dst[i] = bits & wm;
     phys = next_row(phys, scramble_mul_, words);
   }
   return hits;

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -217,6 +218,106 @@ TEST(CampaignSpec, VoltageRangeSnapsGridPoints) {
   EXPECT_EQ(v.front(), 0.5);
   EXPECT_EQ(v[6], 0.8);  // no accumulated +=step drift
   EXPECT_EQ(v.back(), 0.9);
+}
+
+/// Expects normalized() to throw std::invalid_argument whose message
+/// holds `needle`.
+::testing::AssertionResult rejected_naming(const CampaignSpec& spec,
+                                           const std::string& needle) {
+  try {
+    (void)spec.normalized();
+  } catch (const std::invalid_argument& e) {
+    if (std::string(e.what()).find(needle) != std::string::npos) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "message lacks '" << needle << "': " << e.what();
+  }
+  return ::testing::AssertionFailure() << "no std::invalid_argument";
+}
+
+TEST(CampaignSpec, RejectsRepeatedAxisValues) {
+  // A row is keyed by (record, app, EMT, voltage), so a repeated axis
+  // value would give two rows one key: rejected, naming axis and value.
+  CampaignSpec base;
+  base.apps = {"dwt"};
+  base.emts = {"dream"};
+  base.voltages = {0.7};
+  base.repetitions = 1;
+  const RecordAxis sinus{ecg::Pathology::kNormalSinus, 1.0, 7};
+
+  CampaignSpec apps = base;
+  apps.apps = {"dwt", "cs", "dwt"};
+  EXPECT_TRUE(rejected_naming(apps, "app 'dwt' is repeated"));
+  CampaignSpec emts = base;
+  emts.emts = {"dream", "dream"};
+  EXPECT_TRUE(rejected_naming(emts, "emt 'dream' is repeated"));
+  CampaignSpec records = base;
+  records.records = {sinus, RecordAxis{ecg::Pathology::kBradycardia, 1.0, 7},
+                     sinus};
+  EXPECT_TRUE(
+      rejected_naming(records, "record 'normal_sinus_n1_s7' is repeated"));
+  CampaignSpec voltages = base;
+  voltages.voltages = {0.7, 0.6, 0.7};
+  EXPECT_TRUE(rejected_naming(voltages, "voltage '0.7' is repeated"));
+  // Two points find_row cannot tell apart: a range snapped onto one
+  // voltage, and two voltages under 1e-6 V apart.
+  CampaignSpec snapped = base;
+  snapped.voltages = CampaignSpec::voltage_range(0.5, 0.5000000001, 1e-10);
+  ASSERT_EQ(snapped.voltages.size(), 2u);
+  EXPECT_TRUE(rejected_naming(snapped, "voltage '0.5' is repeated"));
+  CampaignSpec close = base;
+  close.voltages = {0.8, 0.5000009, 0.5};
+  EXPECT_TRUE(rejected_naming(
+      close, "voltage '0.5' is repeated (as 0.5000009, closer than 1e-06 V)"));
+
+  // Records differing only in noise or seed are distinct rows, and so are
+  // voltages 2e-6 V apart.
+  CampaignSpec distinct = base;
+  distinct.records = {sinus, RecordAxis{ecg::Pathology::kNormalSinus, 2.0, 7},
+                      RecordAxis{ecg::Pathology::kNormalSinus, 1.0, 8}};
+  distinct.voltages = {0.5, 0.500002};
+  EXPECT_NO_THROW((void)distinct.normalized());
+}
+
+TEST(CampaignSpec, RejectsNonFiniteVoltagesAndNoiseScales) {
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // voltage_range names the bound or step; a NaN passed its ordering
+  // test and was then cast to a point count.
+  const std::tuple<double, double, double, const char*> ranges[] = {
+      {kNan, 0.9, 0.05, "vmin = nan"},  {0.5, kNan, 0.05, "vmax = nan"},
+      {0.5, 0.9, kNan, "step = nan"},   {-kInf, 0.9, 0.05, "vmin = -inf"},
+      {0.5, kInf, 0.05, "vmax = inf"},  {0.5, 0.9, kInf, "step = inf"}};
+  for (const auto& [vmin, vmax, step, needle] : ranges) {
+    try {
+      (void)CampaignSpec::voltage_range(vmin, vmax, step);
+      ADD_FAILURE() << needle << ": no std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  }
+  // Finite bounds whose point count overflows.
+  EXPECT_THROW((void)CampaignSpec::voltage_range(-1e308, 1e308, 1e-300),
+               std::invalid_argument);
+
+  CampaignSpec base;
+  base.apps = {"dwt"};
+  base.emts = {"dream"};
+  base.repetitions = 1;
+  for (const double v : {kNan, kInf, -kInf}) {
+    CampaignSpec spec = base;
+    spec.voltages = {0.7, v};
+    EXPECT_TRUE(rejected_naming(spec, "voltage = ")) << v;
+  }
+  for (const double noise : {kNan, kInf}) {
+    CampaignSpec spec = base;
+    spec.voltages = {0.7};
+    spec.records = {RecordAxis{ecg::Pathology::kNormalSinus, noise, 7}};
+    EXPECT_TRUE(rejected_naming(spec, "noise_scale of record normal_sinus_n"))
+        << noise;
+  }
 }
 
 TEST(CampaignSpec, ParsesAxisLists) {

@@ -71,6 +71,20 @@ expect 2 '--seed' $dwt --seed=12abc
 expect 2 '--vmin' $dwt --vmin=0.9x
 expect 2 '--threads' $dwt --threads=four
 expect 2 '--max-items' $dwt --max-items=1.5
+# A grid may not repeat an axis value (two rows would share one key),
+# and every voltage and noise scale is finite.
+one="--reps=1 --threads=1 --max-items=1"
+v07="--vmin=0.7 --vmax=0.7"
+expect 2 "emt 'dream' is repeated" $one $v07 --apps=dwt --emts=dream,dream
+expect 2 "app 'dwt' is repeated" $one $v07 --apps=dwt,dwt --emts=dream
+expect 2 "record 'normal_sinus_n1_s7' is repeated" $one $v07 --apps=dwt \
+    --emts=dream --pathologies=normal_sinus,normal_sinus
+expect 2 "voltage '0.5' is repeated" $one --apps=dwt --emts=dream \
+    --vmin=0.5 --vmax=0.5000000001 --step=1e-10
+expect 2 'vmin = nan' $one --apps=dwt --emts=dream --vmin=nan
+expect 2 'vmax = inf' $one --apps=dwt --emts=dream --vmax=inf
+expect 2 'step = nan' $one --apps=dwt --emts=dream --step=nan
+expect 2 'noise_scale' $one $v07 --apps=dwt --emts=dream --noise=nan
 expect 2 '--threads' work --connect=unix:/nonexistent/daemon.sock \
     --threads=four
 expect 2 '--checkpoint-every' work --connect=unix:/nonexistent/daemon.sock \

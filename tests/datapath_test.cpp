@@ -538,11 +538,81 @@ TEST(DecodedShadow, RandomOperationsMatchThePerWordPath) {
   }
 }
 
-TEST(SparseFaultMap, PresenceBitmapChunkBoundaries) {
-  // chunk_clean() drives the block read path's wide-copy-vs-lookup
-  // decision, so its chunk edges must be exact: words 0 and 63 share
-  // chunk 0, word 64 opens chunk 1, and a map whose word count is not a
-  // multiple of 64 ends in a partial chunk.
+/// Checks the unscrambled block reads of [first, first + n) against the
+/// per-word accessors: peek_block()'s bits, patched flags and hit count
+/// against peek_word(), and read_block()'s bits and mem.fault_patch_words
+/// against read(). `memory` must hold no scrambler.
+::testing::AssertionResult window_matches_word_reads(
+    const mem::FaultyMemory& memory, std::size_t first, std::size_t n) {
+  std::vector<std::uint32_t> word_bits(n);
+  std::vector<std::uint8_t> word_flags(n);
+  std::size_t word_hits = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    bool patched = false;
+    word_bits[i] = memory.peek_word(first + i, patched);
+    word_flags[i] = patched ? 1 : 0;
+    word_hits += patched ? 1 : 0;
+  }
+  std::vector<std::uint32_t> bits(n);
+  std::vector<std::uint8_t> flags(n, 0xAA);  // peek_block writes each flag
+  const std::size_t hits = memory.peek_block(first, bits, flags);
+  if (bits != word_bits) {
+    return ::testing::AssertionFailure() << "peek_block bits differ";
+  }
+  if (flags != word_flags) {
+    return ::testing::AssertionFailure() << "peek_block patched flags differ";
+  }
+  if (hits != word_hits) {
+    return ::testing::AssertionFailure()
+           << "peek_block counts " << hits << " patched words, peek_word "
+           << word_hits;
+  }
+  // A span-free peek returns the same bits and count.
+  std::fill(bits.begin(), bits.end(), 0u);
+  if (memory.peek_block(first, bits, {}) != word_hits || bits != word_bits) {
+    return ::testing::AssertionFailure() << "flag-free peek_block differs";
+  }
+
+  const std::uint64_t base = fault_patch_total();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (memory.read(first + i) != word_bits[i]) {
+      return ::testing::AssertionFailure()
+             << "read() of word " << first + i << " differs from peek_word";
+    }
+  }
+  const std::uint64_t word_patched = fault_patch_total() - base;
+  std::fill(bits.begin(), bits.end(), 0u);
+  memory.read_block(first, bits);
+  const std::uint64_t block_patched = fault_patch_total() - base - word_patched;
+  if (bits != word_bits) {
+    return ::testing::AssertionFailure() << "read_block bits differ";
+  }
+  if (block_patched != word_patched || word_patched != word_hits) {
+    return ::testing::AssertionFailure()
+           << "mem.fault_patch_words: read_block adds " << block_patched
+           << ", read() " << word_patched << ", patched words " << word_hits;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A memory of `words` words of `width` bits holding a fixed pattern.
+mem::FaultyMemory patterned_memory(std::size_t words, int width) {
+  mem::FaultyMemory memory(words, width);
+  std::vector<std::uint32_t> pattern(words);
+  for (std::size_t i = 0; i < words; ++i) {
+    pattern[i] = static_cast<std::uint32_t>(i * 0x9E3779B1u + 5);
+  }
+  memory.write_block(0, pattern);
+  return memory;
+}
+
+TEST(SparseFaultMap, EntryWalkChunkBoundaries) {
+  // entries() locates a window's entries from the chunk offsets and
+  // searches only the window's first and last chunks, so its chunk edges
+  // must be exact: words 0 and 63 share chunk 0, word 64 opens chunk 1,
+  // and a map whose word count is not a multiple of 64 ends in a partial
+  // chunk. Every window between those edges must yield exactly the words
+  // lookup() finds there, in order, with their faults.
   static_assert(mem::FaultMap::kChunkWords == 64);
   constexpr std::size_t kMapWords = 130;  // chunks 0, 1 and partial 2
   mem::FaultMap map(kMapWords, 16);
@@ -551,36 +621,146 @@ TEST(SparseFaultMap, PresenceBitmapChunkBoundaries) {
                                  std::size_t{129}}) {
     map.edit(word) = {0x1, 0x1};
   }
-  EXPECT_FALSE(map.chunk_clean(0));
-  EXPECT_FALSE(map.chunk_clean(1));
-  EXPECT_FALSE(map.chunk_clean(2));
-
   mem::FaultMap middle(kMapWords, 16);
   middle.edit(64) = {0x2, 0x0};
   middle.edit(127) = {0x2, 0x2};
-  EXPECT_TRUE(middle.chunk_clean(0));
-  EXPECT_FALSE(middle.chunk_clean(1));
-  EXPECT_TRUE(middle.chunk_clean(2));
 
-  // The unscrambled block read crosses every boundary: wide-copy runs for
-  // clean chunks, per-word lookups for dirty ones, same answer as the
-  // scalar accessor either way.
-  mem::FaultyMemory block_mem(kMapWords, 16);
-  mem::FaultyMemory scalar_mem(kMapWords, 16);
-  for (auto* m : {&block_mem, &scalar_mem}) m->attach_faults(&middle);
-  std::vector<std::uint32_t> pattern(kMapWords);
-  for (std::size_t i = 0; i < kMapWords; ++i) {
-    pattern[i] = static_cast<std::uint32_t>((i * 0x9E37u + 5) & 0xFFFFu);
+  const auto words_of = [](const mem::FaultMap::EntryRange& r) {
+    return std::vector<std::uint32_t>(r.words.begin(), r.words.end());
+  };
+  using Words = std::vector<std::uint32_t>;
+  EXPECT_EQ(words_of(map.entries(0, 64)), (Words{0, 63}));
+  EXPECT_EQ(words_of(map.entries(64, 64)), (Words{64, 127}));
+  EXPECT_EQ(words_of(map.entries(128, 2)), (Words{129}));
+  EXPECT_EQ(words_of(map.entries(63, 2)), (Words{63, 64}));
+  EXPECT_EQ(words_of(map.entries(1, 62)), Words{});
+  EXPECT_EQ(words_of(middle.entries(0, 64)), Words{});
+  EXPECT_EQ(words_of(middle.entries(64, 64)), (Words{64, 127}));
+  EXPECT_EQ(words_of(middle.entries(128, 2)), Words{});
+  // Windows are clamped to words(); past it there is nothing.
+  EXPECT_EQ(words_of(map.entries(120, 1000)), (Words{127, 129}));
+  EXPECT_EQ(words_of(map.entries(0, SIZE_MAX)),
+            (Words{0, 63, 64, 127, 129}));
+  EXPECT_TRUE(map.entries(kMapWords, 4).words.empty());
+  EXPECT_TRUE(map.entries(5, 0).words.empty());
+
+  constexpr std::size_t kEdges[] = {0, 1, 62, 63, 64, 65, 127, 128, 129, 130};
+  for (const mem::FaultMap* m : {&map, &middle}) {
+    for (const std::size_t first : kEdges) {
+      for (const std::size_t end : kEdges) {
+        if (end < first) continue;
+        SCOPED_TRACE(testing::Message() << "window [" << first << ", " << end
+                                        << ") of map "
+                                        << (m == &map ? "map" : "middle"));
+        Words expected;
+        std::vector<const mem::WordFaults*> expected_faults;
+        for (std::size_t w = first; w < end; ++w) {
+          if (const mem::WordFaults* f = m->lookup(w)) {
+            expected.push_back(static_cast<std::uint32_t>(w));
+            expected_faults.push_back(f);
+          }
+        }
+        const mem::FaultMap::EntryRange range = m->entries(first, end - first);
+        ASSERT_EQ(range.faults.size(), range.words.size());
+        ASSERT_EQ(words_of(range), expected);
+        for (std::size_t k = 0; k < range.faults.size(); ++k) {
+          // The same entry lookup() returns, not a copy.
+          EXPECT_EQ(&range.faults[k], expected_faults[k]);
+        }
+      }
+    }
   }
-  block_mem.write_block(0, pattern);
-  std::vector<std::uint32_t> block_out(kMapWords);
-  block_mem.read_block(0, block_out);
-  std::vector<std::uint32_t> scalar_out(kMapWords);
-  for (std::size_t i = 0; i < kMapWords; ++i) {
-    scalar_mem.write(i, pattern[i]);
-    scalar_out[i] = scalar_mem.read(i);
+
+  // The unscrambled block read crosses every boundary, same answer as the
+  // scalar accessors either way.
+  for (const mem::FaultMap* m : {&map, &middle}) {
+    mem::FaultyMemory memory = patterned_memory(kMapWords, 16);
+    memory.attach_faults(m);
+    for (const std::size_t first : kEdges) {
+      for (const std::size_t end : kEdges) {
+        if (end < first) continue;
+        EXPECT_TRUE(window_matches_word_reads(memory, first, end - first))
+            << "window [" << first << ", " << end << ")";
+      }
+    }
   }
-  EXPECT_EQ(block_out, scalar_out);
+}
+
+TEST(BlockMemory, UnscrambledWindowsMatchWordReads) {
+  // The unscrambled block read copies a window and patches it from the
+  // map's entries there; the word accessors look each word up. Both must
+  // give the same bits, patched flags and patch counts on random maps at
+  // every paper voltage, whose densities run from every chunk faulty
+  // (0.50 V) to an empty map, over windows that start and end on chunk
+  // edges and in the partial last chunk.
+  constexpr std::size_t kMemWords = 1000;  // 15 chunks + 40 words
+  constexpr int kBits = core::EccSecDed::kPayloadBits;
+  constexpr std::size_t kStarts[] = {0, 1, 63, 64, 65, 127, 128, 500, 959,
+                                     960, 999, 1000};
+  constexpr std::size_t kLengths[] = {0, 1, 2, 63, 64, 65, 128, 300, 1000};
+  const mem::LogLinearBerModel model;
+  util::Xoshiro256 rng(1606);
+  std::size_t densest = 0;
+  for (int centivolts = 50; centivolts <= 90; centivolts += 5) {
+    const double v = centivolts / 100.0;
+    SCOPED_TRACE(testing::Message() << v << " V");
+    const mem::FaultMap map =
+        mem::FaultMap::random(kMemWords, kBits, model.ber(v), rng);
+    densest = std::max(densest, map.entry_count());
+    mem::FaultyMemory memory = patterned_memory(kMemWords, kBits);
+    memory.attach_faults(&map);
+    for (const std::size_t first : kStarts) {
+      for (const std::size_t n : kLengths) {
+        const std::size_t len = std::min(n, kMemWords - first);
+        ASSERT_TRUE(window_matches_word_reads(memory, first, len))
+            << "window [" << first << ", " << first + len << ")";
+      }
+    }
+    // A window of width 16 reads a 22-bit map: the mask drops the
+    // high stuck cells exactly as the word path does.
+    mem::FaultyMemory narrow = patterned_memory(kMemWords, 16);
+    narrow.attach_faults(&map);
+    ASSERT_TRUE(window_matches_word_reads(narrow, 0, kMemWords));
+  }
+  EXPECT_GT(densest, kMemWords / 4);  // 0.50 V: ~a third of the words
+
+  // edit() maps: entries on chunk edges and in the partial last chunk,
+  // plus a zero-mask entry, which changes no bit but still counts as
+  // patched (lookup() finds it).
+  constexpr std::size_t kMapWords = 130;
+  mem::FaultMap map(kMapWords, 16);
+  for (const std::size_t word : {std::size_t{0}, std::size_t{63},
+                                 std::size_t{64}, std::size_t{127},
+                                 std::size_t{129}}) {
+    map.edit(word) = {0x8001, 0x0001};
+  }
+  (void)map.edit(100);  // zero mask
+  mem::FaultyMemory memory = patterned_memory(kMapWords, 16);
+  memory.attach_faults(&map);
+  constexpr std::size_t kEdges[] = {0, 63, 64, 127, 128, 129, 130};
+  for (const std::size_t first : kEdges) {
+    for (const std::size_t end : kEdges) {
+      if (end < first) continue;
+      EXPECT_TRUE(window_matches_word_reads(memory, first, end - first))
+          << "window [" << first << ", " << end << ")";
+    }
+  }
+
+  // An empty window, a window with no entry, and the zero-mask entry.
+  std::vector<std::uint8_t> flags(26);
+  std::vector<std::uint32_t> bits(26);
+  EXPECT_EQ(memory.peek_block(64, std::span<std::uint32_t>(),
+                              std::span<std::uint8_t>()),
+            0u);
+  EXPECT_EQ(memory.peek_block(1, bits, flags), 0u);  // words 1..26
+  EXPECT_EQ(std::count(flags.begin(), flags.end(), 1), 0);
+  EXPECT_EQ(memory.peek_block(90, bits, flags), 1u);  // words 90..115
+  EXPECT_EQ(flags[10], 1);
+  EXPECT_EQ(std::count(flags.begin(), flags.end(), 1), 1);
+  bool patched = false;
+  EXPECT_EQ(bits[10], memory.peek_word(100, patched));
+  EXPECT_TRUE(patched);
+  EXPECT_TRUE(window_matches_word_reads(memory, 90, 26));
 }
 
 TEST(BlockMemory, SixteenBitOverloadsMatchTheWideOnes) {

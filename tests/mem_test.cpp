@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -242,13 +243,14 @@ TEST(FaultMap, StuckBitRejectsOutOfRange) {
 }
 
 TEST(FaultMap, ConcurrentReadersNeverGrowTheMap) {
-  // The const read path (lookup/chunk_clean) must be insertion-free: with
+  // The const read path (lookup/entries) must be insertion-free: with
   // the mutable accessor split off as edit(), concurrent block readers
   // share one map with no synchronization. Hammer the full read surface
-  // from several threads — the same calls FaultyMemory::read_block makes —
-  // and pin that every reader sees the exact pre-snapshot answers and the
-  // map's shape is untouched afterwards. The const path touches only
-  // immutable state, so the sanitizer preset stays clean.
+  // from several threads — the calls FaultyMemory's word reads (lookup)
+  // and unscrambled block reads (entries) make — and pin that every
+  // reader sees the exact pre-snapshot answers and the map's shape is
+  // untouched afterwards. The const path touches only immutable state,
+  // so the sanitizer preset stays clean.
   constexpr std::size_t kWords = 2048;
   util::Xoshiro256 rng(2016);
   const FaultMap map = FaultMap::random(kWords, 16, 1e-3, rng);
@@ -256,11 +258,16 @@ TEST(FaultMap, ConcurrentReadersNeverGrowTheMap) {
   const std::size_t faults_before = map.fault_count();
   ASSERT_GT(entries_before, 0u);
 
-  // Serial snapshot of everything a reader can observe.
+  // Serial snapshot of everything a reader can observe: each word's
+  // faults, and how many entries lie below each word.
   std::vector<WordFaults> reference(kWords);
+  std::vector<std::size_t> entries_below(kWords + 1, 0);
   for (std::size_t w = 0; w < kWords; ++w) {
-    if (const WordFaults* f = map.lookup(w)) reference[w] = *f;
+    const WordFaults* f = map.lookup(w);
+    if (f != nullptr) reference[w] = *f;
+    entries_below[w + 1] = entries_below[w] + (f != nullptr ? 1 : 0);
   }
+  ASSERT_EQ(entries_below[kWords], entries_before);
 
   constexpr int kThreads = 4;
   std::atomic<int> mismatches{0};
@@ -268,7 +275,8 @@ TEST(FaultMap, ConcurrentReadersNeverGrowTheMap) {
     std::vector<std::thread> readers;
     readers.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      readers.emplace_back([&map, &reference, &mismatches, t] {
+      readers.emplace_back([&map, &reference, &entries_below, &mismatches,
+                            t] {
         // Stride per thread so the access interleavings differ.
         const std::size_t stride = 1 + static_cast<std::size_t>(t);
         for (int rep = 0; rep < 50; ++rep) {
@@ -276,13 +284,26 @@ TEST(FaultMap, ConcurrentReadersNeverGrowTheMap) {
             const std::size_t word = (w * stride) % kWords;
             WordFaults seen;
             if (const WordFaults* f = map.lookup(word)) seen = *f;
-            const bool clean =
-                map.chunk_clean(word / FaultMap::kChunkWords);
             if (seen.mask != reference[word].mask ||
-                seen.value != reference[word].value ||
-                (clean && seen.mask != 0)) {
+                seen.value != reference[word].value) {
               mismatches.fetch_add(1, std::memory_order_relaxed);
             }
+            // A window from this word, 1 to 200 words long, ending at
+            // most at the map's end: its entries, in order, and no more.
+            const std::size_t n =
+                std::min<std::size_t>(1 + (w * 7 + rep) % 200, kWords - word);
+            const FaultMap::EntryRange range = map.entries(word, n);
+            bool same = range.words.size() ==
+                            entries_below[word + n] - entries_below[word] &&
+                        range.faults.size() == range.words.size();
+            for (std::size_t k = 0; same && k < range.words.size(); ++k) {
+              const std::uint32_t at = range.words[k];
+              same = at >= word && at < word + n &&
+                     (k == 0 || range.words[k - 1] < at) &&
+                     range.faults[k].mask == reference[at].mask &&
+                     range.faults[k].value == reference[at].value;
+            }
+            if (!same) mismatches.fetch_add(1, std::memory_order_relaxed);
           }
         }
       });

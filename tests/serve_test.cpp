@@ -577,6 +577,55 @@ TEST(ServeDaemon, BadSpecAnswersErrorAndTheConnectionSurvives) {
   EXPECT_EQ(report.queries, 5u);
 }
 
+TEST(ServeDaemon, RepeatedOrNonFiniteAxisValuesAnswerErrorFrames) {
+  // normalized() rejects these grids, so the daemon answers each with an
+  // Error frame naming the axis and the value; a NaN voltage used to
+  // reach the binomial fault-count draw.
+  const fs::path dir = scratch("daemon_bad_axes");
+  DaemonFixture fixture(dir);
+  Client client = fixture.connect();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  std::vector<std::pair<CampaignSpec, std::string>> bad;
+  CampaignSpec apps = small_spec(36);
+  apps.apps = {"dwt", "dwt"};
+  bad.emplace_back(apps, "app 'dwt' is repeated");
+  CampaignSpec emts = small_spec(36);
+  emts.emts = {"dream", "dream"};
+  bad.emplace_back(emts, "emt 'dream' is repeated");
+  CampaignSpec records = small_spec(36);
+  records.records.push_back(records.records.front());
+  bad.emplace_back(records, "record 'normal_sinus_n1_s7' is repeated");
+  CampaignSpec close = small_spec(36);
+  close.voltages = {0.5, 0.5000000001};
+  bad.emplace_back(close, "voltage '0.5' is repeated");
+  CampaignSpec nan_voltage = small_spec(36);
+  nan_voltage.voltages = {kNan};
+  bad.emplace_back(nan_voltage, "voltage = nan");
+  CampaignSpec inf_voltage = small_spec(36);
+  inf_voltage.voltages = {0.7, kInf};
+  bad.emplace_back(inf_voltage, "voltage = inf");
+  CampaignSpec nan_noise = small_spec(36);
+  nan_noise.records.front().noise_scale = kNan;
+  bad.emplace_back(nan_noise, "noise_scale");
+  for (const auto& [spec, needle] : bad) {
+    try {
+      (void)client.query(spec);
+      ADD_FAILURE() << needle << ": must be answered with an Error frame";
+    } catch (const QueryError& e) {
+      EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+          << e.what();
+    }
+  }
+
+  // Same connection, valid spec: still served.
+  EXPECT_EQ(client.query(small_spec(36)).status, CacheStatus::kCold);
+  const Daemon::Report& report = fixture.stop();
+  EXPECT_EQ(report.errors, bad.size());
+  EXPECT_EQ(report.queries, bad.size() + 1);
+}
+
 TEST(ServeDaemon, VersionMismatchIsRejectedQuotingBothNumbers) {
   const fs::path dir = scratch("daemon_version");
   DaemonFixture fixture(dir);
